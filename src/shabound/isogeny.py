@@ -2,8 +2,11 @@
 
 Two entry points: a kernel generated by a rational point of order p, or a
 rational kernel x-polynomial of degree (p-1)/2 (for subgroups whose
-points are irrational but Galois-stable).  Codomains come back globally
-minimal so discriminant valuations feed the descent classifier directly.
+points are irrational but Galois-stable).  Both go through one power-sum
+form of Velu's formulas, and the dual kernel comes from traces in
+Q[z]/(A), so nothing here needs the roots of a kernel polynomial.
+Codomains come back globally minimal so discriminant valuations feed the
+descent classifier directly.
 """
 
 from __future__ import annotations
@@ -13,17 +16,15 @@ from fractions import Fraction
 from functools import lru_cache
 from math import lcm
 
-import sympy
-
 from . import polys
 from .elliptic import (
     Curve,
     Point,
     Transformation,
+    add_points,
     has_order,
     invariants,
     minimal_model,
-    multiply_point,
     on_curve,
     transform_point,
 )
@@ -34,51 +35,46 @@ Q = Fraction
 
 # ----------------------------------------------------- division polynomials
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=8)
 def _div_poly_f(ainvs: tuple[int, int, int, int, int], n: int) -> tuple[Fraction, ...]:
-    """x-part f_n of the n-division polynomial: psi_n = f_n * (psi_2 if n even)."""
+    """x-part f_n of the n-division polynomial: psi_n = f_n * (psi_2 if n even).
+
+    Only the finished f_n is cached, a few curves deep; the recursion's
+    intermediate f_m live in a memo for this call alone.
+    """
     e = Curve(*ainvs)
     b2, b4, b6, b8 = e.b2, e.b4, e.b6, e.b8
-
-    def f(m):
-        return list(_div_poly_f(ainvs, m))
-
-    if n == 0:
-        return ()
-    if n in (1, 2):
-        return (Q(1),)
-    if n == 3:
-        return tuple(Q(c) for c in [b8, 3 * b6, 3 * b4, b2, 3])
-    if n == 4:
-        return tuple(
-            Q(c)
-            for c in [
-                b4 * b8 - b6**2,
-                b2 * b8 - b4 * b6,
-                10 * b8,
-                10 * b6,
-                5 * b4,
-                b2,
-                2,
-            ]
-        )
     t_poly = [Q(b6), Q(2 * b4), Q(b2), Q(4)]  # psi_2^2 as a polynomial in x
-    m, rem = divmod(n, 2)
-    if rem:
-        a = polys.qmul(f(m + 2), polys.qmul(f(m), polys.qmul(f(m), f(m))))
-        b = polys.qmul(f(m - 1), polys.qmul(f(m + 1), polys.qmul(f(m + 1), f(m + 1))))
-        t2 = polys.qmul(t_poly, t_poly)
-        if m % 2 == 0:
-            res = polys.qadd(polys.qmul(a, t2), polys.qscale(b, -1))
+    memo: dict[int, list[Fraction]] = {
+        0: [],
+        1: [Q(1)],
+        2: [Q(1)],
+        3: [Q(c) for c in [b8, 3 * b6, 3 * b4, b2, 3]],
+        4: [Q(c) for c in [b4 * b8 - b6**2, b2 * b8 - b4 * b6, 10 * b8, 10 * b6, 5 * b4, b2, 2]],
+    }
+
+    def f(k):
+        if k in memo:
+            return memo[k]
+        m, rem = divmod(k, 2)
+        if rem:
+            a = polys.qmul(f(m + 2), polys.qmul(f(m), polys.qmul(f(m), f(m))))
+            b = polys.qmul(f(m - 1), polys.qmul(f(m + 1), polys.qmul(f(m + 1), f(m + 1))))
+            t2 = polys.qmul(t_poly, t_poly)
+            if m % 2 == 0:
+                res = polys.qadd(polys.qmul(a, t2), polys.qscale(b, -1))
+            else:
+                res = polys.qadd(a, polys.qscale(polys.qmul(b, t2), -1))
         else:
-            res = polys.qadd(a, polys.qscale(polys.qmul(b, t2), -1))
-    else:
-        inner = polys.qadd(
-            polys.qmul(f(m + 2), polys.qmul(f(m - 1), f(m - 1))),
-            polys.qscale(polys.qmul(f(m - 2), polys.qmul(f(m + 1), f(m + 1))), -1),
-        )
-        res = polys.qmul(f(m), inner)
-    return tuple(res)
+            inner = polys.qadd(
+                polys.qmul(f(m + 2), polys.qmul(f(m - 1), f(m - 1))),
+                polys.qscale(polys.qmul(f(m - 2), polys.qmul(f(m + 1), f(m + 1))), -1),
+            )
+            res = polys.qmul(f(m), inner)
+        memo[k] = res
+        return res
+
+    return tuple(f(n))
 
 
 def division_poly_x(e: Curve, n: int) -> list[Fraction]:
@@ -102,18 +98,6 @@ class IsogenyData:
     kernel_points: tuple[tuple[Fraction, Fraction], ...] | None
 
 
-def _velu_sums(e: Curve, xs: list[Fraction]) -> tuple[Fraction, Fraction]:
-    """(t, w) from the kernel x-coordinates; y-free since p is odd."""
-    b2, b4, b6 = e.b2, e.b4, e.b6
-    t = w = Q(0)
-    for x in xs:
-        tq = 6 * x * x + b2 * x + b4
-        uq = 4 * x**3 + b2 * x * x + 2 * b4 * x + b6
-        t += tq
-        w += uq + x * tq
-    return t, w
-
-
 def _integralize(a1: Fraction, a2: Fraction, a3: Fraction, a4: Fraction, a6: Fraction):
     """Scale a rational model to an integral one; returns (curve, scale d).
 
@@ -132,27 +116,18 @@ def _integralize(a1: Fraction, a2: Fraction, a3: Fraction, a4: Fraction, a6: Fra
     return model, d
 
 
-def _finish(e: Curve, p: int, xs: list[Fraction], kernel_gen, kernel_points) -> IsogenyData:
-    t, w = _velu_sums(e, xs)
-    a1, a2, a3 = Q(e.a1), Q(e.a2), Q(e.a3)
-    a4 = e.a4 - 5 * t
-    a6 = e.a6 - e.b2 * t - 7 * w
-    raw, d = _integralize(a1, a2, a3, a4, a6)
+def _velu(e: Curve, p: int, h: list[Fraction], kernel_gen: Point, kernel_points) -> IsogenyData:
+    """Velu's codomain from the power sums of the kernel polynomial h (y-free, p odd)."""
+    d = len(h) - 1
+    p1, p2, p3 = polys.power_sums(h, 3)
+    t = 6 * p2 + e.b2 * p1 + d * e.b4
+    w = 10 * p3 + 2 * e.b2 * p2 + 3 * e.b4 * p1 + d * e.b6
+    raw, scale = _integralize(Q(e.a1), Q(e.a2), Q(e.a3), e.a4 - 5 * t, e.a6 - e.b2 * t - 7 * w)
     emin, tr = minimal_model(raw)
-    if d != 1:
-        # fold the integralizing scaling into the transformation bookkeeping:
-        # raw coordinates are already (d^2 x, d^3 y) images of the Velu output
-        tr = Transformation(tr.u / d, tr.r / d**2, tr.s / d, tr.t / d**3)
-        raw_for_points = raw
-    else:
-        raw_for_points = raw
-    kpoly = tuple(polys.qpow_x_shift(xs))
-    # the kernel polynomial always divides the p-division polynomial
-    assert polys.qdivides(list(kpoly), division_poly_x(e, p))
-    return IsogenyData(
-        p, e, kernel_gen, emin, raw_for_points, tr, kpoly,
-        tuple(kernel_points) if kernel_points is not None else None,
-    )
+    if scale != 1:
+        # raw coordinates are (scale^2 x, scale^3 y) images of the Velu output
+        tr = Transformation(tr.u / scale, tr.r / scale**2, tr.s / scale, tr.t / scale**3)
+    return IsogenyData(p, e, kernel_gen, emin, raw, tr, tuple(h), kernel_points)
 
 
 def velu_quotient(e: Curve, pt: Point, p: int) -> IsogenyData:
@@ -165,16 +140,13 @@ def velu_quotient(e: Curve, pt: Point, p: int) -> IsogenyData:
     reps = []
     acc: Point = None
     for _ in range((p - 1) // 2):
-        acc = _add(e, acc, pt)
+        acc = add_points(e, acc, pt)
         reps.append(acc)
-    xs = [r[0] for r in reps]
-    return _finish(e, p, xs, pt, reps)
-
-
-def _add(e, a, b):
-    from .elliptic import add_points
-
-    return add_points(e, a, b)
+    h = polys.qpow_x_shift([r[0] for r in reps])
+    iso = _velu(e, p, h, pt, tuple(reps))
+    # the kernel polynomial always divides the p-division polynomial
+    assert polys.qdivides(h, division_poly_x(e, p))
+    return iso
 
 
 def velu_quotient_from_kernel_poly(e: Curve, h: list[Fraction], p: int) -> IsogenyData:
@@ -191,47 +163,25 @@ def velu_quotient_from_kernel_poly(e: Curve, h: list[Fraction], p: int) -> Isoge
         raise InputError("kernel polynomial does not divide the p-division polynomial")
     if not _stable_under_doubling(e, h):
         raise InputError("kernel polynomial roots are not closed under doubling")
-    d = (p - 1) // 2
-    ps = polys.power_sums(h, 3)
-    b2, b4, b6 = e.b2, e.b4, e.b6
-    p1, p2, p3 = ps[0], ps[1], ps[2]
-    t = 6 * p2 + b2 * p1 + d * b4
-    w = 10 * p3 + 2 * b2 * p2 + 3 * b4 * p1 + d * b6
-    a4 = e.a4 - 5 * t
-    a6 = e.a6 - e.b2 * t - 7 * w
-    raw, dd = _integralize(Q(e.a1), Q(e.a2), Q(e.a3), a4, a6)
-    emin, tr = minimal_model(raw)
-    if dd != 1:
-        tr = Transformation(tr.u / dd, tr.r / dd**2, tr.s / dd, tr.t / dd**3)
-    return IsogenyData(p, e, None, emin, raw, tr, tuple(h), None)
-
-
-def _x_double_resultant(e: Curve, h: list[Fraction], target) -> list[Fraction]:
-    """Resultant_z(h(z), target(X, z)); helper for subgroup stability."""
-    x, z = sympy.symbols("x z")
-    hz = sum(sympy.Rational(c) * z**i for i, c in enumerate(h))
-    res = sympy.resultant(sympy.Poly(hz, z), sympy.Poly(target(x, z), z), z)
-    poly = sympy.Poly(res, x)
-    return [Q(str(c)) for c in reversed(poly.all_coeffs())]
+    return _velu(e, p, h, None, None)
 
 
 def _stable_under_doubling(e: Curve, h: list[Fraction]) -> bool:
-    """True iff the root set of h is closed under the x-coordinate doubling map."""
-    import sympy
+    """True iff x(2z) is a root of h for every root z of h.
 
-    x, z = sympy.symbols("x z")
-    a1, a2, a3, a4, a6 = e.ainvs()
+    With x(2z) = num(z) / den(z), that is den^d * h(num / den) = 0 mod h(z),
+    d = deg h.  For a squarefree h dividing psi_p this is closure of the
+    root set, since doubling is injective on x-coordinates of E[p] - {O}.
+    """
     b2, b4, b6, b8 = e.b2, e.b4, e.b6, e.b8
-    # x(2Q) = (z^4 - b4 z^2 - 2 b6 z - b8) / (4 z^3 + b2 z^2 + 2 b4 z + b6)
-    num = z**4 - b4 * z**2 - 2 * b6 * z - b8
-    den = 4 * z**3 + b2 * z**2 + 2 * b4 * z + b6
-    g = _x_double_resultant(e, h, lambda xx, zz: xx * den.subs(z, zz) - num.subs(z, zz))
-    g = polys.qmonic(g)
-    hh = polys.qmonic([Q(c) for c in h])
-    # g's roots are the doubled x-coordinates; closure means radical(g) == h
-    rad = polys.qexact_div(g, polys.qgcd(g, polys.qderiv(g))) if polys.qgcd(g, polys.qderiv(g)) != [Q(1)] else g
-    rad = polys.qmonic(rad)
-    return rad == hh or g == hh
+    num = polys.qrem([Q(-b8), Q(-2 * b6), Q(-b4), Q(0), Q(1)], h)
+    den = polys.qrem([Q(b6), Q(2 * b4), Q(b2), Q(4)], h)
+    # Horner in homogeneous form: acc = sum_{j >= i} h_j num^(j-i) den^(d-j)
+    acc, den_pow = [h[-1]], [Q(1)]
+    for c in reversed(h[:-1]):
+        den_pow = polys.qrem(polys.qmul(den_pow, den), h)
+        acc = polys.qadd(polys.qrem(polys.qmul(acc, num), h), polys.qscale(den_pow, c))
+    return not acc
 
 
 def push_point(iso: IsogenyData, pt: Point) -> Point:
@@ -268,55 +218,42 @@ def push_point(iso: IsogenyData, pt: Point) -> Point:
 def dual_kernel_poly(iso: IsogenyData) -> list[Fraction]:
     """Kernel x-polynomial of the dual isogeny, on the minimal codomain model.
 
-    The dual kernel is the image of the full p-torsion of the domain; its
-    x-coordinates are extracted by a resultant against the Velu x-map and
-    taking the radical.
+    The dual kernel is the image of E[p].  Its x-coordinates are the
+    values of the x-map X = N / h^2 at the roots of A = psi_p / h, the
+    x-coordinates of E[p] outside the kernel, each taken p times.  So
+    their power sums are s_k = Tr(X^k) / p, with the trace of Q[z]/(A)
+    read off A's own power sums, and Newton's identities turn s_1..s_d
+    into the monic kernel polynomial (Bostan, Morain, Salvy, Schost 2008).
     """
     e, p = iso.domain, iso.p
-    h = [Q(c) for c in iso.kernel_x_poly]
-    psi = division_poly_x(e, p)
-    a_poly = polys.qexact_div(polys.qmonic(psi), h)  # x-coords of E[p] outside the kernel
-    # x-map numerator over denominator h^2
-    hq_list = [polys.qexact_div(h, [-xq, Q(1)]) for xq in _roots_of(h)]
-    if hq_list is None:
-        raise InputError("dual kernel extraction needs a split kernel polynomial")
-    b2, b4, b6 = e.b2, e.b4, e.b6
-    n_poly = polys.qmul([Q(0), Q(1)], polys.qmul(h, h))
-    for xq, hq in zip(_roots_of(h), hq_list):
-        tq = 6 * xq * xq + b2 * xq + b4
-        uq = 4 * xq**3 + b2 * xq * xq + 2 * b4 * xq + b6
-        n_poly = polys.qadd(n_poly, polys.qscale(polys.qmul(hq, h), tq))
-        n_poly = polys.qadd(n_poly, polys.qscale(polys.qmul(hq, hq), uq))
-    d_poly = polys.qmul(h, h)
-    # g(X) = Res_z(A(z), X * D(z) - N(z)): roots are the image x-coordinates
-    x, z = sympy.symbols("x z")
-    az = sympy.Poly([sympy.Rational(c) for c in reversed(a_poly)], z)
-    dz = sum(sympy.Rational(c) * z**i for i, c in enumerate(d_poly))
-    nz = sum(sympy.Rational(c) * z**i for i, c in enumerate(n_poly))
-    res = sympy.resultant(az, sympy.Poly(x * dz - nz, z), z)
-    g = [Q(str(c)) for c in reversed(sympy.Poly(res, x).all_coeffs())]
-    g = polys.qmonic(g)
-    gg = polys.qgcd(g, polys.qderiv(g))
-    rad = polys.qmonic(polys.qexact_div(g, gg)) if len(gg) > 1 else g
+    h = list(iso.kernel_x_poly)
+    a_poly = polys.qexact_div(polys.qmonic(division_poly_x(e, p)), h)
+    n = len(a_poly) - 1
+    traces = [Q(n)] + polys.power_sums(a_poly, n - 1)  # Tr(z^i), i < n
+    d_inv = polys.qinvmod(polys.qmul(h, h), a_poly)
+    x_map = polys.qrem(polys.qmul(_velu_x_numerator(e, h, p), d_inv), a_poly)  # X = N / h^2 mod A
+    sums, x_pow = [], [Q(1)]
+    for _ in range(len(h) - 1):
+        x_pow = polys.qrem(polys.qmul(x_pow, x_map), a_poly)
+        sums.append(sum((c * t for c, t in zip(x_pow, traces)), Q(0)) / p)
     # move onto the minimal codomain model: x_min = (x_raw - r) / u^2
-    tr = iso.to_minimal
-    shifted = _compose_affine(rad, tr)
-    return shifted
+    return _compose_affine(polys.qfrom_power_sums(sums), iso.to_minimal)
 
 
-def _roots_of(h: list[Fraction]) -> list[Fraction]:
-    """Rational roots of a monic polynomial that splits over Q."""
-    import sympy
+def _velu_x_numerator(e: Curve, h: list[Fraction], p: int) -> list[Fraction]:
+    """N with X = N / h^2 the Velu x-map, from h alone (Kohel's form).
 
-    x = sympy.symbols("x")
-    poly = sympy.Poly([sympy.Rational(c) for c in reversed(h)], x)
-    roots = sympy.roots(poly)
-    out = []
-    for r, mult in roots.items():
-        if not r.is_rational:
-            raise InputError("kernel polynomial does not split over Q")
-        out.extend([Q(str(r))] * mult)
-    return sorted(out)
+    X = p x - 2 s_1 - t(x) h'/h - T(x) (h'/h)', with s_1 the sum of the
+    roots, t = 6x^2 + b2 x + b4 and T = 4x^3 + b2 x^2 + 2 b4 x + b6.
+    """
+    b2, b4, b6 = e.b2, e.b4, e.b6
+    dh, ddh = polys.qderiv(h), polys.qderiv(polys.qderiv(h))
+    lin = [2 * h[-2], Q(p)]  # p x - 2 s_1 for monic h
+    out = polys.qmul(lin, polys.qmul(h, h))
+    out = polys.qadd(out, polys.qscale(polys.qmul([Q(b4), Q(b2), Q(6)], polys.qmul(dh, h)), -1))
+    big_t = [Q(b6), Q(2 * b4), Q(b2), Q(4)]
+    inner = polys.qadd(polys.qmul(ddh, h), polys.qscale(polys.qmul(dh, dh), -1))
+    return polys.qadd(out, polys.qscale(polys.qmul(big_t, inner), -1))
 
 
 def _compose_affine(h: list[Fraction], tr: Transformation) -> list[Fraction]:

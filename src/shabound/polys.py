@@ -45,8 +45,8 @@ def qmul(f, g):
 
 def qdivmod(f, g):
     """Polynomial division with remainder over Q."""
-    f = [Q(x) for x in f]
-    g = [Q(x) for x in g]
+    f = qtrim([Q(x) for x in f])
+    g = qtrim([Q(x) for x in g])
     if not g:
         raise ZeroDivisionError("division by zero polynomial")
     quot = [Q(0)] * max(0, len(f) - len(g) + 1)
@@ -121,6 +121,31 @@ def power_sums(f, k: int) -> list[Fraction]:
             acc += Q((-1) ** (i - 1)) * e[i] * p[n - i]
         p[n] = acc
     return p[1:]
+
+
+def qfrom_power_sums(s: list[Fraction]) -> list[Fraction]:
+    """Monic polynomial of degree len(s) whose roots have power sums s_1..s_d."""
+    e = [Q(1)]
+    for k in range(1, len(s) + 1):
+        e.append(sum(((-1) ** (i - 1) * e[k - i] * s[i - 1] for i in range(1, k + 1)), Q(0)) / k)
+    return [(-1) ** k * c for k, c in reversed(list(enumerate(e)))]
+
+
+def qrem(f, g):
+    return qdivmod(f, g)[1]
+
+
+def qinvmod(f, m):
+    """Inverse of f modulo m over Q, by the extended Euclidean algorithm."""
+    r0, r1 = [Q(c) for c in m], qrem(f, m)
+    s0, s1 = [], [Q(1)]
+    while r1:
+        quot, rem = qdivmod(r0, r1)
+        r0, r1 = r1, rem
+        s0, s1 = s1, qadd(s0, qscale(qmul(quot, s1), -1))
+    if len(r0) != 1:
+        raise ValueError("polynomial is not invertible modulo m")
+    return qscale(s0, 1 / r0[0])
 
 
 # ------------------------------------------------------------------ mod q

@@ -38,6 +38,7 @@ from .errors import (
     DegenerateFiber,
     IncompleteFactorization,
     InputError,
+    ShaboundError,
     SingularModel,
     UnreachableCusp,
 )
@@ -316,31 +317,35 @@ def _verify_dual_swap(cls: ClassifiedCurve) -> bool:
 def evaluate_row(p: int, b: int, verify_dual: bool = True) -> dict:
     """Evaluate one fiber end to end; returns a JSON-able row dict.
 
-    Per-row failures (incomplete factorization, classifier disagreement)
-    are recorded in the row rather than raised.
+    Per-row failures are recorded in the row rather than raised: a
+    singular fiber, an incomplete factorization, a classifier
+    disagreement, and any other ShaboundError under its class name.
+    The row keeps the fields filled in before the failure.
     """
     family = tate_family(p)
     row: dict = {"b": b}
     try:
-        fib = fiber(family, b)
+        _fill_row(row, family, b, verify_dual)
     except DegenerateFiber:
         row["error"] = "degenerate"
-        return row
     except IncompleteFactorization:
         row["error"] = "incomplete_factorization"
-        return row
-    row["curve"] = list(fib.curve.ainvs())
-    row["disc"] = fib.curve.disc
-    row["omega_of_cofactor"] = len(fib.disc_factorization.factors)
-    try:
-        cls = classify_primes(fib.curve, fib.point, p, fib.disc_factorization)
     except ClassifierDisagreement as exc:
         row["error"] = "classifier_disagreement"
         row["detail"] = str(exc)
-        return row
-    except IncompleteFactorization:
-        row["error"] = "incomplete_factorization"
-        return row
+    except ShaboundError as exc:
+        row["error"] = type(exc).__name__
+        row["detail"] = str(exc)
+    return row
+
+
+def _fill_row(row: dict, family: FamilySpec, b: int, verify_dual: bool) -> None:
+    p = family.p
+    fib = fiber(family, b)
+    row["curve"] = list(fib.curve.ainvs())
+    row["disc"] = fib.curve.disc
+    row["omega_of_cofactor"] = len(fib.disc_factorization.factors)
+    cls = classify_primes(fib.curve, fib.point, p, fib.disc_factorization)
     sets = cls.sets
     row["s1"] = list(sets.s1)
     row["s2"] = list(sets.s2)
@@ -366,7 +371,6 @@ def evaluate_row(p: int, b: int, verify_dual: bool = True) -> dict:
     row["selmer_sum_proxy"] = abs(len(sets.s1) - len(sets.s2))
     if verify_dual:
         row["dual_swap_verified"] = _verify_dual_swap(cls)
-    return row
 
 
 def _row_with_forcing(args) -> dict:

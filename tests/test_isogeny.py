@@ -101,3 +101,18 @@ def test_dual_kernel_round_trip_other_fiber():
 def test_wrong_order_point_rejected():
     with pytest.raises(InputError):
         velu_quotient(E_B5, (Q(2), Q(12)), 5)
+
+
+def test_isogeny_module_is_sympy_free():
+    import inspect
+    import os
+    import subprocess
+    import sys
+
+    from shabound import isogeny
+
+    assert "sympy" not in inspect.getsource(isogeny)
+    probe = "import sys, shabound.isogeny; print(any(m.split('.')[0] == 'sympy' for m in sys.modules))"
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(isogeny.__file__)))
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True, env=env)
+    assert out.stdout.strip() == "False"

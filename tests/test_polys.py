@@ -3,6 +3,7 @@
 import random
 from fractions import Fraction
 
+import pytest
 import sympy
 
 from shabound import polys
@@ -78,3 +79,27 @@ def test_has_root_large_q():
     # x^2 + 1 has roots mod q iff q = 1 mod 4 (for odd prime q)
     for q in (10007, 10009):
         assert polys.has_root_modq([1, 0, 1], q) == (q % 4 == 1)
+
+
+def test_from_power_sums_inverts_power_sums():
+    rng = random.Random(7)
+    for _ in range(30):
+        f = polys.qmonic(_rand_poly(rng, rng.randrange(1, 6)) + [Q(1)])
+        assert polys.qfrom_power_sums(polys.power_sums(f, len(f) - 1)) == f
+
+
+def test_invmod():
+    rng = random.Random(11)
+    for _ in range(30):
+        m = _rand_poly(rng, rng.randrange(2, 6)) + [Q(1)]
+        f = _rand_poly(rng, rng.randrange(0, 8))
+        if len(polys.qgcd(f, m)) != 1:
+            continue
+        assert polys.qrem(polys.qmul(f, polys.qinvmod(f, m)), m) == [Q(1)]
+    with pytest.raises(ValueError):
+        polys.qinvmod([Q(-1), Q(1)], [Q(-1), Q(0), Q(1)])
+
+
+def test_divmod_ignores_trailing_zeros():
+    f = [Q(9), Q(-10), Q(4), Q(0)]  # degree 2, stored with length 4
+    assert polys.qdivmod(f, [Q(-9), Q(-9), Q(-4), Q(1)]) == ([], [Q(9), Q(-10), Q(4)])

@@ -139,3 +139,18 @@ def test_scan_forced_contains_crt_solution():
     for row in r["rows"]:
         assert row["disc"] % 41 == 0 and row["disc"] % 11 == 0
         assert "forcing_failed" not in row or row["forcing_failed"]
+
+
+def test_other_shabound_error_becomes_error_row(monkeypatch):
+    from shabound import search
+    from shabound.errors import HypothesisViolated
+
+    def fail(*args, **kwargs):
+        raise HypothesisViolated("injected")
+
+    monkeypatch.setattr(search, "classify_primes", fail)
+    row = evaluate_row(5, 2)
+    assert row["error"] == "HypothesisViolated" and row["detail"] == "injected"
+    assert row["curve"] and "s1" not in row  # fields filled before the failure stay
+    r = scan(tate_family(5), SearchConstraints(5, scan_budget=4, verify_dual=False), jobs=1)
+    assert r["rows"] == [] and [e["error"] for e in r["errors"]] == ["HypothesisViolated"] * 4
