@@ -11,6 +11,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd, isqrt
 
 from .errors import IncompleteFactorization, InputError
@@ -283,12 +284,6 @@ def require_complete(f: Factorization | Incomplete) -> Factorization:
     return f
 
 
-def count_distinct_prime_factors(n: int, budget: int | None = None) -> int:
-    """omega(n): number of distinct primes dividing n (multiplicity ignored)."""
-    f = require_complete(factor(n, budget))
-    return len(f.factors)
-
-
 def smallest_primitive_root(ell: int) -> int:
     """Smallest primitive root modulo a prime ell."""
     if ell == 2:
@@ -318,6 +313,7 @@ class ResidueCharacter:
         assert pow(self.generator, self.p, self.ell) == 1 and self.generator != 1
 
 
+@lru_cache(maxsize=1024)  # the primitive-root search factors ell - 1
 def residue_character(ell: int, p: int) -> ResidueCharacter:
     if not is_prime(ell) or not is_prime(p) or p == 2:
         raise InputError(f"residue_character needs primes, p odd: ell={ell}, p={p}")

@@ -10,6 +10,7 @@ advisory instead of refusing (see hypothesis_status).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil
@@ -46,56 +47,75 @@ def _require_hypotheses(f: FieldInvariants) -> None:
         raise HypothesisViolated("; ".join(reasons))
 
 
+def _require_nonnegative(*counts: int) -> None:
+    """The one input check of the formulas: set sizes, ranks and dimensions."""
+    if any(c < 0 for c in counts):
+        raise InputError(f"set sizes, ranks and dimensions must be nonnegative, got {list(counts)}")
+
+
+def _formula(body):
+    """The public form of a formula body: hypotheses required, inputs nonnegative.
+
+    The body stays reachable as ``.body``; bound_report evaluates it
+    and only flags a hypothesis failure.
+    """
+
+    @functools.wraps(body)
+    def formula(f: FieldInvariants, *counts: int, **named: int):
+        _require_hypotheses(f)
+        _require_nonnegative(*counts, *named.values())
+        return body(f, *counts, **named)
+
+    formula.body = body
+    return formula
+
+
+@_formula
 def dim_ksp(f: FieldInvariants, s: int) -> int:
     """dim of the p-Selmer-support group K(S,p): d/2 + #S + dim C_K[p]."""
-    _require_hypotheses(f)
-    if s < 0:
-        raise InputError("set size must be nonnegative")
     return f.d // 2 + s + f.cp
 
 
+@_formula
 def selmer_interval(f: FieldInvariants, s1: int, s2: int, m: int) -> tuple[int, int]:
     """Two-sided bound on dim of the isogeny Selmer group (raw signed integers)."""
-    _require_hypotheses(f)
-    if m < 0:
-        raise InputError("m must be nonnegative")
     lower = s1 - s2 + f.cp - f.d // 2
     upper = s1 + f.cp - m + 3 * f.d // 2
     return lower, upper
 
 
+@_formula
 def rank_upper(f: FieldInvariants, s1: int, s2: int, m: int, m_hat: int) -> int:
     """Upper bound for the Mordell-Weil rank from both isogeny directions."""
-    _require_hypotheses(f)
     return s1 + s2 + 2 * f.cp + 3 * f.d - m - m_hat - 1
 
 
+@_formula
 def cassels_interval(f: FieldInvariants, s1: int, s2: int, dim_phi: int) -> tuple[int, int]:
     """Possible range of the dual Selmer dimension given the forward one.
 
     The shift t is bounded by |t| <= 2d + 1, so the interval has width
     2(2d + 1).
     """
-    _require_hypotheses(f)
     center = dim_phi - s1 + s2
     radius = 2 * f.d + 1
     return center - radius, center + radius
 
 
+@_formula
 def sum_lower(f: FieldInvariants, s1: int, s2: int) -> int:
     """Lower bound on the sum of the two isogeny Selmer dimensions."""
-    _require_hypotheses(f)
     return abs(s1 - s2) + 2 * f.cp - 3 * f.d - 1
 
 
 def sha_from_sum(selmer_sum: int, r: int) -> int:
     """Sha[p] lower bound from a Selmer sum k+1 and the rank r: ceil((k-r)/2), clamped."""
-    if selmer_sum < 0 or r < 0:
-        raise InputError("selmer_sum and rank must be nonnegative")
+    _require_nonnegative(selmer_sum, r)
     k = selmer_sum - 1
     return max(0, ceil(Fraction(k - r, 2)))
 
 
+@_formula
 def sha_lower_matrix(
     f: FieldInvariants, s1: int, s2: int, m_psi: int, m_psi_hat: int
 ) -> tuple[Fraction, int]:
@@ -103,7 +123,6 @@ def sha_lower_matrix(
 
     Returns the raw rational bound and its ceil clamped at 0.
     """
-    _require_hypotheses(f)
     raw = Fraction(-min(s1, s2) - 3 * f.d - 1) + Fraction(m_psi + m_psi_hat, 2)
     return raw, max(0, ceil(raw))
 
@@ -181,14 +200,14 @@ class BoundReport:
 
 def bound_report(f: FieldInvariants, s1: int, s2: int, m: int, m_hat: int) -> BoundReport:
     """Evaluate every bound formula; hypothesis failures are flagged, not fatal."""
+    _require_nonnegative(s1, s2, m, m_hat)
     ok, reasons = hypothesis_status(f)
-    lower = s1 - s2 + f.cp - f.d // 2
-    upper = s1 + f.cp - m + (3 * f.d) // 2
-    ru = s1 + s2 + 2 * f.cp + 3 * f.d - m - m_hat - 1
-    ci = (upper - s1 + s2 - (2 * f.d + 1), upper - s1 + s2 + (2 * f.d + 1))
-    sl = abs(s1 - s2) + 2 * f.cp - 3 * f.d - 1
-    raw = Fraction(-min(s1, s2) - 3 * f.d - 1) + Fraction(m + m_hat, 2)
+    lower, upper = selmer_interval.body(f, s1, s2, m)
+    raw, sha_lower = sha_lower_matrix.body(f, s1, s2, m, m_hat)
     return BoundReport(
-        f, s1, s2, m, m_hat, ok, tuple(reasons),
-        lower, upper, ru, ci, sl, raw, max(0, ceil(raw)),
+        f, s1, s2, m, m_hat, ok, tuple(reasons), lower, upper,
+        rank_upper.body(f, s1, s2, m, m_hat),
+        cassels_interval.body(f, s1, s2, upper),
+        sum_lower.body(f, s1, s2),
+        raw, sha_lower,
     )

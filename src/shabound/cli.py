@@ -1,10 +1,10 @@
 """Command-line front end.
 
 Subcommands: analyze (full descent pipeline for one curve), matrix
-(character matrix + rank), bounds / budget (bound-formula arithmetic),
-sandwich (two-sided Selmer dimensions from prime sets), search
-(constrained family scan).  JSON is the contract (--json); text output
-renders the same data.
+(character matrix + rank), bounds (bound-formula arithmetic, or the
+construction budget chain with --budget), sandwich (two-sided Selmer
+dimensions from prime sets), search (constrained family scan).  JSON is
+the contract (--json); text output renders the same data.
 
 Exit codes: 0 success, 2 input/validation error, 3 incomplete
 factorization / resource exhaustion.
@@ -17,7 +17,7 @@ import json
 import sys
 from fractions import Fraction
 
-from . import report
+from . import fplinalg, report
 from .arith import valuation
 from .bounds import (
     FieldInvariants,
@@ -25,7 +25,7 @@ from .bounds import (
     sha_from_sum,
     theorem_budget,
 )
-from .descent import classify_primes, character_matrix, m_rank, sandwich_from_sets
+from .descent import analyze_curve, character_matrix, sandwich_from_sets
 from .elliptic import invariants
 from .errors import (
     HypothesisViolated,
@@ -113,13 +113,8 @@ def cmd_analyze(args) -> int:
     p = args.p
     if p not in (5, 7):
         raise InputError("p must be 5 or 7")
-    cls = classify_primes(e, pt, p)
-    sets = cls.sets
-    mphi = m_rank(p, sets.s1, sets.s2)
-    mhat = m_rank(p, sets.s2, sets.s1, drop_trivial_rows=True)
-    sw = sandwich_from_sets(p, sets.s1, sets.s2)
-    swd = sandwich_from_sets(p, sets.s2, sets.s1)
-    br = bound_report(FieldInvariants(1, 0, False, False), len(sets.s1), len(sets.s2), mphi, mhat)
+    an = analyze_curve(e, pt, p)
+    cls, sets, br = an.classified, an.classified.sets, an.bounds
     payload = {
         "p": p,
         "input_curve": list(e.ainvs()),
@@ -136,10 +131,10 @@ def cmd_analyze(args) -> int:
             "excluded": [list(x) for x in sets.excluded],
             "evidence": [list(x) for x in sets.evidence],
         },
-        "m_phi": mphi,
-        "m_phihat": mhat,
-        "sandwich_phi": {"lower": sw.lower_dim, "upper": sw.upper_dim},
-        "sandwich_dual": {"lower": swd.lower_dim, "upper": swd.upper_dim},
+        "m_phi": an.m_phi,
+        "m_phihat": an.m_phihat,
+        "sandwich_phi": {"lower": an.sandwich_phi.lower_dim, "upper": an.sandwich_phi.upper_dim},
+        "sandwich_dual": {"lower": an.sandwich_dual.lower_dim, "upper": an.sandwich_dual.upper_dim},
         "bounds": {
             "advisory": not br.hypothesis_ok,
             "hypothesis_reasons": list(br.hypothesis_reasons),
@@ -192,7 +187,7 @@ def cmd_matrix(args) -> int:
         "col_labels": list(spec.matrix.col_labels),
         "row_labels": list(spec.matrix.row_labels),
         "entries": [list(spec.matrix.row(i)) for i in range(spec.matrix.rows)],
-        "rank": m_rank(args.p, spec.col_basis, spec.row_conditions),
+        "rank": fplinalg.rank(spec.matrix),
     }
     _emit(args, payload)
     return 0
@@ -213,21 +208,12 @@ def cmd_sandwich(args) -> int:
     return 0
 
 
-def _budget_payload(spec: str) -> dict:
-    parts = _parse_prime_list(spec)
-    if len(parts) != 4:
-        raise InputError("budget: expected p,k,n,D")
-    tb = theorem_budget(*parts)
-    return {
-        "p": tb.p, "k": tb.k, "n": tb.n, "deg_h": tb.deg_h,
-        "m_threshold": tb.m_threshold, "d_max": tb.d_max,
-        "s2_max": tb.s2_max, "sha_guarantee": tb.sha_guarantee,
-    }
-
-
 def cmd_bounds(args) -> int:
     if args.budget is not None:
-        _emit(args, _budget_payload(args.budget))
+        parts = _parse_prime_list(args.budget)
+        if len(parts) != 4:
+            raise InputError("budget: expected p,k,n,D")
+        _emit(args, theorem_budget(*parts))
         return 0
     if args.d is None:
         raise InputError("bounds: provide --budget p,k,n,D or field invariants via --d/--cp")
@@ -253,11 +239,6 @@ def cmd_bounds(args) -> int:
     if args.sum is not None:
         payload["sha_from_sum"] = sha_from_sum(args.sum, args.rank)
     _emit(args, payload)
-    return 0
-
-
-def cmd_budget(args) -> int:
-    _emit(args, _budget_payload(args.spec))
     return 0
 
 
@@ -347,11 +328,6 @@ def build_parser() -> argparse.ArgumentParser:
                     help="mark the field as missing the p-th roots of unity")
     pb.add_argument("--json", action="store_true")
     pb.set_defaults(func=cmd_bounds)
-
-    pg = sub.add_parser("budget", help="construction budget chain for p,k,n,D")
-    pg.add_argument("spec", metavar="p,k,n,D")
-    pg.add_argument("--json", action="store_true")
-    pg.set_defaults(func=cmd_budget)
 
     ps = sub.add_parser("search", help="constrained family scan from a JSON config")
     ps.add_argument("--config", required=True)

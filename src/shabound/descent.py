@@ -4,6 +4,8 @@ Classifies the bad primes into S1/S2/S3 with two independent tests (the
 reduction of the kernel point versus the discriminant-valuation ratio
 under the isogeny), builds the power-residue character matrix whose rank
 is m(S1, S2), and computes the two-sided Selmer sandwich dimensions.
+analyze_curve runs the whole pipeline for one curve; the CLI and the
+family scan both go through it.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from .arith import (
     require_complete,
     residue_character,
 )
+from .bounds import BoundReport, FieldInvariants, bound_report
 from .elliptic import (
     ADDITIVE,
     GOOD,
@@ -192,19 +195,21 @@ def character_matrix(p: int, s1, s2, drop_trivial_rows: bool = False) -> Charact
                 continue
             raise InputError(f"S2 prime {ell} is not congruent to 1 mod {p}")
         rows.append(ell)
-    data = []
-    for ell in rows:
-        chi = residue_character(ell, p)
-        data.append([character_eval(chi, q) for q in s1])
     mat = fplinalg.fp_matrix(
         p,
-        data if rows else [],
+        _character_rows(p, rows, s1),
         row_labels=[str(ell) for ell in rows],
         col_labels=[str(q) for q in s1],
     )
     if not rows:
         mat = fplinalg.FpMatrix(p, 0, len(s1), (), (), tuple(str(q) for q in s1))
     return CharacterMatrixSpec(p, s1, tuple(rows), mat)
+
+
+def _character_rows(p: int, ells, cols) -> list[list[int]]:
+    """The character table: row ell holds chi_ell(q) for the q in cols (each ell = 1 mod p)."""
+    chars = [residue_character(ell, p) for ell in ells]
+    return [[character_eval(chi, q) for q in cols] for chi in chars]
 
 
 def m_rank(p: int, s1, s2, drop_trivial_rows: bool = False) -> int:
@@ -245,18 +250,15 @@ def sandwich_from_sets(p: int, s1, s2) -> SandwichResult:
     power), so both groups are kernels of explicit F_p matrices.
     """
     s1 = tuple(sorted(s1))
-    chars = []
-    for ell in sorted(s2):
-        if ell % p == 1:
-            chars.append(residue_character(ell, p))
+    ells = [ell for ell in sorted(s2) if ell % p == 1]
     upper_support = tuple(sorted(set(s1) | {p}))
-    upper_rows = [[character_eval(chi, q) for q in upper_support] for chi in chars]
+    upper_rows = _character_rows(p, ells, upper_support)
     upper_mat = fplinalg.fp_matrix(p, upper_rows or [[0] * len(upper_support)])
     if not upper_rows:
         upper_mat = fplinalg.FpMatrix(p, 0, len(upper_support), ())
     upper_basis = fplinalg.kernel_basis(upper_mat)
     lower_support = s1
-    lower_rows = [[character_eval(chi, q) for q in lower_support] for chi in chars]
+    lower_rows = _character_rows(p, ells, lower_support)
     lower_rows.append(_p_adic_unit_condition_row(lower_support, p))
     lower_mat = fplinalg.fp_matrix(p, lower_rows) if lower_support else fplinalg.FpMatrix(
         p, len(lower_rows), 0, ()
@@ -275,7 +277,44 @@ def sandwich_from_sets(p: int, s1, s2) -> SandwichResult:
     return res
 
 
-def selmer_sandwich(e: Curve, pt: Point, p: int) -> SandwichResult:
-    """Sandwich for the isogeny direction defined by the rational kernel point."""
-    cls = classify_primes(e, pt, p)
-    return sandwich_from_sets(p, cls.sets.s1, cls.sets.s2)
+# ------------------------------------------------------------ per curve
+
+@dataclass(frozen=True)
+class Analysis:
+    """The per-curve certificate: descent sets, both matrix ranks, both sandwiches, bounds."""
+
+    classified: ClassifiedCurve
+    m_phi: int
+    m_phihat: int
+    sandwich_phi: SandwichResult
+    sandwich_dual: SandwichResult
+    bounds: BoundReport
+
+
+# Over Q the paper's field hypotheses fail, so the bounds are advisory.
+_Q_FIELD = FieldInvariants(1, 0, totally_imaginary=False, contains_zeta_p=False)
+
+
+def analyze_curve(
+    e: Curve,
+    pt: Point,
+    p: int,
+    disc_factorization: Factorization | None = None,
+) -> Analysis:
+    """The descent pipeline for the isogeny with kernel <pt>, in both directions.
+
+    m_phihat drops the rows of S1 primes that are not 1 mod p: their
+    local groups are trivial over Q.
+    """
+    cls = classify_primes(e, pt, p, disc_factorization)
+    s1, s2 = cls.sets.s1, cls.sets.s2
+    m_phi = m_rank(p, s1, s2)
+    m_phihat = m_rank(p, s2, s1, drop_trivial_rows=True)
+    return Analysis(
+        cls,
+        m_phi,
+        m_phihat,
+        sandwich_from_sets(p, s1, s2),
+        sandwich_from_sets(p, s2, s1),
+        bound_report(_Q_FIELD, len(s1), len(s2), m_phi, m_phihat),
+    )

@@ -147,16 +147,6 @@ def has_order(e: Curve, pt: Point, p: int) -> bool:
     return multiply_point(e, p, pt) is None
 
 
-def point_order(e: Curve, pt: Point, bound: int = 30) -> int | None:
-    """Order of pt if at most `bound`, else None."""
-    acc: Point = None
-    for n in range(1, bound + 1):
-        acc = add_points(e, acc, pt)
-        if acc is None:
-            return n
-    return None
-
-
 # ------------------------------------------------------------- transforms
 
 @dataclass(frozen=True)

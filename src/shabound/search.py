@@ -12,20 +12,10 @@ from __future__ import annotations
 import concurrent.futures
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-
-import sympy
 
 from . import polys
 from .arith import Factorization, crt_solve, factor, is_prime, require_complete, valuation
-from .bounds import FieldInvariants, bound_report
-from .descent import (
-    ClassifiedCurve,
-    classify_primes,
-    dual_sets,
-    m_rank,
-    sandwich_from_sets,
-)
+from .descent import ClassifiedCurve, analyze_curve
 from .elliptic import (
     Curve,
     invariants,
@@ -83,94 +73,33 @@ class FamilySpec:
         return tuple(out)
 
 
-def _ainv_polys(p: int) -> tuple[tuple[int, ...], ...]:
-    b = sympy.symbols("b")
-    if p == 5:
-        exprs = (1 - b, -b, -b, sympy.Integer(0), sympy.Integer(0))
-    elif p == 7:
-        # Tate normal form for 7-torsion, parameter d: c = d^2 - d, b = d^3 - d^2
-        c_expr = b**2 - b
-        b_expr = b**3 - b**2
-        exprs = (1 - c_expr, -b_expr, -b_expr, sympy.Integer(0), sympy.Integer(0))
-    else:
-        raise InputError("families are available for p in {5, 7}")
-    out = []
-    for ex in exprs:
-        poly = sympy.Poly(ex, b)
-        out.append(tuple(int(c) for c in reversed(poly.all_coeffs())))
-    return tuple(out)
+# Tate normal form E(B, C): y^2 + (1 - C)xy - By = x^3 - Bx^2 with (0, 0) of
+# order p (Kubert, Proc. LMS 1976), in the family parameter b:
+#   p = 5: B = C = b, discriminant b^5 (b^2 - 11b - 1);
+#   p = 7: B = b^3 - b^2, C = b^2 - b, discriminant b^7 (b - 1)^7 (b^3 - 8b^2 + 5b + 1).
+# A factor's role is the set the descent classifier puts a split
+# multiplicative prime dividing only that factor in.
+_FAMILIES = {
+    5: FamilySpec(
+        5, "b", ((1, -1), (0, -1), (0, -1), (0,), (0,)), 1,
+        (FactorPoly((0, 1), 5, ROLE_S1), FactorPoly((-1, -11, 1), 1, ROLE_S2)),
+    ),
+    7: FamilySpec(
+        7, "b", ((1, 1, -1), (0, 0, 1, -1), (0, 0, 1, -1), (0,), (0,)), 1,
+        (
+            FactorPoly((-1, 1), 7, ROLE_S1),
+            FactorPoly((0, 1), 7, ROLE_S1),
+            FactorPoly((1, 5, -8, 1), 1, ROLE_S2),
+        ),
+    ),
+}
 
 
-def _probe_role(p: int, ainv_polys, fpoly_coeffs: tuple[int, ...]) -> str:
-    """Classify one discriminant factor by probing an actual fiber.
-
-    Finds a prime ell and a parameter value where only this factor
-    vanishes mod ell and the reduction is split multiplicative, then asks
-    the descent classifier which set ell landed in.
-    """
-    spec_tmp = FamilySpec(p, "b", ainv_polys, 1, ())
-    ell = 2
-    attempts = 0
-    while attempts < 400:
-        ell = _next_prime(ell)
-        roots = polys.roots_modq(list(fpoly_coeffs), ell) if ell < 10**4 else []
-        for b0 in roots:
-            for shift in range(3):
-                b = b0 + shift * ell
-                try:
-                    e = invariants(*spec_tmp.ainvs_at(b))
-                except SingularModel:
-                    continue
-                if e.disc % ell != 0:
-                    continue
-                try:
-                    cls = classify_primes(e, (Q(0), Q(0)), p)
-                except (ClassifierDisagreement, IncompleteFactorization):
-                    continue
-                if ell in cls.sets.s1:
-                    return ROLE_S1
-                if ell in cls.sets.s2:
-                    return ROLE_S2
-            attempts += 1
-        attempts += 1
-    raise InputError(f"could not determine the cusp role of factor {fpoly_coeffs}")
-
-
-def _next_prime(n: int) -> int:
-    n += 1
-    while not is_prime(n):
-        n += 1
-    return n
-
-
-@lru_cache(maxsize=None)
 def tate_family(p: int) -> FamilySpec:
-    """The p-torsion Tate-normal-form family, with derived factor polynomials.
-
-    The discriminant is expanded symbolically in the parameter, factored
-    into irreducibles, and each factor's cusp role is pinned empirically
-    by classifying a probe fiber.
-    """
-    ainv_polys = _ainv_polys(p)
-    b = sympy.symbols("b")
-    a1, a2, a3, a4, a6 = (
-        sum(sympy.Integer(c) * b**i for i, c in enumerate(cs)) for cs in ainv_polys
-    )
-    b2 = a1**2 + 4 * a2
-    b4 = 2 * a4 + a1 * a3
-    b6 = a3**2 + 4 * a6
-    b8 = a1**2 * a6 + 4 * a2 * a6 - a1 * a3 * a4 + a2 * a3**2 - a4**2
-    disc = sympy.expand(-(b2**2) * b8 - 8 * b4**3 - 27 * b6**2 + 9 * b2 * b4 * b6)
-    const, factors = sympy.factor_list(sympy.Poly(disc, b))
-    fps = []
-    for poly, mult in factors:
-        coeffs = [int(c) for c in reversed(sympy.Poly(poly, b).all_coeffs())]
-        if coeffs[-1] < 0:
-            coeffs = [-c for c in coeffs]
-        role = _probe_role(p, ainv_polys, tuple(coeffs))
-        fps.append(FactorPoly(tuple(coeffs), int(mult), role))
-    fps.sort(key=lambda f: (f.role, f.coeffs))
-    return FamilySpec(p, "b", ainv_polys, int(const), tuple(fps))
+    """The p-torsion Tate-normal-form family with its discriminant factors and their roles."""
+    if p not in _FAMILIES:
+        raise InputError("families are available for p in {5, 7}")
+    return _FAMILIES[p]
 
 
 @dataclass(frozen=True)
@@ -262,31 +191,6 @@ def construct_parameter(family: FamilySpec, c: SearchConstraints) -> tuple[int, 
     return crt_solve(congruences), modulus
 
 
-@dataclass(frozen=True)
-class FilterResult:
-    kept: tuple[int, ...]
-    incomplete: tuple[int, ...]
-
-
-def almost_prime_filter(values, omega_max: int) -> FilterResult:
-    """Keep values whose number of distinct prime factors is at most omega_max."""
-    kept, incomplete = [], []
-    for v in values:
-        if v == 0:
-            raise InputError("values must be nonzero")
-        if abs(v) == 1:
-            if omega_max >= 0:
-                kept.append(v)
-            continue
-        f = factor(v)
-        if not f.complete:
-            incomplete.append(v)
-            continue
-        if len(f.factors) <= omega_max:
-            kept.append(v)
-    return FilterResult(tuple(kept), tuple(incomplete))
-
-
 # ------------------------------------------------------------------- scan
 
 def _verify_dual_swap(cls: ClassifiedCurve) -> bool:
@@ -345,21 +249,17 @@ def _fill_row(row: dict, family: FamilySpec, b: int, verify_dual: bool) -> None:
     row["curve"] = list(fib.curve.ainvs())
     row["disc"] = fib.curve.disc
     row["omega_of_cofactor"] = len(fib.disc_factorization.factors)
-    cls = classify_primes(fib.curve, fib.point, p, fib.disc_factorization)
-    sets = cls.sets
+    an = analyze_curve(fib.curve, fib.point, p, fib.disc_factorization)
+    sets = an.classified.sets
     row["s1"] = list(sets.s1)
     row["s2"] = list(sets.s2)
     row["s3"] = list(sets.s3)
     row["excluded"] = [list(x) for x in sets.excluded]
-    m_phi = m_rank(p, sets.s1, sets.s2)
-    m_phihat = m_rank(p, sets.s2, sets.s1, drop_trivial_rows=True)
-    row["m_phi"] = m_phi
-    row["m_phihat"] = m_phihat
-    sw = sandwich_from_sets(p, sets.s1, sets.s2)
-    swd = sandwich_from_sets(p, sets.s2, sets.s1)
-    row["sandwich_phi"] = [sw.lower_dim, sw.upper_dim]
-    row["sandwich_dual"] = [swd.lower_dim, swd.upper_dim]
-    adv = bound_report(FieldInvariants(1, 0, False, False), len(sets.s1), len(sets.s2), m_phi, m_phihat)
+    row["m_phi"] = an.m_phi
+    row["m_phihat"] = an.m_phihat
+    row["sandwich_phi"] = [an.sandwich_phi.lower_dim, an.sandwich_phi.upper_dim]
+    row["sandwich_dual"] = [an.sandwich_dual.lower_dim, an.sandwich_dual.upper_dim]
+    adv = an.bounds
     row["advisory_bounds"] = {
         "hypothesis_ok": adv.hypothesis_ok,
         "selmer_lower": adv.selmer_lower,
@@ -370,7 +270,7 @@ def _fill_row(row: dict, family: FamilySpec, b: int, verify_dual: bool) -> None:
     }
     row["selmer_sum_proxy"] = abs(len(sets.s1) - len(sets.s2))
     if verify_dual:
-        row["dual_swap_verified"] = _verify_dual_swap(cls)
+        row["dual_swap_verified"] = _verify_dual_swap(an.classified)
 
 
 def _row_with_forcing(args) -> dict:
@@ -419,7 +319,6 @@ def scan(family: FamilySpec, c: SearchConstraints, jobs: int = 1, progress=None)
             b += 1
     args = [(c.p, b, c.verify_dual, c.force_s1, c.force_s2) for b in candidates]
     if jobs > 1:
-        tate_family(c.p)  # prime the cache before forking
         with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
             rows = list(pool.map(_row_with_forcing, args, chunksize=16))
     else:

@@ -9,7 +9,6 @@ from shabound.arith import (
     Factorization,
     Incomplete,
     character_eval,
-    count_distinct_prime_factors,
     crt_solve,
     cyclotomic_splitting,
     factor,
@@ -99,12 +98,6 @@ def test_factor_oversize_cofactor_is_incomplete():
 def test_factorization_validates():
     with pytest.raises(AssertionError):
         Factorization(12, 1, ((2, 1), (3, 1)))  # product mismatch
-
-
-def test_omega():
-    assert count_distinct_prime_factors(2**5 * 3) == 2
-    assert count_distinct_prime_factors(-30) == 3
-    assert count_distinct_prime_factors(1) == 0
 
 
 def test_valuation():

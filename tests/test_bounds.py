@@ -107,3 +107,38 @@ def test_bound_report_advisory_mode():
     assert br.cassels_interval[1] - br.cassels_interval[0] == 2 * (2 * 1 + 1)
     assert br.sha_lower == max(0, -1 + 1)  # exercised, exact value pinned below
     assert br.sha_lower_raw == Fraction(-1 - 3 - 1) + Fraction(1, 2)
+
+
+def test_bound_report_evaluates_the_formulas():
+    # under the hypotheses the report equals the public formulas, term by term
+    for s1, s2, m, m_hat in [(0, 0, 0, 0), (5, 1, 0, 0), (2, 7, 1, 3), (20, 1, 4, 4)]:
+        br = bound_report(F4, s1, s2, m, m_hat)
+        assert br.hypothesis_ok and br.hypothesis_reasons == ()
+        assert (br.selmer_lower, br.selmer_upper) == selmer_interval(F4, s1, s2, m)
+        assert br.rank_upper == rank_upper(F4, s1, s2, m, m_hat)
+        assert br.cassels_interval == cassels_interval(F4, s1, s2, br.selmer_upper)
+        assert br.sum_lower == sum_lower(F4, s1, s2)
+        assert (br.sha_lower_raw, br.sha_lower) == sha_lower_matrix(F4, s1, s2, m, m_hat)
+
+
+def test_negative_inputs_rejected_everywhere():
+    with pytest.raises(InputError):
+        bound_report(FQ, 2, 1, -1, 0)  # flags the hypotheses, but checks the inputs
+    for call in (
+        lambda: bound_report(F4, -2, 0, 0, 0),
+        lambda: bound_report(F4, 0, -1, 0, 0),
+        lambda: bound_report(F4, 0, 0, 0, -1),
+        lambda: selmer_interval(F4, 0, 0, -3),
+        lambda: selmer_interval(F4, s1=-1, s2=0, m=0),
+        lambda: rank_upper(F4, 0, 0, 0, -1),
+        lambda: cassels_interval(F4, 0, -1, 0),
+        lambda: sum_lower(F4, -1, 0),
+        lambda: sha_lower_matrix(F4, 0, 0, -1, 0),
+        lambda: dim_ksp(F4, -1),
+        lambda: sha_from_sum(-1, 0),
+    ):
+        with pytest.raises(InputError):
+            call()
+    # the hypotheses are still required by the public formulas
+    with pytest.raises(HypothesisViolated):
+        rank_upper(FQ, 0, 0, 0, 0)

@@ -2,12 +2,9 @@
 
 import json
 
-import pytest
-import sympy
-
 from shabound import report
 from shabound.cli import main
-from shabound.search import tate_family
+from shabound.search import evaluate_row, fiber, tate_family
 
 
 def run(capsys, *argv):
@@ -105,16 +102,15 @@ def test_matrix_bad_s2_exit_2(capsys):
 
 
 def test_bounds_budget(capsys):
-    code, out, _ = run(capsys, "bounds", "--budget", "5,1,3,1", "--json")
-    assert code == 0
-    data = json.loads(out)
-    assert data["sha_guarantee"] == "1" and data["m_threshold"] == "100"
-
-
-def test_budget_subcommand(capsys):
-    code, out, _ = run(capsys, "budget", "7,2,3,2", "--json")
-    assert code == 0
-    assert json.loads(out)["d_max"] == "24"
+    cases = [
+        ("5,1,3,1", {"sha_guarantee": "1", "m_threshold": "100"}),
+        ("7,2,3,2", {"d_max": "24"}),
+    ]
+    for spec, want in cases:
+        code, out, _ = run(capsys, "bounds", "--budget", spec, "--json")
+        assert code == 0
+        data = json.loads(out)
+        assert {k: data[k] for k in want} == want, spec
 
 
 def test_bounds_fields(capsys):
@@ -129,8 +125,18 @@ def test_bounds_fields(capsys):
 
 
 def test_bounds_odd_d_exit_2(capsys):
-    code, _, _ = run(capsys, "bounds", "--d", "3", "--json")
-    assert code == 2
+    # an odd degree, then negative set sizes and ranks (the shared input check)
+    cases = [
+        ["--d", "3"],
+        ["--d", "4", "--m", "-3", "--s1", "-2"],
+        ["--d", "4", "--s2", "-1"],
+        ["--d", "4", "--mhat", "-1"],
+        ["--d", "1", "--real-embedding", "--no-zeta-p", "--m", "-1"],
+    ]
+    for argv in cases:
+        code, out, err = run(capsys, "bounds", *argv, "--json")
+        assert (code, out) == (2, ""), argv
+        assert err.startswith("error:"), argv
 
 
 def test_sandwich_command(capsys):
@@ -157,3 +163,26 @@ def test_search_bad_config_exit_2(tmp_path, capsys):
     assert code == 2
     code2, _, _ = run(capsys, "search", "--config", str(tmp_path / "missing.json"))
     assert code2 == 2
+
+
+def test_analyze_agrees_with_scan_row(capsys):
+    # one per-curve pipeline: the analyze payload and the scan row of a fiber
+    # carry the same sets, ranks, sandwiches and advisory bounds
+    shared = ("hypothesis_ok", "selmer_lower", "selmer_upper", "rank_upper", "sum_lower", "sha_lower")
+    for p, b in [(5, -21), (5, 2), (5, 13), (7, 3), (7, -4)]:
+        fib = fiber(tate_family(p), b)
+        code, out, _ = run(
+            capsys, "analyze", "--p", str(p), "--json",
+            "--curve", json.dumps([str(a) for a in fib.curve.ainvs()]),
+            "--point", json.dumps([str(c) for c in fib.point]),
+        )
+        assert code == 0
+        data = json.loads(out)
+        row = report.loads(report.dumps(evaluate_row(p, b, verify_dual=False)))
+        assert "error" not in row, (p, b)
+        assert data["sets"]["s1"] == row["s1"] and data["sets"]["s2"] == row["s2"]
+        assert (data["m_phi"], data["m_phihat"]) == (row["m_phi"], row["m_phihat"])
+        for key in ("sandwich_phi", "sandwich_dual"):
+            assert [data[key]["lower"], data[key]["upper"]] == row[key], (p, b, key)
+        bounds = dict(data["bounds"], hypothesis_ok=not data["bounds"]["advisory"])
+        assert {k: bounds[k] for k in shared} == row["advisory_bounds"], (p, b)

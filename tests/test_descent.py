@@ -7,12 +7,12 @@ import pytest
 
 from shabound.arith import is_prime
 from shabound.descent import (
+    analyze_curve,
     character_matrix,
     classify_primes,
     dual_sets,
     m_rank,
     sandwich_from_sets,
-    selmer_sandwich,
 )
 from shabound.elliptic import invariants
 from shabound.errors import InputError
@@ -84,7 +84,7 @@ def test_m_rank_bounded():
 
 
 def test_sandwich_fixture_11a():
-    sw = selmer_sandwich(E11A3, P0, 5)
+    sw = analyze_curve(E11A3, P0, 5).sandwich_phi
     assert (sw.lower_dim, sw.upper_dim) == (0, 0)
     swd = sandwich_from_sets(5, (11,), ())
     assert (swd.lower_dim, swd.upper_dim) == (0, 2)

@@ -21,7 +21,6 @@ from shabound.elliptic import (
     multiply_point,
     negate,
     on_curve,
-    point_order,
     reduce_point,
     reduction_at,
     singular_point,
@@ -52,7 +51,6 @@ def test_group_law_fixtures():
     assert multiply_point(E11A3, 2, p0) == (Q(1), Q(-1))
     assert multiply_point(E11A3, 5, p0) is None
     assert has_order(E11A3, p0, 5)
-    assert point_order(E11A3, p0) == 5
     assert negate(E11A3, (Q(1), Q(-1))) == (Q(1), Q(0))
 
 

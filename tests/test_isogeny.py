@@ -104,15 +104,25 @@ def test_wrong_order_point_rejected():
 
 
 def test_isogeny_module_is_sympy_free():
-    import inspect
+    # the whole package: sympy is a test oracle only, never a runtime dependency
     import os
+    import pathlib
     import subprocess
     import sys
 
-    from shabound import isogeny
+    import shabound
 
-    assert "sympy" not in inspect.getsource(isogeny)
-    probe = "import sys, shabound.isogeny; print(any(m.split('.')[0] == 'sympy' for m in sys.modules))"
-    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(isogeny.__file__)))
+    package = pathlib.Path(shabound.__file__).parent
+    sources = sorted(package.glob("*.py"))
+    assert any(f.name == "isogeny.py" for f in sources)
+    for f in sources:
+        assert "sympy" not in f.read_text(), f.name
+    probe = (
+        "import sys, shabound.cli\n"
+        "from shabound.search import tate_family\n"
+        "tate_family(5), tate_family(7)\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'sympy'))"
+    )
+    env = dict(os.environ, PYTHONPATH=str(package.parent))
     out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True, env=env)
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == "[]"

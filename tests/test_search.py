@@ -5,9 +5,7 @@ import pytest
 from shabound import report
 from shabound.errors import DegenerateFiber, InputError, UnreachableCusp
 from shabound.search import (
-    FilterResult,
     SearchConstraints,
-    almost_prime_filter,
     construct_parameter,
     evaluate_row,
     fiber,
@@ -86,13 +84,6 @@ def test_constraints_validation():
         SearchConstraints(5, force_s1=(4,))
 
 
-def test_almost_prime_filter():
-    fr = almost_prime_filter([6, 30, 7, -1, 210], 2)
-    assert fr == FilterResult((6, 7, -1), ())
-    with pytest.raises(InputError):
-        almost_prime_filter([0], 1)
-
-
 def test_regression_fiber_large_sets():
     # pinned fixture: fiber with |S1| + |S2| >= 4
     row = evaluate_row(5, -21)
@@ -142,13 +133,13 @@ def test_scan_forced_contains_crt_solution():
 
 
 def test_other_shabound_error_becomes_error_row(monkeypatch):
-    from shabound import search
+    from shabound import descent
     from shabound.errors import HypothesisViolated
 
     def fail(*args, **kwargs):
         raise HypothesisViolated("injected")
 
-    monkeypatch.setattr(search, "classify_primes", fail)
+    monkeypatch.setattr(descent, "classify_primes", fail)
     row = evaluate_row(5, 2)
     assert row["error"] == "HypothesisViolated" and row["detail"] == "injected"
     assert row["curve"] and "s1" not in row  # fields filled before the failure stay
