@@ -25,7 +25,7 @@ from .bounds import (
     sha_from_sum,
     theorem_budget,
 )
-from .descent import analyze_curve, character_matrix, sandwich_from_sets
+from .descent import S1, analyze_curve, character_matrix, sandwich_from_sets, valuation_ratio_set
 from .elliptic import invariants
 from .errors import (
     HypothesisViolated,
@@ -163,15 +163,12 @@ def _second_kernel_payload(cls, text: str, p: int) -> dict:
     iso2 = velu_quotient_from_kernel_poly(cls.curve, h, p)
     # Valuation-ratio classification only; there is no rational kernel point here.
     s1, s2 = [], []
-    for q, _ in cls.disc_factorization.factors:
+    for q, v in cls.disc_factorization.factors:
         if q == p:
             continue
-        v = cls.disc_factorization.valuation(q)
-        vp = valuation(iso2.codomain.disc, q)
-        if vp == p * v:
-            s2.append(q)
-        elif p * vp == v:
-            s1.append(q)
+        verdict = valuation_ratio_set(p, v, valuation(iso2.codomain.disc, q))
+        if verdict is not None:  # a prime with neither ratio is skipped
+            (s1 if verdict == S1 else s2).append(q)
     return {
         "codomain": list(iso2.codomain.ainvs()),
         "codomain_disc": iso2.codomain.disc,

@@ -15,6 +15,7 @@ from dataclasses import dataclass, replace
 from . import fplinalg
 from .arith import (
     Factorization,
+    Incomplete,
     character_eval,
     factor,
     require_complete,
@@ -23,24 +24,35 @@ from .arith import (
 from .bounds import BoundReport, FieldInvariants, bound_report
 from .elliptic import (
     ADDITIVE,
-    GOOD,
     NONSPLIT,
-    SPLIT,
     Curve,
     Point,
-    has_order,
     minimal_model,
     minimal_disc_factorization,
     reduce_point,
+    reduction_at,
     singular_point,
     transform_point,
-    valuation,
 )
 from .errors import ClassifierDisagreement, InputError
 from .isogeny import IsogenyData, velu_quotient
 
 S1 = "S1"
 S2 = "S2"
+
+
+def valuation_ratio_set(p: int, v: int, v_image: int) -> str | None:
+    """The set a prime joins from its discriminant valuations v on E and v_image on E/<P>.
+
+    A p-isogeny multiplies the valuation by p at an S2 prime and divides
+    it by p at an S1 prime; None means neither, and the caller decides
+    what that means.
+    """
+    if v_image == p * v:
+        return S2
+    if p * v_image == v:
+        return S1
+    return None
 
 
 @dataclass(frozen=True)
@@ -93,8 +105,6 @@ def factor_with_hints(n: int, hints: tuple[int, ...], budget: int | None = None)
     factors = tuple(sorted(merged.items()))
     if rest.complete:
         return Factorization(n, sign, factors)
-    from .arith import Incomplete
-
     return Incomplete(n, sign, factors, rest.cofactor)
 
 
@@ -108,10 +118,8 @@ def classify_primes(
 
     Runs both classifiers on every candidate prime and aborts on any
     disagreement.  The input model is minimalized first (the point is
-    carried along).
+    carried along); velu_quotient checks that the point has order p.
     """
-    if not has_order(e, pt, p):
-        raise InputError(f"kernel point must have exact order {p}")
     if disc_factorization is None:
         disc_factorization = require_complete(factor(e.disc))
     emin, tr = minimal_model(e, disc_factorization)
@@ -122,12 +130,10 @@ def classify_primes(
         factor_with_hints(iso.codomain.disc, fac_min.primes + (p,))
     )
     s1, s2, excluded, evidence = [], [], [], []
-    for q, _ in fac_min.factors:
+    for q, v in fac_min.factors:
         if q == p:
             excluded.append((q, "above_p_overlap"))
             continue
-        from .elliptic import ReductionData, reduction_at
-
         red = reduction_at(emin, q, fac_min)
         if red.kind == ADDITIVE:
             excluded.append((q, "additive"))
@@ -135,18 +141,15 @@ def classify_primes(
         if red.kind == NONSPLIT:
             excluded.append((q, "nonsplit"))
             continue
-        assert red.kind == SPLIT
+        # split multiplicative: the only kind left at a prime of the discriminant
         # test 1: does the kernel point reduce to the singular point?
         red_pt = reduce_point(emin, pmin, q)
         sing = singular_point(emin, q)
         verdict_pt = S1 if red_pt is not None and red_pt == sing else S2
         # test 2: discriminant valuation ratio under the isogeny
-        v, vp = fac_min.valuation(q), fac_cod.valuation(q)
-        if vp == p * v:
-            verdict_val = S2
-        elif p * vp == v:
-            verdict_val = S1
-        else:
+        vp = fac_cod.valuation(q)
+        verdict_val = valuation_ratio_set(p, v, vp)
+        if verdict_val is None:
             raise ClassifierDisagreement(
                 f"valuation ratio at {q} is neither p nor 1/p: {v} -> {vp}"
             )
@@ -157,7 +160,8 @@ def classify_primes(
         (s1 if verdict_pt == S1 else s2).append(q)
         evidence.append((q, verdict_pt, verdict_val))
     for ell in s2:
-        assert ell % p == 1, f"S2 prime {ell} is not 1 mod p; classification is broken"
+        if ell % p != 1:
+            raise ClassifierDisagreement(f"S2 prime {ell} is not 1 mod {p}")
     sets = DescentSets(
         p, tuple(sorted(s1)), tuple(sorted(s2)), (p,), tuple(excluded), tuple(evidence)
     )
@@ -200,9 +204,8 @@ def character_matrix(p: int, s1, s2, drop_trivial_rows: bool = False) -> Charact
         _character_rows(p, rows, s1),
         row_labels=[str(ell) for ell in rows],
         col_labels=[str(q) for q in s1],
+        cols=len(s1),
     )
-    if not rows:
-        mat = fplinalg.FpMatrix(p, 0, len(s1), (), (), tuple(str(q) for q in s1))
     return CharacterMatrixSpec(p, s1, tuple(rows), mat)
 
 
@@ -253,16 +256,12 @@ def sandwich_from_sets(p: int, s1, s2) -> SandwichResult:
     ells = [ell for ell in sorted(s2) if ell % p == 1]
     upper_support = tuple(sorted(set(s1) | {p}))
     upper_rows = _character_rows(p, ells, upper_support)
-    upper_mat = fplinalg.fp_matrix(p, upper_rows or [[0] * len(upper_support)])
-    if not upper_rows:
-        upper_mat = fplinalg.FpMatrix(p, 0, len(upper_support), ())
+    upper_mat = fplinalg.fp_matrix(p, upper_rows, cols=len(upper_support))
     upper_basis = fplinalg.kernel_basis(upper_mat)
     lower_support = s1
     lower_rows = _character_rows(p, ells, lower_support)
     lower_rows.append(_p_adic_unit_condition_row(lower_support, p))
-    lower_mat = fplinalg.fp_matrix(p, lower_rows) if lower_support else fplinalg.FpMatrix(
-        p, len(lower_rows), 0, ()
-    )
+    lower_mat = fplinalg.fp_matrix(p, lower_rows, cols=len(lower_support))
     lower_basis = fplinalg.kernel_basis(lower_mat)
     res = SandwichResult(
         p,

@@ -106,6 +106,11 @@ def add_points(e: Curve, p: Point, q: Point) -> Point:
     """Group law. Inputs are checked against the curve equation."""
     _require_on_curve(e, p)
     _require_on_curve(e, q)
+    return add_unchecked(e, p, q)
+
+
+def add_unchecked(e: Curve, p: Point, q: Point) -> Point:
+    """The chord-tangent step for points already known to lie on e."""
     if p is None:
         return q
     if q is None:
@@ -126,25 +131,23 @@ def add_points(e: Curve, p: Point, q: Point) -> Point:
 
 
 def multiply_point(e: Curve, n: int, pt: Point) -> Point:
-    """n*P by double-and-add."""
+    """n*P by double-and-add; P is checked against the curve equation once."""
+    _require_on_curve(e, pt)
     if n < 0:
-        return multiply_point(e, -n, negate(e, pt))
+        n, pt = -n, negate(e, pt)
     result: Point = None
     addend = pt
     while n:
         if n & 1:
-            result = add_points(e, result, addend)
-        addend = add_points(e, addend, addend)
+            result = add_unchecked(e, result, addend)
+        addend = add_unchecked(e, addend, addend)
         n >>= 1
     return result
 
 
 def has_order(e: Curve, pt: Point, p: int) -> bool:
     """True iff pt has exact order p (p an odd prime)."""
-    _require_on_curve(e, pt)
-    if pt is None:
-        return False
-    return multiply_point(e, p, pt) is None
+    return pt is not None and multiply_point(e, p, pt) is None
 
 
 # ------------------------------------------------------------- transforms

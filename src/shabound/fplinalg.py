@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from .arith import is_prime
 from .errors import InputError
 
 
@@ -22,8 +23,6 @@ class FpMatrix:
     col_labels: tuple[str, ...] = field(default=())
 
     def __post_init__(self):
-        from .arith import is_prime
-
         if not is_prime(self.p):
             raise InputError(f"modulus {self.p} is not prime")
         if len(self.entries) != self.rows * self.cols:
@@ -41,9 +40,11 @@ class FpMatrix:
         return [list(self.row(i)) for i in range(self.rows)]
 
 
-def fp_matrix(p: int, data: list[list[int]], row_labels=(), col_labels=()) -> FpMatrix:
+def fp_matrix(p: int, data: list[list[int]], row_labels=(), col_labels=(), cols=None) -> FpMatrix:
+    """An F_p matrix from its rows; pass cols when data may have no rows."""
     rows = len(data)
-    cols = len(data[0]) if rows else 0
+    if cols is None:
+        cols = len(data[0]) if rows else 0
     if any(len(r) != cols for r in data):
         raise InputError("ragged matrix")
     entries = tuple(x % p for row in data for x in row)

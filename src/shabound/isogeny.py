@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from math import lcm
 
 from . import polys
@@ -21,7 +20,7 @@ from .elliptic import (
     Curve,
     Point,
     Transformation,
-    add_points,
+    add_unchecked,
     has_order,
     invariants,
     minimal_model,
@@ -35,14 +34,14 @@ Q = Fraction
 
 # ----------------------------------------------------- division polynomials
 
-@lru_cache(maxsize=8)
-def _div_poly_f(ainvs: tuple[int, int, int, int, int], n: int) -> tuple[Fraction, ...]:
-    """x-part f_n of the n-division polynomial: psi_n = f_n * (psi_2 if n even).
+def division_poly_x(e: Curve, n: int) -> list[Fraction]:
+    """For odd n: the full n-division polynomial as a polynomial in x.
 
-    Only the finished f_n is cached, a few curves deep; the recursion's
-    intermediate f_m live in a memo for this call alone.
+    The recursion runs on the x-parts f_m, psi_m = f_m * (psi_2 if m even),
+    kept in a memo for this call alone.
     """
-    e = Curve(*ainvs)
+    if n % 2 == 0:
+        raise InputError("division_poly_x is for odd n")
     b2, b4, b6, b8 = e.b2, e.b4, e.b6, e.b8
     t_poly = [Q(b6), Q(2 * b4), Q(b2), Q(4)]  # psi_2^2 as a polynomial in x
     memo: dict[int, list[Fraction]] = {
@@ -74,14 +73,7 @@ def _div_poly_f(ainvs: tuple[int, int, int, int, int], n: int) -> tuple[Fraction
         memo[k] = res
         return res
 
-    return tuple(f(n))
-
-
-def division_poly_x(e: Curve, n: int) -> list[Fraction]:
-    """For odd n: the full n-division polynomial as a polynomial in x."""
-    if n % 2 == 0:
-        raise InputError("division_poly_x is for odd n")
-    return list(_div_poly_f(e.ainvs(), n))
+    return f(n)
 
 
 # ------------------------------------------------------------- isogeny data
@@ -90,10 +82,8 @@ def division_poly_x(e: Curve, n: int) -> list[Fraction]:
 class IsogenyData:
     p: int
     domain: Curve
-    kernel_gen: Point  # None when built from a kernel polynomial
     codomain: Curve  # globally minimal
-    codomain_raw: Curve  # direct Velu output (integralized)
-    to_minimal: Transformation  # codomain_raw -> codomain
+    to_minimal: Transformation  # Velu's (rational) output model -> codomain
     kernel_x_poly: tuple[Fraction, ...]  # monic, degree (p-1)/2
     kernel_points: tuple[tuple[Fraction, Fraction], ...] | None
 
@@ -116,7 +106,7 @@ def _integralize(a1: Fraction, a2: Fraction, a3: Fraction, a4: Fraction, a6: Fra
     return model, d
 
 
-def _velu(e: Curve, p: int, h: list[Fraction], kernel_gen: Point, kernel_points) -> IsogenyData:
+def _velu(e: Curve, p: int, h: list[Fraction], kernel_points) -> IsogenyData:
     """Velu's codomain from the power sums of the kernel polynomial h (y-free, p odd)."""
     d = len(h) - 1
     p1, p2, p3 = polys.power_sums(h, 3)
@@ -127,26 +117,28 @@ def _velu(e: Curve, p: int, h: list[Fraction], kernel_gen: Point, kernel_points)
     if scale != 1:
         # raw coordinates are (scale^2 x, scale^3 y) images of the Velu output
         tr = Transformation(tr.u / scale, tr.r / scale**2, tr.s / scale, tr.t / scale**3)
-    return IsogenyData(p, e, kernel_gen, emin, raw, tr, tuple(h), kernel_points)
+    return IsogenyData(p, e, emin, tr, tuple(h), kernel_points)
 
 
 def velu_quotient(e: Curve, pt: Point, p: int) -> IsogenyData:
-    """The quotient isogeny E -> E/<P> for a rational point P of odd prime order p."""
+    """The quotient isogeny E -> E/<P> for a rational point P of odd prime order p.
+
+    h divides the p-division polynomial without a check: the (p-1)/2
+    multiples of a point of exact order p have distinct x-coordinates,
+    each a root of psi_p.
+    """
     if p < 3 or p % 2 == 0:
         raise InputError("p must be an odd prime")
     if not has_order(e, pt, p):
-        raise InputError(f"point {pt} does not have order {p}")
+        raise InputError(f"kernel point must have exact order {p}")
     # multiples i*P for i = 1..(p-1)/2 give one representative per +-pair
     reps = []
     acc: Point = None
     for _ in range((p - 1) // 2):
-        acc = add_points(e, acc, pt)
+        acc = add_unchecked(e, acc, pt)
         reps.append(acc)
     h = polys.qpow_x_shift([r[0] for r in reps])
-    iso = _velu(e, p, h, pt, tuple(reps))
-    # the kernel polynomial always divides the p-division polynomial
-    assert polys.qdivides(h, division_poly_x(e, p))
-    return iso
+    return _velu(e, p, h, tuple(reps))
 
 
 def velu_quotient_from_kernel_poly(e: Curve, h: list[Fraction], p: int) -> IsogenyData:
@@ -163,7 +155,7 @@ def velu_quotient_from_kernel_poly(e: Curve, h: list[Fraction], p: int) -> Isoge
         raise InputError("kernel polynomial does not divide the p-division polynomial")
     if not _stable_under_doubling(e, h):
         raise InputError("kernel polynomial roots are not closed under doubling")
-    return _velu(e, p, h, None, None)
+    return _velu(e, p, h, None)
 
 
 def _stable_under_doubling(e: Curve, h: list[Fraction]) -> bool:

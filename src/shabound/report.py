@@ -40,9 +40,8 @@ def loads(s: str):
     return json.loads(s)
 
 
-def render_text(obj, indent: int = 0) -> str:
+def render_text(obj) -> str:
     """Human-readable view of the same canonical data."""
-    pad = "  " * indent
     data = canonicalize(obj)
     lines: list[str] = []
 
@@ -68,8 +67,8 @@ def render_text(obj, indent: int = 0) -> str:
         else:
             lines.append(f"{p}{_scalar(node)}")
 
-    walk(data, indent)
-    return pad + ("\n".join(lines) if lines else "") + "\n" if lines else "\n"
+    walk(data, 0)
+    return "\n".join(lines) + "\n"
 
 
 def _scalar(v) -> str:

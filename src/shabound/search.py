@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from . import polys
 from .arith import Factorization, crt_solve, factor, is_prime, require_complete, valuation
-from .descent import ClassifiedCurve, analyze_curve
+from .descent import S1, S2, ClassifiedCurve, analyze_curve, valuation_ratio_set
 from .elliptic import (
     Curve,
     invariants,
@@ -35,9 +35,6 @@ from .errors import (
 from .isogeny import dual_kernel_poly, velu_quotient_from_kernel_poly
 
 Q = Fraction
-
-ROLE_S1 = "S1"
-ROLE_S2 = "S2"
 
 
 @dataclass(frozen=True)
@@ -82,14 +79,14 @@ class FamilySpec:
 _FAMILIES = {
     5: FamilySpec(
         5, "b", ((1, -1), (0, -1), (0, -1), (0,), (0,)), 1,
-        (FactorPoly((0, 1), 5, ROLE_S1), FactorPoly((-1, -11, 1), 1, ROLE_S2)),
+        (FactorPoly((0, 1), 5, S1), FactorPoly((-1, -11, 1), 1, S2)),
     ),
     7: FamilySpec(
         7, "b", ((1, 1, -1), (0, 0, 1, -1), (0, 0, 1, -1), (0,), (0,)), 1,
         (
-            FactorPoly((-1, 1), 7, ROLE_S1),
-            FactorPoly((0, 1), 7, ROLE_S1),
-            FactorPoly((1, 5, -8, 1), 1, ROLE_S2),
+            FactorPoly((-1, 1), 7, S1),
+            FactorPoly((0, 1), 7, S1),
+            FactorPoly((1, 5, -8, 1), 1, S2),
         ),
     ),
 }
@@ -169,7 +166,7 @@ def construct_parameter(family: FamilySpec, c: SearchConstraints) -> tuple[int, 
     there); forced S2 primes get b = (smallest root of the S2 factor
     polynomial) mod ell, or UnreachableCusp when there is none.
     """
-    s2_factors = [fp for fp in family.factor_polys if fp.role == ROLE_S2]
+    s2_factors = [fp for fp in family.factor_polys if fp.role == S2]
     congruences: list[tuple[int, int]] = []
     for ell in c.force_s1:
         congruences.append((0, ell))
@@ -204,16 +201,8 @@ def _verify_dual_swap(cls: ClassifiedCurve) -> bool:
         return False
     fac_mid = cls.codomain_disc_factorization
     for q, verdict, _ in cls.sets.evidence:
-        v_mid = fac_mid.valuation(q)
-        v_back = valuation(back.disc, q)
-        if v_back == p * v_mid:
-            dual_verdict = ROLE_S2
-        elif p * v_back == v_mid:
-            dual_verdict = ROLE_S1
-        else:
-            return False
-        expected = ROLE_S2 if verdict == ROLE_S1 else ROLE_S1
-        if dual_verdict != expected:
+        dual_verdict = valuation_ratio_set(p, fac_mid.valuation(q), valuation(back.disc, q))
+        if dual_verdict != (S2 if verdict == S1 else S1):
             return False
     return True
 
@@ -281,14 +270,17 @@ def _row_with_forcing(args) -> dict:
     flags = []
     for ell in force_s1:
         if ell not in row["s1"]:
-            flags.append([ell, "S1"])
+            flags.append([ell, S1])
     for ell in force_s2:
         if ell not in row["s2"]:
-            flags.append([ell, "S2"])
+            flags.append([ell, S2])
     if flags:
         row["forcing_failed"] = flags
     for ell in list(force_s1) + list(force_s2):
-        assert row["disc"] % ell == 0, "forced prime missing from the discriminant"
+        if row["disc"] % ell:
+            row["error"] = "forced_prime_missing"
+            row["detail"] = f"forced prime {ell} does not divide the discriminant"
+            break
     return row
 
 

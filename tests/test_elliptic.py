@@ -54,6 +54,24 @@ def test_group_law_fixtures():
     assert negate(E11A3, (Q(1), Q(-1))) == (Q(1), Q(0))
 
 
+def test_group_law_rejects_points_off_the_curve():
+    # the public entry points check the curve equation once; the steps inside do not
+    p0, off = (Q(0), Q(0)), (Q(1), Q(1))
+    assert not on_curve(E11A3, off)
+    calls = (
+        lambda: add_points(E11A3, off, p0),
+        lambda: add_points(E11A3, p0, off),
+        lambda: add_points(E11A3, None, off),
+        lambda: multiply_point(E11A3, 5, off),
+        lambda: multiply_point(E11A3, -2, off),
+        lambda: multiply_point(E11A3, 0, off),
+        lambda: has_order(E11A3, off, 5),
+    )
+    for call in calls:
+        with pytest.raises(InputError):
+            call()
+
+
 def test_group_law_associativity_random():
     rng = random.Random(2)
     p0 = (Q(0), Q(0))

@@ -13,10 +13,10 @@ import sympy
 
 from shabound import polys
 from shabound.arith import is_prime
-from shabound.descent import classify_primes
+from shabound.descent import S1, S2, classify_primes
 from shabound.elliptic import invariants
 from shabound.errors import ClassifierDisagreement, IncompleteFactorization, SingularModel
-from shabound.search import ROLE_S1, ROLE_S2, FactorPoly, FamilySpec, tate_family
+from shabound.search import FactorPoly, FamilySpec, tate_family
 
 Q = Fraction
 b = sympy.symbols("b")
@@ -68,9 +68,9 @@ def _probe_role(p: int, ainv_polys, fpoly_coeffs: tuple[int, ...]) -> str:
                 except (ClassifierDisagreement, IncompleteFactorization):
                     continue
                 if ell in cls.sets.s1:
-                    return ROLE_S1
+                    return S1
                 if ell in cls.sets.s2:
-                    return ROLE_S2
+                    return S2
             attempts += 1
         attempts += 1
     raise AssertionError(f"could not determine the cusp role of factor {fpoly_coeffs}")

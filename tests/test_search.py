@@ -145,3 +145,54 @@ def test_other_shabound_error_becomes_error_row(monkeypatch):
     assert row["curve"] and "s1" not in row  # fields filled before the failure stay
     r = scan(tate_family(5), SearchConstraints(5, scan_budget=4, verify_dual=False), jobs=1)
     assert r["rows"] == [] and [e["error"] for e in r["errors"]] == ["HypothesisViolated"] * 4
+
+
+def test_s2_prime_not_one_mod_p_becomes_error_row(monkeypatch):
+    from shabound import descent
+
+    # both classifiers forced to say S2: every split prime lands there, also 2 (not 1 mod 5) at b = 2
+    monkeypatch.setattr(descent, "reduce_point", lambda e, pt, q: None)
+    monkeypatch.setattr(descent, "valuation_ratio_set", lambda p, v, v_image: descent.S2)
+    row = evaluate_row(5, 2)
+    assert row["error"] == "classifier_disagreement"
+    assert row["detail"] == "S2 prime 2 is not 1 mod 5"
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_forced_prime_missing_becomes_error_row(monkeypatch, jobs):
+    from shabound import search
+
+    # a broken CRT step: the scan walks 1, -1, 2, -2 with 41 and 11 still forced
+    monkeypatch.setattr(search, "construct_parameter", lambda family, c: (0, 1))
+    c = SearchConstraints(5, force_s1=(41,), force_s2=(11,), scan_budget=4, verify_dual=False)
+    r = scan(tate_family(5), c, jobs=jobs)
+    assert r["rows"] == [] and [e["b"] for e in r["errors"]] == [1, -1, 2, -2]
+    for row in r["errors"]:
+        assert row["error"] == "forced_prime_missing"
+        assert row["detail"] == "forced prime 41 does not divide the discriminant"
+
+
+def test_reports_unchanged_when_asserts_are_stripped():
+    # python -O strips assert statements; no runtime invariant may live in one
+    import os
+    import pathlib
+    import subprocess
+    import sys
+
+    import shabound
+
+    configs = [SearchConstraints(5, scan_budget=40), SearchConstraints(7, scan_budget=20)]
+    expected = "".join(report.dumps(scan(tate_family(c.p), c)) for c in configs)
+    probe = (
+        "import sys\n"
+        "from shabound import report\n"
+        "from shabound.search import SearchConstraints, scan, tate_family\n"
+        "if not sys.flags.optimize:\n"
+        "    sys.exit('asserts are not stripped')\n"
+        f"for c in {configs!r}:\n"
+        "    sys.stdout.write(report.dumps(scan(tate_family(c.p), c)))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(shabound.__file__).parent.parent))
+    out = subprocess.run([sys.executable, "-O", "-c", probe], capture_output=True, text=True, env=env)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == expected
