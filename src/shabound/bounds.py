@@ -160,25 +160,6 @@ def theorem_budget(p: int, k: int, n: int, deg_h: int) -> TheoremBudget:
 
 
 @dataclass(frozen=True)
-class DegreeBudget:
-    p: int
-    c3: int
-    deg_h_bound: int
-    g_bound: int
-
-
-def degree_budget(p: int, c3: int = 1) -> DegreeBudget:
-    """Order-of-magnitude budgets: deg(h) = C3 * p^3 and field degree 2(p-1) deg(h).
-
-    C3 is a configurable placeholder constant, not a literature value.
-    """
-    if p <= 3:
-        raise InputError("p must be a prime > 3")
-    deg_h_bound = c3 * p**3
-    return DegreeBudget(p, c3, deg_h_bound, 2 * (p - 1) * deg_h_bound)
-
-
-@dataclass(frozen=True)
 class BoundReport:
     """All section-level bound formulas evaluated for one input bundle."""
 

@@ -27,12 +27,7 @@ from .bounds import (
 )
 from .descent import S1, analyze_curve, character_matrix, sandwich_from_sets, valuation_ratio_set
 from .elliptic import invariants
-from .errors import (
-    HypothesisViolated,
-    IncompleteFactorization,
-    InputError,
-    ShaboundError,
-)
+from .errors import IncompleteFactorization, InputError, ShaboundError
 from .isogeny import velu_quotient_from_kernel_poly
 from .search import SearchConstraints, scan, tate_family
 
@@ -183,7 +178,7 @@ def cmd_matrix(args) -> int:
         "p": args.p,
         "col_labels": list(spec.matrix.col_labels),
         "row_labels": list(spec.matrix.row_labels),
-        "entries": [list(spec.matrix.row(i)) for i in range(spec.matrix.rows)],
+        "entries": spec.matrix.to_lists(),
         "rank": fplinalg.rank(spec.matrix),
     }
     _emit(args, payload)
@@ -342,9 +337,6 @@ def main(argv=None) -> int:
     except IncompleteFactorization as exc:
         print(f"error: incomplete factorization: {exc}", file=sys.stderr)
         return EXIT_INCOMPLETE
-    except (InputError, HypothesisViolated) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
     except ShaboundError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

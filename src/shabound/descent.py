@@ -28,7 +28,6 @@ from .elliptic import (
     Curve,
     Point,
     minimal_model,
-    minimal_disc_factorization,
     reduce_point,
     reduction_at,
     singular_point,
@@ -120,10 +119,7 @@ def classify_primes(
     disagreement.  The input model is minimalized first (the point is
     carried along); velu_quotient checks that the point has order p.
     """
-    if disc_factorization is None:
-        disc_factorization = require_complete(factor(e.disc))
-    emin, tr = minimal_model(e, disc_factorization)
-    fac_min = minimal_disc_factorization(disc_factorization, tr)
+    emin, tr, fac_min = minimal_model(e, disc_factorization)
     pmin = transform_point(pt, tr)
     iso = velu_quotient(emin, pmin, p)
     fac_cod = require_complete(
@@ -134,11 +130,11 @@ def classify_primes(
         if q == p:
             excluded.append((q, "above_p_overlap"))
             continue
-        red = reduction_at(emin, q, fac_min)
-        if red.kind == ADDITIVE:
+        kind = reduction_at(emin, q)
+        if kind == ADDITIVE:
             excluded.append((q, "additive"))
             continue
-        if red.kind == NONSPLIT:
+        if kind == NONSPLIT:
             excluded.append((q, "nonsplit"))
             continue
         # split multiplicative: the only kind left at a prime of the discriminant

@@ -78,8 +78,6 @@ def invariants(a1: int, a2: int, a3: int, a4: int, a6: int) -> Curve:
     e = Curve(a1, a2, a3, a4, a6)
     if e.disc == 0:
         raise SingularModel(f"discriminant 0 for {e.ainvs()}")
-    assert e.c4**3 - e.c6**2 == 1728 * e.disc
-    assert 4 * e.b8 == e.b2 * e.b6 - e.b4**2
     return e
 
 
@@ -140,8 +138,9 @@ def multiply_point(e: Curve, n: int, pt: Point) -> Point:
     while n:
         if n & 1:
             result = add_unchecked(e, result, addend)
-        addend = add_unchecked(e, addend, addend)
         n >>= 1
+        if n:
+            addend = add_unchecked(e, addend, addend)
     return result
 
 
@@ -164,9 +163,6 @@ class Transformation:
     @staticmethod
     def identity() -> "Transformation":
         return Transformation(Q(1), Q(0), Q(0), Q(0))
-
-    def is_identity(self) -> bool:
-        return self.u == 1 and self.r == 0 and self.s == 0 and self.t == 0
 
 
 def apply_transform(e: Curve, tr: Transformation) -> Curve:
@@ -255,62 +251,50 @@ def _transform_between(e: Curve, emin: Curve, u: int) -> Transformation:
 
 def minimal_model(
     e: Curve, disc_factorization: Factorization | None = None
-) -> tuple[Curve, Transformation]:
-    """Globally minimal model over Q plus the transformation reaching it.
+) -> tuple[Curve, Transformation, Factorization]:
+    """Globally minimal model over Q, the transformation reaching it, and
+    the factorization of its discriminant.
 
     Needs the full factorization of the discriminant (computed here when
-    not supplied); an exhausted factor budget propagates as
-    IncompleteFactorization.
+    not supplied); an exhausted factor budget, or a supplied partial
+    factorization, raises IncompleteFactorization.
     """
     c4, c6, disc = e.c4, e.c6, e.disc
     if disc_factorization is None:
-        disc_factorization = require_complete(factor(disc))
-    assert disc_factorization.value == disc
-    u = 1
-    for q, eq in disc_factorization.factors:
-        if eq < 12:
-            continue
-        dq = min(
-            valuation(c4, q) // 4 if c4 else eq,
-            valuation(c6, q) // 6 if c6 else eq,
-            eq // 12,
+        disc_factorization = factor(disc)
+    elif disc_factorization.value != disc:
+        raise InputError(
+            f"factorization of {disc_factorization.value} given for the discriminant {disc}"
         )
-        if q == 2:
-            while dq > 0 and not _kraus_ok_2(c4 // 2 ** (4 * dq), c6 // 2 ** (6 * dq)):
-                dq -= 1
-        elif q == 3:
-            while dq > 0 and not _kraus_ok_3(c6 // 3 ** (6 * dq)):
-                dq -= 1
-        u *= q**dq
-    if u == 1:
-        return e, Transformation.identity()
-    emin = _reduce_model(_curve_from_c4c6(c4 // u**4, c6 // u**6))
-    tr = _transform_between(e, emin, u)
-    # per-prime certificate away from 2 and 3 (Kraus handles those corners)
+    disc_factorization = require_complete(disc_factorization)
+    u = 1
+    min_factors = []  # (q, v_q of the minimal discriminant)
     for q, eq in disc_factorization.factors:
-        eq_min = eq - 12 * valuation(u, q) if u % q == 0 else eq
-        if q >= 5 and eq_min >= 12 and emin.c4 != 0:
-            assert valuation(emin.c4, q) < 4, f"model not minimal at {q}"
-    return emin, tr
-
-
-def minimal_disc_factorization(
-    fac: Factorization, tr: Transformation
-) -> Factorization:
-    """Factorization of the minimal discriminant, given the input one and the transform."""
-    u = tr.u
-    assert u.denominator == 1
-    u = int(u)
+        dq = 0
+        if eq >= 12:
+            dq = min(
+                valuation(c4, q) // 4 if c4 else eq,
+                valuation(c6, q) // 6 if c6 else eq,
+                eq // 12,
+            )
+            if q == 2:
+                while dq > 0 and not _kraus_ok_2(c4 // 2 ** (4 * dq), c6 // 2 ** (6 * dq)):
+                    dq -= 1
+            elif q == 3:
+                while dq > 0 and not _kraus_ok_3(c6 // 3 ** (6 * dq)):
+                    dq -= 1
+            u *= q**dq
+        if eq > 12 * dq:
+            min_factors.append((q, eq - 12 * dq))
     if u == 1:
-        return fac
-    factors = []
-    value = fac.sign
-    for q, eq in fac.factors:
-        eq -= 12 * valuation(u, q) if u % q == 0 else 0
-        if eq:
-            factors.append((q, eq))
-            value *= q**eq
-    return Factorization(value, fac.sign, tuple(factors))
+        return e, Transformation.identity(), disc_factorization
+    emin = _reduce_model(_curve_from_c4c6(c4 // u**4, c6 // u**6))
+    # per-prime certificate away from 2 and 3 (Kraus handles those corners)
+    for q, eq in min_factors:
+        if q >= 5 and eq >= 12 and emin.c4 != 0:
+            assert valuation(emin.c4, q) < 4, f"model not minimal at {q}"
+    fac_min = Factorization(emin.disc, disc_factorization.sign, tuple(min_factors))
+    return emin, _transform_between(e, emin, u), fac_min
 
 
 # ------------------------------------------------------------- reduction
@@ -319,15 +303,6 @@ GOOD = "good"
 SPLIT = "split_multiplicative"
 NONSPLIT = "nonsplit_multiplicative"
 ADDITIVE = "additive"
-
-
-@dataclass(frozen=True)
-class ReductionData:
-    q: int
-    kind: str
-    v_disc: int
-    v_c4: int
-    minimal_model: Curve
 
 
 def _split_by_tangent_slopes(e: Curve, q: int) -> bool:
@@ -339,27 +314,27 @@ def _split_by_tangent_slopes(e: Curve, q: int) -> bool:
     """
     x0, _ = singular_point(e, q)
     f = [-(3 * x0 + e.a2) % q, e.a1 % q, 1]
-    return polys.has_root_modq(f, q)
+    return bool(polys.roots_modq(f, q))
 
 
-def reduction_at(e: Curve, q: int, disc_factorization: Factorization | None = None) -> ReductionData:
-    """Reduction type of the global minimal model at the prime q."""
+def reduction_at(e: Curve, q: int) -> str:
+    """Reduction type at the prime q of a model that is minimal at q.
+
+    The kind is read off this model as given; a model that is not minimal
+    at q may look additive there.  For q >= 5 a multiplicative prime is
+    split iff -c6 is a square mod q; for q <= 3 the tangent slopes decide.
+    """
     if not is_prime(q):
         raise InputError(f"{q} is not prime")
-    emin, _ = minimal_model(e, disc_factorization)
-    v_disc = valuation(emin.disc, q)
-    if v_disc == 0:
-        return ReductionData(q, GOOD, 0, 0, emin)
-    v_c4 = valuation(emin.c4, q) if emin.c4 else v_disc  # c4 = 0: treat as +inf
-    if v_c4 > 0:
-        return ReductionData(q, ADDITIVE, v_disc, v_c4, emin)
+    if e.disc % q:
+        return GOOD
+    if e.c4 % q == 0:
+        return ADDITIVE
     if q >= 5:
-        split = pow(-emin.c6 % q, (q - 1) // 2, q) == 1
-        assert split == _split_by_tangent_slopes(emin, q), "split-test oracles disagree"
+        split = pow(-e.c6 % q, (q - 1) // 2, q) == 1
     else:
-        split = _split_by_tangent_slopes(emin, q)
-    kind = SPLIT if split else NONSPLIT
-    return ReductionData(q, kind, v_disc, 0, emin)
+        split = _split_by_tangent_slopes(e, q)
+    return SPLIT if split else NONSPLIT
 
 
 def singular_point(e: Curve, q: int) -> tuple[int, int]:

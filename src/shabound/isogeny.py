@@ -113,7 +113,7 @@ def _velu(e: Curve, p: int, h: list[Fraction], kernel_points) -> IsogenyData:
     t = 6 * p2 + e.b2 * p1 + d * e.b4
     w = 10 * p3 + 2 * e.b2 * p2 + 3 * e.b4 * p1 + d * e.b6
     raw, scale = _integralize(Q(e.a1), Q(e.a2), Q(e.a3), e.a4 - 5 * t, e.a6 - e.b2 * t - 7 * w)
-    emin, tr = minimal_model(raw)
+    emin, tr, _ = minimal_model(raw)
     if scale != 1:
         # raw coordinates are (scale^2 x, scale^3 y) images of the Velu output
         tr = Transformation(tr.u / scale, tr.r / scale**2, tr.s / scale, tr.t / scale**3)

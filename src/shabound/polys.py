@@ -160,22 +160,6 @@ def fred(f, q):
     return ftrim([c % q for c in f])
 
 
-def fadd(f, g, q):
-    n = max(len(f), len(g))
-    return ftrim([((f[i] if i < len(f) else 0) + (g[i] if i < len(g) else 0)) % q for i in range(n)])
-
-
-def fmul(f, g, q):
-    if not f or not g:
-        return []
-    out = [0] * (len(f) + len(g) - 1)
-    for i, a in enumerate(f):
-        if a:
-            for j, b in enumerate(g):
-                out[i + j] = (out[i + j] + a * b) % q
-    return ftrim(out)
-
-
 def fdivmod(f, g, q):
     f = [c % q for c in f]
     g = ftrim([c % q for c in g])
@@ -205,32 +189,6 @@ def fgcd(f, g, q):
 
 def fderiv(f, q):
     return ftrim([i * c % q for i, c in enumerate(f)][1:])
-
-
-def fpowmod_x(e: int, f, q):
-    """x^e mod f over F_q, by square and multiply."""
-    result = [1]
-    base = fdivmod([0, 1], f, q)[1]
-    while e:
-        if e & 1:
-            result = fdivmod(fmul(result, base, q), f, q)[1]
-        base = fdivmod(fmul(base, base, q), f, q)[1]
-        e >>= 1
-    return result
-
-
-def has_root_modq(f, q) -> bool:
-    """True iff f has a root in F_q (f nonzero mod q)."""
-    f = fred(f, q)
-    if not f:
-        raise ValueError("zero polynomial mod q")
-    if f[0] == 0:
-        return True
-    if q <= 64:
-        return any(sum(c * pow(x, i, q) for i, c in enumerate(f)) % q == 0 for x in range(q))
-    xq = fpowmod_x(q, f, q)
-    g = fgcd(fadd(xq, [0, q - 1], q), f, q)
-    return len(g) > 1
 
 
 def roots_modq(f, q) -> list[int]:

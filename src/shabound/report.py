@@ -36,10 +36,6 @@ def dumps(obj) -> str:
     return json.dumps(canonicalize(obj), sort_keys=True, indent=2) + "\n"
 
 
-def loads(s: str):
-    return json.loads(s)
-
-
 def render_text(obj) -> str:
     """Human-readable view of the same canonical data."""
     data = canonicalize(obj)

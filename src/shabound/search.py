@@ -19,7 +19,6 @@ from .descent import S1, S2, ClassifiedCurve, analyze_curve, valuation_ratio_set
 from .elliptic import (
     Curve,
     invariants,
-    minimal_disc_factorization,
     minimal_model,
     transform_point,
 )
@@ -114,9 +113,9 @@ def fiber(family: FamilySpec, b: int) -> Fiber:
     except SingularModel as exc:
         raise DegenerateFiber(f"parameter {b} gives a singular fiber") from exc
     fac = _fiber_disc_factorization(family, b, e.disc)
-    emin, tr = minimal_model(e, fac)
+    emin, tr, fac_min = minimal_model(e, fac)
     pt = transform_point((Q(0), Q(0)), tr)
-    return Fiber(b, emin, pt, minimal_disc_factorization(fac, tr))
+    return Fiber(b, emin, pt, fac_min)
 
 
 def _fiber_disc_factorization(family: FamilySpec, b: int, disc: int) -> Factorization:

@@ -8,7 +8,6 @@ from shabound.bounds import (
     FieldInvariants,
     bound_report,
     cassels_interval,
-    degree_budget,
     dim_ksp,
     hypothesis_status,
     rank_upper,
@@ -93,11 +92,6 @@ def test_theorem_budget_fixture():
         theorem_budget(3, 1, 1, 1)
     with pytest.raises(InputError):
         theorem_budget(5, 0, 1, 1)
-
-
-def test_degree_budget():
-    db = degree_budget(5)
-    assert db.deg_h_bound == 125 and db.g_bound == 1000
 
 
 def test_bound_report_advisory_mode():

@@ -33,7 +33,7 @@ def test_analyze_json_round_trips(capsys):
         capsys,
         "analyze", "--curve", "[0,-1,1,0,0]", "--point", '["0/1","0/1"]', "--p", "5", "--json",
     )
-    assert report.dumps(report.loads(out)) == out
+    assert report.dumps(json.loads(out)) == out
 
 
 def test_analyze_text_mode_same_data(capsys):
@@ -178,7 +178,7 @@ def test_analyze_agrees_with_scan_row(capsys):
         )
         assert code == 0
         data = json.loads(out)
-        row = report.loads(report.dumps(evaluate_row(p, b, verify_dual=False)))
+        row = json.loads(report.dumps(evaluate_row(p, b, verify_dual=False)))
         assert "error" not in row, (p, b)
         assert data["sets"]["s1"] == row["s1"] and data["sets"]["s2"] == row["s2"]
         assert (data["m_phi"], data["m_phihat"]) == (row["m_phi"], row["m_phihat"])

@@ -5,18 +5,19 @@ from fractions import Fraction
 
 import pytest
 
-from shabound.arith import require_complete, factor
+from shabound import elliptic
+from shabound.arith import Incomplete, factor, require_complete
 from shabound.elliptic import (
     ADDITIVE,
     GOOD,
     NONSPLIT,
     SPLIT,
     Transformation,
+    _split_by_tangent_slopes,
     add_points,
     apply_transform,
     has_order,
     invariants,
-    minimal_disc_factorization,
     minimal_model,
     multiply_point,
     negate,
@@ -26,7 +27,7 @@ from shabound.elliptic import (
     singular_point,
     transform_point,
 )
-from shabound.errors import InputError, SingularModel
+from shabound.errors import IncompleteFactorization, InputError, SingularModel
 
 Q = Fraction
 
@@ -52,6 +53,22 @@ def test_group_law_fixtures():
     assert multiply_point(E11A3, 5, p0) is None
     assert has_order(E11A3, p0, 5)
     assert negate(E11A3, (Q(1), Q(-1))) == (Q(1), Q(0))
+
+
+def test_multiply_point_doubles_only_while_bits_remain(monkeypatch):
+    calls = [0]
+    step = elliptic.add_unchecked
+
+    def counted(*args):
+        calls[0] += 1
+        return step(*args)
+
+    monkeypatch.setattr(elliptic, "add_unchecked", counted)
+    p0 = (Q(0), Q(0))
+    for n, steps in ((5, 4), (7, 5)):
+        calls[0] = 0
+        multiply_point(E11A3, n, p0)
+        assert calls[0] == steps, n
 
 
 def test_group_law_rejects_points_off_the_curve():
@@ -98,22 +115,31 @@ def test_transform_round_trip():
 
 
 def test_minimal_model_already_minimal_is_identity():
-    emin, tr = minimal_model(E11A3)
-    assert emin == E11A3 and tr.is_identity()
+    emin, tr, fac = minimal_model(E11A3)
+    assert emin == E11A3 and tr == Transformation.identity()
+    assert fac.factors == ((11, 1),)
 
 
 def test_minimal_model_scaled_down():
     tr = Transformation(Q(1, 3), Q(0), Q(0), Q(0))  # blow up by u = 1/3
     big = apply_transform(E11A3, tr)
-    emin, back = minimal_model(big)
+    emin, _, fac = minimal_model(big)
     assert emin.ainvs() == (0, -1, 1, 0, 0)
-    fac = require_complete(factor(big.disc))
-    assert minimal_disc_factorization(fac, back).factors == ((11, 1),)
+    assert (fac.value, fac.factors) == (-11, ((11, 1),))
+
+
+def test_minimal_model_rejects_a_foreign_or_partial_factorization():
+    with pytest.raises(InputError):
+        minimal_model(E11A3, require_complete(factor(-13)))
+    # -11 * 3^12 with the 3^12 left unsplit: the model is not minimal at 3
+    big = apply_transform(E11A3, Transformation(Q(1, 3), Q(0), Q(0), Q(0)))
+    with pytest.raises(IncompleteFactorization):
+        minimal_model(big, Incomplete(big.disc, -1, ((11, 1),), 3**12))
 
 
 def test_minimal_model_prime_power_fixture():
     e = invariants(0, 0, 0, 0, 2**12)
-    emin, _ = minimal_model(e)
+    emin, _, _ = minimal_model(e)
     assert emin.disc == -27 * 2**4  # = -432; u = 2 comes out
 
 
@@ -126,25 +152,30 @@ def test_minimal_model_stress():
                 break
             except SingularModel:
                 continue
-        emin, tr = minimal_model(e)
-        emin2, tr2 = minimal_model(emin)
-        assert emin2 == emin and tr2.is_identity()  # idempotent
+        emin, _, fac = minimal_model(e)
+        assert fac == require_complete(factor(emin.disc))
+        emin2, tr2, _ = minimal_model(emin)
+        assert emin2 == emin and tr2 == Transformation.identity()  # idempotent
         u = rng.choice([2, 3, 5])
         big = apply_transform(e, Transformation(Q(1, u), Q(0), Q(0), Q(0)))
-        emin3, _ = minimal_model(big)
+        emin3, _, fac3 = minimal_model(big)
+        assert fac3 == require_complete(factor(emin3.disc))
         assert (emin3.disc, emin3.c4, emin3.c6) == (emin.disc, emin.c4, emin.c6)
 
 
 def test_reduction_kinds_fixture():
-    assert reduction_at(E11A3, 11).kind == SPLIT
-    assert reduction_at(E11A3, 7).kind == GOOD
-    # 20a-type curve: additive at 2
+    # every model here is minimal at the primes asked about
+    assert reduction_at(E11A3, 11) == SPLIT
+    assert reduction_at(E11A3, 7) == GOOD
+    # 20a-type curve (discriminant -2^8 5^2): additive at 2
     e = invariants(0, 1, 0, 4, 4)
-    assert reduction_at(e, 2).kind == ADDITIVE
+    assert reduction_at(e, 2) == ADDITIVE
     # 15-ish curve nonsplit somewhere: y^2 + xy + y = x^3 + x^2 (disc = -15 model)
     e15 = invariants(1, 1, 1, 0, 0)
-    kinds = {q: reduction_at(e15, q).kind for q in (3, 5)}
+    kinds = {q: reduction_at(e15, q) for q in (3, 5)}
     assert set(kinds.values()) <= {SPLIT, NONSPLIT}
+    with pytest.raises(InputError):
+        reduction_at(E11A3, 12)
 
 
 def test_split_detection_matches_tangent_slopes():
@@ -156,10 +187,12 @@ def test_split_detection_matches_tangent_slopes():
             e = invariants(*(rng.randrange(-8, 9) for _ in range(5)))
         except SingularModel:
             continue
+        emin, _, _ = minimal_model(e)
         for q in (5, 7, 11, 13):
-            red = reduction_at(e, q)
-            if red.kind in (SPLIT, NONSPLIT):
-                checked += 1  # reduction_at itself cross-asserts the two tests
+            kind = reduction_at(emin, q)
+            if kind in (SPLIT, NONSPLIT):
+                assert (kind == SPLIT) == _split_by_tangent_slopes(emin, q), (emin.ainvs(), q)
+                checked += 1
 
 
 def test_singular_point_and_point_reduction():

@@ -60,8 +60,7 @@ def test_mod_q_arithmetic_vs_int_arithmetic():
         if not polys.ftrim([c % q for c in g]):
             continue
         qq, rr = polys.fdivmod(f, g, q)
-        back = polys.fadd(polys.fmul(qq, g, q), rr, q)
-        assert polys.ftrim(back) == polys.ftrim([c % q for c in f])
+        assert polys.fred(polys.qadd(polys.qmul(qq, g), rr), q) == polys.fred(f, q)
 
 
 def test_roots_modq():
@@ -71,14 +70,13 @@ def test_roots_modq():
         got = polys.roots_modq(f, q)
         brute = [b for b in range(q) if (b * b - 11 * b - 1) % q == 0]
         assert got == brute
-    assert polys.has_root_modq(f, 11)
     assert polys.roots_modq(f, 11) == [1, 10]
 
 
 def test_has_root_large_q():
     # x^2 + 1 has roots mod q iff q = 1 mod 4 (for odd prime q)
     for q in (10007, 10009):
-        assert polys.has_root_modq([1, 0, 1], q) == (q % 4 == 1)
+        assert bool(polys.roots_modq([1, 0, 1], q)) == (q % 4 == 1)
 
 
 def test_from_power_sums_inverts_power_sums():
