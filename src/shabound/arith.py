@@ -144,13 +144,19 @@ class Factorization:
     factors: tuple[tuple[int, int], ...]  # (prime, exponent), primes ascending
 
     def __post_init__(self):
+        if self.sign not in (1, -1):
+            raise InputError(f"sign {self.sign} is not 1 or -1")
         prod = self.sign
         prev = 1
         for p, e in self.factors:
-            assert p > prev and e > 0, "factors must be ascending with positive exponents"
+            if p <= prev or e <= 0:
+                raise InputError(
+                    f"factors {self.factors} must be ascending with positive exponents"
+                )
             prev = p
             prod *= p**e
-        assert prod == self.value, "factorization does not multiply back"
+        if prod != self.value:
+            raise InputError(f"factorization {self.factors} does not multiply back to {self.value}")
 
     @property
     def complete(self) -> bool:
@@ -309,8 +315,10 @@ class ResidueCharacter:
     generator: int
 
     def __post_init__(self):
-        assert self.ell % self.p == 1 and self.ell != self.p
-        assert pow(self.generator, self.p, self.ell) == 1 and self.generator != 1
+        if self.ell % self.p != 1:
+            raise InputError(f"ell = {self.ell} is not 1 mod p = {self.p}")
+        if pow(self.generator, self.p, self.ell) != 1 or self.generator == 1:
+            raise InputError(f"{self.generator} does not have order p = {self.p} mod {self.ell}")
 
 
 @lru_cache(maxsize=1024)  # the primitive-root search factors ell - 1
@@ -411,9 +419,6 @@ class SplittingData:
     p: int
     residue_degree: int  # order of ell mod p
     num_primes: int  # (p-1) / residue_degree
-
-    def __post_init__(self):
-        assert self.residue_degree * self.num_primes == self.p - 1
 
 
 def cyclotomic_splitting(ell: int, p: int) -> SplittingData:

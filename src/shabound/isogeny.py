@@ -20,9 +20,8 @@ from .elliptic import (
     Curve,
     Point,
     Transformation,
-    add_unchecked,
-    has_order,
     invariants,
+    kernel_multiples,
     minimal_model,
     on_curve,
     transform_point,
@@ -123,20 +122,14 @@ def _velu(e: Curve, p: int, h: list[Fraction], kernel_points) -> IsogenyData:
 def velu_quotient(e: Curve, pt: Point, p: int) -> IsogenyData:
     """The quotient isogeny E -> E/<P> for a rational point P of odd prime order p.
 
-    h divides the p-division polynomial without a check: the (p-1)/2
-    multiples of a point of exact order p have distinct x-coordinates,
-    each a root of psi_p.
+    The kernel is P, ..., ((p-1)/2)P, one representative per +-pair, from
+    the walk that also checks the order.  h divides the p-division
+    polynomial without a check: these multiples have distinct
+    x-coordinates, each a root of psi_p.
     """
-    if p < 3 or p % 2 == 0:
-        raise InputError("p must be an odd prime")
-    if not has_order(e, pt, p):
+    reps = kernel_multiples(e, pt, p)
+    if reps is None:
         raise InputError(f"kernel point must have exact order {p}")
-    # multiples i*P for i = 1..(p-1)/2 give one representative per +-pair
-    reps = []
-    acc: Point = None
-    for _ in range((p - 1) // 2):
-        acc = add_unchecked(e, acc, pt)
-        reps.append(acc)
     h = polys.qpow_x_shift([r[0] for r in reps])
     return _velu(e, p, h, tuple(reps))
 

@@ -88,13 +88,6 @@ def qmonic(f):
     return qscale(f, 1 / Q(f[-1])) if f else f
 
 
-def qgcd(f, g):
-    f, g = list(f), list(g)
-    while g:
-        f, g = g, qdivmod(f, g)[1]
-    return qmonic(f)
-
-
 def qpow_x_shift(roots: list[Fraction]) -> list[Fraction]:
     """Monic polynomial with the given roots."""
     out = [Q(1)]

@@ -8,6 +8,7 @@ import sympy
 from shabound.arith import (
     Factorization,
     Incomplete,
+    ResidueCharacter,
     character_eval,
     crt_solve,
     cyclotomic_splitting,
@@ -96,8 +97,20 @@ def test_factor_oversize_cofactor_is_incomplete():
 
 
 def test_factorization_validates():
-    with pytest.raises(AssertionError):
-        Factorization(12, 1, ((2, 1), (3, 1)))  # product mismatch
+    # public constructor arguments: typed errors, not asserts
+    bad = (
+        lambda: Factorization(12, 1, ((2, 1), (3, 1))),  # product mismatch
+        lambda: Factorization(12, 1, ((3, 1), (2, 2))),  # not ascending
+        lambda: Factorization(12, 1, ((2, 2), (3, 1), (5, 0))),  # zero exponent
+        lambda: Factorization(-11, -11, ()),  # a unit sign hiding the prime 11
+        lambda: ResidueCharacter(12, 5, 1),  # ell not 1 mod p
+        lambda: ResidueCharacter(11, 5, 1),  # trivial generator
+        lambda: ResidueCharacter(11, 5, 2),  # 2 has order 10 mod 11
+    )
+    for call in bad:
+        with pytest.raises(InputError):
+            call()
+    assert ResidueCharacter(11, 5, 4) == residue_character(11, 5)
 
 
 def test_valuation():
@@ -159,3 +172,8 @@ def test_cyclotomic_splitting():
     assert s.residue_degree == 1 and s.num_primes == 4
     s2 = cyclotomic_splitting(2, 5)
     assert s2.residue_degree == 4 and s2.num_primes == 1
+    for p in (3, 5, 7, 11, 13):
+        for ell in (q for q in range(2, 300) if is_prime(q) and q != p):
+            s = cyclotomic_splitting(ell, p)
+            assert s.residue_degree * s.num_primes == p - 1
+            assert s.residue_degree == sympy.n_order(ell, p)

@@ -98,14 +98,45 @@ def test_sandwich_empty_sets():
 def test_sandwich_lower_le_upper_random():
     rng = random.Random(47)
     primes = [ell for ell in range(2, 300) if is_prime(ell)]
-    ones5 = [ell for ell in primes if ell % 5 == 1]
-    for _ in range(100):
-        s1 = tuple(sorted(rng.sample([q for q in primes if q != 5], rng.randrange(0, 4))))
-        s2 = tuple(sorted(set(rng.sample(ones5, rng.randrange(0, 4))) - set(s1)))
-        sw = sandwich_from_sets(5, s1, s2)
-        assert sw.lower_dim <= sw.upper_dim
+    for p in (5, 7):
+        ones = [ell for ell in primes if ell % p == 1]
+        for _ in range(100):
+            s1 = tuple(sorted(rng.sample([q for q in primes if q != p], rng.randrange(0, 4))))
+            s2 = tuple(sorted(set(rng.sample(ones, rng.randrange(0, 4))) - set(s1)))
+            sw = sandwich_from_sets(p, s1, s2)
+            assert sw.lower_dim <= sw.upper_dim
 
 
 def test_classify_rejects_wrong_order():
     with pytest.raises(InputError):
         classify_primes(E11A3, (Q(1), Q(0)), 7)
+
+
+def test_bad_factorization_is_a_typed_error_with_and_without_asserts():
+    # a factorization of -11 with the wrong prime used to pass under python -O
+    # and fail later with "good reduction at 3: no singular point"
+    import os
+    import pathlib
+    import subprocess
+    import sys
+
+    import shabound
+
+    probe = (
+        "from fractions import Fraction\n"
+        "from shabound.arith import Factorization\n"
+        "from shabound.descent import analyze_curve\n"
+        "from shabound.elliptic import invariants\n"
+        "from shabound.errors import InputError\n"
+        "try:\n"
+        "    analyze_curve(invariants(0, -1, 1, 0, 0), (Fraction(0), Fraction(0)), 5,\n"
+        "                  Factorization(-11, -1, ((3, 1),)))\n"
+        "except InputError as exc:\n"
+        "    print('InputError:', exc)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(shabound.__file__).parent.parent))
+    for flags in ([], ["-O"]):
+        out = subprocess.run([sys.executable, *flags, "-c", probe], capture_output=True, text=True, env=env)
+        assert out.returncode == 0, (flags, out.stderr)
+        assert out.stdout.startswith("InputError:"), (flags, out.stdout)
+        assert "does not multiply back" in out.stdout, (flags, out.stdout)

@@ -4,9 +4,9 @@ import random
 from fractions import Fraction
 
 import pytest
+from conftest import multiple
 
-from shabound import elliptic
-from shabound.arith import Incomplete, factor, require_complete
+from shabound.arith import Incomplete, factor, require_complete, valuation
 from shabound.elliptic import (
     ADDITIVE,
     GOOD,
@@ -18,9 +18,8 @@ from shabound.elliptic import (
     apply_transform,
     has_order,
     invariants,
+    kernel_multiples,
     minimal_model,
-    multiply_point,
-    negate,
     on_curve,
     reduce_point,
     reduction_at,
@@ -28,6 +27,7 @@ from shabound.elliptic import (
     transform_point,
 )
 from shabound.errors import IncompleteFactorization, InputError, SingularModel
+from shabound.isogeny import velu_quotient
 
 Q = Fraction
 
@@ -49,26 +49,13 @@ def test_singular_input_rejected():
 def test_group_law_fixtures():
     p0 = (Q(0), Q(0))
     assert on_curve(E11A3, p0)
-    assert multiply_point(E11A3, 2, p0) == (Q(1), Q(-1))
-    assert multiply_point(E11A3, 5, p0) is None
+    assert add_points(E11A3, p0, p0) == (Q(1), Q(-1))
+    assert add_points(E11A3, (Q(1), Q(-1)), (Q(1), Q(0))) is None  # a point and its negative
+    assert multiple(E11A3, 5, p0) is None
     assert has_order(E11A3, p0, 5)
-    assert negate(E11A3, (Q(1), Q(-1))) == (Q(1), Q(0))
-
-
-def test_multiply_point_doubles_only_while_bits_remain(monkeypatch):
-    calls = [0]
-    step = elliptic.add_unchecked
-
-    def counted(*args):
-        calls[0] += 1
-        return step(*args)
-
-    monkeypatch.setattr(elliptic, "add_unchecked", counted)
-    p0 = (Q(0), Q(0))
-    for n, steps in ((5, 4), (7, 5)):
-        calls[0] = 0
-        multiply_point(E11A3, n, p0)
-        assert calls[0] == steps, n
+    assert kernel_multiples(E11A3, p0, 5) == [p0, (Q(1), Q(-1))]
+    assert kernel_multiples(E11A3, p0, 3) is None and not has_order(E11A3, p0, 7)
+    assert kernel_multiples(E11A3, None, 5) is None
 
 
 def test_group_law_rejects_points_off_the_curve():
@@ -79,9 +66,9 @@ def test_group_law_rejects_points_off_the_curve():
         lambda: add_points(E11A3, off, p0),
         lambda: add_points(E11A3, p0, off),
         lambda: add_points(E11A3, None, off),
-        lambda: multiply_point(E11A3, 5, off),
-        lambda: multiply_point(E11A3, -2, off),
-        lambda: multiply_point(E11A3, 0, off),
+        lambda: kernel_multiples(E11A3, off, 5),
+        lambda: kernel_multiples(E11A3, off, 7),
+        lambda: velu_quotient(E11A3, off, 5),
         lambda: has_order(E11A3, off, 5),
     )
     for call in calls:
@@ -95,7 +82,7 @@ def test_group_law_associativity_random():
     q0 = (Q(2), Q(12))
     assert on_curve(E_B5, q0)
     pts = [
-        add_points(E_B5, multiply_point(E_B5, i, p0), multiply_point(E_B5, j, q0))
+        add_points(E_B5, multiple(E_B5, i, p0), multiple(E_B5, j, q0))
         for i in range(5)
         for j in range(-2, 3)
     ]
@@ -152,15 +139,27 @@ def test_minimal_model_stress():
                 break
             except SingularModel:
                 continue
-        emin, _, fac = minimal_model(e)
-        assert fac == require_complete(factor(emin.disc))
+        emin, tr, fac = minimal_model(e)
+        _assert_minimal_model_of(e, emin, tr, fac)
         emin2, tr2, _ = minimal_model(emin)
         assert emin2 == emin and tr2 == Transformation.identity()  # idempotent
         u = rng.choice([2, 3, 5])
         big = apply_transform(e, Transformation(Q(1, u), Q(0), Q(0), Q(0)))
-        emin3, _, fac3 = minimal_model(big)
-        assert fac3 == require_complete(factor(emin3.disc))
+        emin3, tr3, fac3 = minimal_model(big)
+        _assert_minimal_model_of(big, emin3, tr3, fac3)
         assert (emin3.disc, emin3.c4, emin3.c6) == (emin.disc, emin.c4, emin.c6)
+
+
+def _assert_minimal_model_of(e, emin, tr, fac):
+    """The invariants minimal_model relies on without checking them at runtime."""
+    assert fac == require_complete(factor(emin.disc))
+    # Connell's reconstruction and the solved (u, r, s, t) land on emin
+    assert (emin.c4 * tr.u**4, emin.c6 * tr.u**6) == (e.c4, e.c6)
+    assert apply_transform(e, tr) == emin
+    # minimal at every q >= 5: v_q(disc) < 12 or v_q(c4) < 4
+    for q, v in fac.factors:
+        if q >= 5:
+            assert v < 12 or (emin.c4 and valuation(emin.c4, q) < 4), (e.ainvs(), q)
 
 
 def test_reduction_kinds_fixture():

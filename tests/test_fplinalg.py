@@ -7,7 +7,11 @@ import pytest
 
 from shabound import fplinalg
 from shabound.errors import InputError
-from shabound.fplinalg import fp_matrix, kernel_basis, mat_vec, rank, rref, transpose
+from shabound.fplinalg import fp_matrix, kernel_basis, rank, rref
+
+
+def _in_kernel(m, v) -> bool:
+    return all(sum(m.at(i, j) * v[j] for j in range(m.cols)) % m.p == 0 for i in range(m.rows))
 
 
 def test_rank_fixture():
@@ -46,7 +50,7 @@ def test_kernel_vectors_are_in_kernel_and_independent():
         basis = kernel_basis(m)
         assert len(basis) == cols - rank(m)
         for v in basis:
-            assert all(x == 0 for x in mat_vec(m, v))
+            assert _in_kernel(m, v)
 
 
 def test_kernel_size_brute_force_small():
@@ -60,14 +64,9 @@ def test_kernel_size_brute_force_small():
         count = sum(
             1
             for v in itertools.product(range(p), repeat=cols)
-            if all(x == 0 for x in mat_vec(m, tuple(v)))
+            if _in_kernel(m, v)
         )
         assert count == p ** (cols - rank(m))
-
-
-def test_transpose_rank_invariant():
-    m = fp_matrix(7, [[1, 2, 3], [4, 5, 6]])
-    assert rank(m) == rank(transpose(m))
 
 
 def test_composite_modulus_rejected():

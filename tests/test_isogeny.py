@@ -4,9 +4,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from conftest import multiple
 
-from shabound import polys
-from shabound.elliptic import add_points, invariants, multiply_point, on_curve
+from shabound import elliptic, polys
+from shabound.elliptic import add_points, has_order, invariants, kernel_multiples, on_curve
 from shabound.errors import InputError
 from shabound.isogeny import (
     division_poly_x,
@@ -29,7 +30,7 @@ def test_division_poly_degree_and_roots():
     assert len(f5) - 1 == 12  # (p^2 - 1) / 2
     # the x-coordinates of the 5-torsion points 1P..2P are roots
     for i in (1, 2):
-        x = multiply_point(E11A3, i, P0)[0]
+        x = multiple(E11A3, i, P0)[0]
         assert polys.qeval(list(f5), x) == 0
 
 
@@ -52,14 +53,14 @@ def test_kernel_poly_divides_division_poly():
 def test_push_point_kernel_to_identity():
     iso = velu_quotient(E_B5, P0, 5)
     for i in range(1, 5):
-        assert push_point(iso, multiply_point(E_B5, i, P0)) is None
+        assert push_point(iso, multiple(E_B5, i, P0)) is None
 
 
 def test_push_point_homomorphism_many_pairs():
     iso = velu_quotient(E_B5, P0, 5)
     q0 = (Q(2), Q(12))
     pool = [
-        add_points(E_B5, multiply_point(E_B5, i, P0), multiply_point(E_B5, j, q0))
+        add_points(E_B5, multiple(E_B5, i, P0), multiple(E_B5, j, q0))
         for i in range(5)
         for j in range(-3, 4)
     ]
@@ -105,6 +106,35 @@ def test_dual_kernel_round_trip_other_fiber():
 def test_wrong_order_point_rejected():
     with pytest.raises(InputError):
         velu_quotient(E_B5, (Q(2), Q(12)), 5)
+
+
+def test_velu_quotient_walks_the_kernel_once(monkeypatch):
+    # P -> ((p+1)/2)P is the order check and the kernel: (p-1)/2 chord-tangent steps
+    calls = [0]
+    step = elliptic.add_unchecked
+
+    def counted(*args):
+        calls[0] += 1
+        return step(*args)
+
+    monkeypatch.setattr(elliptic, "add_unchecked", counted)
+    fib = fiber(tate_family(7), 2)
+    for e, pt, p in ((E11A3, P0, 5), (fib.curve, fib.point, 7)):
+        calls[0] = 0
+        velu_quotient(e, pt, p)
+        assert calls[0] == (p - 1) // 2, p
+
+
+def test_kernel_walk_needs_exact_order_and_odd_p():
+    # (0, 0) on 11a3 has order 5, which divides 15: not of exact order 15
+    assert not has_order(E11A3, P0, 15)
+    assert kernel_multiples(E11A3, P0, 15) is None
+    with pytest.raises(InputError, match="exact order 15"):
+        velu_quotient(E11A3, P0, 15)
+    for p in (1, 2, 4):
+        for call in (has_order, kernel_multiples, velu_quotient):
+            with pytest.raises(InputError):
+                call(E11A3, P0, p)
 
 
 def test_isogeny_module_is_sympy_free():

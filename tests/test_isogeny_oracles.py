@@ -41,6 +41,16 @@ def _roots_of(h):
     return sorted(out)
 
 
+def _monic(g):
+    """A sympy polynomial as a monic Fraction list, low degree first."""
+    return polys.qmonic([Q(str(c)) for c in reversed(g.all_coeffs())])
+
+
+def _monic_radical(g):
+    """Monic squarefree part g / gcd(g, g'), with sympy's gcd."""
+    return _monic(sympy.quo(g, sympy.gcd(g, g.diff())))
+
+
 def oracle_stable_under_doubling(e, h):
     """Radical of Res_z(h(z), X * den(z) - num(z)) equals h, x(2Q) = num/den."""
     x, z = sympy.symbols("x z")
@@ -48,12 +58,9 @@ def oracle_stable_under_doubling(e, h):
     num = z**4 - b4 * z**2 - 2 * b6 * z - b8
     den = 4 * z**3 + b2 * z**2 + 2 * b4 * z + b6
     hz = sum(sympy.Rational(c) * z**i for i, c in enumerate(h))
-    res = sympy.resultant(sympy.Poly(hz, z), sympy.Poly(x * den - num, z), z)
-    g = polys.qmonic([Q(str(c)) for c in reversed(sympy.Poly(res, x).all_coeffs())])
+    res = sympy.Poly(sympy.resultant(sympy.Poly(hz, z), sympy.Poly(x * den - num, z), z), x)
     hh = polys.qmonic([Q(c) for c in h])
-    gg = polys.qgcd(g, polys.qderiv(g))
-    rad = polys.qmonic(polys.qexact_div(g, gg)) if gg != [Q(1)] else g
-    return rad == hh or g == hh
+    return _monic_radical(res) == hh or _monic(res) == hh
 
 
 def oracle_dual_kernel_poly(iso):
@@ -75,11 +82,8 @@ def oracle_dual_kernel_poly(iso):
     az = sympy.Poly([sympy.Rational(c) for c in reversed(a_poly)], z)
     dz = sum(sympy.Rational(c) * z**i for i, c in enumerate(d_poly))
     nz = sum(sympy.Rational(c) * z**i for i, c in enumerate(n_poly))
-    res = sympy.resultant(az, sympy.Poly(x * dz - nz, z), z)
-    g = polys.qmonic([Q(str(c)) for c in reversed(sympy.Poly(res, x).all_coeffs())])
-    gg = polys.qgcd(g, polys.qderiv(g))
-    rad = polys.qmonic(polys.qexact_div(g, gg)) if len(gg) > 1 else g
-    return _compose_affine(rad, iso.to_minimal)
+    res = sympy.Poly(sympy.resultant(az, sympy.Poly(x * dz - nz, z), z), x)
+    return _compose_affine(_monic_radical(res), iso.to_minimal)
 
 
 # -------------------------------------------------------------------- tests
