@@ -12,7 +12,8 @@ import os
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, isqrt
+from itertools import compress
+from math import gcd, isqrt, prod
 
 from .errors import IncompleteFactorization, InputError
 
@@ -23,6 +24,8 @@ _MR_PROVEN_LIMIT = 3317044064679887385961981
 _WORKING_LIMIT = 1 << 128
 
 _TRIAL_LIMIT = 10**6
+_WHEEL_LIMIT = 1 << 12  # the mod-30 wheel trial-divides below this
+_BLOCK = 1 << 12  # width of one gcd-tested block of primes from _WHEEL_LIMIT to _TRIAL_LIMIT
 
 _DEFAULT_RHO_BUDGET = int(os.environ.get("SHABOUND_FACTOR_BUDGET", "2000000"))
 
@@ -227,12 +230,42 @@ def _rho_brent(n: int, budget: int) -> int | None:
     return None
 
 
+@lru_cache(maxsize=1)
+def _odd_sieve() -> bytearray:
+    """sieve[i] == 1 iff 2i + 1 is a prime <= _TRIAL_LIMIT; built on first need."""
+    n = (_TRIAL_LIMIT + 1) // 2
+    sieve = bytearray([1]) * n
+    sieve[0] = 0
+    for i in range(1, (isqrt(_TRIAL_LIMIT) + 1) // 2):
+        if sieve[i]:
+            q = 2 * i + 1
+            sieve[q * q // 2 :: q] = bytes(len(range(q * q // 2, n, q)))
+    return sieve
+
+
+def _block_primes(lo: int) -> list[int]:
+    """The primes in [lo, lo + _BLOCK) up to _TRIAL_LIMIT, for even lo."""
+    hi = min(lo + _BLOCK, _TRIAL_LIMIT + 1)
+    return list(compress(range(lo + 1, hi, 2), _odd_sieve()[lo // 2 : hi // 2]))
+
+
+@lru_cache(maxsize=None)
+def _block_product(lo: int) -> int:
+    """Product of the primes of the block at lo, built on first use."""
+    return prod(_block_primes(lo))
+
+
 def factor(n: int, budget: int | None = None) -> Factorization | Incomplete:
     """Factor a nonzero integer.
 
     Trial division to 10^6 followed by Brent-rho with an iteration budget.
-    Returns Incomplete (with the stubborn composite cofactor) instead of
-    looping forever; callers that need completeness must check.
+    Below 2^12 the trial division walks a mod-30 wheel; above, the primes
+    come in blocks of width 2^12 and a block is divided by only when the
+    gcd of its primes' product with the cofactor is > 1.  Both stages stop
+    once the next candidate squared exceeds the cofactor.  The block
+    tables are built on first need, never for an input that the wheel
+    finishes.  Returns Incomplete (with the stubborn composite cofactor)
+    instead of looping forever; callers that need completeness must check.
     """
     if n == 0:
         raise InputError("cannot factor 0")
@@ -248,12 +281,22 @@ def factor(n: int, budget: int | None = None) -> Factorization | Incomplete:
     d = 7
     wheel = (4, 2, 4, 2, 4, 6, 2, 6)
     i = 0
-    while d <= _TRIAL_LIMIT and d * d <= m:
+    while d < _WHEEL_LIMIT and d * d <= m:
         while m % d == 0:
             found[d] = found.get(d, 0) + 1
             m //= d
         d += wheel[i]
         i = (i + 1) % 8
+    lo = _WHEEL_LIMIT
+    while lo <= _TRIAL_LIMIT and lo * lo <= m:
+        g = gcd(_block_product(lo), m)
+        if g > 1:
+            for q in _block_primes(lo):
+                if g % q == 0:
+                    while m % q == 0:
+                        found[q] = found.get(q, 0) + 1
+                        m //= q
+        lo += _BLOCK
     # now m has no prime factor <= 10^6 (or m is below the square of the bound)
     stack = [m] if m > 1 else []
     stubborn = 1

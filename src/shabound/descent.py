@@ -85,9 +85,16 @@ class ClassifiedCurve:
 
 
 def factor_with_hints(n: int, hints: tuple[int, ...], budget: int | None = None):
-    """Factor n, stripping the hinted primes first (they usually cover everything)."""
+    """Factor n, stripping the hinted primes first (they usually cover everything).
+
+    The hints must be primes.  A hint below 2 raises InputError; a composite
+    hint is not detected (a primality test per hint would cost more than
+    the factoring it saves) and would appear as a "prime" of the result.
+    """
     if n == 0:
         raise InputError("cannot factor 0")
+    if any(q < 2 for q in hints):
+        raise InputError(f"hints must be primes: {hints}")
     sign = 1 if n > 0 else -1
     m = abs(n)
     found = {}

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from . import polys
 from .arith import Factorization, factor, is_prime, require_complete, valuation
@@ -29,19 +30,19 @@ class Curve:
     a4: int
     a6: int
 
-    @property
+    @cached_property
     def b2(self) -> int:
         return self.a1**2 + 4 * self.a2
 
-    @property
+    @cached_property
     def b4(self) -> int:
         return 2 * self.a4 + self.a1 * self.a3
 
-    @property
+    @cached_property
     def b6(self) -> int:
         return self.a3**2 + 4 * self.a6
 
-    @property
+    @cached_property
     def b8(self) -> int:
         return (
             self.a1**2 * self.a6
@@ -51,15 +52,15 @@ class Curve:
             - self.a4**2
         )
 
-    @property
+    @cached_property
     def c4(self) -> int:
         return self.b2**2 - 24 * self.b4
 
-    @property
+    @cached_property
     def c6(self) -> int:
         return -self.b2**3 + 36 * self.b2 * self.b4 - 216 * self.b6
 
-    @property
+    @cached_property
     def disc(self) -> int:
         b2, b4, b6, b8 = self.b2, self.b4, self.b6, self.b8
         return -b2**2 * b8 - 8 * b4**3 - 27 * b6**2 + 9 * b2 * b4 * b6

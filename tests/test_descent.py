@@ -11,6 +11,7 @@ from shabound.descent import (
     character_matrix,
     classify_primes,
     dual_sets,
+    factor_with_hints,
     m_rank,
     sandwich_from_sets,
 )
@@ -110,6 +111,17 @@ def test_sandwich_lower_le_upper_random():
 def test_classify_rejects_wrong_order():
     with pytest.raises(InputError):
         classify_primes(E11A3, (Q(1), Q(0)), 7)
+
+
+def test_factor_with_hints_rejects_hints_below_2():
+    # a hint of 1 used to strip itself from n forever, a hint of 0 raised ZeroDivisionError
+    for hints in ((1,), (0,), (-3,), (2, 1), (0, 3)):
+        with pytest.raises(InputError, match="hints must be primes"):
+            factor_with_hints(12, hints)
+    assert factor_with_hints(12, (2,)).factors == ((2, 2), (3, 1))
+    assert factor_with_hints(-12, ()).factors == ((2, 2), (3, 1))
+    # composite hints are documented as the caller's error and pass unchecked
+    assert factor_with_hints(12, (4,)).factors == ((3, 1), (4, 1))
 
 
 def test_bad_factorization_is_a_typed_error_with_and_without_asserts():

@@ -1,0 +1,161 @@
+"""Trial-division stages of `arith.factor` against the plain mod-30 wheel.
+
+`factor` trial-divides by a wheel below 2^12 and, from there to 10^6, by
+blocks of primes that it tests with one gcd each.  `_wheel_factor` below is
+the earlier single-wheel `factor`, kept as the oracle: the two must agree on
+the type, value, sign, factors and stubborn cofactor of every result.
+"""
+
+import os
+import pathlib
+import random
+import subprocess
+import sys
+from math import isqrt
+
+import sympy
+
+import shabound
+from shabound import arith
+from shabound.arith import Factorization, Incomplete, factor, is_prime
+
+
+def _wheel_factor(n, budget=None):
+    """`factor` with the whole trial division by one mod-30 wheel to 10^6."""
+    if budget is None:
+        budget = arith._DEFAULT_RHO_BUDGET
+    sign = 1 if n > 0 else -1
+    m = abs(n)
+    found = {}
+    for p in (2, 3, 5):
+        while m % p == 0:
+            found[p] = found.get(p, 0) + 1
+            m //= p
+    d = 7
+    wheel = (4, 2, 4, 2, 4, 6, 2, 6)
+    i = 0
+    while d <= arith._TRIAL_LIMIT and d * d <= m:
+        while m % d == 0:
+            found[d] = found.get(d, 0) + 1
+            m //= d
+        d += wheel[i]
+        i = (i + 1) % 8
+    stack = [m] if m > 1 else []
+    stubborn = 1
+    while stack:
+        m = stack.pop()
+        if m == 1:
+            continue
+        if m >= arith._WORKING_LIMIT:
+            stubborn *= m
+            continue
+        if m < arith._TRIAL_LIMIT * arith._TRIAL_LIMIT or is_prime(m):
+            found[m] = found.get(m, 0) + 1
+            continue
+        r = isqrt(m)
+        if r * r == m:
+            stack.extend((r, r))
+            continue
+        g = arith._rho_brent(m, budget)
+        if g is None:
+            stubborn *= m
+            continue
+        stack.extend((g, m // g))
+    factors = tuple(sorted(found.items()))
+    if stubborn > 1:
+        return Incomplete(n, sign, factors, stubborn)
+    return Factorization(n, sign, factors)
+
+
+def _key(f):
+    return (type(f).__name__, f.value, f.sign, f.factors, getattr(f, "cofactor", None))
+
+
+def _block_edges():
+    """Where the stages and blocks meet: the wheel limit, every block start, 10^6."""
+    return [*range(arith._WHEEL_LIMIT, arith._TRIAL_LIMIT + 1, arith._BLOCK), arith._TRIAL_LIMIT]
+
+
+def _corpus(rng):
+    """(n, budget) pairs, each n with a seeded sign."""
+    a, b = 999983, 1000003  # the largest prime below 10^6, the smallest above
+    big = int(sympy.nextprime(1 << 128))
+    p20 = int(sympy.nextprime(10**19))
+    q20 = int(sympy.nextprime(p20 + 10**9))
+    cases = [(1, None), (-1, None), (-a, None), (-b, None), (-a * b, None), (-(a**2) * b, None)]
+    cases += [(a * a, None), (b * b, None), (a * b, None), (a * a * b, None), (a * b * b, None)]
+    cases += [(a**3 * b**2 * 30, None)]
+    # prime powers on both sides of the wheel limit, of 10^6 and of some block edges
+    edges = _block_edges()
+    picked = [edges[0], edges[1], edges[-2], edges[-1]] + rng.sample(edges[2:-2], 2)
+    for edge in picked:
+        for q in (int(sympy.prevprime(edge)), int(sympy.nextprime(edge - 1))):
+            for k in range(1, 8):
+                cases.append((q**k, None))
+    # two primes of one block, so its gcd is composite
+    lo = rng.choice(edges[1:-2])
+    q1 = int(sympy.nextprime(lo))
+    q2 = int(sympy.nextprime(q1))
+    cases += [(q1 * q2, None), (q1**2 * q2**3 * 7**4, None)]
+    # cofactors at or above 2^128: Incomplete whatever the budget
+    cases += [(b**7, None), (big, None), (3 * a**2 * big, None), (4093 * q1 * b**7, None)]
+    # composites that resist a small rho budget
+    cases += [(p20 * q20, 1), (11 * q1 * p20 * q20, 1), (b * 1000033, 1), (a**2 * p20 * q20, 5)]
+    # seeded products of primes from every range
+    pools = [(7, 4096), (4096, 10**6), (10**6, 10**9)]
+    for _ in range(16):
+        n = 1
+        for _ in range(rng.randrange(1, 5)):
+            lo, hi = rng.choice(pools)
+            n *= int(sympy.nextprime(rng.randrange(lo, hi))) ** rng.randrange(1, 4)
+        cases.append((n * rng.choice((1, 2, 6, 2**7 * 5**3)), None))
+    return [(n if n < 0 else rng.choice((1, -1)) * n, budget) for n, budget in cases]
+
+
+def test_factor_matches_the_single_wheel_oracle():
+    cases = _corpus(random.Random(20040))
+    kinds = set()
+    for n, budget in cases:
+        got = factor(n, budget)
+        assert _key(got) == _key(_wheel_factor(n, budget)), (n, budget)
+        kinds.add(type(got))
+    assert kinds == {Factorization, Incomplete}
+
+
+def test_blocks_hold_exactly_the_primes_from_the_wheel_limit_to_10_6():
+    n = arith._TRIAL_LIMIT
+    sieve = [True] * (n + 1)
+    for q in range(2, isqrt(n) + 1):
+        for k in range(q * q, n + 1, q):
+            sieve[k] = False
+    primes = []
+    for lo in _block_edges()[:-1]:
+        block = arith._block_primes(lo)
+        assert arith._block_product(lo) == sympy.prod(block)
+        primes += block
+    assert primes == [q for q in range(arith._WHEEL_LIMIT, n + 1) if sieve[q]]
+
+
+def test_tables_are_built_only_when_the_wheel_does_not_finish():
+    # a fresh interpreter: other tests in this session have built the tables
+    probe = (
+        "import shabound.cli\n"
+        "from shabound import arith, search\n"
+        "def built():\n"
+        "    return arith._odd_sieve.cache_info().currsize + arith._block_product.cache_info().currsize\n"
+        "search.tate_family(5)\n"
+        "search.tate_family(7)\n"
+        "print(built())\n"
+        "for n in (1, -19008, 2**100 * 3**50 * 4093**5, 4091 * 4093, 4099, -(4093**2) * 16769023):\n"
+        "    arith.factor(n)\n"
+        "print(built())\n"
+        "arith.factor(4099 * 4111)\n"
+        "print(built())\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(shabound.__file__).parent.parent))
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env)
+    assert out.returncode == 0, out.stderr
+    import_and_families, wheel_only, first_block = map(int, out.stdout.split())
+    assert import_and_families == 0
+    assert wheel_only == 0
+    assert first_block == 2  # the sieve and the first block's product
