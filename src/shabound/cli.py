@@ -18,7 +18,6 @@ import sys
 from fractions import Fraction
 
 from . import fplinalg, report
-from .arith import valuation
 from .bounds import (
     FieldInvariants,
     bound_report,
@@ -158,10 +157,11 @@ def _second_kernel_payload(cls, text: str, p: int) -> dict:
     iso2 = velu_quotient_from_kernel_poly(cls.curve, h, p)
     # Valuation-ratio classification only; there is no rational kernel point here.
     s1, s2 = [], []
+    fac2 = iso2.codomain_disc_factorization
     for q, v in cls.disc_factorization.factors:
         if q == p:
             continue
-        verdict = valuation_ratio_set(p, v, valuation(iso2.codomain.disc, q))
+        verdict = valuation_ratio_set(p, v, fac2.valuation(q))
         if verdict is not None:  # a prime with neither ratio is skipped
             (s1 if verdict == S1 else s2).append(q)
     return {
@@ -253,6 +253,12 @@ def cmd_search(args) -> int:
         raise InputError(f"config: unknown keys {sorted(unknown)}")
     if "p" not in cfg:
         raise InputError("config: missing key 'p'")
+    for key in ("force_s1", "force_s2"):
+        if not isinstance(cfg.get(key, []), list):
+            raise InputError(f"config: {key} must be a list of primes, got {cfg[key]!r}")
+    verify_dual = cfg.get("verify_dual", True)
+    if not isinstance(verify_dual, bool):
+        raise InputError(f"config: verify_dual must be true or false, got {verify_dual!r}")
     constraints = SearchConstraints(
         p=_parse_int(cfg["p"]),
         force_s1=tuple(_parse_int(x) for x in cfg.get("force_s1", [])),
@@ -260,7 +266,7 @@ def cmd_search(args) -> int:
         omega_max=None if cfg.get("omega_max") is None else _parse_int(cfg["omega_max"]),
         scan_budget=_parse_int(cfg.get("scan_budget", 1000)),
         parameter_box=_parse_int(cfg.get("parameter_box", 1000)),
-        verify_dual=bool(cfg.get("verify_dual", True)),
+        verify_dual=verify_dual,
     )
     family = tate_family(constraints.p)
 

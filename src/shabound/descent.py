@@ -18,7 +18,6 @@ from .arith import (
     Incomplete,
     character_eval,
     factor,
-    require_complete,
     residue_character,
 )
 from .bounds import BoundReport, FieldInvariants, bound_report
@@ -81,11 +80,15 @@ class ClassifiedCurve:
     point: Point
     isogeny: IsogenyData
     disc_factorization: Factorization
-    codomain_disc_factorization: Factorization
 
 
 def factor_with_hints(n: int, hints: tuple[int, ...], budget: int | None = None):
     """Factor n, stripping the hinted primes first (they usually cover everything).
+
+    Nothing in the pipeline calls this yet: the codomain's factorization
+    comes from the minimal model inside Velu's formulas.  It is kept as
+    the planned hinted path for that factoring (isogenous curves share
+    their bad primes), and the benchmark's span table traces it.
 
     The hints must be primes.  A hint below 2 raises InputError; a composite
     hint is not detected (a primality test per hint would cost more than
@@ -129,9 +132,6 @@ def classify_primes(
     emin, tr, fac_min = minimal_model(e, disc_factorization)
     pmin = transform_point(pt, tr)
     iso = velu_quotient(emin, pmin, p)
-    fac_cod = require_complete(
-        factor_with_hints(iso.codomain.disc, fac_min.primes + (p,))
-    )
     s1, s2, excluded, evidence = [], [], [], []
     for q, v in fac_min.factors:
         if q == p:
@@ -150,7 +150,7 @@ def classify_primes(
         sing = singular_point(emin, q)
         verdict_pt = S1 if red_pt is not None and red_pt == sing else S2
         # test 2: discriminant valuation ratio under the isogeny
-        vp = fac_cod.valuation(q)
+        vp = iso.codomain_disc_factorization.valuation(q)
         verdict_val = valuation_ratio_set(p, v, vp)
         if verdict_val is None:
             raise ClassifierDisagreement(
@@ -168,7 +168,7 @@ def classify_primes(
     sets = DescentSets(
         p, tuple(sorted(s1)), tuple(sorted(s2)), (p,), tuple(excluded), tuple(evidence)
     )
-    return ClassifiedCurve(sets, emin, pmin, iso, fac_min, fac_cod)
+    return ClassifiedCurve(sets, emin, pmin, iso, fac_min)
 
 
 # --------------------------------------------------------- character matrix

@@ -348,14 +348,11 @@ def singular_point(e: Curve, q: int) -> tuple[int, int]:
                 if eqn == 0 and fx == 0 and fy == 0:
                     return (x, y)
         raise ShaboundError(f"no singular point found mod {q}")
-    # q >= 5: x0 is the multiple root of 4x^3 + b2 x^2 + 2 b4 x + b6 mod q
-    g = [e.b6 % q, 2 * e.b4 % q, e.b2 % q, 4 % q]
-    d = polys.fgcd(g, polys.fderiv(g, q), q)
-    if len(d) == 3:  # cusp: (x - x0)^2; take the double root
-        d = polys.fgcd(d, polys.fderiv(d, q), q)
-    if len(d) != 2:
-        raise ShaboundError(f"multiple-root extraction failed mod {q}")
-    x0 = (-d[0]) % q
+    # q >= 5: x0 is the multiple root of 4x^3 + b2 x^2 + 2 b4 x + b6 mod q.  In
+    # X = 36x + 3 b2 that cubic is X^3 - 27 c4 X - 54 c6 up to a unit, whose
+    # multiple root is -3 c6 / c4 at a node and 0 at a cusp (q | c4).
+    big_x0 = 0 if e.c4 % q == 0 else -3 * e.c6 * pow(e.c4, -1, q)
+    x0 = (big_x0 - 3 * e.b2) * pow(36, -1, q) % q
     y0 = -(e.a1 * x0 + e.a3) * pow(2, -1, q) % q
     return (x0, y0)
 

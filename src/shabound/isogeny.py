@@ -5,8 +5,9 @@ rational kernel x-polynomial of degree (p-1)/2 (for subgroups whose
 points are irrational but Galois-stable).  Both go through one power-sum
 form of Velu's formulas, and the dual kernel comes from traces in
 Q[z]/(A), so nothing here needs the roots of a kernel polynomial.
-Codomains come back globally minimal so discriminant valuations feed the
-descent classifier directly.
+Codomains come back globally minimal, with the factorization of their
+discriminant, so discriminant valuations feed the descent classifier
+directly.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from fractions import Fraction
 from math import lcm
 
 from . import polys
+from .arith import Factorization
 from .elliptic import (
     Curve,
     Point,
@@ -85,6 +87,7 @@ class IsogenyData:
     to_minimal: Transformation  # Velu's (rational) output model -> codomain
     kernel_x_poly: tuple[Fraction, ...]  # monic, degree (p-1)/2
     kernel_points: tuple[tuple[Fraction, Fraction], ...] | None
+    codomain_disc_factorization: Factorization  # of codomain.disc, from minimal_model
 
 
 def _integralize(a1: Fraction, a2: Fraction, a3: Fraction, a4: Fraction, a6: Fraction):
@@ -112,11 +115,11 @@ def _velu(e: Curve, p: int, h: list[Fraction], kernel_points) -> IsogenyData:
     t = 6 * p2 + e.b2 * p1 + d * e.b4
     w = 10 * p3 + 2 * e.b2 * p2 + 3 * e.b4 * p1 + d * e.b6
     raw, scale = _integralize(Q(e.a1), Q(e.a2), Q(e.a3), e.a4 - 5 * t, e.a6 - e.b2 * t - 7 * w)
-    emin, tr, _ = minimal_model(raw)
+    emin, tr, fac_min = minimal_model(raw)
     if scale != 1:
         # raw coordinates are (scale^2 x, scale^3 y) images of the Velu output
         tr = Transformation(tr.u / scale, tr.r / scale**2, tr.s / scale, tr.t / scale**3)
-    return IsogenyData(p, e, emin, tr, tuple(h), kernel_points)
+    return IsogenyData(p, e, emin, tr, tuple(h), kernel_points, fac_min)
 
 
 def velu_quotient(e: Curve, pt: Point, p: int) -> IsogenyData:

@@ -1,9 +1,10 @@
 """Small dense univariate polynomial helpers.
 
-Coefficients low-degree-first.  Two flavours: exact rational (Fraction)
-polynomials for division-polynomial and kernel-polynomial arithmetic, and
-mod-q polynomials for singular-point and split/nonsplit tests.  Degrees
-here never exceed a few dozen, so dense lists are the right tool.
+Coefficients low-degree-first.  Exact rational (Fraction) polynomials
+for division-polynomial and kernel-polynomial arithmetic, and one mod-q
+helper: the brute-force root finder behind the CRT congruences and the
+split test at q <= 3.  Degrees here never exceed a few dozen, so dense
+lists are the right tool.
 """
 
 from __future__ import annotations
@@ -143,50 +144,9 @@ def qinvmod(f, m):
 
 # ------------------------------------------------------------------ mod q
 
-def ftrim(f: list[int]) -> list[int]:
-    while f and f[-1] == 0:
-        f.pop()
-    return f
-
-
-def fred(f, q):
-    return ftrim([c % q for c in f])
-
-
-def fdivmod(f, g, q):
-    f = [c % q for c in f]
-    g = ftrim([c % q for c in g])
-    if not g:
-        raise ZeroDivisionError
-    inv = pow(g[-1], -1, q)
-    quot = [0] * max(0, len(f) - len(g) + 1)
-    while len(ftrim(f)) >= len(g):
-        shift = len(f) - len(g)
-        c = f[-1] * inv % q
-        quot[shift] = c
-        for i, b in enumerate(g):
-            f[shift + i] = (f[shift + i] - c * b) % q
-        ftrim(f)
-    return ftrim(quot), f
-
-
-def fgcd(f, g, q):
-    f, g = fred(f, q), fred(g, q)
-    while g:
-        f, g = g, fdivmod(f, g, q)[1]
-    if f:
-        inv = pow(f[-1], -1, q)
-        f = [c * inv % q for c in f]
-    return f
-
-
-def fderiv(f, q):
-    return ftrim([i * c % q for i, c in enumerate(f)][1:])
-
-
 def roots_modq(f, q) -> list[int]:
     """All roots of f in F_q, ascending. Brute force; callers keep q modest."""
-    f = fred(f, q)
-    if not f:
+    f = [c % q for c in f]
+    if not any(f):
         raise ValueError("zero polynomial mod q")
     return [x for x in range(q) if sum(c * pow(x, i, q) for i, c in enumerate(f)) % q == 0]

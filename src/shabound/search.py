@@ -10,11 +10,13 @@ certified descent invariants.
 from __future__ import annotations
 
 import concurrent.futures
+import contextlib
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
 from . import polys
-from .arith import Factorization, crt_solve, factor, is_prime, require_complete, valuation
+from .arith import Factorization, crt_solve, factor, is_prime, require_complete
 from .descent import S1, S2, ClassifiedCurve, analyze_curve, valuation_ratio_set
 from .elliptic import (
     Curve,
@@ -148,6 +150,12 @@ class SearchConstraints:
     verify_dual: bool = True
 
     def __post_init__(self):
+        for name in ("scan_budget", "parameter_box", "omega_max"):
+            value = getattr(self, name)
+            if value is not None and value < 0:
+                raise InputError(f"{name} must be nonnegative, got {value}")
+        if self.p in self.force_s1 + self.force_s2:
+            raise InputError(f"p = {self.p} is never in S1 or S2 and cannot be forced")
         if set(self.force_s1) & set(self.force_s2):
             raise InputError("forced S1 and S2 prime lists must be disjoint")
         for ell in self.force_s1 + self.force_s2:
@@ -198,9 +206,9 @@ def _verify_dual_swap(cls: ClassifiedCurve) -> bool:
     back = iso_dual.codomain
     if (back.c4, back.c6, back.disc) != (cls.curve.c4, cls.curve.c6, cls.curve.disc):
         return False
-    fac_mid = cls.codomain_disc_factorization
+    fac_mid, fac_back = iso.codomain_disc_factorization, iso_dual.codomain_disc_factorization
     for q, verdict, _ in cls.sets.evidence:
-        dual_verdict = valuation_ratio_set(p, fac_mid.valuation(q), valuation(back.disc, q))
+        dual_verdict = valuation_ratio_set(p, fac_mid.valuation(q), fac_back.valuation(q))
         if dual_verdict != (S2 if verdict == S1 else S1):
             return False
     return True
@@ -288,54 +296,40 @@ def scan(family: FamilySpec, c: SearchConstraints, jobs: int = 1, progress=None)
 
     With forcing constraints the parameter runs over the CRT class
     b0 + k*M; otherwise over 1, -1, 2, -2, ... up to the parameter box.
-    Rows are ranked by (|#S1 - #S2|, m_phi) descending, ties broken by
-    parameter height.
+    Rows arrive in parameter order at every jobs count; progress(done,
+    total) is called every 50 fibers.  Rows are ranked by
+    (|#S1 - #S2|, m_phi) descending, ties broken by parameter height.
     """
+    if jobs < 1:
+        raise InputError(f"jobs must be at least 1, got {jobs}")
     b0, modulus = construct_parameter(family, c)
+    total = c.scan_budget if modulus > 1 else min(c.scan_budget, 2 * c.parameter_box)
+    steps = itertools.chain.from_iterable((k, -k) for k in itertools.count(1))  # 1, -1, 2, -2, ...
     if modulus > 1:
-        candidates = []
-        k = 0
-        while len(candidates) < c.scan_budget:
-            for cand in ((b0 + k * modulus,) if k == 0 else (b0 + k * modulus, b0 - k * modulus)):
-                if len(candidates) < c.scan_budget:
-                    candidates.append(cand)
-            k += 1
+        candidates = (b0 + k * modulus for k in itertools.chain((0,), steps))
     else:
-        candidates = []
-        b = 1
-        while len(candidates) < c.scan_budget and b <= c.parameter_box:
-            candidates.append(b)
-            if len(candidates) < c.scan_budget:
-                candidates.append(-b)
-            b += 1
-    args = [(c.p, b, c.verify_dual, c.force_s1, c.force_s2) for b in candidates]
-    if jobs > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(_row_with_forcing, args, chunksize=16))
-    else:
-        rows = []
-        for i, a in enumerate(args):
-            rows.append(_row_with_forcing(a))
-            if progress and (i + 1) % 50 == 0:
-                progress(i + 1, len(args))
+        candidates = itertools.takewhile(lambda b: b <= c.parameter_box, steps)
+    args = (
+        (c.p, b, c.verify_dual, c.force_s1, c.force_s2)
+        for b in itertools.islice(candidates, c.scan_budget)
+    )
     skipped = {"degenerate": 0, "incomplete_factorization": 0, "filtered_omega": 0}
     kept = []
     errored = []
-    for row in rows:
-        err = row.get("error")
-        if err == "degenerate":
-            skipped["degenerate"] += 1
-            continue
-        if err == "incomplete_factorization":
-            skipped["incomplete_factorization"] += 1
-            continue
-        if err:
-            errored.append(row)
-            continue
-        if c.omega_max is not None and row["omega_of_cofactor"] > c.omega_max:
-            skipped["filtered_omega"] += 1
-            continue
-        kept.append(row)
+    with concurrent.futures.ProcessPoolExecutor(jobs) if jobs > 1 else contextlib.nullcontext() as pool:
+        rows = pool.map(_row_with_forcing, args, chunksize=16) if pool else map(_row_with_forcing, args)
+        for done, row in enumerate(rows, 1):
+            if progress and done % 50 == 0:
+                progress(done, total)
+            err = row.get("error")
+            if err in ("degenerate", "incomplete_factorization"):
+                skipped[err] += 1
+            elif err:
+                errored.append(row)
+            elif c.omega_max is not None and row["omega_of_cofactor"] > c.omega_max:
+                skipped["filtered_omega"] += 1
+            else:
+                kept.append(row)
     kept.sort(key=lambda r: (-r["selmer_sum_proxy"], -r["m_phi"], abs(r["b"]), r["b"] < 0))
     return {
         "family": {"p": c.p, "parameter": family.parameter_name},

@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from shabound import report
 from shabound.cli import main
 from shabound.search import evaluate_row, fiber, tate_family
@@ -163,6 +165,42 @@ def test_search_bad_config_exit_2(tmp_path, capsys):
     assert code == 2
     code2, _, _ = run(capsys, "search", "--config", str(tmp_path / "missing.json"))
     assert code2 == 2
+
+
+def test_search_progress_at_every_jobs(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"p": 5, "scan_budget": 60, "verify_dual": False}))
+    for jobs in ("1", "2"):
+        code, _, err = run(capsys, "search", "--config", str(cfg), "--jobs", jobs, "--json")
+        assert code == 0
+        assert err == "scan: 50/60 fibers\n", jobs
+
+
+@pytest.mark.parametrize("bad", [
+    {"force_s1": 41},
+    {"force_s2": "11"},
+    {"verify_dual": "false"},
+    {"verify_dual": 0},
+    {"scan_budget": -5},
+    {"parameter_box": -5},
+    {"omega_max": -1},
+    {"force_s1": [5]},
+])
+def test_search_config_validation_exit_2(tmp_path, capsys, bad):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"p": 5, "scan_budget": 4, "verify_dual": False, **bad}))
+    code, out, err = run(capsys, "search", "--config", str(cfg), "--json")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_search_jobs_below_1_exit_2(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"p": 5, "scan_budget": 4, "verify_dual": False}))
+    for jobs in ("0", "-2"):
+        code, out, err = run(capsys, "search", "--config", str(cfg), "--jobs", jobs)
+        assert (code, out) == (2, "")
+        assert "jobs" in err
 
 
 def test_analyze_agrees_with_scan_row(capsys):

@@ -199,3 +199,46 @@ def test_singular_point_and_point_reduction():
     assert reduce_point(E11A3, (Q(0), Q(0)), 11) == (0, 0)
     # a point with 11 in the denominator reduces to infinity
     assert reduce_point(E11A3, (Q(1, 121), Q(1, 1331)), 11) is None
+
+
+def _singular_points_brute(e, q):
+    a1, a2, a3, a4, a6 = e.ainvs()
+    return [
+        (x, y)
+        for x in range(q)
+        for y in range(q)
+        if (y * y + a1 * x * y + a3 * y - x**3 - a2 * x * x - a4 * x - a6) % q == 0
+        and (a1 * y - 3 * x * x - 2 * a2 * x - a4) % q == 0
+        and (2 * y + a1 * x + a3) % q == 0
+    ]
+
+
+def test_singular_point_closed_form_vs_brute_force():
+    # nodes from random models with q | disc; cusps from y^2 = x^3 + q(Ax + B)
+    # moved by a random integral (r, s, t), so that a1, a2, a3 are nonzero too
+    rng = random.Random(12)
+    primes = [q for q in range(5, 44) if all(q % d for d in range(2, q))]
+    nodes = cusps = 0
+    for q in primes:
+        found = 0
+        while found < 12:
+            if found % 3 == 0:
+                base = (0, 0, 0, q * rng.randrange(-9, 10), q * rng.randrange(1, 10))
+                if invariants(*base).disc == 0:
+                    continue
+                r, s, t = (Q(rng.randrange(-50, 51)) for _ in range(3))
+                e = apply_transform(invariants(*base), Transformation(Q(1), r, s, t))
+            else:
+                try:
+                    e = invariants(*(rng.randrange(-5 * q, 5 * q) for _ in range(5)))
+                except SingularModel:
+                    continue
+                if e.disc % q:
+                    continue
+            found += 1
+            assert [singular_point(e, q)] == _singular_points_brute(e, q), (e.ainvs(), q)
+            if e.c4 % q:
+                nodes += 1
+            else:
+                cusps += 1
+    assert nodes >= 50 and cusps >= 50

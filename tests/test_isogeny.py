@@ -7,6 +7,7 @@ import pytest
 from conftest import multiple
 
 from shabound import elliptic, polys
+from shabound.arith import factor
 from shabound.elliptic import add_points, has_order, invariants, kernel_multiples, on_curve
 from shabound.errors import InputError
 from shabound.isogeny import (
@@ -101,6 +102,18 @@ def test_dual_kernel_round_trip_other_fiber():
     iso_dual = velu_quotient_from_kernel_poly(iso.codomain, h, 5)
     assert (iso_dual.codomain.c4, iso_dual.codomain.disc) == (E_B5.c4, E_B5.disc)
     # valuations swap: v_11 pattern S1 <-> S2 is checked at the descent level
+
+
+def test_codomain_carries_its_discriminant_factorization():
+    # both Velu entry points, and the dual built from dual_kernel_poly
+    fibers = [(5, s * b) for b in range(1, 21) for s in (1, -1)] + [(7, b) for b in (2, -2, 3, -3)]
+    for p, b in fibers:
+        fib = fiber(tate_family(p), b)
+        iso = velu_quotient(fib.curve, fib.point, p)
+        iso_k = velu_quotient_from_kernel_poly(fib.curve, iso.kernel_x_poly, p)
+        iso_dual = velu_quotient_from_kernel_poly(iso.codomain, dual_kernel_poly(iso), p)
+        for it in (iso, iso_k, iso_dual):
+            assert it.codomain_disc_factorization == factor(it.codomain.disc), (p, b)
 
 
 def test_wrong_order_point_rejected():

@@ -1,4 +1,4 @@
-"""Dense polynomial helpers (rational and mod-q), low degree first."""
+"""Dense polynomial helpers (rational, and the mod-q root finder), low degree first."""
 
 import random
 from fractions import Fraction
@@ -49,18 +49,6 @@ def test_poly_from_roots_and_power_sums():
     assert f == [Q(-6), Q(11), Q(-6), Q(1)]  # (x-1)(x-2)(x-3)
     ps = polys.power_sums(f, 3)  # p_1..p_3
     assert ps == [Q(6), Q(14), Q(36)]
-
-
-def test_mod_q_arithmetic_vs_int_arithmetic():
-    rng = random.Random(8)
-    q = 101
-    for _ in range(40):
-        f = [rng.randrange(q) for _ in range(rng.randrange(1, 6))]
-        g = [rng.randrange(q) for _ in range(rng.randrange(1, 4))]
-        if not polys.ftrim([c % q for c in g]):
-            continue
-        qq, rr = polys.fdivmod(f, g, q)
-        assert polys.fred(polys.qadd(polys.qmul(qq, g), rr), q) == polys.fred(f, q)
 
 
 def test_roots_modq():

@@ -82,6 +82,13 @@ def test_constraints_validation():
         SearchConstraints(5, force_s2=(7,))  # 7 != 1 mod 5
     with pytest.raises(InputError):
         SearchConstraints(5, force_s1=(4,))
+    with pytest.raises(InputError):
+        SearchConstraints(5, force_s1=(5,))  # p is always excluded as above_p_overlap
+    for key in ("scan_budget", "parameter_box", "omega_max"):
+        with pytest.raises(InputError):
+            SearchConstraints(5, **{key: -1})
+    with pytest.raises(InputError):
+        scan(tate_family(5), SearchConstraints(5, scan_budget=0), jobs=0)
 
 
 def test_regression_fiber_large_sets():
