@@ -4,7 +4,10 @@ Two entry points: a kernel generated by a rational point of order p, or a
 rational kernel x-polynomial of degree (p-1)/2 (for subgroups whose
 points are irrational but Galois-stable).  Both go through one power-sum
 form of Velu's formulas, and the dual kernel comes from traces in
-Q[z]/(A), so nothing here needs the roots of a kernel polynomial.
+Z[y]/(A_c), A_c the rescaled cofactor of the kernel in psi_p, so nothing
+here needs the roots of a kernel polynomial.  Division polynomials and
+the dual-kernel and closure arithmetic run over Z; Fractions appear only
+where a kernel polynomial or a model comes in or goes out.
 Codomains come back globally minimal, with the factorization of their
 discriminant, so discriminant valuations feed the descent classifier
 directly.
@@ -35,8 +38,8 @@ Q = Fraction
 
 # ----------------------------------------------------- division polynomials
 
-def division_poly_x(e: Curve, n: int) -> list[Fraction]:
-    """For odd n: the full n-division polynomial as a polynomial in x.
+def division_poly_x(e: Curve, n: int) -> list[int]:
+    """For odd n: the full n-division polynomial as a polynomial in x, over Z.
 
     The recursion runs on the x-parts f_m, psi_m = f_m * (psi_2 if m even),
     kept in a memo for this call alone.
@@ -44,13 +47,13 @@ def division_poly_x(e: Curve, n: int) -> list[Fraction]:
     if n % 2 == 0:
         raise InputError("division_poly_x is for odd n")
     b2, b4, b6, b8 = e.b2, e.b4, e.b6, e.b8
-    t_poly = [Q(b6), Q(2 * b4), Q(b2), Q(4)]  # psi_2^2 as a polynomial in x
-    memo: dict[int, list[Fraction]] = {
+    t2 = polys.mul(_psi2_squared(e), _psi2_squared(e))  # psi_2^4
+    memo: dict[int, list[int]] = {
         0: [],
-        1: [Q(1)],
-        2: [Q(1)],
-        3: [Q(c) for c in [b8, 3 * b6, 3 * b4, b2, 3]],
-        4: [Q(c) for c in [b4 * b8 - b6**2, b2 * b8 - b4 * b6, 10 * b8, 10 * b6, 5 * b4, b2, 2]],
+        1: [1],
+        2: [1],
+        3: [b8, 3 * b6, 3 * b4, b2, 3],
+        4: [b4 * b8 - b6**2, b2 * b8 - b4 * b6, 10 * b8, 10 * b6, 5 * b4, b2, 2],
     }
 
     def f(k):
@@ -58,23 +61,40 @@ def division_poly_x(e: Curve, n: int) -> list[Fraction]:
             return memo[k]
         m, rem = divmod(k, 2)
         if rem:
-            a = polys.qmul(f(m + 2), polys.qmul(f(m), polys.qmul(f(m), f(m))))
-            b = polys.qmul(f(m - 1), polys.qmul(f(m + 1), polys.qmul(f(m + 1), f(m + 1))))
-            t2 = polys.qmul(t_poly, t_poly)
+            a = polys.mul(f(m + 2), polys.mul(f(m), polys.mul(f(m), f(m))))
+            b = polys.mul(f(m - 1), polys.mul(f(m + 1), polys.mul(f(m + 1), f(m + 1))))
             if m % 2 == 0:
-                res = polys.qadd(polys.qmul(a, t2), polys.qscale(b, -1))
+                res = polys.sub(polys.mul(a, t2), b)
             else:
-                res = polys.qadd(a, polys.qscale(polys.qmul(b, t2), -1))
+                res = polys.sub(a, polys.mul(b, t2))
         else:
-            inner = polys.qadd(
-                polys.qmul(f(m + 2), polys.qmul(f(m - 1), f(m - 1))),
-                polys.qscale(polys.qmul(f(m - 2), polys.qmul(f(m + 1), f(m + 1))), -1),
+            inner = polys.sub(
+                polys.mul(f(m + 2), polys.mul(f(m - 1), f(m - 1))),
+                polys.mul(f(m - 2), polys.mul(f(m + 1), f(m + 1))),
             )
-            res = polys.qmul(f(m), inner)
+            res = polys.mul(f(m), inner)
         memo[k] = res
         return res
 
     return f(n)
+
+
+def _psi2_squared(e: Curve) -> list[int]:
+    """psi_2^2 = 4x^3 + b2 x^2 + 2 b4 x + b6."""
+    return [e.b6, 2 * e.b4, e.b2, 4]
+
+
+def _scaled(f: list, c: int) -> list[int]:
+    """c^deg f * f(y / c), the polynomial whose roots are c times those of f.
+
+    Callers choose c so that every coefficient comes out an integer.
+    """
+    deg = len(f) - 1
+    return [int(a * c ** (deg - i)) for i, a in enumerate(f)]
+
+
+def _denominator(h: list[Fraction]) -> int:
+    return lcm(*(a.denominator for a in h))
 
 
 # ------------------------------------------------------------- isogeny data
@@ -142,12 +162,14 @@ def velu_quotient_from_kernel_poly(e: Curve, h: list[Fraction], p: int) -> Isoge
 
     h must be monic of degree (p-1)/2, divide the p-division polynomial,
     and its root set must be stable under the doubling map (subgroup
-    rationality check).
+    rationality check).  Both checks run over Z after x = y / D, D the
+    lcm of h's denominators, which makes h_D = D^d h(y / D) monic integral.
     """
     h = [Q(c) for c in h]
     if len(h) != (p - 1) // 2 + 1 or h[-1] != 1:
         raise InputError(f"kernel polynomial must be monic of degree {(p - 1) // 2}")
-    if not polys.qdivides(h, division_poly_x(e, p)):
+    big_d = _denominator(h)
+    if polys.divmod_monic(_scaled(division_poly_x(e, p), big_d), _scaled(h, big_d))[1]:
         raise InputError("kernel polynomial does not divide the p-division polynomial")
     if not _stable_under_doubling(e, h):
         raise InputError("kernel polynomial roots are not closed under doubling")
@@ -160,15 +182,18 @@ def _stable_under_doubling(e: Curve, h: list[Fraction]) -> bool:
     With x(2z) = num(z) / den(z), that is den^d * h(num / den) = 0 mod h(z),
     d = deg h.  For a squarefree h dividing psi_p this is closure of the
     root set, since doubling is injective on x-coordinates of E[p] - {O}.
+    In y = D z the same test reads sum_j h_D[j] num_D^j den_D^(d-j) = 0
+    mod h_D, with num_D, den_D the rescaled num, den: all over Z.
     """
-    b2, b4, b6, b8 = e.b2, e.b4, e.b6, e.b8
-    num = polys.qrem([Q(-b8), Q(-2 * b6), Q(-b4), Q(0), Q(1)], h)
-    den = polys.qrem([Q(b6), Q(2 * b4), Q(b2), Q(4)], h)
+    big_d = _denominator(h)
+    h_d = _scaled(h, big_d)
+    num = polys.divmod_monic(_scaled([-e.b8, -2 * e.b6, -e.b4, 0, 1], big_d), h_d)[1]
+    den = polys.divmod_monic(_scaled(_psi2_squared(e), big_d), h_d)[1]
     # Horner in homogeneous form: acc = sum_{j >= i} h_j num^(j-i) den^(d-j)
-    acc, den_pow = [h[-1]], [Q(1)]
-    for c in reversed(h[:-1]):
-        den_pow = polys.qrem(polys.qmul(den_pow, den), h)
-        acc = polys.qadd(polys.qrem(polys.qmul(acc, num), h), polys.qscale(den_pow, c))
+    acc, den_pow = [h_d[-1]], [1]
+    for c in reversed(h_d[:-1]):
+        den_pow = polys.divmod_monic(polys.mul(den_pow, den), h_d)[1]
+        acc = polys.add(polys.divmod_monic(polys.mul(acc, num), h_d)[1], polys.scale(den_pow, c))
     return not acc
 
 
@@ -207,41 +232,52 @@ def dual_kernel_poly(iso: IsogenyData) -> list[Fraction]:
     """Kernel x-polynomial of the dual isogeny, on the minimal codomain model.
 
     The dual kernel is the image of E[p].  Its x-coordinates are the
-    values of the x-map X = N / h^2 at the roots of A = psi_p / h, the
+    values of the x-map X = N / h^2 at the roots of A = psi_p / (p h), the
     x-coordinates of E[p] outside the kernel, each taken p times.  So
     their power sums are s_k = Tr(X^k) / p, with the trace of Q[z]/(A)
     read off A's own power sums, and Newton's identities turn s_1..s_d
     into the monic kernel polynomial (Bostan, Morain, Salvy, Schost 2008).
+
+    All of this runs over Z after the change of variable y = c x with
+    c = p D, D the lcm of h's denominators: h_c = c^d h(y / c) and
+    A_c = c^n A(y / c) are then monic integral (p x is integral over Z at
+    every root of psi_p), the x-map is X = N_c / (c h_c^2) with N_c
+    integral, and 1 / h_c^2 mod A_c is s / r with r an integer.  Only
+    the d power sums become Fractions.
     """
     e, p = iso.domain, iso.p
     h = list(iso.kernel_x_poly)
-    a_poly = polys.qexact_div(polys.qmonic(division_poly_x(e, p)), h)
-    n = len(a_poly) - 1
-    traces = [Q(n)] + polys.power_sums(a_poly, n - 1)  # Tr(z^i), i < n
-    d_inv = polys.qinvmod(polys.qmul(h, h), a_poly)
-    x_map = polys.qrem(polys.qmul(_velu_x_numerator(e, h, p), d_inv), a_poly)  # X = N / h^2 mod A
-    sums, x_pow = [], [Q(1)]
-    for _ in range(len(h) - 1):
-        x_pow = polys.qrem(polys.qmul(x_pow, x_map), a_poly)
-        sums.append(sum((c * t for c, t in zip(x_pow, traces)), Q(0)) / p)
+    if not h or h[-1] != 1:
+        raise InputError("kernel polynomial must be monic")
+    c = p * _denominator(h)
+    h_c = _scaled(h, c)
+    a_c = polys.exact_quo_monic([x // p for x in _scaled(division_poly_x(e, p), c)], h_c)
+    n = len(a_c) - 1
+    traces = [n] + polys.power_sums(a_c, n - 1)  # Tr(y^i), i < n
+    s, r = polys.inv_mod_monic(polys.mul(h_c, h_c), a_c)  # s h_c^2 = r mod A_c
+    x_num = polys.divmod_monic(polys.mul(_velu_x_numerator(e, h_c, p, c), s), a_c)[1]
+    x_den = c * r  # X = x_num / x_den mod A_c
+    sums, x_pow = [], [1]
+    for k in range(1, len(h)):
+        x_pow = polys.divmod_monic(polys.mul(x_pow, x_num), a_c)[1]
+        sums.append(Q(sum(a * t for a, t in zip(x_pow, traces)), p * x_den**k))
     # move onto the minimal codomain model: x_min = (x_raw - r) / u^2
     return _compose_affine(polys.qfrom_power_sums(sums), iso.to_minimal)
 
 
-def _velu_x_numerator(e: Curve, h: list[Fraction], p: int) -> list[Fraction]:
-    """N with X = N / h^2 the Velu x-map, from h alone (Kohel's form).
+def _velu_x_numerator(e: Curve, h_c: list[int], p: int, c: int) -> list[int]:
+    """N_c with X = N_c / (c h_c^2) the Velu x-map at x = y / c (Kohel's form).
 
     X = p x - 2 s_1 - t(x) h'/h - T(x) (h'/h)', with s_1 the sum of the
-    roots, t = 6x^2 + b2 x + b4 and T = 4x^3 + b2 x^2 + 2 b4 x + b6.
+    roots of h, t = 6x^2 + b2 x + b4 and T = 4x^3 + b2 x^2 + 2 b4 x + b6;
+    N_c = c^(2d+1) X h^2 in terms of h_c, t_c = c^2 t and T_c = c^3 T.
     """
-    b2, b4, b6 = e.b2, e.b4, e.b6
-    dh, ddh = polys.qderiv(h), polys.qderiv(polys.qderiv(h))
-    lin = [2 * h[-2], Q(p)]  # p x - 2 s_1 for monic h
-    out = polys.qmul(lin, polys.qmul(h, h))
-    out = polys.qadd(out, polys.qscale(polys.qmul([Q(b4), Q(b2), Q(6)], polys.qmul(dh, h)), -1))
-    big_t = [Q(b6), Q(2 * b4), Q(b2), Q(4)]
-    inner = polys.qadd(polys.qmul(ddh, h), polys.qscale(polys.qmul(dh, dh), -1))
-    return polys.qadd(out, polys.qscale(polys.qmul(big_t, inner), -1))
+    dh, ddh = polys.deriv(h_c), polys.deriv(polys.deriv(h_c))
+    lin = [2 * h_c[-2], p]  # c (p x - 2 s_1) for monic h
+    out = polys.mul(lin, polys.mul(h_c, h_c))
+    out = polys.sub(out, polys.mul(_scaled([e.b4, e.b2, 6], c), polys.mul(dh, h_c)))
+    inner = polys.sub(polys.mul(ddh, h_c), polys.mul(dh, dh))
+    return polys.sub(out, polys.mul(_scaled(_psi2_squared(e), c), inner))
 
 
 def _compose_affine(h: list[Fraction], tr: Transformation) -> list[Fraction]:
@@ -252,6 +288,6 @@ def _compose_affine(h: list[Fraction], tr: Transformation) -> list[Fraction]:
     xpow = [Q(1)]
     shift = [r, u2]
     for c in h:
-        out = polys.qadd(out, polys.qscale(xpow, c))
-        xpow = polys.qmul(xpow, shift)
+        out = polys.add(out, polys.scale(xpow, c))
+        xpow = polys.mul(xpow, shift)
     return polys.qmonic(out)

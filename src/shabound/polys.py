@@ -1,78 +1,140 @@
 """Small dense univariate polynomial helpers.
 
-Coefficients low-degree-first.  Exact rational (Fraction) polynomials
-for division-polynomial and kernel-polynomial arithmetic, and one mod-q
-helper: the brute-force root finder behind the CRT congruences and the
-split test at q <= 3.  Degrees here never exceed a few dozen, so dense
-lists are the right tool.
+Coefficients low-degree-first.  Three layers: ring operations that work
+over Z or Q alike (the type of the coefficients passed in is the type
+that comes out); integer division, remainder and inversion modulo a
+monic polynomial, which keep Fraction normalization out of the
+division-polynomial and dual-kernel arithmetic; and the few rational
+helpers that convert at the edges (monic normalization, power sums and
+back).  Last, one mod-q helper: the brute-force root finder behind the
+CRT congruences and the split test at q <= 3.  Degrees here never exceed
+a few dozen, so dense lists and the schoolbook product are the right
+tool.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
+
+from .errors import InputError
 
 Q = Fraction
 
 
-# ---------------------------------------------------------------- rational
+# ------------------------------------------------------------ over Z or Q
 
-def qtrim(f: list[Fraction]) -> list[Fraction]:
+def trim(f: list) -> list:
     while f and f[-1] == 0:
         f.pop()
     return f
 
 
-def qadd(f, g):
+def add(f, g):
     n = max(len(f), len(g))
-    return qtrim([(f[i] if i < len(f) else 0) + (g[i] if i < len(g) else 0) for i in range(n)])
+    return trim([(f[i] if i < len(f) else 0) + (g[i] if i < len(g) else 0) for i in range(n)])
 
 
-def qscale(f, c):
-    c = Q(c)
-    return qtrim([c * x for x in f])
+def sub(f, g):
+    n = max(len(f), len(g))
+    return trim([(f[i] if i < len(f) else 0) - (g[i] if i < len(g) else 0) for i in range(n)])
 
 
-def qmul(f, g):
+def scale(f, c):
+    return trim([c * x for x in f])
+
+
+def mul(f, g):
     if not f or not g:
         return []
-    out = [Q(0)] * (len(f) + len(g) - 1)
+    out = [0] * (len(f) + len(g) - 1)
     for i, a in enumerate(f):
-        if a == 0:
-            continue
         for j, b in enumerate(g):
             out[i + j] += a * b
-    return qtrim(out)
+    return trim(out)
 
 
-def qdivmod(f, g):
-    """Polynomial division with remainder over Q."""
-    f = qtrim([Q(x) for x in f])
-    g = qtrim([Q(x) for x in g])
-    if not g:
-        raise ZeroDivisionError("division by zero polynomial")
-    quot = [Q(0)] * max(0, len(f) - len(g) + 1)
-    lead = g[-1]
-    while len(f) >= len(g) and qtrim(f):
-        shift = len(f) - len(g)
-        c = f[-1] / lead
-        quot[shift] = c
-        for i, b in enumerate(g):
-            f[shift + i] -= c * b
-        qtrim(f)
-    return qtrim(quot), f
+def deriv(f):
+    return trim([i * c for i, c in enumerate(f)][1:])
 
 
-def qexact_div(f, g):
-    quot, rem = qdivmod(f, g)
+def power_sums(f, k: int) -> list:
+    """Power sums p_1..p_k of the roots of monic f, via Newton's identities.
+
+    Integer coefficients give integer power sums.
+    """
+    d = len(f) - 1
+    e = [(-1) ** i * f[d - i] for i in range(d + 1)]  # elementary symmetric
+    p = [0] * (k + 1)
+    for n in range(1, k + 1):
+        acc = (-1) ** (n - 1) * n * e[n] if n <= d else 0
+        for i in range(1, min(n, d + 1)):
+            acc += (-1) ** (i - 1) * e[i] * p[n - i]
+        p[n] = acc
+    return p[1:]
+
+
+# ----------------------------------------------------------------- over Z
+
+def divmod_monic(f: list[int], a: list[int]) -> tuple[list[int], list[int]]:
+    """Quotient and remainder of f by a monic a over Z, by subtraction only."""
+    n = len(a) - 1
+    r = trim(list(f))
+    quot = [0] * max(0, len(r) - n)
+    for k in range(len(r) - 1, n - 1, -1):
+        c = r[k]
+        if c:
+            quot[k - n] = c
+            for i in range(n):
+                r[k - n + i] -= c * a[i]
+    return trim(quot), trim(r[:n])
+
+
+def exact_quo_monic(f: list[int], a: list[int]) -> list[int]:
+    quot, rem = divmod_monic(f, a)
     if rem:
-        raise ValueError("polynomial division is not exact")
+        raise InputError("polynomial division is not exact")
     return quot
 
 
-def qdivides(g, f) -> bool:
-    """True iff g divides f exactly over Q."""
-    return not qdivmod(f, g)[1]
+def _pseudo_divmod(f: list[int], g: list[int]) -> tuple[list[int], list[int], int]:
+    """(q, r, m) with m * f = q * g + r and deg r < deg g, m = lc(g)^(deg f - deg g + 1)."""
+    lc, n = g[-1], len(g) - 1
+    r = list(f)
+    quot = [0] * (len(r) - n)
+    for k in range(len(r) - 1, n - 1, -1):
+        c = r[k]
+        quot = [lc * x for x in quot]
+        quot[k - n] = c
+        r = [lc * x for x in r]
+        for i in range(n + 1):
+            r[k - n + i] -= c * g[i]
+    return trim(quot), trim(r[:n]), lc ** (len(f) - n)
 
+
+def inv_mod_monic(g: list[int], a: list[int]) -> tuple[list[int], int]:
+    """(s, r) with s * g = r modulo the monic a, r a nonzero integer.
+
+    Extended Euclid on pseudo-remainders, each step divided by the
+    content it shares with its cofactor, so every number stays an
+    integer and the pair keeps s_i * g = r_i mod a.
+    """
+    r0, r1 = list(a), divmod_monic(g, a)[1]
+    s0, s1 = [], [1]
+    while len(r1) > 1:
+        quot, rem, m = _pseudo_divmod(r0, r1)
+        if not rem:
+            break
+        s_rem = sub(scale(s0, m), mul(quot, s1))
+        content = gcd(*rem, *s_rem)
+        r0, r1 = r1, [c // content for c in rem]
+        s0, s1 = s1, [c // content for c in s_rem]
+    if len(r1) != 1:
+        raise InputError("polynomial is not invertible modulo a")
+    return s1, r1[0]
+
+
+# ----------------------------------------------------------------- over Q
 
 def qeval(f, x):
     acc = Q(0)
@@ -81,40 +143,16 @@ def qeval(f, x):
     return acc
 
 
-def qderiv(f):
-    return qtrim([i * c for i, c in enumerate(f)][1:])
-
-
 def qmonic(f):
-    return qscale(f, 1 / Q(f[-1])) if f else f
+    return scale(f, 1 / Q(f[-1])) if f else f
 
 
 def qpow_x_shift(roots: list[Fraction]) -> list[Fraction]:
     """Monic polynomial with the given roots."""
     out = [Q(1)]
     for r in roots:
-        out = qmul(out, [-Q(r), Q(1)])
+        out = mul(out, [-Q(r), Q(1)])
     return out
-
-
-def power_sums(f, k: int) -> list[Fraction]:
-    """Power sums p_1..p_k of the roots of monic f, via Newton's identities."""
-    d = len(f) - 1
-    # e_i: elementary symmetric, from coefficients of monic f
-    e = [Q(0)] * (d + 1)
-    e[0] = Q(1)
-    for i in range(1, d + 1):
-        e[i] = Q((-1) ** i) * f[d - i] / f[d]
-    p = [Q(0)] * (k + 1)
-    for n in range(1, k + 1):
-        if n <= d:
-            acc = Q((-1) ** (n - 1)) * n * e[n]
-        else:
-            acc = Q(0)
-        for i in range(1, min(n, d + 1)):
-            acc += Q((-1) ** (i - 1)) * e[i] * p[n - i]
-        p[n] = acc
-    return p[1:]
 
 
 def qfrom_power_sums(s: list[Fraction]) -> list[Fraction]:
@@ -123,23 +161,6 @@ def qfrom_power_sums(s: list[Fraction]) -> list[Fraction]:
     for k in range(1, len(s) + 1):
         e.append(sum(((-1) ** (i - 1) * e[k - i] * s[i - 1] for i in range(1, k + 1)), Q(0)) / k)
     return [(-1) ** k * c for k, c in reversed(list(enumerate(e)))]
-
-
-def qrem(f, g):
-    return qdivmod(f, g)[1]
-
-
-def qinvmod(f, m):
-    """Inverse of f modulo m over Q, by the extended Euclidean algorithm."""
-    r0, r1 = [Q(c) for c in m], qrem(f, m)
-    s0, s1 = [], [Q(1)]
-    while r1:
-        quot, rem = qdivmod(r0, r1)
-        r0, r1 = r1, rem
-        s0, s1 = s1, qadd(s0, qscale(qmul(quot, s1), -1))
-    if len(r0) != 1:
-        raise ValueError("polynomial is not invertible modulo m")
-    return qscale(s0, 1 / r0[0])
 
 
 # ------------------------------------------------------------------ mod q

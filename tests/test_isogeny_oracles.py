@@ -1,8 +1,11 @@
-"""Sympy-resultant oracles for the dual kernel and the doubling closure.
+"""Sympy oracles for the dual kernel, the doubling closure and psi_n.
 
-The library computes both in Q[z]/(A) with traces and Newton's
-identities.  The oracles below take the long way round, by bivariate
-resultants and root extraction in sympy, and must agree exactly.
+The library computes the first two over Z, after rescaling the variable
+so that the polynomials involved are monic integral, with traces and
+Newton's identities.  The oracles below take the long way round, by
+bivariate resultants and root extraction in sympy, and must agree
+exactly; the division-polynomial oracle runs the classical recursion in
+sympy's QQ[x].
 """
 
 from fractions import Fraction
@@ -41,6 +44,11 @@ def _roots_of(h):
     return sorted(out)
 
 
+def _sympy_poly(f, var):
+    """A coefficient list, low degree first, as a sympy polynomial over QQ."""
+    return sympy.Poly([sympy.Rational(c) for c in reversed(f)], var, domain="QQ")
+
+
 def _monic(g):
     """A sympy polynomial as a monic Fraction list, low degree first."""
     return polys.qmonic([Q(str(c)) for c in reversed(g.all_coeffs())])
@@ -66,24 +74,43 @@ def oracle_stable_under_doubling(e, h):
 def oracle_dual_kernel_poly(iso):
     """Radical of Res_z(A(z), X * h(z)^2 - N(z)), N from the kernel roots."""
     e, p = iso.domain, iso.p
-    h = [Q(c) for c in iso.kernel_x_poly]
-    a_poly = polys.qexact_div(polys.qmonic(division_poly_x(e, p)), h)
-    roots = _roots_of(h)
+    x, z = sympy.symbols("x z")
+    hz = _sympy_poly(iso.kernel_x_poly, z)
+    az = sympy.exquo(_sympy_poly(division_poly_x(e, p), z), hz).monic()
     b2, b4, b6 = e.b2, e.b4, e.b6
-    n_poly = polys.qmul([Q(0), Q(1)], polys.qmul(h, h))
-    for xq in roots:
-        hq = polys.qexact_div(h, [-xq, Q(1)])
+    nz = z * hz**2
+    for xq in _roots_of(iso.kernel_x_poly):
+        hq = sympy.exquo(hz, sympy.Poly(z - sympy.Rational(xq), z))
         tq = 6 * xq * xq + b2 * xq + b4
         uq = 4 * xq**3 + b2 * xq * xq + 2 * b4 * xq + b6
-        n_poly = polys.qadd(n_poly, polys.qscale(polys.qmul(hq, h), tq))
-        n_poly = polys.qadd(n_poly, polys.qscale(polys.qmul(hq, hq), uq))
-    d_poly = polys.qmul(h, h)
-    x, z = sympy.symbols("x z")
-    az = sympy.Poly([sympy.Rational(c) for c in reversed(a_poly)], z)
-    dz = sum(sympy.Rational(c) * z**i for i, c in enumerate(d_poly))
-    nz = sum(sympy.Rational(c) * z**i for i, c in enumerate(n_poly))
-    res = sympy.Poly(sympy.resultant(az, sympy.Poly(x * dz - nz, z), z), x)
+        nz += hq * hz * sympy.Rational(tq) + hq**2 * sympy.Rational(uq)
+    res = sympy.Poly(sympy.resultant(az, sympy.Poly(x * hz.as_expr() ** 2 - nz.as_expr(), z), z), x)
     return _compose_affine(_monic_radical(res), iso.to_minimal)
+
+
+def oracle_division_poly_x(e, n):
+    """The x-part f_n of psi_n (odd n), by the classical recursion over sympy's QQ[x]."""
+    x = sympy.symbols("x")
+    b2, b4, b6, b8 = e.b2, e.b4, e.b6, e.b8
+    t2 = sympy.Poly(4 * x**3 + b2 * x**2 + 2 * b4 * x + b6, x, domain="QQ") ** 2
+    f = {
+        0: sympy.Poly(0, x, domain="QQ"),
+        1: sympy.Poly(1, x, domain="QQ"),
+        2: sympy.Poly(1, x, domain="QQ"),
+        3: sympy.Poly(3 * x**4 + b2 * x**3 + 3 * b4 * x**2 + 3 * b6 * x + b8, x, domain="QQ"),
+        4: sympy.Poly(
+            2 * x**6 + b2 * x**5 + 5 * b4 * x**4 + 10 * b6 * x**3 + 10 * b8 * x**2
+            + (b2 * b8 - b4 * b6) * x + b4 * b8 - b6**2, x, domain="QQ",
+        ),
+    }
+    for k in range(5, n + 1):
+        m = k // 2
+        if k % 2:
+            a, b = f[m + 2] * f[m] ** 3, f[m - 1] * f[m + 1] ** 3
+            f[k] = a * t2 - b if m % 2 == 0 else a - b * t2
+        else:
+            f[k] = f[m] * (f[m + 2] * f[m - 1] ** 2 - f[m - 2] * f[m + 1] ** 2)
+    return [Q(str(c)) for c in reversed(f[n].all_coeffs())]
 
 
 # -------------------------------------------------------------------- tests
@@ -126,18 +153,42 @@ def test_dual_of_kernel_poly_isogeny_matches_oracle():
 
 def test_dual_of_dual_is_the_kernel():
     # the dual kernel does not split over Q, which the root-based oracle
-    # cannot handle; the dual of the dual is phi again, up to isomorphism
+    # cannot handle; the dual of the dual is phi again, up to isomorphism.
+    # The dual kernels have denominator p, so dual_kernel_poly(iso_dual)
+    # runs with D = p; its values are pinned as the Fraction arithmetic
+    # computed them.
+    pinned = {
+        (5, 2): [-1, 0, 1],
+        (5, -3): [-2, -1, 1],
+        (5, 7): [8, -9, 1],
+        (7, 2): [3, -1, -3, 1],
+        (7, -3): [10472, -36, -42, 1],
+    }
     for p, bs in ((5, [2, -3, 7]), (7, [2, -3])):
-        for _, iso in _isogenies(p, bs):
+        for b, iso in _isogenies(p, bs):
             h_dual = dual_kernel_poly(iso)
+            assert max(c.denominator for c in h_dual) == p
             with pytest.raises(InputError):
                 _roots_of(h_dual)
             iso_dual = velu_quotient_from_kernel_poly(iso.codomain, h_dual, p)
             h_back = dual_kernel_poly(iso_dual)
+            assert h_back == pinned[p, b]
+            assert all(isinstance(c, Fraction) for c in h_back)
             # <P> again, on another model of E: rational roots, same quotient
             assert len(_roots_of(h_back)) == len(h_back) - 1
             back = velu_quotient_from_kernel_poly(iso_dual.codomain, h_back, p).codomain
             assert (back.c4, back.c6, back.disc) == (iso.codomain.c4, iso.codomain.c6, iso.codomain.disc)
+
+
+def test_division_poly_matches_oracle():
+    curves = [invariants(0, -1, 1, 0, 0), invariants(1, -1, 1, -3, 7), invariants(-4, -5, -5, 0, 0)]
+    curves += [fiber(tate_family(p), b).curve for p, b in ((5, -3), (7, 2))]
+    for e in curves:
+        for n in (3, 5, 7, 9):
+            psi = division_poly_x(e, n)
+            assert all(type(c) is int for c in psi)
+            assert psi == oracle_division_poly_x(e, n), (e.ainvs(), n)
+            assert len(psi) - 1 == (n * n - 1) // 2 and psi[-1] == n
 
 
 def test_closure_rejects_moved_root():
@@ -146,6 +197,8 @@ def test_closure_rejects_moved_root():
             h = list(iso.kernel_x_poly)
             # move one kernel root off the subgroup: (x - x0) -> (x - x0 - 1)
             x0 = iso.kernel_points[0][0]
-            moved = polys.qmul(polys.qexact_div(h, [-x0, Q(1)]), [-x0 - 1, Q(1)])
+            z = sympy.symbols("z")
+            hz = sympy.exquo(_sympy_poly(h, z), sympy.Poly(z - sympy.Rational(x0), z))
+            moved = [Q(str(c)) for c in reversed((hz * sympy.Poly(z - sympy.Rational(x0) - 1, z)).all_coeffs())]
             assert not _stable_under_doubling(iso.domain, moved)
             assert not oracle_stable_under_doubling(iso.domain, moved)

@@ -1,4 +1,4 @@
-"""Dense polynomial helpers (rational, and the mod-q root finder), low degree first."""
+"""Dense polynomial helpers (over Z or Q, over Z modulo a monic, and the mod-q root finder), low degree first."""
 
 import random
 from fractions import Fraction
@@ -7,40 +7,66 @@ import pytest
 import sympy
 
 from shabound import polys
+from shabound.errors import InputError
 
 Q = Fraction
 x = sympy.symbols("x")
 
 
 def _to_sympy(f):
-    return sum(sympy.Rational(c) * x**i for i, c in enumerate(f))
+    return sympy.Poly([sympy.Rational(c) for c in reversed(f)] or [0], x)
+
+
+def _from_sympy(g):
+    return polys.trim([int(c) for c in reversed(g.all_coeffs())])
 
 
 def _rand_poly(rng, deg, scale=10):
     return [Q(rng.randrange(-scale, scale + 1)) for _ in range(deg + 1)]
 
 
+def _rand_int_poly(rng, deg, scale=10**6):
+    """Random integer list with zeros and, one time in four, a trailing zero."""
+    f = [rng.choice((0, rng.randrange(-scale, scale + 1))) for _ in range(deg + 1)]
+    return f + [0] * (rng.random() < 0.25)
+
+
+def _rand_monic(rng, deg, scale=10**6):
+    return _rand_int_poly(rng, deg - 1, scale)[:deg] + [1]
+
+
+def test_mul_vs_sympy():
+    rng = random.Random(5)
+    for _ in range(50):
+        f = _rand_int_poly(rng, rng.randrange(0, 9))
+        g = _rand_int_poly(rng, rng.randrange(0, 9))
+        assert polys.mul(f, g) == _from_sympy(_to_sympy(f) * _to_sympy(g))
+    assert polys.mul([], [1, 2]) == []
+
+
 def test_divmod_and_gcd_vs_sympy():
     rng = random.Random(3)
     for _ in range(50):
-        f = _rand_poly(rng, rng.randrange(1, 6))
-        g = _rand_poly(rng, rng.randrange(1, 4))
-        if not polys.qtrim(g):
-            continue
-        qq, rr = polys.qdivmod(f, g)
-        assert polys.qtrim(polys.qadd(polys.qmul(qq, g), rr)) == polys.qtrim(f)
-        # sympy's gcd leaves a zero remainder in both
-        gcd = sympy.Poly(sympy.gcd(_to_sympy(f), _to_sympy(g)), x)
-        want = [Q(str(c)) for c in reversed(gcd.all_coeffs())]
-        assert polys.qdivides(want, f) and polys.qdivides(want, g)
+        f = _rand_int_poly(rng, rng.randrange(0, 12))
+        a = _rand_monic(rng, rng.randrange(1, 6))
+        quot, rem = polys.divmod_monic(f, a)
+        assert quot == _from_sympy(sympy.quo(_to_sympy(f), _to_sympy(a)))
+        assert rem == _from_sympy(sympy.rem(_to_sympy(f), _to_sympy(a)))
+        # a common monic factor w of f = w u and g = w v (v monic) is what
+        # sympy's gcd finds, and it divides both exactly
+        w, u, v = _rand_monic(rng, 2, 50), _rand_int_poly(rng, 3, 50), _rand_monic(rng, 3, 50)
+        f, g = polys.mul(w, u), polys.mul(w, v)
+        gcd = _from_sympy(sympy.gcd(_to_sympy(f), _to_sympy(g)))
+        assert gcd[-1] == 1
+        for h in (f, g):
+            assert polys.exact_quo_monic(h, gcd) == _from_sympy(sympy.quo(_to_sympy(h), _to_sympy(gcd)))
 
 
 def test_exact_division_and_divides():
-    f = [Q(0), Q(-1), Q(1)]  # x^2 - x
-    g = [Q(0), Q(1)]  # x
-    assert polys.qdivides(g, f)
-    assert polys.qexact_div(f, g) == [Q(-1), Q(1)]
-    assert not polys.qdivides([Q(1), Q(1)], f)
+    f = [0, -1, 1]  # x^2 - x
+    assert polys.exact_quo_monic(f, [0, 1]) == [-1, 1]
+    with pytest.raises(InputError):
+        polys.exact_quo_monic(f, [1, 1])
 
 
 def test_poly_from_roots_and_power_sums():
@@ -49,6 +75,8 @@ def test_poly_from_roots_and_power_sums():
     assert f == [Q(-6), Q(11), Q(-6), Q(1)]  # (x-1)(x-2)(x-3)
     ps = polys.power_sums(f, 3)  # p_1..p_3
     assert ps == [Q(6), Q(14), Q(36)]
+    # over Z, and past the degree
+    assert polys.power_sums([-6, 11, -6, 1], 5) == [6, 14, 36, 98, 276]
 
 
 def test_roots_modq():
@@ -75,17 +103,27 @@ def test_from_power_sums_inverts_power_sums():
 
 
 def test_invmod():
+    # s g = r mod a with r an integer: s / r is sympy's inverse of g mod a
     rng = random.Random(11)
-    for _ in range(30):
-        m = _rand_poly(rng, rng.randrange(2, 6)) + [Q(1)]
-        f = _rand_poly(rng, rng.randrange(0, 8))
-        if sympy.degree(sympy.gcd(_to_sympy(f), _to_sympy(m)), x) != 0:
+    checked = 0
+    for _ in range(60):
+        a = _rand_monic(rng, rng.randrange(2, 9), 10**4)
+        g = _rand_int_poly(rng, rng.randrange(0, 12), 10**4)
+        ga, aa = _to_sympy(g), _to_sympy(a)
+        if sympy.degree(sympy.gcd(ga, aa), x) != 0 or not polys.trim(list(g)):
             continue
-        assert polys.qrem(polys.qmul(f, polys.qinvmod(f, m)), m) == [Q(1)]
-    with pytest.raises(ValueError):
-        polys.qinvmod([Q(-1), Q(1)], [Q(-1), Q(0), Q(1)])
+        s, r = polys.inv_mod_monic(g, a)
+        assert isinstance(r, int) and r != 0
+        assert polys.divmod_monic(polys.sub(polys.mul(s, g), [r]), a)[1] == []
+        assert _to_sympy(s).as_expr() == (r * sympy.invert(ga, aa)).rem(aa).as_expr()
+        checked += 1
+    assert checked > 40
+    with pytest.raises(InputError):
+        polys.inv_mod_monic([-1, 1], [-1, 0, 1])  # x - 1 divides x^2 - 1
+    with pytest.raises(InputError):
+        polys.inv_mod_monic([1, 0, 1, 0, 0], [1, 0, 1])  # zero modulo a
 
 
 def test_divmod_ignores_trailing_zeros():
-    f = [Q(9), Q(-10), Q(4), Q(0)]  # degree 2, stored with length 4
-    assert polys.qdivmod(f, [Q(-9), Q(-9), Q(-4), Q(1)]) == ([], [Q(9), Q(-10), Q(4)])
+    f = [9, -10, 4, 0]  # degree 2, stored with length 4
+    assert polys.divmod_monic(f, [-9, -9, -4, 1]) == ([], [9, -10, 4])
