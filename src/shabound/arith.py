@@ -327,6 +327,43 @@ def factor(n: int, budget: int | None = None) -> Factorization | Incomplete:
     return Factorization(n, sign, factors)
 
 
+def factor_with_hints(n: int, hints: tuple[int, ...], budget: int | None = None):
+    """Factor n, stripping the hinted primes first (they usually cover everything).
+
+    Velu's formulas pass the primes of the domain's discriminant and p,
+    since isogenous curves share their bad primes, and factor only what
+    is left.  With every hint at most _TRIAL_LIMIT the result equals
+    factor(n): trial division would find those primes anyway, and the
+    part of n above the trial limit, which decides completeness, is the
+    same.
+
+    The hints must be primes.  A hint below 2 raises InputError; a composite
+    hint is not detected (a primality test per hint would cost more than
+    the factoring it saves) and would appear as a "prime" of the result.
+    """
+    if n == 0:
+        raise InputError("cannot factor 0")
+    if any(q < 2 for q in hints):
+        raise InputError(f"hints must be primes: {hints}")
+    sign = 1 if n > 0 else -1
+    m = abs(n)
+    found = {}
+    for q in sorted(set(hints)):
+        while m % q == 0:
+            found[q] = found.get(q, 0) + 1
+            m //= q
+    if m == 1:
+        return Factorization(n, sign, tuple(sorted(found.items())))
+    rest = factor(m * sign, budget)
+    merged = dict(found)
+    for q, e in rest.factors:
+        merged[q] = merged.get(q, 0) + e
+    factors = tuple(sorted(merged.items()))
+    if rest.complete:
+        return Factorization(n, sign, factors)
+    return Incomplete(n, sign, factors, rest.cofactor)
+
+
 def require_complete(f: Factorization | Incomplete) -> Factorization:
     if isinstance(f, Incomplete):
         raise IncompleteFactorization(f)

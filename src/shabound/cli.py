@@ -154,7 +154,7 @@ def _second_kernel_payload(cls, text: str, p: int) -> dict:
     if not isinstance(coeffs, list):
         raise InputError("second-kernel: expected a JSON array of coefficients, low degree first")
     h = tuple(_parse_fraction(c) for c in coeffs)
-    iso2 = velu_quotient_from_kernel_poly(cls.curve, h, p)
+    iso2 = velu_quotient_from_kernel_poly(cls.curve, h, p, cls.disc_factorization.primes)
     # Valuation-ratio classification only; there is no rational kernel point here.
     s1, s2 = [], []
     fac2 = iso2.codomain_disc_factorization

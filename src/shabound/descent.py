@@ -13,11 +13,10 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from . import fplinalg
-from .arith import (
+from .arith import (  # factor_with_hints: the benchmark's span table traces it here
     Factorization,
-    Incomplete,
     character_eval,
-    factor,
+    factor_with_hints,
     residue_character,
 )
 from .bounds import BoundReport, FieldInvariants, bound_report
@@ -82,41 +81,6 @@ class ClassifiedCurve:
     disc_factorization: Factorization
 
 
-def factor_with_hints(n: int, hints: tuple[int, ...], budget: int | None = None):
-    """Factor n, stripping the hinted primes first (they usually cover everything).
-
-    Nothing in the pipeline calls this yet: the codomain's factorization
-    comes from the minimal model inside Velu's formulas.  It is kept as
-    the planned hinted path for that factoring (isogenous curves share
-    their bad primes), and the benchmark's span table traces it.
-
-    The hints must be primes.  A hint below 2 raises InputError; a composite
-    hint is not detected (a primality test per hint would cost more than
-    the factoring it saves) and would appear as a "prime" of the result.
-    """
-    if n == 0:
-        raise InputError("cannot factor 0")
-    if any(q < 2 for q in hints):
-        raise InputError(f"hints must be primes: {hints}")
-    sign = 1 if n > 0 else -1
-    m = abs(n)
-    found = {}
-    for q in sorted(set(hints)):
-        while m % q == 0:
-            found[q] = found.get(q, 0) + 1
-            m //= q
-    if m == 1:
-        return Factorization(n, sign, tuple(sorted(found.items())))
-    rest = factor(m * sign, budget)
-    merged = dict(found)
-    for q, e in rest.factors:
-        merged[q] = merged.get(q, 0) + e
-    factors = tuple(sorted(merged.items()))
-    if rest.complete:
-        return Factorization(n, sign, factors)
-    return Incomplete(n, sign, factors, rest.cofactor)
-
-
 def classify_primes(
     e: Curve,
     pt: Point,
@@ -131,7 +95,7 @@ def classify_primes(
     """
     emin, tr, fac_min = minimal_model(e, disc_factorization)
     pmin = transform_point(pt, tr)
-    iso = velu_quotient(emin, pmin, p)
+    iso = velu_quotient(emin, pmin, p, fac_min.primes)
     s1, s2, excluded, evidence = [], [], [], []
     for q, v in fac_min.factors:
         if q == p:

@@ -3,7 +3,9 @@
 Exact invariants, the group law on rational points, globally minimal
 models (Laska-Kraus-Connell), reduction-type classification at every
 prime and singular points of reduced models.  No floating point anywhere:
-coordinates are Fractions, coefficients are ints.
+coefficients are ints, and points are pairs of Fractions, except for the
+kernel walk, which runs over Z (a point of odd order on an integral model
+is integral).
 """
 
 from __future__ import annotations
@@ -97,11 +99,6 @@ def add_points(e: Curve, p: Point, q: Point) -> Point:
     """Group law. Inputs are checked against the curve equation."""
     _require_on_curve(e, p)
     _require_on_curve(e, q)
-    return add_unchecked(e, p, q)
-
-
-def add_unchecked(e: Curve, p: Point, q: Point) -> Point:
-    """The chord-tangent step for points already known to lie on e."""
     if p is None:
         return q
     if q is None:
@@ -121,23 +118,52 @@ def add_unchecked(e: Curve, p: Point, q: Point) -> Point:
     return (x3, y3)
 
 
-def kernel_multiples(e: Curve, pt: Point, p: int) -> list[Point] | None:
-    """P, 2P, ..., ((p-1)/2)P if P has exact order p, else None.
+def _integral_step(e: Curve, p: tuple[int, int], q: tuple[int, int]) -> tuple[int, int] | None:
+    """P + Q for integral points, over Z; None if the sum is O or not integral.
+
+    With lambda = num / den, x3 = (num^2 + a1 num den - (a2 + x1 + x2) den^2) / den^2
+    is an exact division exactly when the sum is integral.  Then y3, a
+    rational root of a monic integer quadratic, is an integer too, so
+    y3 = -num (x3 - x1) / den - a1 x3 - y1 - a3 divides exactly.
+    """
+    (x1, y1), (x2, y2) = p, q
+    a1, a2, a3, a4, _ = e.ainvs()
+    if x1 == x2:
+        if y1 + y2 + a1 * x2 + a3 == 0:
+            return None
+        num, den = 3 * x1 * x1 + 2 * a2 * x1 + a4 - a1 * y1, 2 * y1 + a1 * x1 + a3
+    else:
+        num, den = y2 - y1, x2 - x1
+    x3, rem = divmod(num * (num + a1 * den) - (a2 + x1 + x2) * den * den, den * den)
+    if rem:
+        return None
+    return (x3, -(num * (x3 - x1) // den) - a1 * x3 - y1 - a3)
+
+
+def kernel_multiples(e: Curve, pt: Point, p: int) -> list[tuple[int, int]] | None:
+    """P, 2P, ..., ((p-1)/2)P, as integer pairs, if P has exact order p, else None.
 
     One walk is both the order check and the kernel: it steps on to
     ((p+1)/2)P and asks for x(((p+1)/2)P) = x(((p-1)/2)P), that is pP = O,
     with no multiple up to (p+1)/2 equal to O.  Every proper divisor of p
-    is below (p+1)/2, so the order is exactly p.  P is checked against the
-    curve equation once; p must be an odd integer >= 3.
+    is below (p+1)/2, so the order is exactly p.  A point of odd order on
+    an integral model has integer coordinates (Silverman, The Arithmetic
+    of Elliptic Curves, Thm VII.3.4), so the walk runs over Z and a
+    non-integral P or multiple means the order is not p.  P is checked
+    against the curve equation once; p must be an odd integer >= 3.
     """
     if not isinstance(p, int) or p < 3 or p % 2 == 0:
         raise InputError(f"p must be an odd integer >= 3, got {p}")
     _require_on_curve(e, pt)
     if pt is None:
         return None
-    multiples = [pt]
+    x, y = Q(pt[0]), Q(pt[1])
+    if x.denominator != 1 or y.denominator != 1:
+        return None
+    first = (x.numerator, y.numerator)
+    multiples = [first]
     for _ in range((p - 1) // 2):
-        step = add_unchecked(e, multiples[-1], pt)
+        step = _integral_step(e, multiples[-1], first)
         if step is None:
             return None
         multiples.append(step)
@@ -163,7 +189,10 @@ class Transformation:
 
     @staticmethod
     def identity() -> "Transformation":
-        return Transformation(Q(1), Q(0), Q(0), Q(0))
+        return _IDENTITY
+
+
+_IDENTITY = Transformation(Q(1), Q(0), Q(0), Q(0))
 
 
 def apply_transform(e: Curve, tr: Transformation) -> Curve:
@@ -186,6 +215,8 @@ def transform_point(pt: Point, tr: Transformation) -> Point:
     if pt is None:
         return None
     x, y = Q(pt[0]), Q(pt[1])
+    if tr is _IDENTITY:
+        return (x, y)
     u, r, s, t = tr.u, tr.r, tr.s, tr.t
     nx = (x - r) / u**2
     ny = (y - s * (x - r) - t) / u**3

@@ -5,22 +5,23 @@ rational kernel x-polynomial of degree (p-1)/2 (for subgroups whose
 points are irrational but Galois-stable).  Both go through one power-sum
 form of Velu's formulas, and the dual kernel comes from traces in
 Z[y]/(A_c), A_c the rescaled cofactor of the kernel in psi_p, so nothing
-here needs the roots of a kernel polynomial.  Division polynomials and
-the dual-kernel and closure arithmetic run over Z; Fractions appear only
+here needs the roots of a kernel polynomial.  Division polynomials, the
+dual-kernel and closure arithmetic, and Velu's formulas from a kernel
+point (whose multiples are integral) run over Z; Fractions appear only
 where a kernel polynomial or a model comes in or goes out.
 Codomains come back globally minimal, with the factorization of their
 discriminant, so discriminant valuations feed the descent classifier
-directly.
+directly; that factorization starts from hinted primes of the domain.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import comb, lcm
 
 from . import polys
-from .arith import Factorization
+from .arith import _TRIAL_LIMIT, Factorization, factor_with_hints, is_prime
 from .elliptic import (
     Curve,
     Point,
@@ -110,60 +111,74 @@ class IsogenyData:
     codomain_disc_factorization: Factorization  # of codomain.disc, from minimal_model
 
 
-def _integralize(a1: Fraction, a2: Fraction, a3: Fraction, a4: Fraction, a6: Fraction):
-    """Scale a rational model to an integral one; returns (curve, scale d).
+def _integralize(coeffs: tuple) -> tuple[Curve, int]:
+    """Scale a rational model (a1, a2, a3, a4, a6) to an integral one; returns (curve, scale d).
 
     The scaling is the u = 1/d change of coordinates, so points move by
-    (x, y) -> (d^2 x, d^3 y).
+    (x, y) -> (d^2 x, d^3 y).  Integer coefficients come back with d = 1
+    and no Fraction arithmetic.
     """
     d = 1
-    coeffs = (a1, a2, a3, a4, a6)
     weights = (1, 2, 3, 4, 6)
     while True:
-        bad = [c for c, wt in zip(coeffs, weights) if (c * d**wt).denominator != 1]
-        if not bad:
+        dens = [(c * d**wt).denominator for c, wt in zip(coeffs, weights)]
+        if all(den == 1 for den in dens):
             break
-        d *= lcm(*(int((c * d**wt).denominator) for c, wt in zip(coeffs, weights)))
+        d *= lcm(*dens)
     model = invariants(*(int(c * d**wt) for c, wt in zip(coeffs, weights)))
     return model, d
 
 
-def _velu(e: Curve, p: int, h: list[Fraction], kernel_points) -> IsogenyData:
-    """Velu's codomain from the power sums of the kernel polynomial h (y-free, p odd)."""
+def _velu(e: Curve, p: int, h: list, kernel_points, hints: tuple[int, ...]) -> IsogenyData:
+    """Velu's codomain from the power sums of the kernel polynomial h (y-free, p odd).
+
+    An integer h gives integer power sums and an integral model, which
+    _integralize returns at once.  The raw codomain's discriminant is
+    factored with the hints (primes of the domain's discriminant) and p
+    first: isogenous curves share their bad primes.
+    """
     d = len(h) - 1
     p1, p2, p3 = polys.power_sums(h, 3)
     t = 6 * p2 + e.b2 * p1 + d * e.b4
     w = 10 * p3 + 2 * e.b2 * p2 + 3 * e.b4 * p1 + d * e.b6
-    raw, scale = _integralize(Q(e.a1), Q(e.a2), Q(e.a3), e.a4 - 5 * t, e.a6 - e.b2 * t - 7 * w)
-    emin, tr, fac_min = minimal_model(raw)
+    raw, scale = _integralize((e.a1, e.a2, e.a3, e.a4 - 5 * t, e.a6 - e.b2 * t - 7 * w))
+    if is_prime(p):  # a point of order 9 also has a Velu quotient
+        hints = (*hints, p)
+    # hints above the trial limit would complete factorizations that factor() gives up on
+    fac_raw = factor_with_hints(raw.disc, tuple(q for q in hints if q <= _TRIAL_LIMIT))
+    emin, tr, fac_min = minimal_model(raw, fac_raw)
     if scale != 1:
         # raw coordinates are (scale^2 x, scale^3 y) images of the Velu output
         tr = Transformation(tr.u / scale, tr.r / scale**2, tr.s / scale, tr.t / scale**3)
-    return IsogenyData(p, e, emin, tr, tuple(h), kernel_points, fac_min)
+    return IsogenyData(p, e, emin, tr, tuple(map(Q, h)), kernel_points, fac_min)
 
 
-def velu_quotient(e: Curve, pt: Point, p: int) -> IsogenyData:
+def velu_quotient(e: Curve, pt: Point, p: int, hints: tuple[int, ...] = ()) -> IsogenyData:
     """The quotient isogeny E -> E/<P> for a rational point P of odd prime order p.
 
     The kernel is P, ..., ((p-1)/2)P, one representative per +-pair, from
-    the walk that also checks the order.  h divides the p-division
-    polynomial without a check: these multiples have distinct
-    x-coordinates, each a root of psi_p.
+    the integer walk that also checks the order, so the kernel polynomial
+    h is built in Z[x].  h divides the p-division polynomial without a
+    check: these multiples have distinct x-coordinates, each a root of
+    psi_p.  hints are primes of the discriminant of e (see _velu).
     """
     reps = kernel_multiples(e, pt, p)
     if reps is None:
         raise InputError(f"kernel point must have exact order {p}")
-    h = polys.qpow_x_shift([r[0] for r in reps])
-    return _velu(e, p, h, tuple(reps))
+    h = polys.from_roots([x for x, _ in reps])
+    return _velu(e, p, h, tuple((Q(x), Q(y)) for x, y in reps), hints)
 
 
-def velu_quotient_from_kernel_poly(e: Curve, h: list[Fraction], p: int) -> IsogenyData:
+def velu_quotient_from_kernel_poly(
+    e: Curve, h: list[Fraction], p: int, hints: tuple[int, ...] = ()
+) -> IsogenyData:
     """Quotient by a rational subgroup given by its kernel x-polynomial.
 
     h must be monic of degree (p-1)/2, divide the p-division polynomial,
     and its root set must be stable under the doubling map (subgroup
     rationality check).  Both checks run over Z after x = y / D, D the
     lcm of h's denominators, which makes h_D = D^d h(y / D) monic integral.
+    hints are primes of the discriminant of e (see _velu).
     """
     h = [Q(c) for c in h]
     if len(h) != (p - 1) // 2 + 1 or h[-1] != 1:
@@ -173,7 +188,7 @@ def velu_quotient_from_kernel_poly(e: Curve, h: list[Fraction], p: int) -> Isoge
         raise InputError("kernel polynomial does not divide the p-division polynomial")
     if not _stable_under_doubling(e, h):
         raise InputError("kernel polynomial roots are not closed under doubling")
-    return _velu(e, p, h, None)
+    return _velu(e, p, h, None, hints)
 
 
 def _stable_under_doubling(e: Curve, h: list[Fraction]) -> bool:
@@ -261,8 +276,7 @@ def dual_kernel_poly(iso: IsogenyData) -> list[Fraction]:
     for k in range(1, len(h)):
         x_pow = polys.divmod_monic(polys.mul(x_pow, x_num), a_c)[1]
         sums.append(Q(sum(a * t for a, t in zip(x_pow, traces)), p * x_den**k))
-    # move onto the minimal codomain model: x_min = (x_raw - r) / u^2
-    return _compose_affine(polys.qfrom_power_sums(sums), iso.to_minimal)
+    return polys.qfrom_power_sums(_shift_power_sums(sums, iso.to_minimal))
 
 
 def _velu_x_numerator(e: Curve, h_c: list[int], p: int, c: int) -> list[int]:
@@ -280,14 +294,19 @@ def _velu_x_numerator(e: Curve, h_c: list[int], p: int, c: int) -> list[int]:
     return polys.sub(out, polys.mul(_scaled(_psi2_squared(e), c), inner))
 
 
-def _compose_affine(h: list[Fraction], tr: Transformation) -> list[Fraction]:
-    """Monic polynomial whose roots are (roots(h) - r) / u^2."""
-    u2, r = tr.u**2, tr.r
-    # h(u^2 X + r), renormalized monic
-    out = [Q(0)]
-    xpow = [Q(1)]
-    shift = [r, u2]
-    for c in h:
-        out = polys.add(out, polys.scale(xpow, c))
-        xpow = polys.mul(xpow, shift)
-    return polys.qmonic(out)
+def _shift_power_sums(sums: list[Fraction], tr: Transformation) -> list[Fraction]:
+    """Power sums of the roots moved onto the minimal model, x_min = (x_raw - r) / u^2.
+
+    sums holds s_1..s_d of d roots; s_k of the moved roots is
+    sum_j C(k, j) (-r)^(k-j) s_j / u^(2k), with s_0 = d.  Most codomains
+    are minimal as Velu gives them (77 of the first 80 p = 5 fibers), and
+    then the sums are returned as they are.
+    """
+    if tr.u == 1 and tr.r == 0:
+        return sums
+    full = [len(sums), *sums]
+    u2 = tr.u * tr.u
+    return [
+        sum(comb(k, j) * (-tr.r) ** (k - j) * full[j] for j in range(k + 1)) / u2**k
+        for k in range(1, len(full))
+    ]

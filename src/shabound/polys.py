@@ -5,8 +5,7 @@ over Z or Q alike (the type of the coefficients passed in is the type
 that comes out); integer division, remainder and inversion modulo a
 monic polynomial, which keep Fraction normalization out of the
 division-polynomial and dual-kernel arithmetic; and the few rational
-helpers that convert at the edges (monic normalization, power sums and
-back).  Last, one mod-q helper: the brute-force root finder behind the
+helpers that convert at the edges (evaluation, power sums and back).  Last, one mod-q helper: the brute-force root finder behind the
 CRT congruences and the split test at q <= 3.  Degrees here never exceed
 a few dozen, so dense lists and the schoolbook product are the right
 tool.
@@ -56,6 +55,14 @@ def mul(f, g):
 
 def deriv(f):
     return trim([i * c for i, c in enumerate(f)][1:])
+
+
+def from_roots(roots) -> list:
+    """Monic polynomial with the given roots; integer roots give integer coefficients."""
+    out = [1]
+    for r in roots:
+        out = mul(out, [-r, 1])
+    return out
 
 
 def power_sums(f, k: int) -> list:
@@ -141,18 +148,6 @@ def qeval(f, x):
     for c in reversed(f):
         acc = acc * x + c
     return acc
-
-
-def qmonic(f):
-    return scale(f, 1 / Q(f[-1])) if f else f
-
-
-def qpow_x_shift(roots: list[Fraction]) -> list[Fraction]:
-    """Monic polynomial with the given roots."""
-    out = [Q(1)]
-    for r in roots:
-        out = mul(out, [-Q(r), Q(1)])
-    return out
 
 
 def qfrom_power_sums(s: list[Fraction]) -> list[Fraction]:

@@ -202,7 +202,9 @@ def _verify_dual_swap(cls: ClassifiedCurve) -> bool:
     iso = cls.isogeny
     p = cls.sets.p
     h_dual = dual_kernel_poly(iso)
-    iso_dual = velu_quotient_from_kernel_poly(iso.codomain, h_dual, p)
+    iso_dual = velu_quotient_from_kernel_poly(
+        iso.codomain, h_dual, p, iso.codomain_disc_factorization.primes
+    )
     back = iso_dual.codomain
     if (back.c4, back.c6, back.disc) != (cls.curve.c4, cls.curve.c6, cls.curve.disc):
         return False

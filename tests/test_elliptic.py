@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 from conftest import multiple
 
+from shabound import elliptic
 from shabound.arith import Incomplete, factor, require_complete, valuation
 from shabound.elliptic import (
     ADDITIVE,
@@ -26,8 +27,9 @@ from shabound.elliptic import (
     singular_point,
     transform_point,
 )
-from shabound.errors import IncompleteFactorization, InputError, SingularModel
+from shabound.errors import DegenerateFiber, IncompleteFactorization, InputError, SingularModel
 from shabound.isogeny import velu_quotient
+from shabound.search import fiber, tate_family
 
 Q = Fraction
 
@@ -74,6 +76,40 @@ def test_group_law_rejects_points_off_the_curve():
     for call in calls:
         with pytest.raises(InputError):
             call()
+
+
+def test_integral_kernel_walk_matches_the_fraction_group_law():
+    # kernel_multiples steps over Z; the Fraction group law must give the same points
+    corpus = [(5, s * b) for b in range(1, 41) for s in (1, -1)]
+    corpus += [(7, s * b) for b in range(1, 21) for s in (1, -1)]
+    walked = 0
+    for p, b in corpus:
+        try:
+            fib = fiber(tate_family(p), b)
+        except DegenerateFiber:
+            continue
+        e, pt = fib.curve, fib.point
+        reps = kernel_multiples(e, pt, p)
+        assert reps == [multiple(e, k, pt) for k in range(1, (p + 1) // 2)], (p, b)
+        assert all(type(c) is int for q in reps for c in q)
+        assert multiple(e, p, pt) is None
+        assert kernel_multiples(e, pt, 12 - p) is None  # 5 <-> 7: wrong order
+        walked += 1
+    assert walked == 119
+
+
+def test_integral_kernel_walk_rejects_points_of_infinite_order():
+    # 37a1: P = (0, 0) generates E(Q); P..4P are integral, 5P = (1/4, -5/8)
+    e = invariants(0, 0, 1, -1, 0)
+    pt = (Q(0), Q(0))
+    five_p = multiple(e, 5, pt)
+    assert five_p == (Q(1, 4), Q(-5, 8))
+    assert [multiple(e, k, pt) for k in range(1, 5)] == [(0, 0), (1, 0), (-1, -1), (2, -3)]
+    assert kernel_multiples(e, pt, 11) is None  # the step 4P -> 5P is an inexact division
+    assert kernel_multiples(e, five_p, 5) is None  # a non-integral point has no odd order
+    assert kernel_multiples(e, pt, 5) is None and kernel_multiples(e, pt, 7) is None
+    assert elliptic._integral_step(e, (2, -3), (0, 0)) is None
+    assert elliptic._integral_step(e, (0, 0), (0, -1)) is None  # P + (-P) = O
 
 
 def test_group_law_associativity_random():

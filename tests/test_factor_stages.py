@@ -4,6 +4,8 @@
 blocks of primes that it tests with one gcd each.  `_wheel_factor` below is
 the earlier single-wheel `factor`, kept as the oracle: the two must agree on
 the type, value, sign, factors and stubborn cofactor of every result.
+`factor_with_hints` with hints up to 10^6 must agree with `factor` in the
+same way: such hints only reorder trial division.
 """
 
 import os
@@ -13,11 +15,15 @@ import subprocess
 import sys
 from math import isqrt
 
+import pytest
 import sympy
 
 import shabound
 from shabound import arith
-from shabound.arith import Factorization, Incomplete, factor, is_prime
+from shabound.arith import Factorization, Incomplete, factor, factor_with_hints, is_prime
+from shabound.errors import IncompleteFactorization
+from shabound.isogeny import velu_quotient
+from shabound.search import fiber, tate_family
 
 
 def _wheel_factor(n, budget=None):
@@ -120,6 +126,39 @@ def test_factor_matches_the_single_wheel_oracle():
         assert _key(got) == _key(_wheel_factor(n, budget)), (n, budget)
         kinds.add(type(got))
     assert kinds == {Factorization, Incomplete}
+
+
+def test_small_hints_leave_factor_unchanged():
+    # Velu's formulas factor the codomain discriminant with the domain's
+    # primes up to 10^6 as hints; that must give the same bytes as factor
+    rng = random.Random(20041)
+    cases = _corpus(rng)
+    kinds = set()
+    for n, budget in cases:
+        want = factor(n, budget)
+        small = [q for q, _ in want.factors if q <= arith._TRIAL_LIMIT]
+        for hints in ((), tuple(small), tuple(rng.sample(small, len(small) // 2)) + (5, 7, 999983)):
+            got = factor_with_hints(n, hints, budget)
+            assert _key(got) == _key(want), (n, budget, hints)
+        kinds.add(type(want))
+    assert kinds == {Factorization, Incomplete}
+
+
+def test_small_hints_keep_the_p7_b_minus_150_codomain_incomplete():
+    # an S2 prime enters the raw codomain discriminant to the 7th power:
+    # 3555749^7 has 153 bits, above the 2^128 working limit
+    fib = fiber(tate_family(7), -150)
+    with pytest.raises(IncompleteFactorization) as caught:
+        velu_quotient(fib.curve, fib.point, 7, fib.disc_factorization.primes)
+    partial = caught.value.partial
+    assert partial.cofactor == 3555749**7
+    assert 3555749 in fib.disc_factorization.primes
+    want = factor(partial.value)
+    assert _key(partial) == _key(want)
+    small = tuple(q for q in fib.disc_factorization.primes if q <= arith._TRIAL_LIMIT) + (7,)
+    assert _key(factor_with_hints(partial.value, small)) == _key(want)
+    # a hint above the trial limit completes it, which would change reports
+    assert factor_with_hints(partial.value, fib.disc_factorization.primes).complete
 
 
 def test_blocks_hold_exactly_the_primes_from_the_wheel_limit_to_10_6():

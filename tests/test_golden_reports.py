@@ -21,6 +21,12 @@ SEARCHES = {
         {"p": 7, "scan_budget": 60, "verify_dual": False}, 1,
         "e224b5d5184aab9c9a1488e6a5fa5b5ab8ef28f08dfda63d21fe338cd7e73bf1",
     ),
+    # the scan-p7 benchmark config: 33 fibers end as incomplete_factorization,
+    # which a hint above the trial limit in Velu's factoring would change
+    "p7-300": (
+        {"p": 7, "scan_budget": 300, "verify_dual": False}, 1,
+        "a67eaf0e234ca93cfd66f5cd62cd87e82c37ce172e378f59f2f081cdebadbfff",
+    ),
     "forced-41-11-60-j2": (
         {"p": 5, "force_s1": [41], "force_s2": [11], "omega_max": 6,
          "scan_budget": 60, "verify_dual": False}, 2,

@@ -136,6 +136,32 @@ def test_dual_check_stays_in_integers(monkeypatch):
         assert 0 < calls[0] < 500, (p, calls[0])
 
 
+def test_velu_from_a_point_stays_in_integers(monkeypatch):
+    # the kernel walk, the kernel polynomial and Velu's t and w run over Z:
+    # Fractions only for the on-curve check of the input point and the
+    # transformation to the minimal codomain (7 products at p = 5 and at
+    # p = 7, b = 2; the Fraction walk made 57 and 69)
+    calls = [0]
+    mul, rmul = Fraction.__mul__, Fraction.__rmul__
+
+    def counted(op):
+        def wrapped(a, b):
+            calls[0] += 1
+            return op(a, b)
+        return wrapped
+
+    for p in (5, 7):
+        fib = fiber(tate_family(p), 2)
+        monkeypatch.setattr(Fraction, "__mul__", counted(mul))
+        monkeypatch.setattr(Fraction, "__rmul__", counted(rmul))
+        calls[0] = 0
+        iso = velu_quotient(fib.curve, fib.point, p, fib.disc_factorization.primes)
+        monkeypatch.undo()
+        assert 0 < calls[0] < 20, (p, calls[0])
+        assert all(type(c) is Fraction for c in iso.kernel_x_poly)
+        assert all(type(c) is Fraction for pt in iso.kernel_points for c in pt)
+
+
 def test_dual_kernel_round_trip_other_fiber():
     iso = velu_quotient(E_B5, P0, 5)
     h = dual_kernel_poly(iso)
@@ -156,21 +182,32 @@ def test_codomain_carries_its_discriminant_factorization():
             assert it.codomain_disc_factorization == factor(it.codomain.disc), (p, b)
 
 
+def test_composite_p_is_not_a_factoring_hint():
+    # 54b3 has a point of order 9, so a 9-isogeny; a hint of 9 would enter
+    # the codomain discriminant's factorization as a "prime" unless 3 is hinted too
+    e = invariants(1, -1, 1, -14, 29)
+    for hints in ((), factor(e.disc).primes):
+        iso = velu_quotient(e, (Q(3), Q(1)), 9, hints)
+        assert iso.codomain.ainvs() == (1, -1, 1, -29, -53)
+        assert iso.codomain_disc_factorization == factor(iso.codomain.disc)
+        assert iso.kernel_x_poly == (-81, 90, 0, -10, 1)
+
+
 def test_wrong_order_point_rejected():
     with pytest.raises(InputError):
         velu_quotient(E_B5, (Q(2), Q(12)), 5)
 
 
 def test_velu_quotient_walks_the_kernel_once(monkeypatch):
-    # P -> ((p+1)/2)P is the order check and the kernel: (p-1)/2 chord-tangent steps
+    # P -> ((p+1)/2)P is the order check and the kernel: (p-1)/2 integer chord-tangent steps
     calls = [0]
-    step = elliptic.add_unchecked
+    step = elliptic._integral_step
 
     def counted(*args):
         calls[0] += 1
         return step(*args)
 
-    monkeypatch.setattr(elliptic, "add_unchecked", counted)
+    monkeypatch.setattr(elliptic, "_integral_step", counted)
     fib = fiber(tate_family(7), 2)
     for e, pt, p in ((E11A3, P0, 5), (fib.curve, fib.point, 7)):
         calls[0] = 0

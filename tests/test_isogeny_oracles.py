@@ -13,12 +13,10 @@ from fractions import Fraction
 import pytest
 import sympy
 
-from shabound import polys
 from shabound.descent import classify_primes
 from shabound.elliptic import invariants
 from shabound.errors import InputError
 from shabound.isogeny import (
-    _compose_affine,
     _stable_under_doubling,
     division_poly_x,
     dual_kernel_poly,
@@ -51,7 +49,8 @@ def _sympy_poly(f, var):
 
 def _monic(g):
     """A sympy polynomial as a monic Fraction list, low degree first."""
-    return polys.qmonic([Q(str(c)) for c in reversed(g.all_coeffs())])
+    coeffs = [Q(str(c)) for c in reversed(g.all_coeffs())]
+    return [c / coeffs[-1] for c in coeffs]
 
 
 def _monic_radical(g):
@@ -67,7 +66,7 @@ def oracle_stable_under_doubling(e, h):
     den = 4 * z**3 + b2 * z**2 + 2 * b4 * z + b6
     hz = sum(sympy.Rational(c) * z**i for i, c in enumerate(h))
     res = sympy.Poly(sympy.resultant(sympy.Poly(hz, z), sympy.Poly(x * den - num, z), z), x)
-    hh = polys.qmonic([Q(c) for c in h])
+    hh = [Q(c) / Q(h[-1]) for c in h]
     return _monic_radical(res) == hh or _monic(res) == hh
 
 
@@ -85,7 +84,10 @@ def oracle_dual_kernel_poly(iso):
         uq = 4 * xq**3 + b2 * xq * xq + 2 * b4 * xq + b6
         nz += hq * hz * sympy.Rational(tq) + hq**2 * sympy.Rational(uq)
     res = sympy.Poly(sympy.resultant(az, sympy.Poly(x * hz.as_expr() ** 2 - nz.as_expr(), z), z), x)
-    return _compose_affine(_monic_radical(res), iso.to_minimal)
+    # onto the minimal codomain model: roots x_min = (x - r) / u^2 are the roots of g(u^2 x + r)
+    tr = iso.to_minimal
+    g = _sympy_poly(_monic_radical(res), x)
+    return _monic(sympy.Poly(g.as_expr().subs(x, sympy.Rational(tr.u) ** 2 * x + sympy.Rational(tr.r)), x))
 
 
 def oracle_division_poly_x(e, n):

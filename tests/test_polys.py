@@ -71,8 +71,14 @@ def test_exact_division_and_divides():
 
 def test_poly_from_roots_and_power_sums():
     roots = [Q(1), Q(2), Q(3)]
-    f = polys.qpow_x_shift(roots)
+    f = polys.from_roots(roots)
     assert f == [Q(-6), Q(11), Q(-6), Q(1)]  # (x-1)(x-2)(x-3)
+    assert all(type(c) is Q for c in f[:-1])
+    # integer roots stay in Z
+    g = polys.from_roots([1, 2, 3])
+    assert g == f and all(type(c) is int for c in g)
+    assert polys.from_roots([Q(1, 2), Q(-2, 3)]) == [Q(-1, 3), Q(1, 6), 1]
+    assert polys.from_roots([]) == [1]
     ps = polys.power_sums(f, 3)  # p_1..p_3
     assert ps == [Q(6), Q(14), Q(36)]
     # over Z, and past the degree
@@ -98,7 +104,7 @@ def test_has_root_large_q():
 def test_from_power_sums_inverts_power_sums():
     rng = random.Random(7)
     for _ in range(30):
-        f = polys.qmonic(_rand_poly(rng, rng.randrange(1, 6)) + [Q(1)])
+        f = _rand_poly(rng, rng.randrange(1, 6)) + [Q(1)]
         assert polys.qfrom_power_sums(polys.power_sums(f, len(f) - 1)) == f
 
 
