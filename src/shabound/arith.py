@@ -1,16 +1,14 @@
 """Exact integer and modular arithmetic.
 
 Primality, factorization with an effort budget, p-th power residue
-characters, local p-th power tests, CRT and cyclotomic splitting data.
-Everything here is deterministic: the rho cycle-finder uses a fixed
-polynomial schedule, never a random seed.
+characters, valuations and CRT.  Everything here is deterministic: the
+rho cycle-finder uses a fixed polynomial schedule, never a random seed.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from itertools import compress
 from math import gcd, isqrt, prod
@@ -412,13 +410,9 @@ def residue_character(ell: int, p: int) -> ResidueCharacter:
     return ResidueCharacter(ell, p, g)
 
 
-def character_eval(chi: ResidueCharacter, a: int | Fraction) -> int:
+def character_eval(chi: ResidueCharacter, a: int) -> int:
     """x in {0..p-1} with a^((ell-1)/p) = g^x mod ell; 0 iff a is a p-th power mod ell."""
     ell, p = chi.ell, chi.p
-    if isinstance(a, Fraction):
-        if a.numerator % ell == 0 or a.denominator % ell == 0:
-            raise InputError(f"{a} is not a unit mod {ell}")
-        a = a.numerator * pow(a.denominator, -1, ell) % ell
     if a % ell == 0:
         raise InputError(f"{a} is divisible by ell = {ell}")
     target = pow(a, (ell - 1) // p, ell)
@@ -430,49 +424,15 @@ def character_eval(chi: ResidueCharacter, a: int | Fraction) -> int:
     raise AssertionError("character value not a power of the generator")
 
 
-def valuation(x: Fraction | int, q: int) -> int:
-    """q-adic valuation of a nonzero rational."""
-    x = Fraction(x)
-    if x == 0:
+def valuation(n: int, q: int) -> int:
+    """q-adic valuation of a nonzero integer."""
+    if n == 0:
         raise InputError("valuation of 0")
     v = 0
-    n = x.numerator
     while n % q == 0:
         n //= q
         v += 1
-    d = x.denominator
-    while d % q == 0:
-        d //= q
-        v -= 1
     return v
-
-
-def unit_part_mod(x: Fraction | int, q: int, modulus: int) -> int:
-    """The q-unit part of x reduced mod `modulus` (a power of q)."""
-    x = Fraction(x)
-    v = valuation(x, q)
-    n, d = x.numerator, x.denominator
-    if v > 0:
-        n //= q**v
-    elif v < 0:
-        d //= q ** (-v)
-    return n * pow(d, -1, modulus) % modulus
-
-
-def is_local_pth_power(x: Fraction | int, q: int, p: int) -> bool:
-    """True iff x is a p-th power in the field of q-adic numbers (p odd prime)."""
-    x = Fraction(x)
-    if x == 0:
-        raise InputError("x must be nonzero")
-    if valuation(x, q) % p != 0:
-        return False
-    if q == p:
-        u = unit_part_mod(x, q, p * p)
-        return pow(u, p - 1, p * p) == 1
-    if q % p == 1:
-        chi = residue_character(q, p)
-        return character_eval(chi, unit_part_mod(x, q, q)) == 0
-    return True
 
 
 def crt_solve(congruences: list[tuple[int, int]]) -> int:
@@ -489,27 +449,3 @@ def crt_solve(congruences: list[tuple[int, int]]) -> int:
         x += m * t
         m *= n
     return x % m
-
-
-@dataclass(frozen=True)
-class SplittingData:
-    """How a rational prime splits in the p-th cyclotomic field."""
-
-    ell: int
-    p: int
-    residue_degree: int  # order of ell mod p
-    num_primes: int  # (p-1) / residue_degree
-
-
-def cyclotomic_splitting(ell: int, p: int) -> SplittingData:
-    """Residue degree and number of primes over ell in the field of p-th roots of unity."""
-    if ell == p:
-        raise InputError("ell = p is ramified")
-    if not is_prime(ell) or not is_prime(p) or p == 2:
-        raise InputError(f"need distinct primes with p odd: ell={ell}, p={p}")
-    f = 1
-    val = ell % p
-    while val != 1:
-        val = val * ell % p
-        f += 1
-    return SplittingData(ell, p, f, (p - 1) // f)

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil
 
+from .arith import is_prime
 from .errors import HypothesisViolated, InputError
 
 
@@ -68,12 +69,6 @@ def _formula(body):
 
     formula.body = body
     return formula
-
-
-@_formula
-def dim_ksp(f: FieldInvariants, s: int) -> int:
-    """dim of the p-Selmer-support group K(S,p): d/2 + #S + dim C_K[p]."""
-    return f.d // 2 + s + f.cp
 
 
 @_formula
@@ -147,7 +142,7 @@ def theorem_budget(p: int, k: int, n: int, deg_h: int) -> TheoremBudget:
     bound comes back >= k (equal to k: this is the sign-corrected chain
     -(#S2) - 3d - 1 + m/2 with #S2 = s2_max).
     """
-    if p <= 3:
+    if p <= 3 or not is_prime(p):
         raise InputError("p must be a prime > 3")
     if k < 1 or n < 1 or deg_h < 1:
         raise InputError("k, n and deg(h) must be >= 1")

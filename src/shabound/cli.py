@@ -173,13 +173,13 @@ def _second_kernel_payload(cls, text: str, p: int) -> dict:
 
 
 def cmd_matrix(args) -> int:
-    spec = character_matrix(args.p, _parse_prime_list(args.s1), _parse_prime_list(args.s2))
+    mat = character_matrix(args.p, _parse_prime_list(args.s1), _parse_prime_list(args.s2))
     payload = {
         "p": args.p,
-        "col_labels": list(spec.matrix.col_labels),
-        "row_labels": list(spec.matrix.row_labels),
-        "entries": spec.matrix.to_lists(),
-        "rank": fplinalg.rank(spec.matrix),
+        "col_labels": list(mat.col_labels),
+        "row_labels": list(mat.row_labels),
+        "entries": mat.to_lists(),
+        "rank": fplinalg.rank(mat),
     }
     _emit(args, payload)
     return 0

@@ -10,7 +10,7 @@ family scan both go through it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from . import fplinalg
 from .arith import (  # factor_with_hints: the benchmark's span table traces it here
@@ -60,14 +60,6 @@ class DescentSets:
     s3: tuple[int, ...]  # primes above p: always (p,) over Q
     excluded: tuple[tuple[int, str], ...]  # (prime, reason)
     evidence: tuple[tuple[int, str, str], ...]  # (prime, singular_point_test, valuation_ratio_test)
-
-
-def dual_sets(sets: DescentSets) -> DescentSets:
-    """The descent sets of the dual isogeny: S1 and S2 swap, S3 is unchanged."""
-    flipped = tuple(
-        (q, {S1: S2, S2: S1}[a], {S1: S2, S2: S1}[b]) for q, a, b in sets.evidence
-    )
-    return replace(sets, s1=sets.s2, s2=sets.s1, evidence=flipped)
 
 
 @dataclass(frozen=True)
@@ -137,21 +129,14 @@ def classify_primes(
 
 # --------------------------------------------------------- character matrix
 
-@dataclass(frozen=True)
-class CharacterMatrixSpec:
-    p: int
-    col_basis: tuple[int, ...]  # generators of Q(S1, p): the primes of S1
-    row_conditions: tuple[int, ...]  # the primes of S2
-    matrix: fplinalg.FpMatrix
-
-
-def character_matrix(p: int, s1, s2, drop_trivial_rows: bool = False) -> CharacterMatrixSpec:
+def character_matrix(p: int, s1, s2, drop_trivial_rows: bool = False) -> fplinalg.FpMatrix:
     """Matrix of the inclusion map Q(S1,p) -> sum of local units mod p-th powers.
 
-    Entry (row ell, col q) is the residue character of q at ell.  With
-    drop_trivial_rows, primes of S2 not congruent to 1 mod p contribute a
-    trivial local group and are silently omitted (needed for the dual
-    direction over Q); otherwise they are rejected.
+    Columns are the primes of S1 (generators of Q(S1, p)), rows the primes
+    of S2, both as labels.  Entry (row ell, col q) is the residue character
+    of q at ell.  With drop_trivial_rows, primes of S2 not congruent to
+    1 mod p contribute a trivial local group and are silently omitted
+    (needed for the dual direction over Q); otherwise they are rejected.
     """
     s1 = tuple(s1)
     s2 = tuple(s2)
@@ -166,14 +151,13 @@ def character_matrix(p: int, s1, s2, drop_trivial_rows: bool = False) -> Charact
                 continue
             raise InputError(f"S2 prime {ell} is not congruent to 1 mod {p}")
         rows.append(ell)
-    mat = fplinalg.fp_matrix(
+    return fplinalg.fp_matrix(
         p,
         _character_rows(p, rows, s1),
         row_labels=[str(ell) for ell in rows],
         col_labels=[str(q) for q in s1],
         cols=len(s1),
     )
-    return CharacterMatrixSpec(p, s1, tuple(rows), mat)
 
 
 def _character_rows(p: int, ells, cols) -> list[list[int]]:
@@ -184,7 +168,7 @@ def _character_rows(p: int, ells, cols) -> list[list[int]]:
 
 def m_rank(p: int, s1, s2, drop_trivial_rows: bool = False) -> int:
     """m(S1, S2): the F_p-rank of the character matrix."""
-    return fplinalg.rank(character_matrix(p, s1, s2, drop_trivial_rows).matrix)
+    return fplinalg.rank(character_matrix(p, s1, s2, drop_trivial_rows))
 
 
 # ------------------------------------------------------------ the sandwich

@@ -1,11 +1,11 @@
 """Long-Weierstrass elliptic curve models over Q.
 
-Exact invariants, the group law on rational points, globally minimal
-models (Laska-Kraus-Connell), reduction-type classification at every
-prime and singular points of reduced models.  No floating point anywhere:
-coefficients are ints, and points are pairs of Fractions, except for the
-kernel walk, which runs over Z (a point of odd order on an integral model
-is integral).
+Exact invariants, the kernel walk of a point of odd order, globally
+minimal models (Laska-Kraus-Connell), reduction-type classification at
+every prime and singular points of reduced models.  No floating point
+anywhere: coefficients are ints, and points are pairs of Fractions,
+except for the kernel walk, which runs over Z (a point of odd order on
+an integral model is integral).
 """
 
 from __future__ import annotations
@@ -93,29 +93,6 @@ def on_curve(e: Curve, pt: Point) -> bool:
 def _require_on_curve(e: Curve, pt: Point) -> None:
     if not on_curve(e, pt):
         raise InputError(f"point {pt} is not on the curve {e.ainvs()}")
-
-
-def add_points(e: Curve, p: Point, q: Point) -> Point:
-    """Group law. Inputs are checked against the curve equation."""
-    _require_on_curve(e, p)
-    _require_on_curve(e, q)
-    if p is None:
-        return q
-    if q is None:
-        return p
-    x1, y1 = Q(p[0]), Q(p[1])
-    x2, y2 = Q(q[0]), Q(q[1])
-    a1, a2, a3, a4, a6 = e.ainvs()
-    if x1 == x2:
-        if y1 + y2 + a1 * x2 + a3 == 0:
-            return None
-        lam = (3 * x1 * x1 + 2 * a2 * x1 + a4 - a1 * y1) / (2 * y1 + a1 * x1 + a3)
-    else:
-        lam = (y2 - y1) / (x2 - x1)
-    nu = y1 - lam * x1
-    x3 = lam * lam + a1 * lam - a2 - x1 - x2
-    y3 = -(lam + a1) * x3 - nu - a3
-    return (x3, y3)
 
 
 def _integral_step(e: Curve, p: tuple[int, int], q: tuple[int, int]) -> tuple[int, int] | None:

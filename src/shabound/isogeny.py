@@ -29,8 +29,6 @@ from .elliptic import (
     invariants,
     kernel_multiples,
     minimal_model,
-    on_curve,
-    transform_point,
 )
 from .errors import InputError
 
@@ -107,7 +105,6 @@ class IsogenyData:
     codomain: Curve  # globally minimal
     to_minimal: Transformation  # Velu's (rational) output model -> codomain
     kernel_x_poly: tuple[Fraction, ...]  # monic, degree (p-1)/2
-    kernel_points: tuple[tuple[Fraction, Fraction], ...] | None
     codomain_disc_factorization: Factorization  # of codomain.disc, from minimal_model
 
 
@@ -129,7 +126,7 @@ def _integralize(coeffs: tuple) -> tuple[Curve, int]:
     return model, d
 
 
-def _velu(e: Curve, p: int, h: list, kernel_points, hints: tuple[int, ...]) -> IsogenyData:
+def _velu(e: Curve, p: int, h: list, hints: tuple[int, ...]) -> IsogenyData:
     """Velu's codomain from the power sums of the kernel polynomial h (y-free, p odd).
 
     An integer h gives integer power sums and an integral model, which
@@ -150,7 +147,7 @@ def _velu(e: Curve, p: int, h: list, kernel_points, hints: tuple[int, ...]) -> I
     if scale != 1:
         # raw coordinates are (scale^2 x, scale^3 y) images of the Velu output
         tr = Transformation(tr.u / scale, tr.r / scale**2, tr.s / scale, tr.t / scale**3)
-    return IsogenyData(p, e, emin, tr, tuple(map(Q, h)), kernel_points, fac_min)
+    return IsogenyData(p, e, emin, tr, tuple(map(Q, h)), fac_min)
 
 
 def velu_quotient(e: Curve, pt: Point, p: int, hints: tuple[int, ...] = ()) -> IsogenyData:
@@ -166,7 +163,7 @@ def velu_quotient(e: Curve, pt: Point, p: int, hints: tuple[int, ...] = ()) -> I
     if reps is None:
         raise InputError(f"kernel point must have exact order {p}")
     h = polys.from_roots([x for x, _ in reps])
-    return _velu(e, p, h, tuple((Q(x), Q(y)) for x, y in reps), hints)
+    return _velu(e, p, h, hints)
 
 
 def velu_quotient_from_kernel_poly(
@@ -188,7 +185,7 @@ def velu_quotient_from_kernel_poly(
         raise InputError("kernel polynomial does not divide the p-division polynomial")
     if not _stable_under_doubling(e, h):
         raise InputError("kernel polynomial roots are not closed under doubling")
-    return _velu(e, p, h, None, hints)
+    return _velu(e, p, h, hints)
 
 
 def _stable_under_doubling(e: Curve, h: list[Fraction]) -> bool:
@@ -210,37 +207,6 @@ def _stable_under_doubling(e: Curve, h: list[Fraction]) -> bool:
         den_pow = polys.divmod_monic(polys.mul(den_pow, den), h_d)[1]
         acc = polys.add(polys.divmod_monic(polys.mul(acc, num), h_d)[1], polys.scale(den_pow, c))
     return not acc
-
-
-def push_point(iso: IsogenyData, pt: Point) -> Point:
-    """Image of a rational point of the domain on the (minimal) codomain."""
-    if not on_curve(iso.domain, pt):
-        raise InputError(f"point {pt} is not on the isogeny domain")
-    if pt is None:
-        return None
-    if polys.qeval(list(iso.kernel_x_poly), Q(pt[0])) == 0:
-        return None
-    if iso.kernel_points is None:
-        raise InputError("push_point needs a kernel given by rational points")
-    e = iso.domain
-    a1, a3 = e.a1, e.a3
-    a2, a4 = e.a2, e.a4
-    x, y = Q(pt[0]), Q(pt[1])
-    xx, yy = x, y
-    for xq, yq in iso.kernel_points:
-        gx = 3 * xq * xq + 2 * a2 * xq + a4 - a1 * yq
-        gy = -2 * yq - a1 * xq - a3
-        tq = 2 * gx - a1 * gy
-        uq = gy * gy
-        dxi = x - xq
-        xx += tq / dxi + uq / dxi**2
-        yy -= (
-            uq * (2 * y + a1 * x + a3) / dxi**3
-            + tq * (a1 * dxi + y - yq) / dxi**2
-            + (a1 * uq - gx * gy) / dxi**2
-        )
-    image_raw = (xx, yy)
-    return transform_point(image_raw, iso.to_minimal)
 
 
 def dual_kernel_poly(iso: IsogenyData) -> list[Fraction]:

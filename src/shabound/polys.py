@@ -1,14 +1,16 @@
 """Small dense univariate polynomial helpers.
 
-Coefficients low-degree-first.  Three layers: ring operations that work
-over Z or Q alike (the type of the coefficients passed in is the type
-that comes out); integer division, remainder and inversion modulo a
-monic polynomial, which keep Fraction normalization out of the
-division-polynomial and dual-kernel arithmetic; and the few rational
-helpers that convert at the edges (evaluation, power sums and back).  Last, one mod-q helper: the brute-force root finder behind the
-CRT congruences and the split test at q <= 3.  Degrees here never exceed
-a few dozen, so dense lists and the schoolbook product are the right
-tool.
+Coefficients low-degree-first.  Three layers: ring operations and
+evaluation that work over Z or Q alike (the type of the coefficients
+passed in is the type that comes out); integer division, remainder and
+inversion modulo a monic polynomial, which keep Fraction normalization
+out of the division-polynomial and dual-kernel arithmetic; and one
+rational helper that converts at the edge (power sums back to a
+polynomial).
+
+Last, one mod-q helper: the brute-force root finder behind the CRT
+congruences and the split test at q <= 3.  Degrees here never exceed a
+few dozen, so dense lists and the schoolbook product are the right tool.
 """
 
 from __future__ import annotations
@@ -51,6 +53,14 @@ def mul(f, g):
         for j, b in enumerate(g):
             out[i + j] += a * b
     return trim(out)
+
+
+def evaluate(f, x):
+    """f(x) by Horner's rule."""
+    acc = 0
+    for c in reversed(f):
+        acc = acc * x + c
+    return acc
 
 
 def deriv(f):
@@ -142,13 +152,6 @@ def inv_mod_monic(g: list[int], a: list[int]) -> tuple[list[int], int]:
 
 
 # ----------------------------------------------------------------- over Q
-
-def qeval(f, x):
-    acc = Q(0)
-    for c in reversed(f):
-        acc = acc * x + c
-    return acc
-
 
 def qfrom_power_sums(s: list[Fraction]) -> list[Fraction]:
     """Monic polynomial of degree len(s) whose roots have power sums s_1..s_d."""

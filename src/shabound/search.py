@@ -47,10 +47,7 @@ class FactorPoly:
     role: str  # which S-set a prime dividing this factor lands in
 
     def eval_at(self, b: int) -> int:
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = acc * b + c
-        return acc
+        return polys.evaluate(self.coeffs, b)
 
 
 @dataclass(frozen=True)
@@ -58,17 +55,10 @@ class FamilySpec:
     p: int
     parameter_name: str
     ainv_polys: tuple[tuple[int, ...], ...]  # five coefficient lists in the parameter
-    disc_const: int  # constant content of the discriminant polynomial
-    factor_polys: tuple[FactorPoly, ...]
+    factor_polys: tuple[FactorPoly, ...]  # the discriminant's content is 1 in both families
 
     def ainvs_at(self, b: int) -> tuple[int, int, int, int, int]:
-        out = []
-        for cs in self.ainv_polys:
-            acc = 0
-            for c in reversed(cs):
-                acc = acc * b + c
-            out.append(acc)
-        return tuple(out)
+        return tuple(polys.evaluate(cs, b) for cs in self.ainv_polys)
 
 
 # Tate normal form E(B, C): y^2 + (1 - C)xy - By = x^3 - Bx^2 with (0, 0) of
@@ -79,11 +69,11 @@ class FamilySpec:
 # multiplicative prime dividing only that factor in.
 _FAMILIES = {
     5: FamilySpec(
-        5, "b", ((1, -1), (0, -1), (0, -1), (0,), (0,)), 1,
+        5, "b", ((1, -1), (0, -1), (0, -1), (0,), (0,)),
         (FactorPoly((0, 1), 5, S1), FactorPoly((-1, -11, 1), 1, S2)),
     ),
     7: FamilySpec(
-        7, "b", ((1, 1, -1), (0, 0, 1, -1), (0, 0, 1, -1), (0,), (0,)), 1,
+        7, "b", ((1, 1, -1), (0, 0, 1, -1), (0, 0, 1, -1), (0,), (0,)),
         (
             FactorPoly((-1, 1), 7, S1),
             FactorPoly((0, 1), 7, S1),
@@ -124,10 +114,8 @@ def _fiber_disc_factorization(family: FamilySpec, b: int, disc: int) -> Factoriz
     """Factor the fiber discriminant factor-polynomial-wise (smaller pieces)."""
     merged: dict[int, int] = {}
     sign = 1
-    pieces = [(family.disc_const, 1)] + [
-        (fp.eval_at(b), fp.multiplicity) for fp in family.factor_polys
-    ]
-    for value, mult in pieces:
+    for fp in family.factor_polys:
+        value, mult = fp.eval_at(b), fp.multiplicity
         if value < 0:
             sign *= (-1) ** mult
         fac = require_complete(factor(value)) if abs(value) != 1 else None
@@ -198,7 +186,15 @@ def construct_parameter(family: FamilySpec, c: SearchConstraints) -> tuple[int, 
 # ------------------------------------------------------------------- scan
 
 def _verify_dual_swap(cls: ClassifiedCurve) -> bool:
-    """Re-derive the dual isogeny explicitly and check the S1/S2 swap."""
+    """Re-derive the dual isogeny explicitly and check the S1/S2 swap.
+
+    What this certifies is the round trip E -> E' -> E'/<dual kernel>:
+    the dual kernel polynomial is rebuilt from the isogeny, Velu's quotient
+    of E' by it is taken, and it must have E's minimal (c4, c6, Delta).
+    Once it does, the per-prime swap follows: valuation_ratio_set maps
+    (v_q(Delta'), v_q(Delta)) to the other set by construction.  The loop
+    over the primes stays as a guard on that bookkeeping.
+    """
     iso = cls.isogeny
     p = cls.sets.p
     h_dual = dual_kernel_poly(iso)

@@ -1,4 +1,40 @@
-from shabound.elliptic import add_points
+"""Test oracles shared by the test modules.
+
+The runtime package has one group law, the integral kernel walk
+``elliptic.kernel_multiples``.  The Fraction chord-tangent law and
+Velu's point pushforward live here as independent references for it and
+for Velu's codomain.
+"""
+
+from fractions import Fraction
+
+from shabound.elliptic import _require_on_curve, kernel_multiples, transform_point
+from shabound.errors import InputError
+
+Q = Fraction
+
+
+def add_points(e, p, q):
+    """Group law on Fraction points (None is O). Inputs are checked against the curve equation."""
+    _require_on_curve(e, p)
+    _require_on_curve(e, q)
+    if p is None:
+        return q
+    if q is None:
+        return p
+    x1, y1 = Q(p[0]), Q(p[1])
+    x2, y2 = Q(q[0]), Q(q[1])
+    a1, a2, a3, a4, a6 = e.ainvs()
+    if x1 == x2:
+        if y1 + y2 + a1 * x2 + a3 == 0:
+            return None
+        lam = (3 * x1 * x1 + 2 * a2 * x1 + a4 - a1 * y1) / (2 * y1 + a1 * x1 + a3)
+    else:
+        lam = (y2 - y1) / (x2 - x1)
+    nu = y1 - lam * x1
+    x3 = lam * lam + a1 * lam - a2 - x1 - x2
+    y3 = -(lam + a1) * x3 - nu - a3
+    return (x3, y3)
 
 
 def multiple(e, n, pt):
@@ -9,6 +45,37 @@ def multiple(e, n, pt):
     for _ in range(n):
         acc = add_points(e, acc, pt)
     return acc
+
+
+def push_point(iso, gen, pt):
+    """Image of a rational point of iso.domain on the minimal codomain, by Velu's formulas.
+
+    gen generates the kernel; its multiples P..((p-1)/2)P come from
+    kernel_multiples, one per +-pair.
+    """
+    e = iso.domain
+    _require_on_curve(e, pt)
+    kernel = kernel_multiples(e, gen, iso.p)
+    if kernel is None:
+        raise InputError(f"kernel generator must have exact order {iso.p}")
+    if pt is None or Q(pt[0]) in {x for x, _ in kernel}:
+        return None
+    a1, a2, a3, a4 = e.a1, e.a2, e.a3, e.a4
+    x, y = Q(pt[0]), Q(pt[1])
+    xx, yy = x, y
+    for xq, yq in kernel:
+        gx = 3 * xq * xq + 2 * a2 * xq + a4 - a1 * yq
+        gy = -2 * yq - a1 * xq - a3
+        tq = 2 * gx - a1 * gy
+        uq = gy * gy
+        dxi = x - xq
+        xx += tq / dxi + uq / dxi**2
+        yy -= (
+            uq * (2 * y + a1 * x + a3) / dxi**3
+            + tq * (a1 * dxi + y - yq) / dxi**2
+            + (a1 * uq - gx * gy) / dxi**2
+        )
+    return transform_point((xx, yy), iso.to_minimal)
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

@@ -11,15 +11,12 @@ from shabound.arith import (
     ResidueCharacter,
     character_eval,
     crt_solve,
-    cyclotomic_splitting,
     factor,
-    is_local_pth_power,
     is_prime,
     jacobi,
     require_complete,
     residue_character,
     smallest_primitive_root,
-    unit_part_mod,
     valuation,
 )
 from shabound.errors import IncompleteFactorization, InputError
@@ -155,25 +152,3 @@ def test_crt_fixtures():
     with pytest.raises(InputError):
         crt_solve([(1, 4), (0, 6)])  # moduli not coprime
 
-
-def test_unit_part():
-    assert unit_part_mod(50, 5, 25) == 2 % 25
-
-
-def test_local_pth_power_fixtures():
-    # v_q != 0 mod p fails; unit satisfying the p-adic condition passes
-    assert not is_local_pth_power(11, 11, 5)
-    assert is_local_pth_power(11**5, 11, 5)
-    assert is_local_pth_power(32, 2, 5)  # 2 is not 1 mod 5: trivial local group
-
-
-def test_cyclotomic_splitting():
-    s = cyclotomic_splitting(11, 5)
-    assert s.residue_degree == 1 and s.num_primes == 4
-    s2 = cyclotomic_splitting(2, 5)
-    assert s2.residue_degree == 4 and s2.num_primes == 1
-    for p in (3, 5, 7, 11, 13):
-        for ell in (q for q in range(2, 300) if is_prime(q) and q != p):
-            s = cyclotomic_splitting(ell, p)
-            assert s.residue_degree * s.num_primes == p - 1
-            assert s.residue_degree == sympy.n_order(ell, p)

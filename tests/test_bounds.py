@@ -8,7 +8,6 @@ from shabound.bounds import (
     FieldInvariants,
     bound_report,
     cassels_interval,
-    dim_ksp,
     hypothesis_status,
     rank_upper,
     selmer_interval,
@@ -34,13 +33,6 @@ def test_hypothesis_status():
     assert hypothesis_status(F4) == (True, [])
     ok, reasons = hypothesis_status(FQ)
     assert not ok and len(reasons) == 2
-
-
-def test_dim_ksp():
-    assert dim_ksp(F4, 0) == 2
-    assert dim_ksp(F4, 3) == 5
-    with pytest.raises(HypothesisViolated):
-        dim_ksp(FQ, 0)
 
 
 def test_selmer_interval_fixtures():
@@ -88,8 +80,9 @@ def test_theorem_budget_fixture():
     assert tb.d_max == 8
     assert tb.s2_max == 24
     assert tb.sha_guarantee == 1
-    with pytest.raises(InputError):
-        theorem_budget(3, 1, 1, 1)
+    for p in (3, 6, 9):  # p must be a prime > 3
+        with pytest.raises(InputError):
+            theorem_budget(p, 1, 1, 1)
     with pytest.raises(InputError):
         theorem_budget(5, 0, 1, 1)
 
@@ -128,7 +121,6 @@ def test_negative_inputs_rejected_everywhere():
         lambda: cassels_interval(F4, 0, -1, 0),
         lambda: sum_lower(F4, -1, 0),
         lambda: sha_lower_matrix(F4, 0, 0, -1, 0),
-        lambda: dim_ksp(F4, -1),
         lambda: sha_from_sum(-1, 0),
     ):
         with pytest.raises(InputError):

@@ -115,6 +115,13 @@ def test_bounds_budget(capsys):
         assert {k: data[k] for k in want} == want, spec
 
 
+def test_bounds_budget_composite_p_exit_2(capsys):
+    for spec in ("6,1,1,1", "9,1,1,1"):
+        code, out, err = run(capsys, "bounds", "--budget", spec, "--json")
+        assert code == 2 and out == "", spec
+        assert "p must be a prime > 3" in err, spec
+
+
 def test_bounds_fields(capsys):
     code, out, _ = run(
         capsys, "bounds", "--d", "4", "--cp", "0", "--s1", "5", "--s2", "1",

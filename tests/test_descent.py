@@ -1,19 +1,23 @@
 """Prime classification, character matrix, Selmer sandwich."""
 
+import itertools
 import random
+from math import prod
 from fractions import Fraction
 
 import pytest
 
 from shabound.arith import is_prime
 from shabound.descent import (
+    S1,
+    S2,
     analyze_curve,
     character_matrix,
     classify_primes,
-    dual_sets,
     factor_with_hints,
     m_rank,
     sandwich_from_sets,
+    valuation_ratio_set,
 )
 from shabound.elliptic import invariants
 from shabound.errors import InputError
@@ -43,16 +47,10 @@ def test_classify_carries_nonminimal_input():
     assert cls.curve.disc == -11
 
 
-def test_dual_sets_swap_and_involution():
-    cls = classify_primes(E11A3, P0, 5)
-    d = dual_sets(cls.sets)
-    assert d.s1 == (11,) and d.s2 == () and d.s3 == (5,)
-    assert dual_sets(d) == cls.sets
-
-
 def test_character_matrix_fixture():
-    spec = character_matrix(5, (2, 3), (11, 31))
-    assert spec.matrix.to_lists() == [[1, 3], [4, 1]]
+    mat = character_matrix(5, (2, 3), (11, 31))
+    assert mat.to_lists() == [[1, 3], [4, 1]]
+    assert (mat.row_labels, mat.col_labels) == (("11", "31"), ("2", "3"))
     assert m_rank(5, (2, 3), (11, 31)) == 2
 
 
@@ -60,8 +58,8 @@ def test_character_matrix_rejects_bad_s2():
     with pytest.raises(InputError):
         character_matrix(5, (2,), (7,))
     # but the dual direction drops the trivial row
-    spec = character_matrix(5, (2,), (7,), drop_trivial_rows=True)
-    assert spec.matrix.rows == 0
+    mat = character_matrix(5, (2,), (7,), drop_trivial_rows=True)
+    assert mat.rows == 0
     assert m_rank(5, (2,), (7,), drop_trivial_rows=True) == 0
 
 
@@ -106,6 +104,68 @@ def test_sandwich_lower_le_upper_random():
             s2 = tuple(sorted(set(rng.sample(ones, rng.randrange(0, 4))) - set(s1)))
             sw = sandwich_from_sets(p, s1, s2)
             assert sw.lower_dim <= sw.upper_dim
+
+
+def _is_local_pth_power(x: int, q: int, p: int) -> bool:
+    """True iff the nonzero integer x is a p-th power in Q_q (p an odd prime).
+
+    v_q(x) must be 0 mod p.  A q-adic unit u is then a p-th power iff
+    u^(p-1) = 1 mod p^2 when q = p, iff u is a p-th power mod q when
+    q = 1 mod p, and always otherwise (Z_q^* is p-divisible).
+    """
+    v = 0
+    while x % q == 0:
+        x //= q
+        v += 1
+    if v % p:
+        return False
+    if q == p:
+        return pow(x, p - 1, p * p) == 1
+    if q % p == 1:
+        return pow(x, (q - 1) // p, q) == 1
+    return True
+
+
+def _count_local_pth_powers(p, support, conditions):
+    """#{e in F_p^support : prod q^e_q is a local p-th power at every prime of conditions}."""
+    return sum(
+        all(_is_local_pth_power(prod(q**e for q, e in zip(support, exps)), ell, p) for ell in conditions)
+        for exps in itertools.product(range(p), repeat=len(support))
+    )
+
+
+def test_sandwich_counts_local_pth_powers():
+    # both groups are defined by local conditions (Kloosterman-Schaefer,
+    # J. Number Theory 99 (2003)): the upper group by p-th powers at every
+    # prime of S2, the lower group also at p; each has p^dim elements.
+    # S2 draws mostly primes = 1 mod p, and a few others, whose local
+    # condition is empty
+    rng = random.Random(71)
+    primes = [ell for ell in range(2, 400) if is_prime(ell)]
+    cases = 0
+    for p in (5, 7):
+        pool = [q for q in primes if q != p]
+        s2_pool = [q for q in pool if q % p == 1 or q < 20]
+        for _ in range(25):
+            s1 = tuple(sorted(rng.sample(pool, rng.randrange(0, 4))))
+            s2 = tuple(sorted(rng.sample([q for q in s2_pool if q not in s1], rng.randrange(0, 3))))
+            sw = sandwich_from_sets(p, s1, s2)
+            upper_support = tuple(sorted(s1 + (p,)))
+            assert (sw.lower_support, sw.upper_support) == (s1, upper_support)
+            assert _count_local_pth_powers(p, upper_support, s2) == p**sw.upper_dim, (p, s1, s2)
+            assert _count_local_pth_powers(p, s1, s2 + (p,)) == p**sw.lower_dim, (p, s1, s2)
+            cases += 1
+    assert cases == 50
+
+
+def test_valuation_ratio_set_swaps_with_its_arguments():
+    # the dual isogeny sees (v', v) where the isogeny saw (v, v'): S1 and S2 trade places
+    for p in (5, 7):
+        for v in range(61):
+            for w in range(61):
+                if (v, w) == (0, 0):
+                    continue
+                assert (valuation_ratio_set(p, v, w) == S1) == (valuation_ratio_set(p, w, v) == S2), (p, v, w)
 
 
 def test_classify_rejects_wrong_order():

@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from conftest import multiple
+from conftest import add_points, multiple
 
 from shabound import elliptic
 from shabound.arith import Incomplete, factor, require_complete, valuation
@@ -15,7 +15,6 @@ from shabound.elliptic import (
     SPLIT,
     Transformation,
     _split_by_tangent_slopes,
-    add_points,
     apply_transform,
     has_order,
     invariants,

@@ -49,7 +49,7 @@ def _probe_role(p: int, ainv_polys, fpoly_coeffs: tuple[int, ...]) -> str:
     vanishes mod ell and the reduction is split multiplicative, then asks
     the descent classifier which set ell landed in.
     """
-    spec_tmp = FamilySpec(p, "b", ainv_polys, 1, ())
+    spec_tmp = FamilySpec(p, "b", ainv_polys, ())
     ell = 2
     attempts = 0
     while attempts < 400:
@@ -87,6 +87,7 @@ def derive_family(p: int) -> FamilySpec:
     b8 = a1**2 * a6 + 4 * a2 * a6 - a1 * a3 * a4 + a2 * a3**2 - a4**2
     disc = sympy.expand(-(b2**2) * b8 - 8 * b4**3 - 27 * b6**2 + 9 * b2 * b4 * b6)
     const, factors = sympy.factor_list(sympy.Poly(disc, b))
+    assert const == 1  # fiber discriminants factor as the product of the factor polynomials
     fps = []
     for poly, mult in factors:
         coeffs = [int(c) for c in reversed(sympy.Poly(poly, b).all_coeffs())]
@@ -95,7 +96,7 @@ def derive_family(p: int) -> FamilySpec:
         role = _probe_role(p, ainv_polys, tuple(coeffs))
         fps.append(FactorPoly(tuple(coeffs), int(mult), role))
     fps.sort(key=lambda f: (f.role, f.coeffs))
-    return FamilySpec(p, "b", ainv_polys, int(const), tuple(fps))
+    return FamilySpec(p, "b", ainv_polys, tuple(fps))
 
 
 @pytest.mark.parametrize("p", [5, 7])

@@ -16,7 +16,6 @@ from shabound.search import (
 
 def test_family_p5_derivation():
     fam = tate_family(5)
-    assert fam.disc_const == 1
     by_role = {fp.role: fp for fp in fam.factor_polys}
     assert by_role["S1"].coeffs == (0, 1) and by_role["S1"].multiplicity == 5
     assert by_role["S2"].coeffs == (-1, -11, 1)  # b^2 - 11b - 1
