@@ -11,7 +11,7 @@ import os
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import compress
-from math import gcd, isqrt, prod
+from math import gcd, isqrt, log2, prod
 
 from .errors import IncompleteFactorization, InputError
 
@@ -22,10 +22,22 @@ _MR_PROVEN_LIMIT = 3317044064679887385961981
 _WORKING_LIMIT = 1 << 128
 
 _TRIAL_LIMIT = 10**6
-_WHEEL_LIMIT = 1 << 12  # the mod-30 wheel trial-divides below this
-_BLOCK = 1 << 12  # width of one gcd-tested block of primes from _WHEEL_LIMIT to _TRIAL_LIMIT
+_SMALL_LIMIT = 1 << 12  # the primes below this are found with one gcd
+_BLOCK = 1 << 12  # width of one gcd-tested block of primes from _SMALL_LIMIT to _TRIAL_LIMIT
 
-_DEFAULT_RHO_BUDGET = int(os.environ.get("SHABOUND_FACTOR_BUDGET", "2000000"))
+_BUDGET_ENV = "SHABOUND_FACTOR_BUDGET"
+_BUDGET_TEXT = os.environ.get(_BUDGET_ENV, "2000000")
+try:
+    _DEFAULT_RHO_BUDGET = int(_BUDGET_TEXT)
+except ValueError:
+    _DEFAULT_RHO_BUDGET = -1  # rejected by default_budget, as a negative value is
+
+
+def default_budget() -> int:
+    """The rho budget of factor; InputError if SHABOUND_FACTOR_BUDGET is not an integer >= 0."""
+    if _DEFAULT_RHO_BUDGET < 0:
+        raise InputError(f"{_BUDGET_ENV} must be a nonnegative integer, got {_BUDGET_TEXT!r}")
+    return _DEFAULT_RHO_BUDGET
 
 
 def _miller_rabin_witness(a: int, n: int) -> bool:
@@ -229,6 +241,17 @@ def _rho_brent(n: int, budget: int) -> int | None:
 
 
 @lru_cache(maxsize=1)
+def _small_primes() -> tuple[tuple[int, ...], int]:
+    """The primes below _SMALL_LIMIT and their product; built on first need."""
+    sieve = bytearray([1]) * _SMALL_LIMIT
+    for q in range(2, isqrt(_SMALL_LIMIT) + 1):
+        if sieve[q]:
+            sieve[q * q :: q] = bytes(len(range(q * q, _SMALL_LIMIT, q)))
+    primes = tuple(compress(range(2, _SMALL_LIMIT), sieve[2:]))
+    return primes, prod(primes)
+
+
+@lru_cache(maxsize=1)
 def _odd_sieve() -> bytearray:
     """sieve[i] == 1 iff 2i + 1 is a prime <= _TRIAL_LIMIT; built on first need."""
     n = (_TRIAL_LIMIT + 1) // 2
@@ -253,72 +276,145 @@ def _block_product(lo: int) -> int:
     return prod(_block_primes(lo))
 
 
+@lru_cache(maxsize=None)
+def _residue_moduli(k: int) -> tuple[int, tuple[int, ...]]:
+    """Primes ell = 1 mod k, as many as fit a product below 2^30 (at least one), and that product."""
+    moduli = []
+    ell = k + 1
+    while not moduli or prod(moduli) * ell < 1 << 30:
+        if is_prime(ell):
+            moduli.append(ell)
+        ell += k
+    return prod(moduli), tuple(moduli)
+
+
+def _kth_root(m: int, k: int) -> int:
+    """floor(m ** (1/k)) for m >= 1, by integer Newton steps from a float estimate."""
+    if k == 2:
+        return isqrt(m)
+    e = log2(m) / k
+    t = max(int(e) - 60, 0)
+    x = int(2.0 ** (e - t)) << t
+    # a Newton step from any x > 0 lands at or above the floor of the root,
+    # and from there the steps decrease until they reach it
+    x = ((k - 1) * x + m // x ** (k - 1)) // k
+    while True:
+        y = ((k - 1) * x + m // x ** (k - 1)) // k
+        if y >= x:
+            return x
+        x = y
+
+
+def _exact_root(m: int, k: int) -> int | None:
+    """r with r^k == m, or None; most non-powers fail a k-th power residue test."""
+    product, moduli = _residue_moduli(k)
+    a = m % product
+    for ell in moduli:
+        if a % ell and pow(a, (ell - 1) // k, ell) != 1:
+            return None
+    r = _kth_root(m, k)
+    return r if r**k == m else None
+
+
+def _perfect_power(m: int, least: int) -> tuple[int, int]:
+    """(r, k) with r^k == m and k as large as possible, for m >= 1 with no prime <= least.
+
+    Only prime exponents q below 2^12 with least^q < m are tried: any
+    other q-th root is at most least, so it is 1.
+    """
+    k = 1
+    for q in _small_primes()[0]:
+        if q >= log2(m) / log2(least):
+            break
+        while (r := _exact_root(m, q)) is not None:
+            m, k = r, k * q
+    return m, k
+
+
+def _divide_out(m: int, q: int, found: dict[int, int], k: int = 1) -> int:
+    """m without its factors q, each credited to found k times."""
+    while m % q == 0:
+        found[q] = found.get(q, 0) + k
+        m //= q
+    return m
+
+
 def factor(n: int, budget: int | None = None) -> Factorization | Incomplete:
     """Factor a nonzero integer.
 
-    Trial division to 10^6 followed by Brent-rho with an iteration budget.
-    Below 2^12 the trial division walks a mod-30 wheel; above, the primes
-    come in blocks of width 2^12 and a block is divided by only when the
-    gcd of its primes' product with the cofactor is > 1.  Both stages stop
-    once the next candidate squared exceeds the cofactor.  The block
-    tables are built on first need, never for an input that the wheel
-    finishes.  Returns Incomplete (with the stubborn composite cofactor)
-    instead of looping forever; callers that need completeness must check.
+    Trial division to 10^6, then perfect-power splits and Brent rho with an
+    iteration budget.  The primes below 2^12 come from one gcd of n with
+    their product, and only that gcd is trial-divided (an n below 2^24 is
+    trial-divided itself).  If the cofactor is then a perfect k-th power
+    r^k, the rest of the trial division runs on r and credits each prime
+    it finds k times.  From 2^12 to 10^6 the primes come in blocks of
+    width 2^12, and a block is divided by only when the gcd of its primes'
+    product with r is > 1; the stage stops once the next block start
+    squared exceeds r.  The small primes and the block tables are built on
+    first need, never at import, and the block tables only for an r of at
+    least 2^24.
+
+    What is left has no prime factor up to 10^6.  A piece below 2^128 is a
+    prime, a perfect power (split into its root), or split by rho; a piece
+    at or above 2^128, perfect power or not, is reported unresolved.
+    Returns Incomplete (with that stubborn composite cofactor) instead of
+    looping forever; callers that need completeness must check.
     """
     if n == 0:
         raise InputError("cannot factor 0")
     if budget is None:
-        budget = _DEFAULT_RHO_BUDGET
+        budget = default_budget()
     sign = 1 if n > 0 else -1
     m = abs(n)
     found: dict[int, int] = {}
-    for p in (2, 3, 5):
-        while m % p == 0:
-            found[p] = found.get(p, 0) + 1
-            m //= p
-    d = 7
-    wheel = (4, 2, 4, 2, 4, 6, 2, 6)
-    i = 0
-    while d < _WHEEL_LIMIT and d * d <= m:
-        while m % d == 0:
-            found[d] = found.get(d, 0) + 1
-            m //= d
-        d += wheel[i]
-        i = (i + 1) % 8
-    lo = _WHEEL_LIMIT
-    while lo <= _TRIAL_LIMIT and lo * lo <= m:
-        g = gcd(_block_product(lo), m)
+    primes, product = _small_primes()
+    # below 2^24 the walk over m itself is shorter than a gcd; either walk
+    # ends with g 1 or a prime
+    g = m if m < _SMALL_LIMIT**2 else gcd(product, m)
+    for q in primes:
+        if q * q > g:
+            break
+        if g % q == 0:
+            m = _divide_out(m, q, found)
+            while g % q == 0:
+                g //= q
+    if g > 1:
+        m = _divide_out(m, g, found)
+    r, k = _perfect_power(m, _SMALL_LIMIT)
+    lo = _SMALL_LIMIT
+    while lo <= _TRIAL_LIMIT and lo * lo <= r:
+        g = gcd(_block_product(lo), r)
         if g > 1:
             for q in _block_primes(lo):
                 if g % q == 0:
-                    while m % q == 0:
-                        found[q] = found.get(q, 0) + 1
-                        m //= q
+                    r = _divide_out(r, q, found, k)
         lo += _BLOCK
-    # now m has no prime factor <= 10^6 (or m is below the square of the bound)
-    stack = [m] if m > 1 else []
+    if 1 < r <= _TRIAL_LIMIT:
+        # below the square of the next block start: a prime
+        found[r] = found.get(r, 0) + k
+        r = 1
+    # r^k has no prime factor <= 10^6 and is the cofactor the plain trial
+    # division would leave, so each rule below sees the same number
+    stack = [(r**k, 1)] if r > 1 else []
     stubborn = 1
     while stack:
-        m = stack.pop()
-        if m == 1:
-            continue
+        m, e = stack.pop()
         if m >= _WORKING_LIMIT:
             # beyond the declared primality range: report as an unresolved cofactor
-            stubborn *= m
+            stubborn *= m**e
             continue
         if m < _TRIAL_LIMIT * _TRIAL_LIMIT or is_prime(m):
-            found[m] = found.get(m, 0) + 1
+            found[m] = found.get(m, 0) + e
             continue
-        # perfect powers fall to rho quickly, but check squares cheaply
-        r = isqrt(m)
-        if r * r == m:
-            stack.extend((r, r))
+        r, k = _perfect_power(m, _TRIAL_LIMIT)
+        if k > 1:
+            stack.append((r, e * k))
             continue
         g = _rho_brent(m, budget)
         if g is None:
-            stubborn *= m
+            stubborn *= m**e
             continue
-        stack.extend((g, m // g))
+        stack.extend(((g, e), (m // g, e)))
     factors = tuple(sorted(found.items()))
     if stubborn > 1:
         return Incomplete(n, sign, factors, stubborn)

@@ -17,7 +17,7 @@ import json
 import sys
 from fractions import Fraction
 
-from . import fplinalg, report
+from . import arith, fplinalg, report
 from .bounds import (
     FieldInvariants,
     bound_report,
@@ -339,6 +339,7 @@ def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
     try:
+        arith.default_budget()  # a bad SHABOUND_FACTOR_BUDGET fails every subcommand alike
         return args.func(args)
     except IncompleteFactorization as exc:
         print(f"error: incomplete factorization: {exc}", file=sys.stderr)

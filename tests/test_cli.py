@@ -1,9 +1,14 @@
 """CLI integration: commands, JSON contract, exit codes."""
 
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
+import shabound
 from shabound import report
 from shabound.cli import main
 from shabound.search import evaluate_row, fiber, tate_family
@@ -82,6 +87,23 @@ def test_analyze_incomplete_exit_3(capsys, monkeypatch):
     curve = json.dumps([str(a) for a in fam.ainvs_at(b)])
     code, _, err = run(capsys, "analyze", "--curve", curve, "--point", '["0/1","0/1"]', "--p", "5")
     assert code == 3
+
+
+@pytest.mark.parametrize("value", ["abc", "-1"])
+def test_bad_factor_budget_env_exit_2(value):
+    # arith reads the budget at import, so a fresh interpreter; even bounds,
+    # which factors nothing, reports it in one line instead of a traceback
+    env = dict(os.environ, SHABOUND_FACTOR_BUDGET=value,
+               PYTHONPATH=str(pathlib.Path(shabound.__file__).parent.parent))
+    argv = [sys.executable, "-m", "shabound.cli", "bounds", "--budget", "5,1,3,1", "--json"]
+    out = subprocess.run(argv, capture_output=True, text=True, env=env)
+    assert out.returncode == 2
+    assert out.stdout == ""
+    assert out.stderr.splitlines() == [
+        f"error: SHABOUND_FACTOR_BUDGET must be a nonnegative integer, got {value!r}"
+    ]
+    env["SHABOUND_FACTOR_BUDGET"] = "0"
+    assert subprocess.run(argv, capture_output=True, env=env).returncode == 0
 
 
 def test_matrix_fixture(capsys):

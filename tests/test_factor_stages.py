@@ -1,13 +1,16 @@
 """Trial-division stages of `arith.factor` against the plain mod-30 wheel.
 
-`factor` trial-divides by a wheel below 2^12 and, from there to 10^6, by
-blocks of primes that it tests with one gcd each.  `_wheel_factor` below is
-the earlier single-wheel `factor`, kept as the oracle: the two must agree on
-the type, value, sign, factors and stubborn cofactor of every result.
+`factor` finds the primes below 2^12 with one gcd, takes the root r of a
+perfect power r^k, trial-divides r from there to 10^6 by blocks of primes
+that it tests with one gcd each, and splits perfect powers below 2^128
+before rho.  `_wheel_factor` below is the earlier single-wheel `factor`,
+kept as the oracle: the two must agree on the type, value, sign, factors
+and stubborn cofactor of every result.
 `factor_with_hints` with hints up to 10^6 must agree with `factor` in the
 same way: such hints only reorder trial division.
 """
 
+import json
 import os
 import pathlib
 import random
@@ -21,6 +24,7 @@ import sympy
 import shabound
 from shabound import arith
 from shabound.arith import Factorization, Incomplete, factor, factor_with_hints, is_prime
+from shabound.cli import main
 from shabound.errors import IncompleteFactorization
 from shabound.isogeny import velu_quotient
 from shabound.search import fiber, tate_family
@@ -78,8 +82,8 @@ def _key(f):
 
 
 def _block_edges():
-    """Where the stages and blocks meet: the wheel limit, every block start, 10^6."""
-    return [*range(arith._WHEEL_LIMIT, arith._TRIAL_LIMIT + 1, arith._BLOCK), arith._TRIAL_LIMIT]
+    """Where the stages and blocks meet: 2^12, every block start, 10^6."""
+    return [*range(arith._SMALL_LIMIT, arith._TRIAL_LIMIT + 1, arith._BLOCK), arith._TRIAL_LIMIT]
 
 
 def _corpus(rng):
@@ -91,7 +95,7 @@ def _corpus(rng):
     cases = [(1, None), (-1, None), (-a, None), (-b, None), (-a * b, None), (-(a**2) * b, None)]
     cases += [(a * a, None), (b * b, None), (a * b, None), (a * a * b, None), (a * b * b, None)]
     cases += [(a**3 * b**2 * 30, None)]
-    # prime powers on both sides of the wheel limit, of 10^6 and of some block edges
+    # prime powers on both sides of 2^12, of 10^6 and of some block edges
     edges = _block_edges()
     picked = [edges[0], edges[1], edges[-2], edges[-1]] + rng.sample(edges[2:-2], 2)
     for edge in picked:
@@ -105,6 +109,19 @@ def _corpus(rng):
     cases += [(q1 * q2, None), (q1**2 * q2**3 * 7**4, None)]
     # cofactors at or above 2^128: Incomplete whatever the budget
     cases += [(b**7, None), (big, None), (3 * a**2 * big, None), (4093 * q1 * b**7, None)]
+    # q^k on both sides of 2^128: below it the stack splits the power, at or
+    # above it the cofactor stays unresolved
+    for k in (3, 5, 6, 7, 9, 10):
+        root = int(sympy.integer_nthroot(1 << 128, k)[0])
+        for q in (int(sympy.prevprime(root)), int(sympy.nextprime(root))):
+            cases.append((q**k, None))
+    # perfect powers whose roots mix small, block and > 10^6 primes; a root
+    # whose block leftover is a prime <= 10^6; a square of two primes > 10^6
+    cases += [((4099 * b) ** 5, None), ((7 * 4099 * b) ** 3, None), ((4099 * a) ** 3, None)]
+    cases += [((b * 1000033) ** 2, None), (11 * (b * 1000033) ** 2, None)]
+    # 2000 bits: a perfect power with a root of every range, and a non-power
+    root = 7**3 * 4099 * a * b * int(sympy.nextprime(1 << 340))
+    cases += [(root**5, None), (6 * 4099 * (rng.getrandbits(2000) | 1 << 1999), None)]
     # composites that resist a small rho budget
     cases += [(p20 * q20, 1), (11 * q1 * p20 * q20, 1), (b * 1000033, 1), (a**2 * p20 * q20, 5)]
     # seeded products of primes from every range
@@ -167,21 +184,26 @@ def test_blocks_hold_exactly_the_primes_from_the_wheel_limit_to_10_6():
     for q in range(2, isqrt(n) + 1):
         for k in range(q * q, n + 1, q):
             sieve[k] = False
-    primes = []
+    small, product = arith._small_primes()
+    assert product == sympy.prod(small)
+    primes = list(small)
     for lo in _block_edges()[:-1]:
         block = arith._block_primes(lo)
         assert arith._block_product(lo) == sympy.prod(block)
         primes += block
-    assert primes == [q for q in range(arith._WHEEL_LIMIT, n + 1) if sieve[q]]
+    assert primes == [q for q in range(2, n + 1) if sieve[q]]
 
 
 def test_tables_are_built_only_when_the_wheel_does_not_finish():
-    # a fresh interpreter: other tests in this session have built the tables
+    # the block tables wait for a cofactor whose root is at least 2^24, and
+    # nothing is built at import; a fresh interpreter, since other tests in
+    # this session have built the tables
     probe = (
         "import shabound.cli\n"
         "from shabound import arith, search\n"
         "def built():\n"
         "    return arith._odd_sieve.cache_info().currsize + arith._block_product.cache_info().currsize\n"
+        "print(arith._small_primes.cache_info().currsize)\n"
         "search.tate_family(5)\n"
         "search.tate_family(7)\n"
         "print(built())\n"
@@ -194,7 +216,49 @@ def test_tables_are_built_only_when_the_wheel_does_not_finish():
     env = dict(os.environ, PYTHONPATH=str(pathlib.Path(shabound.__file__).parent.parent))
     out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env)
     assert out.returncode == 0, out.stderr
-    import_and_families, wheel_only, first_block = map(int, out.stdout.split())
+    small_at_import, import_and_families, small_primes_only, first_block = map(int, out.stdout.split())
+    assert small_at_import == 0
     assert import_and_families == 0
-    assert wheel_only == 0
+    assert small_primes_only == 0
     assert first_block == 2  # the sieve and the first block's product
+
+
+def test_kth_root_floors_above_the_float_range():
+    rng = random.Random(20042)
+    for bits in (60, 1100, 5000):
+        for k in (2, 3, 5, 7, 163):
+            m = rng.getrandbits(bits) | 1 << (bits - 1)
+            r = arith._kth_root(m, k)
+            assert r**k <= m < (r + 1) ** k, (bits, k)
+            assert arith._kth_root(r**k, k) == r
+    x = int(sympy.nextprime(1 << 200)) * 4099
+    assert arith._perfect_power(x**30, arith._SMALL_LIMIT) == (x, 30)
+    assert arith._perfect_power(x**30 + 2, arith._SMALL_LIMIT) == (x**30 + 2, 1)
+
+
+def test_forced_scan_splits_powers_without_rho(monkeypatch, tmp_path, capsys):
+    # the (41, 11) 300-fiber forced scan: plain trial division handed rho 76
+    # perfect powers q^5; the root stage and the power split leave it none,
+    # and factor is called as often as before
+    calls = {"factor": 0, "rho": 0}
+
+    def counted(name, fn):
+        def wrapped(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapped
+
+    modules = [m for name, m in sys.modules.items() if name.startswith("shabound") and m]
+    for name, fn in (("factor", arith.factor), ("rho", arith._rho_brent)):
+        wrapped = counted(name, fn)
+        for mod in modules:
+            for attr, val in list(vars(mod).items()):
+                if val is fn:
+                    monkeypatch.setattr(mod, attr, wrapped)
+    arith.residue_character.cache_clear()  # its primitive-root search factors ell - 1
+    cfg = {"p": 5, "force_s1": [41], "force_s2": [11], "omega_max": 6,
+           "scan_budget": 300, "verify_dual": False}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["search", "--config", str(path), "--jobs", "1", "--json"]) == 0
+    assert calls == {"factor": 895, "rho": 0}

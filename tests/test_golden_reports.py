@@ -32,6 +32,13 @@ SEARCHES = {
          "scan_budget": 60, "verify_dual": False}, 2,
         "66dd14441746b4cd69c50d7e934daa765b6f4ad037bb3d7c78b6e3450ab5e11f",
     ),
+    # the search-p5-forced-j2 benchmark config: 42 fibers end as
+    # incomplete_factorization, cofactors q^5 >= 2^128 that factor leaves unresolved
+    "forced-41-11-300-j2": (
+        {"p": 5, "force_s1": [41], "force_s2": [11], "omega_max": 6,
+         "scan_budget": 300, "verify_dual": False}, 2,
+        "d03565da974b6fcd56572f9fd7d0162fd90e69b12b506eb5635e3d6491a1d4b8",
+    ),
 }
 
 ANALYZE_11A3_SECOND_KERNEL = "fea5a44fa1886e5d857e774aceb957660c8d67d71dca048e7e216a9ca4f434a1"
