@@ -80,7 +80,7 @@ def parse_point(text: str):
     return (_parse_fraction(data[0]), _parse_fraction(data[1]))
 
 
-def _parse_prime_list(text: str) -> tuple[int, ...]:
+def _parse_int_list(text: str) -> tuple[int, ...]:
     text = text.strip()
     if not text:
         return ()
@@ -88,6 +88,20 @@ def _parse_prime_list(text: str) -> tuple[int, ...]:
         return tuple(int(t) for t in text.split(","))
     except ValueError as exc:
         raise InputError(f"expected a comma-separated integer list, got {text!r}") from exc
+
+
+def _parse_prime_lists(args) -> list[tuple[int, ...]]:
+    """--s1 and --s2, each a comma-separated list of distinct primes."""
+    out = []
+    for name, text in (("s1", args.s1), ("s2", args.s2)):
+        primes = _parse_int_list(text)
+        for q in primes:
+            if q < 2 or not arith.is_prime(q):
+                raise InputError(f"{name}: {q} is not a prime")
+        if len(set(primes)) != len(primes):
+            raise InputError(f"{name}: repeated prime in {text.strip()!r}")
+        out.append(primes)
+    return out
 
 
 def _emit(args, payload) -> None:
@@ -173,7 +187,7 @@ def _second_kernel_payload(cls, text: str, p: int) -> dict:
 
 
 def cmd_matrix(args) -> int:
-    mat = character_matrix(args.p, _parse_prime_list(args.s1), _parse_prime_list(args.s2))
+    mat = character_matrix(args.p, *_parse_prime_lists(args))
     payload = {
         "p": args.p,
         "col_labels": list(mat.col_labels),
@@ -186,7 +200,7 @@ def cmd_matrix(args) -> int:
 
 
 def cmd_sandwich(args) -> int:
-    sw = sandwich_from_sets(args.p, _parse_prime_list(args.s1), _parse_prime_list(args.s2))
+    sw = sandwich_from_sets(args.p, *_parse_prime_lists(args))
     payload = {
         "p": args.p,
         "lower_dim": sw.lower_dim,
@@ -202,7 +216,7 @@ def cmd_sandwich(args) -> int:
 
 def cmd_bounds(args) -> int:
     if args.budget is not None:
-        parts = _parse_prime_list(args.budget)
+        parts = _parse_int_list(args.budget)
         if len(parts) != 4:
             raise InputError("budget: expected p,k,n,D")
         _emit(args, theorem_budget(*parts))

@@ -172,21 +172,6 @@ class Transformation:
 _IDENTITY = Transformation(Q(1), Q(0), Q(0), Q(0))
 
 
-def apply_transform(e: Curve, tr: Transformation) -> Curve:
-    """The model E' obtained from E by the coordinate change (must stay integral)."""
-    u, r, s, t = tr.u, tr.r, tr.s, tr.t
-    a1, a2, a3, a4, a6 = (Q(a) for a in e.ainvs())
-    na1 = (a1 + 2 * s) / u
-    na2 = (a2 - s * a1 + 3 * r - s * s) / u**2
-    na3 = (a3 + r * a1 + 2 * t) / u**3
-    na4 = (a4 - s * a3 + 2 * r * a2 - (t + r * s) * a1 + 3 * r * r - 2 * s * t) / u**4
-    na6 = (a6 + r * a4 + r * r * a2 + r**3 - t * a3 - t * t - r * t * a1) / u**6
-    coeffs = (na1, na2, na3, na4, na6)
-    if any(c.denominator != 1 for c in coeffs):
-        raise ShaboundError(f"transform {tr} does not yield an integral model")
-    return invariants(*(int(c) for c in coeffs))
-
-
 def transform_point(pt: Point, tr: Transformation) -> Point:
     """Image of a point of E on the transformed model E'."""
     if pt is None:
@@ -238,12 +223,22 @@ def _curve_from_c4c6(c4: int, c6: int) -> Curve:
 
 
 def _reduce_model(e: Curve) -> Curve:
-    """Normalize by (r, s, t) to a1, a3 in {0,1} and a2 in {-1,0,1}."""
-    s = -(e.a1 // 2)
-    a = e.a2 - s * e.a1 - s * s
-    r = -((a + 1) // 3)
-    t = -((e.a3 + r * e.a1) // 2)
-    return apply_transform(e, Transformation(Q(1), Q(r), Q(s), Q(t)))
+    """Normalize by (r, s, t) to a1, a3 in {0,1} and a2 in {-1,0,1}.
+
+    With u = 1 and integers r, s, t, Connell's formulas for the new
+    a-invariants run on ints.
+    """
+    a1, a2, a3, a4, a6 = e.ainvs()
+    s = -(a1 // 2)
+    r = -((a2 - s * a1 - s * s + 1) // 3)
+    t = -((a3 + r * a1) // 2)
+    return invariants(
+        a1 + 2 * s,
+        a2 - s * a1 + 3 * r - s * s,
+        a3 + r * a1 + 2 * t,
+        a4 - s * a3 + 2 * r * a2 - (t + r * s) * a1 + 3 * r * r - 2 * s * t,
+        a6 + r * a4 + r * r * a2 + r**3 - t * a3 - t * t - r * t * a1,
+    )
 
 
 def _transform_between(e: Curve, emin: Curve, u: int) -> Transformation:

@@ -2,11 +2,10 @@
 
 Coefficients low-degree-first.  Three layers: ring operations and
 evaluation that work over Z or Q alike (the type of the coefficients
-passed in is the type that comes out); integer division, remainder and
-inversion modulo a monic polynomial, which keep Fraction normalization
-out of the division-polynomial and dual-kernel arithmetic; and one
-rational helper that converts at the edge (power sums back to a
-polynomial).
+passed in is the type that comes out); integer division and remainder
+modulo a monic polynomial, which keep Fraction normalization out of the
+division-polynomial and dual-kernel arithmetic; and one rational helper
+that converts at the edge (power sums back to a polynomial).
 
 Last, one mod-q helper: the brute-force root finder behind the CRT
 congruences and the split test at q <= 3.  Degrees here never exceed a
@@ -16,7 +15,6 @@ few dozen, so dense lists and the schoolbook product are the right tool.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
 
 from .errors import InputError
 
@@ -112,43 +110,6 @@ def exact_quo_monic(f: list[int], a: list[int]) -> list[int]:
     if rem:
         raise InputError("polynomial division is not exact")
     return quot
-
-
-def _pseudo_divmod(f: list[int], g: list[int]) -> tuple[list[int], list[int], int]:
-    """(q, r, m) with m * f = q * g + r and deg r < deg g, m = lc(g)^(deg f - deg g + 1)."""
-    lc, n = g[-1], len(g) - 1
-    r = list(f)
-    quot = [0] * (len(r) - n)
-    for k in range(len(r) - 1, n - 1, -1):
-        c = r[k]
-        quot = [lc * x for x in quot]
-        quot[k - n] = c
-        r = [lc * x for x in r]
-        for i in range(n + 1):
-            r[k - n + i] -= c * g[i]
-    return trim(quot), trim(r[:n]), lc ** (len(f) - n)
-
-
-def inv_mod_monic(g: list[int], a: list[int]) -> tuple[list[int], int]:
-    """(s, r) with s * g = r modulo the monic a, r a nonzero integer.
-
-    Extended Euclid on pseudo-remainders, each step divided by the
-    content it shares with its cofactor, so every number stays an
-    integer and the pair keeps s_i * g = r_i mod a.
-    """
-    r0, r1 = list(a), divmod_monic(g, a)[1]
-    s0, s1 = [], [1]
-    while len(r1) > 1:
-        quot, rem, m = _pseudo_divmod(r0, r1)
-        if not rem:
-            break
-        s_rem = sub(scale(s0, m), mul(quot, s1))
-        content = gcd(*rem, *s_rem)
-        r0, r1 = r1, [c // content for c in rem]
-        s0, s1 = s1, [c // content for c in s_rem]
-    if len(r1) != 1:
-        raise InputError("polynomial is not invertible modulo a")
-    return s1, r1[0]
 
 
 # ----------------------------------------------------------------- over Q

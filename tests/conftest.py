@@ -3,15 +3,31 @@
 The runtime package has one group law, the integral kernel walk
 ``elliptic.kernel_multiples``.  The Fraction chord-tangent law and
 Velu's point pushforward live here as independent references for it and
-for Velu's codomain.
+for Velu's codomain, and the Fraction change of model ``apply_transform``
+as the reference for the integer reduction in ``elliptic.minimal_model``.
 """
 
 from fractions import Fraction
 
-from shabound.elliptic import _require_on_curve, kernel_multiples, transform_point
-from shabound.errors import InputError
+from shabound.elliptic import _require_on_curve, invariants, kernel_multiples, transform_point
+from shabound.errors import InputError, ShaboundError
 
 Q = Fraction
+
+
+def apply_transform(e, tr):
+    """The model E' obtained from E by the coordinate change (must stay integral)."""
+    u, r, s, t = tr.u, tr.r, tr.s, tr.t
+    a1, a2, a3, a4, a6 = (Q(a) for a in e.ainvs())
+    na1 = (a1 + 2 * s) / u
+    na2 = (a2 - s * a1 + 3 * r - s * s) / u**2
+    na3 = (a3 + r * a1 + 2 * t) / u**3
+    na4 = (a4 - s * a3 + 2 * r * a2 - (t + r * s) * a1 + 3 * r * r - 2 * s * t) / u**4
+    na6 = (a6 + r * a4 + r * r * a2 + r**3 - t * a3 - t * t - r * t * a1) / u**6
+    coeffs = (na1, na2, na3, na4, na6)
+    if any(c.denominator != 1 for c in coeffs):
+        raise ShaboundError(f"transform {tr} does not yield an integral model")
+    return invariants(*(int(c) for c in coeffs))
 
 
 def add_points(e, p, q):

@@ -125,6 +125,20 @@ def test_matrix_bad_s2_exit_2(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["matrix", "--p", "5", "--s1", "-3", "--s2", "11"],
+        ["sandwich", "--p", "5", "--s1", "4", "--s2", "11"],
+        ["sandwich", "--p", "5", "--s1", "3,3", "--s2", "11"],
+    ],
+)
+def test_prime_lists_reject_nonprimes_and_repeats_exit_2(capsys, argv):
+    code, out, err = run(capsys, *argv, "--json")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: s1: ")
+
+
 def test_bounds_budget(capsys):
     cases = [
         ("5,1,3,1", {"sha_guarantee": "1", "m_threshold": "100"}),

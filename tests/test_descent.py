@@ -38,7 +38,8 @@ def test_classify_11a_fixture():
 
 
 def test_classify_carries_nonminimal_input():
-    from shabound.elliptic import Transformation, apply_transform, transform_point
+    from conftest import apply_transform
+    from shabound.elliptic import Transformation, transform_point
 
     tr = Transformation(Q(1, 2), Q(0), Q(0), Q(0))
     big = apply_transform(E11A3, tr)

@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from conftest import add_points, multiple
+from conftest import add_points, apply_transform, multiple
 
 from shabound import elliptic
 from shabound.arith import Incomplete, factor, require_complete, valuation
@@ -15,7 +15,6 @@ from shabound.elliptic import (
     SPLIT,
     Transformation,
     _split_by_tangent_slopes,
-    apply_transform,
     has_order,
     invariants,
     kernel_multiples,
@@ -183,6 +182,49 @@ def test_minimal_model_stress():
         emin3, tr3, fac3 = minimal_model(big)
         _assert_minimal_model_of(big, emin3, tr3, fac3)
         assert (emin3.disc, emin3.c4, emin3.c6) == (emin.disc, emin.c4, emin.c6)
+
+
+def _seeded_models():
+    """The models of test_minimal_model_stress with their blow-ups, then cusps
+    moved by a random integral (r, s, t), built as in
+    test_singular_point_closed_form_vs_brute_force."""
+    rng = random.Random(123)
+    for _ in range(60):
+        while True:
+            try:
+                e = invariants(*(rng.randrange(-6, 7) for _ in range(5)))
+                break
+            except SingularModel:
+                continue
+        yield e
+        yield apply_transform(e, Transformation(Q(1, rng.choice([2, 3, 5])), Q(0), Q(0), Q(0)))
+    rng = random.Random(12)
+    for q in (5, 7, 11, 13):
+        for _ in range(4):
+            base = (0, 0, 0, q * rng.randrange(-9, 10), q * rng.randrange(1, 10))
+            if invariants(*base).disc == 0:
+                continue
+            r, s, t = (Q(rng.randrange(-50, 51)) for _ in range(3))
+            yield apply_transform(invariants(*base), Transformation(Q(1), r, s, t))
+
+
+def test_integer_reduction_matches_the_fraction_transform():
+    # _reduce_model runs Connell's formulas on ints; the Fraction oracle
+    # applies the unique (1, r, s, t) that lands in the reduced ranges
+    count = 0
+    for e in _seeded_models():
+        a1, a2, a3, _, _ = e.ainvs()
+        s = (a1 % 2 - a1) // 2
+        a2s = a2 - s * a1 - s * s
+        r = ((a2s + 1) % 3 - 1 - a2s) // 3
+        a3r = a3 + r * a1
+        t = (a3r % 2 - a3r) // 2
+        reduced = elliptic._reduce_model(e)
+        assert reduced == apply_transform(e, Transformation(Q(1), Q(r), Q(s), Q(t))), e.ainvs()
+        assert reduced.a1 in (0, 1) and reduced.a3 in (0, 1) and reduced.a2 in (-1, 0, 1)
+        assert (reduced.c4, reduced.c6) == (e.c4, e.c6)
+        count += 1
+    assert count > 120
 
 
 def _assert_minimal_model_of(e, emin, tr, fac):

@@ -1,11 +1,12 @@
 """Sympy oracles for the dual kernel, the doubling closure and psi_n.
 
 The library computes the first two over Z, after rescaling the variable
-so that the polynomials involved are monic integral, with traces and
-Newton's identities.  The oracles below take the long way round, by
-bivariate resultants and root extraction in sympy, and must agree
-exactly; the division-polynomial oracle runs the classical recursion in
-sympy's QQ[x].
+so that the polynomials involved are monic integral: the dual kernel by
+a triangular solve on leading coefficients, the closure by Horner's
+rule modulo the kernel polynomial.  The oracles below take the long way
+round, by bivariate resultants and root extraction in sympy, and must
+agree exactly; the division-polynomial oracle runs the classical
+recursion in sympy's QQ[x].
 """
 
 from fractions import Fraction
@@ -13,11 +14,11 @@ from fractions import Fraction
 import pytest
 import sympy
 
+from shabound import isogeny, polys
 from shabound.descent import classify_primes
 from shabound.elliptic import invariants
 from shabound.errors import InputError
 from shabound.isogeny import (
-    _stable_under_doubling,
     division_poly_x,
     dual_kernel_poly,
     velu_quotient,
@@ -117,6 +118,12 @@ def oracle_division_poly_x(e, n):
 
 # -------------------------------------------------------------------- tests
 
+def _stable_under_doubling(e, h):
+    """The library's closure test, on h rescaled to monic integral as its callers do."""
+    big_d = isogeny._denominator(h)
+    return isogeny._stable_under_doubling(e, isogeny._scaled(h, big_d), big_d)
+
+
 def _isogenies(p, bs):
     fam = tate_family(p)
     for b in bs:
@@ -143,6 +150,49 @@ def test_dual_matches_oracle_p5_scan_fibers():
 def test_dual_matches_oracle_p7_fibers():
     for _, iso in _isogenies(7, [2, -2, 3, -3, 4, -4, 5, -5, 6, -6]):
         _check_against_oracles(iso)
+
+
+def _raw_dual_scaled(iso, c):
+    """H(Y) = c^d h'(Y / c), h' the dual kernel on Velu's raw codomain model.
+
+    dual_kernel_poly returns it moved onto the minimal model, whose roots
+    are x_min = (x_raw - r) / u^2; this moves it back, in sympy.
+    """
+    y = sympy.symbols("y")
+    g = _sympy_poly(dual_kernel_poly(iso), y)
+    d, tr = g.degree(), iso.to_minimal
+    u2, r = sympy.Rational(tr.u) ** 2, sympy.Rational(tr.r)
+    big_h = sympy.Poly(sympy.expand(c**d * u2**d * g.as_expr().subs(y, (y / c - r) / u2)), y)
+    coeffs = list(reversed(big_h.all_coeffs()))
+    assert all(k.is_integer for k in coeffs) and coeffs[-1] == 1
+    return [int(k) for k in coeffs]
+
+
+def test_dual_kernel_identity_holds_on_every_coefficient():
+    # dual_kernel_poly reads H off the top d + 1 coefficients of
+    # sum_j H_j N_c^j h_c^(2(d-j)) = A_c; the identity holds on all of them
+    cases = [(5, [s * b for b in range(1, 41) for s in (1, -1)])]
+    cases.append((7, [s * b for b in range(2, 7) for s in (1, -1)]))
+    moved = 0
+    for p, bs in cases:
+        for b, iso in _isogenies(p, bs):
+            e, h = iso.domain, list(iso.kernel_x_poly)
+            d, c = len(h) - 1, p * isogeny._denominator(h)
+            h_c = isogeny._scaled(h, c)
+            a_c = polys.exact_quo_monic([x // p for x in isogeny._scaled(division_poly_x(e, p), c)], h_c)
+            n_c, hh = isogeny._velu_x_numerator(e, h_c, p, c), polys.mul(h_c, h_c)
+            total = []
+            for j, hj in enumerate(_raw_dual_scaled(iso, c)):
+                term = [hj]
+                for _ in range(j):
+                    term = polys.mul(term, n_c)
+                for _ in range(d - j):
+                    term = polys.mul(term, hh)
+                total = polys.add(total, term)
+            assert total == a_c, (p, b)
+            assert len(a_c) - 1 == p * d
+            moved += iso.to_minimal.u != 1
+    assert moved >= 2  # the change-of-model path is covered too
 
 
 def test_dual_of_kernel_poly_isogeny_matches_oracle():

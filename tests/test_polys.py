@@ -108,28 +108,6 @@ def test_from_power_sums_inverts_power_sums():
         assert polys.qfrom_power_sums(polys.power_sums(f, len(f) - 1)) == f
 
 
-def test_invmod():
-    # s g = r mod a with r an integer: s / r is sympy's inverse of g mod a
-    rng = random.Random(11)
-    checked = 0
-    for _ in range(60):
-        a = _rand_monic(rng, rng.randrange(2, 9), 10**4)
-        g = _rand_int_poly(rng, rng.randrange(0, 12), 10**4)
-        ga, aa = _to_sympy(g), _to_sympy(a)
-        if sympy.degree(sympy.gcd(ga, aa), x) != 0 or not polys.trim(list(g)):
-            continue
-        s, r = polys.inv_mod_monic(g, a)
-        assert isinstance(r, int) and r != 0
-        assert polys.divmod_monic(polys.sub(polys.mul(s, g), [r]), a)[1] == []
-        assert _to_sympy(s).as_expr() == (r * sympy.invert(ga, aa)).rem(aa).as_expr()
-        checked += 1
-    assert checked > 40
-    with pytest.raises(InputError):
-        polys.inv_mod_monic([-1, 1], [-1, 0, 1])  # x - 1 divides x^2 - 1
-    with pytest.raises(InputError):
-        polys.inv_mod_monic([1, 0, 1, 0, 0], [1, 0, 1])  # zero modulo a
-
-
 def test_divmod_ignores_trailing_zeros():
     f = [9, -10, 4, 0]  # degree 2, stored with length 4
     assert polys.divmod_monic(f, [-9, -9, -4, 1]) == ([], [9, -10, 4])
