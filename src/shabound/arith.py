@@ -15,10 +15,15 @@ from math import gcd, isqrt, log2, prod
 
 from .errors import IncompleteFactorization, InputError
 
-# Fixed witness set: Miller-Rabin with these bases is a proven primality
-# test for all n < 3317044064679887385961981 (~2^81).
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-_MR_PROVEN_LIMIT = 3317044064679887385961981
+# Miller-Rabin with the first k prime bases is a proof of primality for
+# n < psi_k, the least strong pseudoprime to all of them (OEIS A014233;
+# Jaeschke 1993, Sorenson-Webster 2015); all 13 reach psi_13 (~2^81).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_PSI = (
+    2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
+    341550071728321, 341550071728321, 3825123056546413051, 3825123056546413051,
+    3825123056546413051, 318665857834031151167461, 3317044064679887385961981,
+)
 _WORKING_LIMIT = 1 << 128
 
 _TRIAL_LIMIT = 10**6
@@ -107,10 +112,11 @@ def _lucas_strong_probable_prime(n: int) -> bool:
 def is_prime(n: int) -> bool:
     """Deterministic primality for 0 <= n < 2^128.
 
-    Below ~2^81 this is the proven fixed-base Miller-Rabin test; up to the
-    2^128 working limit a Baillie-PSW check (strong base-2 MR plus strong
-    Lucas) is added.  Inputs at or beyond the working limit are rejected
-    rather than answered probabilistically.
+    Below psi_13 (~2^81) this is Miller-Rabin with the shortest prefix of
+    the prime bases proven for n's size; up to the 2^128 working limit it
+    is a Baillie-PSW check (strong base-2 MR plus strong Lucas).  Inputs
+    at or beyond the working limit are rejected rather than answered
+    probabilistically.
     """
     if n < 0:
         raise InputError("is_prime expects a nonnegative integer")
@@ -123,8 +129,9 @@ def is_prime(n: int) -> bool:
             return True
         if n % p == 0:
             return False
-    if n < _MR_PROVEN_LIMIT:
-        return not any(_miller_rabin_witness(a, n) for a in _MR_BASES)
+    for k, psi in enumerate(_MR_PSI, 1):
+        if n < psi:
+            return not any(_miller_rabin_witness(a, n) for a in _MR_BASES[:k])
     if _miller_rabin_witness(2, n):
         return False
     return _lucas_strong_probable_prime(n)

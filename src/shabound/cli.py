@@ -193,7 +193,7 @@ def cmd_matrix(args) -> int:
         "col_labels": list(mat.col_labels),
         "row_labels": list(mat.row_labels),
         "entries": mat.to_lists(),
-        "rank": fplinalg.rank(mat),
+        "rank": fplinalg.rank(mat.p, mat.to_lists()),
     }
     _emit(args, payload)
     return 0

@@ -17,6 +17,7 @@ from .arith import (  # factor_with_hints: the benchmark's span table traces it 
     Factorization,
     character_eval,
     factor_with_hints,
+    is_prime,
     residue_character,
 )
 from .bounds import BoundReport, FieldInvariants, bound_report
@@ -129,6 +130,42 @@ def classify_primes(
 
 # --------------------------------------------------------- character matrix
 
+def character_table(p: int, s1, s2) -> dict[int, dict[int, int]]:
+    """chi_ell(q) for each ell = 1 mod p in one set and each q in the other set or q = p.
+
+    Every character matrix and sandwich of the pair (S1, S2), in both
+    directions, takes its rows from this table: row ell is table[ell].
+    One character_eval per (ell, q) pair.
+    """
+    if not is_prime(p):
+        raise InputError(f"modulus {p} is not prime")
+    table = {}
+    for ells, qs in ((s2, s1), (s1, s2)):
+        for ell in ells:
+            if ell % p == 1:
+                chi = residue_character(ell, p)
+                table.setdefault(ell, {}).update((q, character_eval(chi, q)) for q in (*qs, p))
+    return table
+
+
+def _character_rows(p: int, s1, s2, drop_trivial_rows: bool, table: dict | None):
+    """The row primes ell of S2 and the rows chi_ell(q), q in S1, of the character matrix."""
+    if set(s1) & set(s2):
+        raise InputError(f"S1 and S2 overlap: {sorted(set(s1) & set(s2))}")
+    if p in s1 or p in s2:
+        raise InputError(f"p = {p} may not appear in S1 or S2")
+    ells = []
+    for ell in s2:
+        if ell % p != 1:
+            if drop_trivial_rows:
+                continue
+            raise InputError(f"S2 prime {ell} is not congruent to 1 mod {p}")
+        ells.append(ell)
+    if table is None:
+        table = character_table(p, s1, s2)
+    return ells, [[table[ell][q] for q in s1] for ell in ells]
+
+
 def character_matrix(p: int, s1, s2, drop_trivial_rows: bool = False) -> fplinalg.FpMatrix:
     """Matrix of the inclusion map Q(S1,p) -> sum of local units mod p-th powers.
 
@@ -139,36 +176,19 @@ def character_matrix(p: int, s1, s2, drop_trivial_rows: bool = False) -> fplinal
     (needed for the dual direction over Q); otherwise they are rejected.
     """
     s1 = tuple(s1)
-    s2 = tuple(s2)
-    if set(s1) & set(s2):
-        raise InputError(f"S1 and S2 overlap: {sorted(set(s1) & set(s2))}")
-    if p in s1 or p in s2:
-        raise InputError(f"p = {p} may not appear in S1 or S2")
-    rows = []
-    for ell in s2:
-        if ell % p != 1:
-            if drop_trivial_rows:
-                continue
-            raise InputError(f"S2 prime {ell} is not congruent to 1 mod {p}")
-        rows.append(ell)
+    ells, rows = _character_rows(p, s1, tuple(s2), drop_trivial_rows, None)
     return fplinalg.fp_matrix(
         p,
-        _character_rows(p, rows, s1),
-        row_labels=[str(ell) for ell in rows],
+        rows,
+        row_labels=[str(ell) for ell in ells],
         col_labels=[str(q) for q in s1],
         cols=len(s1),
     )
 
 
-def _character_rows(p: int, ells, cols) -> list[list[int]]:
-    """The character table: row ell holds chi_ell(q) for the q in cols (each ell = 1 mod p)."""
-    chars = [residue_character(ell, p) for ell in ells]
-    return [[character_eval(chi, q) for q in cols] for chi in chars]
-
-
-def m_rank(p: int, s1, s2, drop_trivial_rows: bool = False) -> int:
-    """m(S1, S2): the F_p-rank of the character matrix."""
-    return fplinalg.rank(character_matrix(p, s1, s2, drop_trivial_rows))
+def m_rank(p: int, s1, s2, drop_trivial_rows: bool = False, table: dict | None = None) -> int:
+    """m(S1, S2): the F_p-rank of the character matrix; table as for sandwich_from_sets."""
+    return fplinalg.rank(p, _character_rows(p, tuple(s1), tuple(s2), drop_trivial_rows, table)[1])
 
 
 # ------------------------------------------------------------ the sandwich
@@ -197,7 +217,7 @@ def _p_adic_unit_condition_row(support, p: int) -> list[int]:
     return row
 
 
-def sandwich_from_sets(p: int, s1, s2) -> SandwichResult:
+def sandwich_from_sets(p: int, s1, s2, table: dict | None = None) -> SandwichResult:
     """Upper and lower sandwich groups from the descent sets, over Q.
 
     Q(S,p) is free on the primes of S for odd p (the sign is a p-th
@@ -207,19 +227,19 @@ def sandwich_from_sets(p: int, s1, s2) -> SandwichResult:
     sit in Q*/Q*^p = H^1(Q, mu_p), home of the mu_p-side group
     Sel^phihat(E'), while Sel^phi(E) lies in H^1(Q, Z/p).  The paper's
     field contains the p-th roots of unity, where the two agree (see
-    Analysis).
+    Analysis).  table is character_table(p, S1, S2), built here if not given.
     """
-    s1 = tuple(sorted(s1))
-    ells = [ell for ell in sorted(s2) if ell % p == 1]
+    s1, s2 = tuple(sorted(s1)), tuple(sorted(s2))
+    if table is None:
+        table = character_table(p, s1, s2)
+    ells = [ell for ell in s2 if ell % p == 1]
     upper_support = tuple(sorted(set(s1) | {p}))
-    upper_rows = _character_rows(p, ells, upper_support)
-    upper_mat = fplinalg.fp_matrix(p, upper_rows, cols=len(upper_support))
-    upper_basis = fplinalg.kernel_basis(upper_mat)
+    upper_rows = [[table[ell][q] for q in upper_support] for ell in ells]
+    upper_basis = fplinalg.kernel_basis(p, upper_rows, len(upper_support))
     lower_support = s1
-    lower_rows = _character_rows(p, ells, lower_support)
+    lower_rows = [[table[ell][q] for q in lower_support] for ell in ells]
     lower_rows.append(_p_adic_unit_condition_row(lower_support, p))
-    lower_mat = fplinalg.fp_matrix(p, lower_rows, cols=len(lower_support))
-    lower_basis = fplinalg.kernel_basis(lower_mat)
+    lower_basis = fplinalg.kernel_basis(p, lower_rows, len(lower_support))
     return SandwichResult(
         p,
         len(lower_basis),
@@ -273,13 +293,14 @@ def analyze_curve(
     """
     cls = classify_primes(e, pt, p, disc_factorization)
     s1, s2 = cls.sets.s1, cls.sets.s2
-    m_phi = m_rank(p, s1, s2)
-    m_phihat = m_rank(p, s2, s1, drop_trivial_rows=True)
+    table = character_table(p, s1, s2)
+    m_phi = m_rank(p, s1, s2, table=table)
+    m_phihat = m_rank(p, s2, s1, drop_trivial_rows=True, table=table)
     return Analysis(
         cls,
         m_phi,
         m_phihat,
-        sandwich_from_sets(p, s1, s2),
-        sandwich_from_sets(p, s2, s1),
+        sandwich_from_sets(p, s1, s2, table),
+        sandwich_from_sets(p, s2, s1, table),
         bound_report(_Q_FIELD, len(s1), len(s2), m_phi, m_phihat),
     )

@@ -3,9 +3,9 @@
 Exact invariants, the kernel walk of a point of odd order, globally
 minimal models (Laska-Kraus-Connell), reduction-type classification at
 every prime and singular points of reduced models.  No floating point
-anywhere: coefficients are ints, and points are pairs of Fractions,
-except for the kernel walk, which runs over Z (a point of odd order on
-an integral model is integral).
+anywhere: coefficients are ints, and points are pairs of Fractions.
+The kernel walk runs over Z (a point of odd order on an integral model
+is integral), and so do on_curve and reduce_point at an integral point.
 """
 
 from __future__ import annotations
@@ -84,9 +84,12 @@ def invariants(a1: int, a2: int, a3: int, a4: int, a6: int) -> Curve:
 
 
 def on_curve(e: Curve, pt: Point) -> bool:
+    """The curve equation at pt, over Z when both coordinates are integral."""
     if pt is None:
         return True
-    x, y = Q(pt[0]), Q(pt[1])
+    x, y = pt
+    if x.denominator == 1 == y.denominator:
+        x, y = x.numerator, y.numerator
     return y * y + e.a1 * x * y + e.a3 * y == x**3 + e.a2 * x * x + e.a4 * x + e.a6
 
 
@@ -364,7 +367,9 @@ def reduce_point(e: Curve, pt: Point, q: int) -> tuple[int, int] | None:
     """Reduce a rational point mod q; None is the point at infinity."""
     if pt is None:
         return None
-    x, y = Q(pt[0]), Q(pt[1])
+    x, y = pt
+    if x.denominator == 1 == y.denominator:
+        return (x.numerator % q, y.numerator % q)
     if x.denominator % q == 0 or y.denominator % q == 0:
         return None
     return (

@@ -2,7 +2,9 @@
 
 Matrices here come from power-residue characters and are at most a few
 hundred rows/columns, so plain Gauss elimination on Python ints is exact
-and fast enough.
+and fast enough.  The elimination runs on lists of rows whose entries
+are residues in [0, p); FpMatrix is the labelled matrix of the CLI,
+checked once where it is built from outside input.
 """
 
 from __future__ import annotations
@@ -30,14 +32,8 @@ class FpMatrix:
         if any(not (0 <= e < self.p) for e in self.entries):
             raise InputError("entries must be reduced residues mod p")
 
-    def at(self, i: int, j: int) -> int:
-        return self.entries[i * self.cols + j]
-
-    def row(self, i: int) -> tuple[int, ...]:
-        return self.entries[i * self.cols : (i + 1) * self.cols]
-
     def to_lists(self) -> list[list[int]]:
-        return [list(self.row(i)) for i in range(self.rows)]
+        return [list(self.entries[i * self.cols : (i + 1) * self.cols]) for i in range(self.rows)]
 
 
 def fp_matrix(p: int, data: list[list[int]], row_labels=(), col_labels=(), cols=None) -> FpMatrix:
@@ -51,46 +47,46 @@ def fp_matrix(p: int, data: list[list[int]], row_labels=(), col_labels=(), cols=
     return FpMatrix(p, rows, cols, entries, tuple(row_labels), tuple(col_labels))
 
 
-def rref(m: FpMatrix) -> tuple[FpMatrix, tuple[int, ...]]:
-    """Reduced row echelon form and the pivot column list (strictly increasing)."""
-    p = m.p
-    a = [list(m.row(i)) for i in range(m.rows)]
+def rref(p: int, rows: list[list[int]]) -> tuple[list[list[int]], tuple[int, ...]]:
+    """Reduced row echelon form of rows of residues mod p, and the pivot columns (increasing)."""
+    a = [list(row) for row in rows]
     pivots: list[int] = []
     r = 0
-    for c in range(m.cols):
-        pivot = next((i for i in range(r, m.rows) if a[i][c] % p != 0), None)
+    for c in range(len(a[0]) if a else 0):
+        pivot = next((i for i in range(r, len(a)) if a[i][c]), None)
         if pivot is None:
             continue
         a[r], a[pivot] = a[pivot], a[r]
         inv = pow(a[r][c], -1, p)
         a[r] = [x * inv % p for x in a[r]]
-        for i in range(m.rows):
-            if i != r and a[i][c]:
-                f = a[i][c]
-                a[i] = [(x - f * y) % p for x, y in zip(a[i], a[r])]
+        for i, row in enumerate(a):
+            if i != r and row[c]:
+                f = row[c]
+                a[i] = [(x - f * y) % p for x, y in zip(row, a[r])]
         pivots.append(c)
         r += 1
-        if r == m.rows:
+        if r == len(a):
             break
-    entries = tuple(x for row in a for x in row)
-    return FpMatrix(p, m.rows, m.cols, entries, m.row_labels, m.col_labels), tuple(pivots)
+    return a, tuple(pivots)
 
 
-def rank(m: FpMatrix) -> int:
-    return len(rref(m)[1])
+def rank(p: int, rows: list[list[int]]) -> int:
+    return len(rref(p, rows)[1])
 
 
-def kernel_basis(m: FpMatrix) -> list[tuple[int, ...]]:
-    """Echelonized basis of the right kernel, free variables set to 1 in column order."""
-    p = m.p
-    red, pivots = rref(m)
-    pivot_set = set(pivots)
-    free = [c for c in range(m.cols) if c not in pivot_set]
+def kernel_basis(p: int, rows: list[list[int]], cols: int) -> list[tuple[int, ...]]:
+    """Echelonized basis of the right kernel, free variables set to 1 in column order.
+
+    cols is the column count (rows may be empty); the basis has cols - rank vectors.
+    """
+    red, pivots = rref(p, rows)
     basis = []
-    for f in free:
-        v = [0] * m.cols
+    for f in range(cols):
+        if f in pivots:
+            continue
+        v = [0] * cols
         v[f] = 1
-        for r_idx, c in enumerate(pivots):
-            v[c] = (-red.at(r_idx, f)) % p
+        for row, c in zip(red, pivots):
+            v[c] = -row[f] % p
         basis.append(tuple(v))
     return basis

@@ -3,14 +3,17 @@
 The runtime package has one group law, the integral kernel walk
 ``elliptic.kernel_multiples``.  The Fraction chord-tangent law and
 Velu's point pushforward live here as independent references for it and
-for Velu's codomain, and the Fraction change of model ``apply_transform``
-as the reference for the integer reduction in ``elliptic.minimal_model``.
+for Velu's codomain, the Fraction change of model ``apply_transform``
+as the reference for the integer reduction in ``elliptic.minimal_model``,
+and the elimination on ``FpMatrix`` objects as the reference for the
+list elimination in ``fplinalg``.
 """
 
 from fractions import Fraction
 
 from shabound.elliptic import _require_on_curve, invariants, kernel_multiples, transform_point
 from shabound.errors import InputError, ShaboundError
+from shabound.fplinalg import FpMatrix
 
 Q = Fraction
 
@@ -92,6 +95,47 @@ def push_point(iso, gen, pt):
             + (a1 * uq - gx * gy) / dxi**2
         )
     return transform_point((xx, yy), iso.to_minimal)
+
+
+def fp_rref(m):
+    """Reduced row echelon form of an FpMatrix and the pivot column list (strictly increasing)."""
+    p = m.p
+    a = m.to_lists()
+    pivots: list[int] = []
+    r = 0
+    for c in range(m.cols):
+        pivot = next((i for i in range(r, m.rows) if a[i][c] % p != 0), None)
+        if pivot is None:
+            continue
+        a[r], a[pivot] = a[pivot], a[r]
+        inv = pow(a[r][c], -1, p)
+        a[r] = [x * inv % p for x in a[r]]
+        for i in range(m.rows):
+            if i != r and a[i][c]:
+                f = a[i][c]
+                a[i] = [(x - f * y) % p for x, y in zip(a[i], a[r])]
+        pivots.append(c)
+        r += 1
+        if r == m.rows:
+            break
+    entries = tuple(x for row in a for x in row)
+    return FpMatrix(p, m.rows, m.cols, entries, m.row_labels, m.col_labels), tuple(pivots)
+
+
+def fp_kernel_basis(m):
+    """Echelonized basis of the right kernel of an FpMatrix, free variables set to 1 in column order."""
+    p = m.p
+    red, pivots = fp_rref(m)
+    pivot_set = set(pivots)
+    free = [c for c in range(m.cols) if c not in pivot_set]
+    basis = []
+    for f in free:
+        v = [0] * m.cols
+        v[f] = 1
+        for r_idx, c in enumerate(pivots):
+            v[c] = (-red.entries[r_idx * m.cols + f]) % p
+        basis.append(tuple(v))
+    return basis
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

@@ -42,6 +42,29 @@ def test_is_prime_large_band_uses_bpsw():
     assert not is_prime(p + 1)
 
 
+# psi_k: the least odd composite that is a strong pseudoprime to the first k prime bases (OEIS A014233)
+PSI = (
+    2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
+    341550071728321, 341550071728321, 3825123056546413051, 3825123056546413051,
+    3825123056546413051, 318665857834031151167461, 3317044064679887385961981,
+)
+
+
+def test_is_prime_at_each_psi_k():
+    # each psi_k is composite and fools the first k bases; psi_12 fooled the
+    # twelve bases 2..37 that is_prime used to trust up to psi_13
+    for psi in PSI:
+        for n in (psi, psi - 2, psi + 2):
+            assert is_prime(n) == sympy.isprime(n), n
+    assert not is_prime(318665857834031151167461)
+
+
+def test_factor_splits_psi_12():
+    fac = factor(318665857834031151167461)
+    assert fac.complete
+    assert fac.factors == ((399165290221, 1), (798330580441, 1))
+
+
 def test_is_prime_rejects_out_of_range():
     with pytest.raises(InputError):
         is_prime(1 << 128)

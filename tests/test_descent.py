@@ -11,6 +11,7 @@ from shabound.arith import is_prime
 from shabound.descent import (
     S1,
     S2,
+    SandwichResult,
     analyze_curve,
     character_matrix,
     classify_primes,
@@ -19,8 +20,11 @@ from shabound.descent import (
     sandwich_from_sets,
     valuation_ratio_set,
 )
+from shabound import descent, fplinalg
+from shabound.arith import character_eval, residue_character
 from shabound.elliptic import invariants
-from shabound.errors import InputError
+from shabound.errors import DegenerateFiber, IncompleteFactorization, InputError
+from shabound.search import fiber, tate_family
 
 Q = Fraction
 
@@ -213,3 +217,83 @@ def test_bad_factorization_is_a_typed_error_with_and_without_asserts():
         assert out.returncode == 0, (flags, out.stderr)
         assert out.stdout.startswith("InputError:"), (flags, out.stdout)
         assert "does not multiply back" in out.stdout, (flags, out.stdout)
+
+
+def _oracle_sandwich(p, s1, s2):
+    """Both sandwich groups from one character_eval per matrix entry and the FpMatrix elimination."""
+    from conftest import fp_kernel_basis
+
+    ells = [ell for ell in sorted(s2) if ell % p == 1]
+
+    def kernel(support, extra_rows):
+        rows = [[character_eval(residue_character(ell, p), q) for q in support] for ell in ells]
+        return tuple(fp_kernel_basis(fplinalg.fp_matrix(p, rows + extra_rows, cols=len(support))))
+
+    lower, upper = tuple(sorted(s1)), tuple(sorted(set(s1) | {p}))
+    unit_row = [((pow(q, p - 1, p * p) - 1) // p) % p for q in lower]
+    lower_basis, upper_basis = kernel(lower, [unit_row]), kernel(upper, [])
+    return SandwichResult(p, len(lower_basis), len(upper_basis), lower, upper, lower_basis, upper_basis)
+
+
+def _analyzed_fibers(p, bs):
+    fam = tate_family(p)
+    for b in bs:
+        try:
+            fib = fiber(fam, b)
+        except (DegenerateFiber, IncompleteFactorization):
+            continue
+        yield b, analyze_curve(fib.curve, fib.point, p, fib.disc_factorization)
+
+
+def test_analyze_curve_matches_standalone_matrix_and_sandwich_calls():
+    # one character table per curve gives what the standalone calls (and an
+    # FpMatrix oracle with one character_eval per entry) give: the 80
+    # fibers of the default p = 5 scan, and p = 7 with |b| <= 60
+    from conftest import fp_rref
+
+    count = 0
+    for p, height in ((5, 40), (7, 60)):
+        bs = [s * b for b in range(1, height + 1) for s in (1, -1)]
+        for b, an in _analyzed_fibers(p, bs):
+            s1, s2 = an.classified.sets.s1, an.classified.sets.s2
+            assert an.m_phi == m_rank(p, s1, s2), (p, b)
+            assert an.m_phihat == m_rank(p, s2, s1, drop_trivial_rows=True), (p, b)
+            assert an.sandwich_phi == sandwich_from_sets(p, s1, s2) == _oracle_sandwich(p, s1, s2), (p, b)
+            assert an.sandwich_dual == sandwich_from_sets(p, s2, s1) == _oracle_sandwich(p, s2, s1), (p, b)
+            assert an.m_phi == len(fp_rref(character_matrix(p, s1, s2))[1]), (p, b)
+            assert an.m_phihat == len(fp_rref(character_matrix(p, s2, s1, True))[1]), (p, b)
+            count += 1
+    assert count > 150
+
+
+def test_analyze_curve_builds_one_character_table_and_no_fpmatrix(monkeypatch):
+    # p = 7, b = 30: S1 = (2, 3, 5, 29), S2 = (71, 281), and 29 = 1 mod 7.
+    # The matrices and sandwiches of both directions read chi_ell(q) for
+    # ell in S2 against S1 and 7, and for ell = 29 against S2 and 7: 13
+    # character_evals, and the eliminations run on lists
+    fib = fiber(tate_family(7), 30)
+    pairs, built = [], [0]
+
+    def counted_eval(chi, a):
+        pairs.append((chi.ell, a))
+        return character_eval(chi, a)
+
+    def counted_post_init(self):
+        built[0] += 1
+
+    monkeypatch.setattr(descent, "character_eval", counted_eval)
+    monkeypatch.setattr(fplinalg.FpMatrix, "__post_init__", counted_post_init)
+    an = analyze_curve(fib.curve, fib.point, 7, fib.disc_factorization)
+    monkeypatch.undo()
+    sets = an.classified.sets
+    assert (sets.s1, sets.s2) == ((2, 3, 5, 29), (71, 281))
+    want = {(ell, q) for ell in sets.s2 for q in sets.s1 + (7,)}
+    want |= {(29, q) for q in sets.s2 + (7,)}
+    assert sorted(pairs) == sorted(want)
+    assert built[0] == 0
+
+
+def test_analyze_curve_rejects_a_composite_p_once():
+    # a point of order 9 passes Velu; the character table rejects p = 9
+    with pytest.raises(InputError, match="modulus 9 is not prime"):
+        analyze_curve(invariants(-3, -12, -12, 0, 0), (0, 0), 9)

@@ -76,6 +76,37 @@ def test_group_law_rejects_points_off_the_curve():
             call()
 
 
+def _fraction_equation(e, pt):
+    x, y = Q(pt[0]), Q(pt[1])
+    return y * y + e.a1 * x * y + e.a3 * y == x**3 + e.a2 * x * x + e.a4 * x + e.a6
+
+
+def test_on_curve_and_reduce_point_over_z_match_the_fraction_formulas():
+    # integral points take the int path, the others the Fraction one; 37a1
+    # has the point (0, 0) of infinite order, whose 5th multiple is (1/4, -5/8)
+    e37 = invariants(0, 0, 1, -1, 0)
+    points = [(e37, multiple(e37, n, (Q(0), Q(0)))) for n in range(1, 8)]
+    points += [(E_B5, multiple(E_B5, n, (Q(2), Q(12)))) for n in (1, 2, 3)]
+    points += [(E11A3, (0, 0)), (E11A3, (Q(1), Q(-1)))]
+    cases = {(integral, on): 0 for integral in (True, False) for on in (True, False)}
+    for e, pt in points:
+        for dx, dy in ((0, 0), (0, 1), (1, 0), (0, Q(1, 3)), (Q(1, 2), 0)):
+            moved = (pt[0] + dx, pt[1] + dy)
+            want = _fraction_equation(e, moved)
+            assert on_curve(e, moved) == want, (e.ainvs(), moved)
+            if not want:
+                with pytest.raises(InputError):
+                    kernel_multiples(e, moved, 5)
+            x, y = Q(moved[0]), Q(moved[1])
+            cases[x.denominator == y.denominator == 1, want] += 1
+            for q in (2, 3, 5, 7, 11, 13):
+                want_red = None
+                if x.denominator % q and y.denominator % q:
+                    want_red = tuple(c.numerator * pow(c.denominator, -1, q) % q for c in (x, y))
+                assert reduce_point(e, moved, q) == want_red, (e.ainvs(), moved, q)
+    assert min(cases.values()) >= 3, cases
+
+
 def test_integral_kernel_walk_matches_the_fraction_group_law():
     # kernel_multiples steps over Z; the Fraction group law must give the same points
     corpus = [(5, s * b) for b in range(1, 41) for s in (1, -1)]

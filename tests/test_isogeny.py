@@ -140,10 +140,9 @@ def test_dual_check_stays_in_integers(monkeypatch):
 
 
 def test_velu_from_a_point_stays_in_integers(monkeypatch):
-    # the kernel walk, the kernel polynomial and Velu's t and w run over Z:
-    # Fractions only for the on-curve check of the input point and the
-    # transformation to the minimal codomain (7 products at p = 5 and at
-    # p = 7, b = 2; the Fraction walk made 57 and 69)
+    # the on-curve check of an integral point, the kernel walk, the kernel
+    # polynomial and Velu's t and w run over Z: at b = 2, where Velu's
+    # codomain is minimal, no Fraction products at all at p = 5 and at p = 7
     calls = [0]
     mul, rmul = Fraction.__mul__, Fraction.__rmul__
 
@@ -159,8 +158,10 @@ def test_velu_from_a_point_stays_in_integers(monkeypatch):
         monkeypatch.setattr(Fraction, "__rmul__", counted(rmul))
         calls[0] = 0
         iso = velu_quotient(fib.curve, fib.point, p, fib.disc_factorization.primes)
+        assert calls[0] == 0, (p, calls[0])
+        assert Fraction(1, 2) * 3 == Fraction(3, 2) and calls[0] == 1  # the counter counts
         monkeypatch.undo()
-        assert 0 < calls[0] < 20, (p, calls[0])
+        assert iso.to_minimal.u == 1
         assert all(type(c) is Fraction for c in iso.kernel_x_poly)
 
 
