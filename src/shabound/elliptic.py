@@ -15,7 +15,7 @@ from fractions import Fraction
 from functools import cached_property
 
 from . import polys
-from .arith import Factorization, factor, is_prime, require_complete, valuation
+from .arith import Factorization, _exact_root, factor, is_prime, require_complete, valuation
 from .errors import InputError, ShaboundError, SingularModel
 
 Q = Fraction
@@ -292,6 +292,21 @@ def minimal_model(
     emin = _reduce_model(_curve_from_c4c6(c4 // u**4, c6 // u**6))
     fac_min = Factorization(emin.disc, disc_factorization.sign, tuple(min_factors))
     return emin, _transform_between(e, emin, u), fac_min
+
+
+def isomorphic_to_minimal(e: Curve, emin: Curve) -> bool:
+    """True iff the integral model e is isomorphic over Q to the globally minimal emin.
+
+    An integral model reaches the minimal one by a change of coordinates
+    with u an integer, so Delta(e) = u^12 Delta(emin) with u > 0 (the sign
+    of u changes no invariant), and e is isomorphic to emin exactly when
+    c4(e) = u^4 c4(emin) and c6(e) = u^6 c6(emin).  No case is special:
+    at j = 0 and j = 1728 a twist that keeps j changes c6 or c4 by a
+    factor that is no sixth or fourth power in Q.
+    """
+    m, rem = divmod(e.disc, emin.disc)
+    u = _exact_root(m, 12) if m > 0 and not rem else None
+    return u is not None and (e.c4, e.c6) == (u**4 * emin.c4, u**6 * emin.c6)
 
 
 # ------------------------------------------------------------- reduction

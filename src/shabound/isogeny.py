@@ -6,13 +6,18 @@ points are irrational but Galois-stable).  Both go through one power-sum
 form of Velu's formulas, and the dual kernel polynomial h' is read off
 the leading coefficients of h'(X) h^(p-1) = psi_p / (p h), X = N / h^2
 the x-map, so nothing here needs the roots of a kernel polynomial.
-Division polynomials, the dual-kernel and closure arithmetic and Velu's
-formulas run over Z, once a kernel polynomial is rescaled to a monic
-integral one; Fractions appear only where a kernel polynomial or a model
-comes in or goes out.
+One division-polynomial recursion serves three rings: Z[x] for psi_p
+itself, series in 1 / x truncated to the few leading coefficients the
+dual kernel reads, and Z[x] / (h) for the check that h divides psi_p.
+That check, the closure check, the dual-kernel solve and Velu's formulas
+run over Z, once a kernel polynomial is rescaled to a monic integral
+one; Fractions appear only where a kernel polynomial or a model comes in
+or goes out.
 Codomains come back globally minimal, with the factorization of their
 discriminant, so discriminant valuations feed the descent classifier
 directly; that factorization starts from hinted primes of the domain.
+velu_model_from_kernel_poly skips both for a caller that needs the
+codomain only up to isomorphism: the dual check.
 """
 
 from __future__ import annotations
@@ -38,45 +43,84 @@ Q = Fraction
 
 # ----------------------------------------------------- division polynomials
 
-def division_poly_x(e: Curve, n: int) -> list[int]:
-    """For odd n: the full n-division polynomial as a polynomial in x, over Z.
+def division_poly_x(
+    e: Curve, n: int, top: int | None = None, mod: list[int] | None = None
+) -> list[int]:
+    """For odd n: the n-division polynomial as a polynomial in x, over Z.
 
-    The recursion runs on the x-parts f_m, psi_m = f_m * (psi_2 if m even),
-    kept in a memo for this call alone.
+    One recursion on the x-parts f_m, psi_m = f_m * (psi_2 if m even),
+    kept in a memo for this call alone, in one of three rings:
+    - by default Z[x], giving psi_n in full, low degree first;
+    - with top = K, series in 1 / x truncated to K terms, giving the top
+      K coefficients of psi_n, highest first.  Each step multiplies, or
+      subtracts two terms of one degree whose difference keeps a nonzero
+      leading coefficient (f_k leads with k, or k / 2 for even k), so
+      the truncation is exact;
+    - with mod = h, monic over Z, Z[x] / (h) as in Schoof's algorithm
+      (Math. Comp. 1985), giving psi_n mod h as deg h coefficients.
     """
     if n % 2 == 0:
         raise InputError("division_poly_x is for odd n")
+    if mod is not None:
+        embed, mul = polys.residue_ring(mod)
+    elif top is not None:
+        def embed(f):
+            return _top(f, top)
+
+        mul = _mul_top
+    else:
+        embed, mul = list, polys.mul
+
+    def sub(f, g):  # two terms of one degree: their difference keeps that degree
+        return [a - b for a, b in zip(f, g)]
+
     b2, b4, b6, b8 = e.b2, e.b4, e.b6, e.b8
-    t2 = polys.mul(_psi2_squared(e), _psi2_squared(e))  # psi_2^4
+    one = embed([1])
     memo: dict[int, list[int]] = {
-        0: [],
-        1: [1],
-        2: [1],
-        3: [b8, 3 * b6, 3 * b4, b2, 3],
-        4: [b4 * b8 - b6**2, b2 * b8 - b4 * b6, 10 * b8, 10 * b6, 5 * b4, b2, 2],
+        1: one,
+        2: one,
+        3: embed([b8, 3 * b6, 3 * b4, b2, 3]),
+        4: embed([b4 * b8 - b6**2, b2 * b8 - b4 * b6, 10 * b8, 10 * b6, 5 * b4, b2, 2]),
     }
 
-    def f(k):
-        if k in memo:
-            return memo[k]
-        m, rem = divmod(k, 2)
-        if rem:
-            a = polys.mul(f(m + 2), polys.mul(f(m), polys.mul(f(m), f(m))))
-            b = polys.mul(f(m - 1), polys.mul(f(m + 1), polys.mul(f(m + 1), f(m + 1))))
-            if m % 2 == 0:
-                res = polys.sub(polys.mul(a, t2), b)
-            else:
-                res = polys.sub(a, polys.mul(b, t2))
-        else:
-            inner = polys.sub(
-                polys.mul(f(m + 2), polys.mul(f(m - 1), f(m - 1))),
-                polys.mul(f(m - 2), polys.mul(f(m + 1), f(m + 1))),
-            )
-            res = polys.mul(f(m), inner)
-        memo[k] = res
-        return res
+    def prod(*factors):  # with no product by f_1 = f_2 = 1
+        out = one
+        for g in factors:
+            out = g if out is one else out if g is one else mul(out, g)
+        return out
 
+    def f(k):
+        if k not in memo:
+            m = k // 2
+            if k % 2:
+                a, b = prod(f(m + 2), f(m), f(m), f(m)), prod(f(m - 1), f(m + 1), f(m + 1), f(m + 1))
+                memo[k] = sub(prod(a, t2), b) if m % 2 == 0 else sub(a, prod(b, t2))
+            else:
+                inner = sub(prod(f(m + 2), f(m - 1), f(m - 1)), prod(f(m - 2), f(m + 1), f(m + 1)))
+                memo[k] = prod(f(m), inner)
+        return memo[k]
+
+    psi2_sq = embed(_psi2_squared(e))
+    t2 = mul(psi2_sq, psi2_sq)  # psi_2^4
     return f(n)
+
+
+def _integral_kernel(e: Curve, h: list[Fraction]) -> tuple[Curve, list[int]]:
+    """The model scaled by a_i -> D^i a_i and h_D = D^(2d) h(y / D^2), D the lcm of h's denominators.
+
+    The scaled model's x-coordinates are D^2 x, so h_D, monic integral,
+    cuts out on it the points h cuts out on e.
+    """
+    big_d = _denominator(h)
+    if big_d != 1:
+        e = Curve(*(a * big_d**wt for a, wt in zip(e.ainvs(), (1, 2, 3, 4, 6))))
+    return e, _scaled(h, big_d**2)
+
+
+def _require_divides_psi(e: Curve, h: list[int], p: int) -> None:
+    """h must divide psi_p: psi_p mod h is zero (h monic integral)."""
+    if any(division_poly_x(e, p, mod=h)):
+        raise InputError("kernel polynomial does not divide the p-division polynomial")
 
 
 def _psi2_squared(e: Curve) -> list[int]:
@@ -127,18 +171,16 @@ def _integralize(coeffs: tuple) -> tuple[Curve, int]:
     return model, d
 
 
-def _velu(
-    e: Curve, p: int, kernel: tuple, h_d: list[int], big_d: int, hints: tuple[int, ...]
-) -> IsogenyData:
-    """Velu's codomain from the power sums of the kernel polynomial (y-free, p odd).
+def _velu_model(e: Curve, h_d: list[int], big_d: int) -> tuple[Curve, int]:
+    """Velu's codomain as an integral model and its scale d (see _integralize).
+
+    It comes from the power sums of the kernel polynomial (y-free, p odd).
 
     h_d = D^d kernel(y / D) is the kernel polynomial made monic integral,
     so its power sums are D^k times the kernel's, and D^2 t and D^3 w are
     integers: a4 and a6 of the raw model are one Fraction each, and
     integers for an integral kernel (D = 1), which _integralize returns
-    at once.  The raw codomain's discriminant is factored with the hints
-    (primes of the domain's discriminant) and p first: isogenous curves
-    share their bad primes.
+    at once.
     """
     d = len(h_d) - 1
     b2, b4, b6 = e.b2, e.b4, e.b6
@@ -149,7 +191,19 @@ def _velu(
     a4, a6 = e.a4 * d2 - 5 * t, e.a6 * d3 - b2 * big_d * t - 7 * w
     if big_d != 1:
         a4, a6 = Q(a4, d2), Q(a6, d3)
-    raw, scale = _integralize((e.a1, e.a2, e.a3, a4, a6))
+    return _integralize((e.a1, e.a2, e.a3, a4, a6))
+
+
+def _velu(
+    e: Curve, p: int, kernel: tuple, h_d: list[int], big_d: int, hints: tuple[int, ...]
+) -> IsogenyData:
+    """Velu's codomain made globally minimal, with its discriminant factored.
+
+    The raw model's discriminant is factored with the hints (primes of the
+    domain's discriminant) and p first: isogenous curves share their bad
+    primes.
+    """
+    raw, scale = _velu_model(e, h_d, big_d)
     if is_prime(p):  # a point of order 9 also has a Velu quotient
         hints = (*hints, p)
     # hints above the trial limit would complete factorizations that factor() gives up on
@@ -184,40 +238,61 @@ def velu_quotient_from_kernel_poly(
 
     h must be monic of degree (p-1)/2, divide the p-division polynomial,
     and its root set must be stable under the doubling map (subgroup
-    rationality check).  Both checks and Velu's formulas run over Z after
-    x = y / D, D the lcm of h's denominators, which makes
-    h_D = D^d h(y / D) monic integral.  hints are primes of the
-    discriminant of e (see _velu).
+    rationality check); both checks run over Z (see _checked_kernel).
+    Velu's formulas run over Z after x = y / D, D the lcm of h's
+    denominators, which makes h_D = D^d h(y / D) monic integral.  hints
+    are primes of the discriminant of e (see _velu).
     """
+    h = _checked_kernel(e, h, p)[0]
+    big_d = _denominator(h)
+    return _velu(e, p, tuple(h), _scaled(h, big_d), big_d, hints)
+
+
+def velu_model_from_kernel_poly(e: Curve, h: list[Fraction], p: int) -> Curve:
+    """An integral model of E / <h>, for a caller that needs it only up to isomorphism.
+
+    The same checks as velu_quotient_from_kernel_poly, then Velu's
+    formulas on the integral pair of _integral_kernel, whose raw model is
+    integral already: no Fraction, no factorization, no minimal model.
+    """
+    _, e_k, h_k = _checked_kernel(e, h, p)
+    return _velu_model(e_k, h_k, 1)[0]
+
+
+def _checked_kernel(e: Curve, h: list[Fraction], p: int) -> tuple[list[Fraction], Curve, list[int]]:
+    """h as Fractions and the integral pair of _integral_kernel, once h passes the checks.
+
+    Both checks run on that pair: psi_p mod h_D, and closure under doubling.
+    """
+    if not isinstance(p, int) or p < 3 or p % 2 == 0:
+        raise InputError(f"p must be an odd integer >= 3, got {p}")
     h = [Q(c) for c in h]
     if len(h) != (p - 1) // 2 + 1 or h[-1] != 1:
         raise InputError(f"kernel polynomial must be monic of degree {(p - 1) // 2}")
-    big_d = _denominator(h)
-    h_d = _scaled(h, big_d)
-    if polys.divmod_monic(_scaled(division_poly_x(e, p), big_d), h_d)[1]:
-        raise InputError("kernel polynomial does not divide the p-division polynomial")
-    if not _stable_under_doubling(e, h_d, big_d):
+    e_k, h_k = _integral_kernel(e, h)
+    _require_divides_psi(e_k, h_k, p)
+    if not _stable_under_doubling(e_k, h_k):
         raise InputError("kernel polynomial roots are not closed under doubling")
-    return _velu(e, p, tuple(h), h_d, big_d, hints)
+    return h, e_k, h_k
 
 
-def _stable_under_doubling(e: Curve, h_d: list[int], big_d: int) -> bool:
-    """True iff x(2z) is a root of h for every root z of h, h_d = D^d h(y / D).
+def _stable_under_doubling(e: Curve, h: list[int]) -> bool:
+    """True iff x(2z) is a root of h for every root z of h, h monic integral.
 
     With x(2z) = num(z) / den(z), that is den^d * h(num / den) = 0 mod h(z),
-    d = deg h.  For a squarefree h dividing psi_p this is closure of the
-    root set, since doubling is injective on x-coordinates of E[p] - {O}.
-    In y = D z the same test reads sum_j h_D[j] num_D^j den_D^(d-j) = 0
-    mod h_D, with num_D, den_D the rescaled num, den: all over Z.
+    d = deg h, over Z.  For a squarefree h dividing psi_p this is closure
+    of the root set, since doubling is injective on x-coordinates of
+    E[p] - {O}.
     """
-    num = polys.divmod_monic(_scaled([-e.b8, -2 * e.b6, -e.b4, 0, 1], big_d), h_d)[1]
-    den = polys.divmod_monic(_scaled(_psi2_squared(e), big_d), h_d)[1]
+    reduce, mul = polys.residue_ring(h)
+    num = reduce([-e.b8, -2 * e.b6, -e.b4, 0, 1])
+    den = reduce(_psi2_squared(e))
     # Horner in homogeneous form: acc = sum_{j >= i} h_j num^(j-i) den^(d-j)
-    acc, den_pow = [h_d[-1]], [1]
-    for c in reversed(h_d[:-1]):
-        den_pow = polys.divmod_monic(polys.mul(den_pow, den), h_d)[1]
-        acc = polys.add(polys.divmod_monic(polys.mul(acc, num), h_d)[1], polys.scale(den_pow, c))
-    return not acc
+    acc = den_pow = reduce([1])
+    for c in reversed(h[:-1]):
+        den_pow = mul(den_pow, den)
+        acc = [a + c * b for a, b in zip(mul(acc, num), den_pow)]
+    return not any(acc)
 
 
 def dual_kernel_poly(iso: IsogenyData) -> list[Fraction]:
@@ -238,8 +313,9 @@ def dual_kernel_poly(iso: IsogenyData) -> list[Fraction]:
     reads sum_j H_j T_j = A_c, T_j = N_c^j h_c^(2(d-j)) monic of degree
     2d^2 + j, so H is integral: a triangular solve on the top d + 1
     coefficients, which need only the top d + 1 of N_c and h_c^2, gives
-    it from H_d = 1 down.  The full quotient A_c is still taken, as the
-    check that h divides psi_p.
+    it from H_d = 1 down.  The top of A_c is the top of psi_p, from the
+    truncated recursion, rescaled and divided by p h_c as a series in
+    1 / y; that h divides psi_p is checked apart, modulo h.
 
     The solve runs on the minimal model directly: x_min = (X - r) / u^2
     there, so X_min = N' / (kappa h_c^2) with N' = N_c - c r h_c^2 and
@@ -252,15 +328,18 @@ def dual_kernel_poly(iso: IsogenyData) -> list[Fraction]:
     h = list(iso.kernel_x_poly)
     if not h or h[-1] != 1:
         raise InputError("kernel polynomial must be monic")
+    _require_divides_psi(*_integral_kernel(e, h), p)
     d = len(h) - 1
     c = p * _denominator(h)
     h_c = _scaled(h, c)
-    a_c = polys.exact_quo_monic([x // p for x in _scaled(division_poly_x(e, p), c)], h_c)
 
-    def top(f):  # the top d + 1 coefficients, highest first: a series in 1 / y
-        return f[: -d - 2 : -1]
-
-    n_top, hh_top = top(_velu_x_numerator(e, h_c, p, c)), top(polys.mul(h_c, h_c))
+    # the top d + 1 coefficients of each polynomial, highest first: series in 1 / y
+    psi_top = [a * c**i // p for i, a in enumerate(division_poly_x(e, p, top=d + 1))]
+    a_top, h_top = [], h_c[::-1]
+    for k, a in enumerate(psi_top):  # A_c = (psi_c / p) / h_c, h_c monic
+        a_top.append(a - sum(h_top[i] * a_top[k - i] for i in range(1, k + 1)))
+    hh_top = _mul_top(h_top, h_top)
+    n_top = _velu_x_numerator_top(e, h_c, p, c, hh_top)
     u, r = map(_int_if_integral, (iso.to_minimal.u, iso.to_minimal.r))
     kappa = c * u**2
     n_top = [n - c * r * hh for n, hh in zip(n_top, [0, *hh_top[:-1]])]  # top(N'), deg h_c^2 = 2d
@@ -272,7 +351,7 @@ def dual_kernel_poly(iso: IsogenyData) -> list[Fraction]:
     for j in range(1, d + 1):
         n_pow = _mul_top(n_pow, n_top)
         t_tops[j] = _mul_top(n_pow, hh_pows[d - j])
-    a_top, big_h = top(a_c), [0] * d + [1]
+    big_h = [0] * d + [1]
     for j in range(d - 1, -1, -1):  # the coefficient of y^(2d^2 + j)
         big_h[j] = a_top[d - j] - sum(big_h[i] * t_tops[i][i - j] for i in range(j + 1, d + 1))
     return [Q(hj, kappa ** (d - j)) for j, hj in enumerate(big_h)]
@@ -282,21 +361,38 @@ def _int_if_integral(a: Fraction) -> int | Fraction:
     return a.numerator if a.denominator == 1 else a
 
 
+def _top(f: list[int], k: int) -> list[int]:
+    """The top k coefficients of f, highest first, zeros below its constant term: f as a series in 1 / x."""
+    return (f[::-1] + [0] * k)[:k]
+
+
 def _mul_top(f: list[int], g: list[int]) -> list[int]:
     """The top len(f) coefficients of f g, highest first, from the top len(f) of f and of g."""
-    return [sum(f[i] * g[k - i] for i in range(k + 1)) for k in range(len(f))]
+    n = len(f)
+    out = [0] * n
+    for i, a in enumerate(f):
+        if a:
+            for j in range(n - i):
+                out[i + j] += a * g[j]
+    return out
 
 
-def _velu_x_numerator(e: Curve, h_c: list[int], p: int, c: int) -> list[int]:
-    """N_c with X = N_c / (c h_c^2) the Velu x-map at x = y / c (Kohel's form).
+def _velu_x_numerator_top(e: Curve, h_c: list[int], p: int, c: int, hh_top: list[int]) -> list[int]:
+    """The top len(hh_top) coefficients of N_c, highest first, X = N_c / (c h_c^2)
+    the Velu x-map at x = y / c (Kohel's form); hh_top is the top of h_c^2.
 
     X = p x - 2 s_1 - t(x) h'/h - T(x) (h'/h)', with s_1 the sum of the
     roots of h, t = 6x^2 + b2 x + b4 and T = 4x^3 + b2 x^2 + 2 b4 x + b6;
     N_c = c^(2d+1) X h^2 in terms of h_c, t_c = c^2 t and T_c = c^3 T.
+    Its three terms, and the two of the inner difference, each have the
+    degree of the whole, and every factor leads with a nonzero
+    coefficient, so series in 1 / y truncated to len(hh_top) terms give
+    the top exactly.
     """
-    dh, ddh = polys.deriv(h_c), polys.deriv(polys.deriv(h_c))
-    lin = [2 * h_c[-2], p]  # c (p x - 2 s_1) for monic h
-    out = polys.mul(lin, polys.mul(h_c, h_c))
-    out = polys.sub(out, polys.mul(_scaled([e.b4, e.b2, 6], c), polys.mul(dh, h_c)))
-    inner = polys.sub(polys.mul(ddh, h_c), polys.mul(dh, dh))
-    return polys.sub(out, polys.mul(_scaled(_psi2_squared(e), c), inner))
+    k = len(hh_top)
+    h, dh, ddh = (_top(f, k) for f in (h_c, polys.deriv(h_c), polys.deriv(polys.deriv(h_c))))
+    lin = _top([2 * h_c[-2], p], k)  # c (p x - 2 s_1) for monic h
+    t_c, big_t_c = (_top(_scaled(f, c), k) for f in ([e.b4, e.b2, 6], _psi2_squared(e)))
+    inner = [a - b for a, b in zip(_mul_top(ddh, h), _mul_top(dh, dh))]
+    terms = (_mul_top(lin, hh_top), _mul_top(_mul_top(t_c, dh), h), _mul_top(big_t_c, inner))
+    return [a - b - g for a, b, g in zip(*terms)]

@@ -2,9 +2,9 @@
 
 Coefficients low-degree-first.  Two layers: ring operations and
 evaluation that work over Z or Q alike (the type of the coefficients
-passed in is the type that comes out), and integer division and
-remainder modulo a monic polynomial, which keep Fraction normalization
-out of the division-polynomial and dual-kernel arithmetic.
+passed in is the type that comes out), and arithmetic in Z[y] / (a)
+for a monic a, which keeps Fraction normalization out of the
+division-polynomial and closure checks.
 
 Last, one mod-q helper: the brute-force root finder behind the CRT
 congruences and the split test at q <= 3.  Degrees here never exceed a
@@ -12,8 +12,6 @@ few dozen, so dense lists and the schoolbook product are the right tool.
 """
 
 from __future__ import annotations
-
-from .errors import InputError
 
 
 # ------------------------------------------------------------ over Z or Q
@@ -24,18 +22,9 @@ def trim(f: list) -> list:
     return f
 
 
-def add(f, g):
-    n = max(len(f), len(g))
-    return trim([(f[i] if i < len(f) else 0) + (g[i] if i < len(g) else 0) for i in range(n)])
-
-
 def sub(f, g):
     n = max(len(f), len(g))
     return trim([(f[i] if i < len(f) else 0) - (g[i] if i < len(g) else 0) for i in range(n)])
-
-
-def scale(f, c):
-    return trim([c * x for x in f])
 
 
 def mul(f, g):
@@ -86,25 +75,34 @@ def power_sums(f, k: int) -> list:
 
 # ----------------------------------------------------------------- over Z
 
-def divmod_monic(f: list[int], a: list[int]) -> tuple[list[int], list[int]]:
-    """Quotient and remainder of f by a monic a over Z, by subtraction only."""
+def residue_ring(a: list[int]):
+    """Reduction into Z[y] / (a) and the product there, for a monic a over Z.
+
+    A residue is the list of its deg a coefficients, zeros included.  The
+    reduction subtracts multiples of a from the top down, so it stays in Z.
+    """
     n = len(a) - 1
-    r = trim(list(f))
-    quot = [0] * max(0, len(r) - n)
-    for k in range(len(r) - 1, n - 1, -1):
-        c = r[k]
-        if c:
-            quot[k - n] = c
-            for i in range(n):
-                r[k - n + i] -= c * a[i]
-    return trim(quot), trim(r[:n])
+    low = a[:n]
 
+    def reduce(f):
+        r = list(f)
+        while len(r) > n:
+            c = r.pop()
+            if c:
+                k = len(r) - n
+                for i, ai in enumerate(low):
+                    r[k + i] -= c * ai
+        return r + [0] * (n - len(r))
 
-def exact_quo_monic(f: list[int], a: list[int]) -> list[int]:
-    quot, rem = divmod_monic(f, a)
-    if rem:
-        raise InputError("polynomial division is not exact")
-    return quot
+    def product(f, g):
+        out = [0] * (len(f) + len(g) - 1)
+        for i, x in enumerate(f):
+            if x:
+                for j, y in enumerate(g):
+                    out[i + j] += x * y
+        return reduce(out)
+
+    return reduce, product
 
 
 # ------------------------------------------------------------------ mod q

@@ -21,6 +21,7 @@ from .descent import S1, S2, ClassifiedCurve, analyze_curve, valuation_ratio_set
 from .elliptic import (
     Curve,
     invariants,
+    isomorphic_to_minimal,
     minimal_model,
     transform_point,
 )
@@ -33,7 +34,7 @@ from .errors import (
     SingularModel,
     UnreachableCusp,
 )
-from .isogeny import dual_kernel_poly, velu_quotient_from_kernel_poly
+from .isogeny import dual_kernel_poly, velu_model_from_kernel_poly
 
 Q = Fraction
 
@@ -189,22 +190,21 @@ def _verify_dual_swap(cls: ClassifiedCurve) -> bool:
     """Re-derive the dual isogeny explicitly and check the S1/S2 swap.
 
     What this certifies is the round trip E -> E' -> E'/<dual kernel>:
-    the dual kernel polynomial is rebuilt from the isogeny, Velu's quotient
-    of E' by it is taken, and it must have E's minimal (c4, c6, Delta).
-    Once it does, the per-prime swap follows: valuation_ratio_set maps
-    (v_q(Delta'), v_q(Delta)) to the other set by construction.  The loop
-    over the primes stays as a guard on that bookkeeping.
+    the dual kernel polynomial is rebuilt from the isogeny, Velu's
+    integral model of the quotient of E' by it is taken, and a
+    closed-form test must find it isomorphic over Q to E's minimal model
+    (elliptic.isomorphic_to_minimal), so it needs neither a factorization
+    nor a minimal model of its own.  Once it passes, the per-prime swap
+    follows: valuation_ratio_set maps (v_q(Delta'), v_q(Delta)) to the
+    other set by construction.  The loop over the primes stays as a guard
+    on that bookkeeping.
     """
     iso = cls.isogeny
     p = cls.sets.p
-    h_dual = dual_kernel_poly(iso)
-    iso_dual = velu_quotient_from_kernel_poly(
-        iso.codomain, h_dual, p, iso.codomain_disc_factorization.primes
-    )
-    back = iso_dual.codomain
-    if (back.c4, back.c6, back.disc) != (cls.curve.c4, cls.curve.c6, cls.curve.disc):
+    back = velu_model_from_kernel_poly(iso.codomain, dual_kernel_poly(iso), p)
+    if not isomorphic_to_minimal(back, cls.curve):
         return False
-    fac_mid, fac_back = iso.codomain_disc_factorization, iso_dual.codomain_disc_factorization
+    fac_mid, fac_back = iso.codomain_disc_factorization, cls.disc_factorization
     for q, verdict, _ in cls.sets.evidence:
         dual_verdict = valuation_ratio_set(p, fac_mid.valuation(q), fac_back.valuation(q))
         if dual_verdict != (S2 if verdict == S1 else S1):

@@ -6,12 +6,23 @@ Velu's point pushforward live here as independent references for it and
 for Velu's codomain, the Fraction change of model ``apply_transform``
 as the reference for the integer reduction in ``elliptic.minimal_model``,
 and a second Gauss-Jordan elimination as the reference for ``fplinalg``.
+The dual check by minimal models, which factors the discriminant of the
+round trip's codomain and compares minimal invariants, is the reference
+for the closed-form isomorphism test the scan runs.
 """
 
 from fractions import Fraction
 
-from shabound.elliptic import _require_on_curve, invariants, kernel_multiples, transform_point
+from shabound.arith import factor_with_hints
+from shabound.elliptic import (
+    _require_on_curve,
+    invariants,
+    kernel_multiples,
+    minimal_model,
+    transform_point,
+)
 from shabound.errors import InputError, ShaboundError
+from shabound.isogeny import dual_kernel_poly, velu_quotient_from_kernel_poly
 
 Q = Fraction
 
@@ -93,6 +104,25 @@ def push_point(iso, gen, pt):
             + (a1 * uq - gx * gy) / dxi**2
         )
     return transform_point((xx, yy), iso.to_minimal)
+
+
+def oracle_isomorphic(e, emin, hints=()):
+    """e is isomorphic over Q to the minimal emin iff its own minimal model has emin's (c4, c6, Delta).
+
+    hints are primes of e's discriminant that factoring alone might miss.
+    """
+    m = minimal_model(e, factor_with_hints(e.disc, tuple(hints)))[0]
+    return (m.c4, m.c6, m.disc) == (emin.c4, emin.c6, emin.disc)
+
+
+def oracle_dual_round_trip(cls):
+    """The dual check by minimal models: Velu's quotient of E' by the dual kernel,
+    minimalized with its discriminant factored, has E's minimal (c4, c6, Delta)."""
+    iso, p = cls.isogeny, cls.sets.p
+    back = velu_quotient_from_kernel_poly(
+        iso.codomain, dual_kernel_poly(iso), p, iso.codomain_disc_factorization.primes
+    ).codomain
+    return (back.c4, back.c6, back.disc) == (cls.curve.c4, cls.curve.c6, cls.curve.disc)
 
 
 def fp_rref(p, rows, cols):

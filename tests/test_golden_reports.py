@@ -23,6 +23,12 @@ SEARCHES = {
     ),
     # the scan-p7 benchmark config: 33 fibers end as incomplete_factorization,
     # which a hint above the trial limit in Velu's factoring would change
+    # the p = 7 dual check: the closed-form isomorphism test on E'/<h'>,
+    # and the kernel polynomial checks run modulo h'
+    "p7-dual-200": (
+        {"p": 7, "scan_budget": 200, "verify_dual": True}, 1,
+        "8ccfbd7d1bfda133e27d8d84ee1e8de91a43af345a5bbce1262c23e66108f966",
+    ),
     "p7-300": (
         {"p": 7, "scan_budget": 300, "verify_dual": False}, 1,
         "a67eaf0e234ca93cfd66f5cd62cd87e82c37ce172e378f59f2f081cdebadbfff",
@@ -42,6 +48,9 @@ SEARCHES = {
 }
 
 ANALYZE_11A3_SECOND_KERNEL = "fea5a44fa1886e5d857e774aceb957660c8d67d71dca048e7e216a9ca4f434a1"
+# 11a1 with the dual kernel of 11a3 -> 11a1 as the second kernel: its
+# coefficients have denominator 5, so the kernel checks rescale by D = 5
+ANALYZE_11A1_DUAL_KERNEL = "d21bb045c0beb07e5b203b0920b2d1145bc00b8259f30e91620a9599d5dce3eb"
 
 
 def _sha(text: str) -> str:
@@ -64,3 +73,12 @@ def test_analyze_11a3_second_kernel_bytes_pinned(capsys):
     ])
     assert code == 0
     assert _sha(capsys.readouterr().out) == ANALYZE_11A3_SECOND_KERNEL
+
+
+def test_analyze_11a1_rational_second_kernel_bytes_pinned(capsys):
+    code = main([
+        "analyze", "--curve", "[0,-1,1,-10,-20]", "--point", '["5/1","5/1"]', "--p", "5",
+        "--second-kernel", '["-29/5","1/1","1/1"]', "--json",
+    ])
+    assert code == 0
+    assert _sha(capsys.readouterr().out) == ANALYZE_11A1_DUAL_KERNEL

@@ -8,7 +8,7 @@ import pytest
 import sympy
 from conftest import add_points, multiple, push_point
 
-from shabound import elliptic, polys
+from shabound import arith, descent, elliptic, isogeny, polys, search
 from shabound.arith import factor
 from shabound.elliptic import has_order, invariants, kernel_multiples, on_curve
 from shabound.descent import classify_primes
@@ -92,6 +92,10 @@ def test_quotient_from_kernel_poly_matches_point_route():
 def test_quotient_rejects_bad_kernel_poly():
     with pytest.raises(InputError):
         velu_quotient_from_kernel_poly(E_B5, (Q(1), Q(0), Q(1)), 5)
+    # as for a kernel point: an empty root set (p = 1) is no kernel of a p-isogeny
+    for p, h in ((1, [1]), (2, [1]), (4, [0, 1])):
+        with pytest.raises(InputError, match="odd integer >= 3"):
+            velu_quotient_from_kernel_poly(E_B5, h, p)
 
 
 def test_dual_kernel_round_trip():
@@ -117,7 +121,10 @@ def test_dual_check_stays_in_integers(monkeypatch):
     # at the edges.  dual_kernel_poly makes no Fraction product, with or
     # without a change of model (p = 5, b = -32 and p = 7, b = 5 need one,
     # which the solve takes in its integer u^2 and r); at b = 2 the dual's
-    # Velu step integralizes a non-integral kernel polynomial, 7 products
+    # Velu step integralizes a non-integral kernel polynomial, 7 products.
+    # The scan's dual check takes Velu's model on the rescaled integral
+    # pair instead and tests it against E in closed form: no Fraction
+    # product at all, and neither a factorization nor a minimal model
     calls = [0]
     mul, rmul = Fraction.__mul__, Fraction.__rmul__
 
@@ -127,16 +134,39 @@ def test_dual_check_stays_in_integers(monkeypatch):
             return op(a, b)
         return wrapped
 
+    heavy = {"factor_with_hints": 0, "minimal_model": 0}
+
+    def count_heavy(name, fn):
+        def wrapped(*args, **kwargs):
+            heavy[name] += 1
+            return fn(*args, **kwargs)
+        return wrapped
+
     for p, b in ((5, 2), (7, 2), (5, -32), (7, 5)):
         fib = fiber(tate_family(p), b)
-        iso = classify_primes(fib.curve, fib.point, p, fib.disc_factorization).isogeny
+        cls = classify_primes(fib.curve, fib.point, p, fib.disc_factorization)
+        iso = cls.isogeny
         assert (iso.to_minimal.u == 1) == (b == 2), (p, b)
         monkeypatch.setattr(Fraction, "__mul__", counted(mul))
         monkeypatch.setattr(Fraction, "__rmul__", counted(rmul))
         calls[0] = 0
         velu_quotient_from_kernel_poly(iso.codomain, dual_kernel_poly(iso), p)
         assert calls[0] < 10, (p, b, calls[0])
+        calls[0] = 0
+        assert search._verify_dual_swap(cls)
+        assert calls[0] == 0, (p, b, calls[0])
         assert Fraction(1, 2) * 3 == Fraction(3, 2) and calls[0] > 0  # the counter counts
+        monkeypatch.undo()
+        for name, home in (("factor_with_hints", arith), ("minimal_model", elliptic)):
+            fn = getattr(home, name)
+            for mod in (arith, elliptic, isogeny, descent, search):
+                if getattr(mod, name, None) is fn:
+                    monkeypatch.setattr(mod, name, count_heavy(name, fn))
+        assert search._verify_dual_swap(cls)
+        assert heavy == {"factor_with_hints": 0, "minimal_model": 0}, (p, b)
+        velu_quotient_from_kernel_poly(iso.codomain, dual_kernel_poly(iso), p)
+        assert heavy == {"factor_with_hints": 1, "minimal_model": 1}, (p, b)  # the counters count
+        heavy.update(factor_with_hints=0, minimal_model=0)
         monkeypatch.undo()
 
 
@@ -151,7 +181,7 @@ def test_dual_kernel_moves_with_any_change_of_model():
         for u, r in ((iso.to_minimal.u, iso.to_minimal.r), (Q(2, 3), Q(-5, 7)), (Q(p), Q(1, 2))):
             want = []
             for c in reversed(raw):  # Horner in u^2 X + r
-                want = polys.add(polys.mul(want, [r, u * u]), [c])
+                want = polys.sub(polys.mul(want, [r, u * u]), [-c])
             want = [c / u ** (2 * d) for c in want]
             tr = elliptic.Transformation(u, r, Q(0), Q(0))
             assert dual_kernel_poly(dataclasses.replace(iso, to_minimal=tr)) == want, (p, b, u, r)

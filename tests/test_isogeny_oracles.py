@@ -119,9 +119,8 @@ def oracle_division_poly_x(e, n):
 # -------------------------------------------------------------------- tests
 
 def _stable_under_doubling(e, h):
-    """The library's closure test, on h rescaled to monic integral as its callers do."""
-    big_d = isogeny._denominator(h)
-    return isogeny._stable_under_doubling(e, isogeny._scaled(h, big_d), big_d)
+    """The library's closure test, on the integral pair its callers pass it."""
+    return isogeny._stable_under_doubling(*isogeny._integral_kernel(e, h))
 
 
 def _isogenies(p, bs):
@@ -168,6 +167,16 @@ def _raw_dual_scaled(iso, c):
     return [int(k) for k in coeffs]
 
 
+def _velu_x_numerator(e, h_c, p, c):
+    """N_c in full, X = N_c / (c h_c^2) the Velu x-map at x = y / c (Kohel's form):
+    the polynomial whose top coefficients isogeny._velu_x_numerator_top gives."""
+    dh, ddh = polys.deriv(h_c), polys.deriv(polys.deriv(h_c))
+    out = polys.mul([2 * h_c[-2], p], polys.mul(h_c, h_c))
+    out = polys.sub(out, polys.mul(isogeny._scaled([e.b4, e.b2, 6], c), polys.mul(dh, h_c)))
+    inner = polys.sub(polys.mul(ddh, h_c), polys.mul(dh, dh))
+    return polys.sub(out, polys.mul(isogeny._scaled([e.b6, 2 * e.b4, e.b2, 4], c), inner))
+
+
 def test_dual_kernel_identity_holds_on_every_coefficient():
     # dual_kernel_poly reads H off the top d + 1 coefficients of
     # sum_j H_j N_c^j h_c^(2(d-j)) = A_c; the identity holds on all of them
@@ -179,8 +188,15 @@ def test_dual_kernel_identity_holds_on_every_coefficient():
             e, h = iso.domain, list(iso.kernel_x_poly)
             d, c = len(h) - 1, p * isogeny._denominator(h)
             h_c = isogeny._scaled(h, c)
-            a_c = polys.exact_quo_monic([x // p for x in isogeny._scaled(division_poly_x(e, p), c)], h_c)
-            n_c, hh = isogeny._velu_x_numerator(e, h_c, p, c), polys.mul(h_c, h_c)
+            y = sympy.symbols("y")
+            quo, rem = sympy.div(
+                _sympy_poly([x // p for x in isogeny._scaled(division_poly_x(e, p), c)], y), _sympy_poly(h_c, y)
+            )
+            assert rem.is_zero
+            a_c = [int(k) for k in reversed(quo.all_coeffs())]
+            n_c, hh = _velu_x_numerator(e, h_c, p, c), polys.mul(h_c, h_c)
+            hh_top = hh[: -d - 2 : -1]
+            assert isogeny._velu_x_numerator_top(e, h_c, p, c, hh_top) == n_c[: -d - 2 : -1]
             total = []
             for j, hj in enumerate(_raw_dual_scaled(iso, c)):
                 term = [hj]
@@ -188,7 +204,7 @@ def test_dual_kernel_identity_holds_on_every_coefficient():
                     term = polys.mul(term, n_c)
                 for _ in range(d - j):
                     term = polys.mul(term, hh)
-                total = polys.add(total, term)
+                total = polys.sub(total, [-t for t in term])
             assert total == a_c, (p, b)
             assert len(a_c) - 1 == p * d
             moved += iso.to_minimal.u != 1
@@ -231,10 +247,13 @@ def test_dual_of_dual_is_the_kernel():
             assert (back.c4, back.c6, back.disc) == (iso.codomain.c4, iso.codomain.c6, iso.codomain.disc)
 
 
-def test_division_poly_matches_oracle():
+def _seeded_curves():
     curves = [invariants(0, -1, 1, 0, 0), invariants(1, -1, 1, -3, 7), invariants(-4, -5, -5, 0, 0)]
-    curves += [fiber(tate_family(p), b).curve for p, b in ((5, -3), (7, 2))]
-    for e in curves:
+    return curves + [fiber(tate_family(p), b).curve for p, b in ((5, -3), (7, 2))]
+
+
+def test_division_poly_matches_oracle():
+    for e in _seeded_curves():
         for n in (3, 5, 7, 9):
             psi = division_poly_x(e, n)
             assert all(type(c) is int for c in psi)
@@ -253,3 +272,49 @@ def test_closure_rejects_moved_root():
             moved = [Q(str(c)) for c in reversed((hz * sympy.Poly(z - sympy.Rational(x0) - 1, z)).all_coeffs())]
             assert not _stable_under_doubling(iso.domain, moved)
             assert not oracle_stable_under_doubling(iso.domain, moved)
+
+
+def test_truncated_ring_gives_the_top_of_psi():
+    # the series ring is exact on its K coefficients: every f_k leads with k or k / 2
+    for e in _seeded_curves():
+        for n in (3, 5, 7, 9, 11):
+            psi = oracle_division_poly_x(e, n)
+            for k in (1, 2, 3, 4):
+                assert division_poly_x(e, n, top=k) == psi[: -k - 1 : -1], (e.ainvs(), n, k)
+
+
+def _kernel_pairs():
+    """(curve, kernel polynomial, p) from both Velu entry points: a kernel
+    point (D = 1) and the dual kernel (D = p) given as a polynomial."""
+    for p, bs in ((5, [2, -3, 7, 12, -32]), (7, [2, -3, 5, -6])):
+        for _, iso in _isogenies(p, bs):
+            yield iso.domain, list(iso.kernel_x_poly), p
+            iso_dual = velu_quotient_from_kernel_poly(iso.codomain, dual_kernel_poly(iso), p)
+            yield iso_dual.domain, list(iso_dual.kernel_x_poly), p
+
+
+def test_residue_ring_gives_psi_mod_h():
+    denominators = set()
+    for e, h, p in _kernel_pairs():
+        e_k, h_k = isogeny._integral_kernel(e, h)
+        denominators.add(isogeny._denominator(h))
+        assert h_k[-1] == 1 and all(type(c) is int for c in h_k)
+        assert division_poly_x(e_k, p, mod=h_k) == [0] * (len(h) - 1)
+        # the same remainder as the full psi_p divided by h, for a polynomial that is no kernel
+        g = [c + 1 for c in h_k[:-1]] + [1]
+        y = sympy.symbols("y")
+        rem = [int(k) for k in reversed(sympy.rem(_sympy_poly(division_poly_x(e_k, p), y), _sympy_poly(g, y)).all_coeffs())]
+        assert polys.trim(division_poly_x(e_k, p, mod=g)) == polys.trim(rem)
+    assert denominators == {1, 5, 7}
+
+
+def test_residue_ring_rejects_every_one_coefficient_perturbation():
+    for e, h, p in _kernel_pairs():
+        for j in range(len(h) - 1):
+            for delta in (1, -1, Q(1, p)):
+                moved = list(h)
+                moved[j] += delta
+                e_k, h_k = isogeny._integral_kernel(e, moved)
+                assert any(division_poly_x(e_k, p, mod=h_k)), (p, j, delta)
+                with pytest.raises(InputError, match="does not divide"):
+                    velu_quotient_from_kernel_poly(e, moved, p)

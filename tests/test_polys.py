@@ -3,11 +3,9 @@
 import random
 from fractions import Fraction
 
-import pytest
 import sympy
 
 from shabound import polys
-from shabound.errors import InputError
 
 Q = Fraction
 x = sympy.symbols("x")
@@ -40,14 +38,18 @@ def test_mul_vs_sympy():
     assert polys.mul([], [1, 2]) == []
 
 
+def _rem(f, a):
+    """The remainder of f by the monic a, from the residue ring's reduction, trimmed."""
+    return polys.trim(polys.residue_ring(a)[0](f))
+
+
 def test_divmod_and_gcd_vs_sympy():
+    # the reduction is the remainder of division by a monic polynomial
     rng = random.Random(3)
     for _ in range(50):
         f = _rand_int_poly(rng, rng.randrange(0, 12))
         a = _rand_monic(rng, rng.randrange(1, 6))
-        quot, rem = polys.divmod_monic(f, a)
-        assert quot == _from_sympy(sympy.quo(_to_sympy(f), _to_sympy(a)))
-        assert rem == _from_sympy(sympy.rem(_to_sympy(f), _to_sympy(a)))
+        assert _rem(f, a) == _from_sympy(sympy.rem(_to_sympy(f), _to_sympy(a)))
         # a common monic factor w of f = w u and g = w v (v monic) is what
         # sympy's gcd finds, and it divides both exactly
         w, u, v = _rand_monic(rng, 2, 50), _rand_int_poly(rng, 3, 50), _rand_monic(rng, 3, 50)
@@ -55,14 +57,26 @@ def test_divmod_and_gcd_vs_sympy():
         gcd = _from_sympy(sympy.gcd(_to_sympy(f), _to_sympy(g)))
         assert gcd[-1] == 1
         for h in (f, g):
-            assert polys.exact_quo_monic(h, gcd) == _from_sympy(sympy.quo(_to_sympy(h), _to_sympy(gcd)))
+            assert _rem(h, gcd) == []
+
+
+def test_residue_ring_vs_sympy_rem():
+    # residues keep deg a coefficients, zeros included
+    rng = random.Random(11)
+    for n in (1, 2, 3, 4, 6):
+        a = _rand_monic(rng, n)
+        reduce, mul = polys.residue_ring(a)
+        for _ in range(20):
+            f, g = _rand_int_poly(rng, rng.randrange(0, 12)), _rand_int_poly(rng, rng.randrange(0, 12))
+            want = _from_sympy(sympy.rem(_to_sympy(f) * _to_sympy(g), _to_sympy(a)))
+            got = mul(reduce(f), reduce(g))
+            assert len(got) == n and polys.trim(got) == want, (n, f, g)
 
 
 def test_exact_division_and_divides():
     f = [0, -1, 1]  # x^2 - x
-    assert polys.exact_quo_monic(f, [0, 1]) == [-1, 1]
-    with pytest.raises(InputError):
-        polys.exact_quo_monic(f, [1, 1])
+    assert polys.residue_ring([0, 1])[0](f) == [0]
+    assert polys.residue_ring([1, 1])[0](f) == [2]
 
 
 def test_poly_from_roots_and_power_sums():
@@ -99,4 +113,4 @@ def test_has_root_large_q():
 
 def test_divmod_ignores_trailing_zeros():
     f = [9, -10, 4, 0]  # degree 2, stored with length 4
-    assert polys.divmod_monic(f, [-9, -9, -4, 1]) == ([], [9, -10, 4])
+    assert polys.residue_ring([-9, -9, -4, 1])[0](f) == [9, -10, 4]
