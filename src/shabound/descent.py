@@ -136,8 +136,13 @@ def character_table(p: int, s1, s2) -> dict[int, dict[int, int]]:
     Every character matrix and sandwich of the pair (S1, S2), in both
     directions, takes its rows from this table: row ell is table[ell].
     One character_eval per (ell, q) pair.  This is where every matrix,
-    sandwich and analysis checks that p is an odd prime.
+    sandwich and analysis checks that S1 and S2 are disjoint, that p is
+    in neither, and that p is an odd prime.
     """
+    if set(s1) & set(s2):
+        raise InputError(f"S1 and S2 overlap: {sorted(set(s1) & set(s2))}")
+    if p in s1 or p in s2:
+        raise InputError(f"p = {p} may not appear in S1 or S2")
     if p < 3 or not is_prime(p):
         raise InputError(f"modulus {p} is not an odd prime")
     table = {}
@@ -157,10 +162,6 @@ def character_rows(p: int, s1, s2, table: dict | None = None) -> tuple[list[int]
     of S2, each 1 mod p.  table is character_table(p, S1, S2), built
     here if not given.
     """
-    if set(s1) & set(s2):
-        raise InputError(f"S1 and S2 overlap: {sorted(set(s1) & set(s2))}")
-    if p in s1 or p in s2:
-        raise InputError(f"p = {p} may not appear in S1 or S2")
     if table is None:
         table = character_table(p, s1, s2)
     for ell in s2:

@@ -10,9 +10,8 @@ is integral), and so do on_curve and reduce_point at an integral point.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
 
 from . import polys
 from .arith import Factorization, _exact_root, factor, is_prime, require_complete, valuation
@@ -26,46 +25,23 @@ Point = tuple[Fraction, Fraction] | None
 
 @dataclass(frozen=True)
 class Curve:
+    """A model with its invariants; build it with invariants(), which computes them once.
+
+    A curve compares, hashes and prints by its a-invariants alone.
+    """
+
     a1: int
     a2: int
     a3: int
     a4: int
     a6: int
-
-    @cached_property
-    def b2(self) -> int:
-        return self.a1**2 + 4 * self.a2
-
-    @cached_property
-    def b4(self) -> int:
-        return 2 * self.a4 + self.a1 * self.a3
-
-    @cached_property
-    def b6(self) -> int:
-        return self.a3**2 + 4 * self.a6
-
-    @cached_property
-    def b8(self) -> int:
-        return (
-            self.a1**2 * self.a6
-            + 4 * self.a2 * self.a6
-            - self.a1 * self.a3 * self.a4
-            + self.a2 * self.a3**2
-            - self.a4**2
-        )
-
-    @cached_property
-    def c4(self) -> int:
-        return self.b2**2 - 24 * self.b4
-
-    @cached_property
-    def c6(self) -> int:
-        return -self.b2**3 + 36 * self.b2 * self.b4 - 216 * self.b6
-
-    @cached_property
-    def disc(self) -> int:
-        b2, b4, b6, b8 = self.b2, self.b4, self.b6, self.b8
-        return -b2**2 * b8 - 8 * b4**3 - 27 * b6**2 + 9 * b2 * b4 * b6
+    b2: int = field(compare=False, repr=False)
+    b4: int = field(compare=False, repr=False)
+    b6: int = field(compare=False, repr=False)
+    b8: int = field(compare=False, repr=False)
+    c4: int = field(compare=False, repr=False)
+    c6: int = field(compare=False, repr=False)
+    disc: int = field(compare=False, repr=False)
 
     @property
     def j(self) -> Fraction:
@@ -77,10 +53,13 @@ class Curve:
 
 def invariants(a1: int, a2: int, a3: int, a4: int, a6: int) -> Curve:
     """Build a curve from long Weierstrass coefficients; rejects singular models."""
-    e = Curve(a1, a2, a3, a4, a6)
-    if e.disc == 0:
-        raise SingularModel(f"discriminant 0 for {e.ainvs()}")
-    return e
+    b2, b4, b6 = a1 * a1 + 4 * a2, 2 * a4 + a1 * a3, a3 * a3 + 4 * a6
+    b8 = a1 * a1 * a6 + 4 * a2 * a6 - a1 * a3 * a4 + a2 * a3 * a3 - a4 * a4
+    c4, c6 = b2 * b2 - 24 * b4, -(b2**3) + 36 * b2 * b4 - 216 * b6
+    disc = -b2 * b2 * b8 - 8 * b4**3 - 27 * b6 * b6 + 9 * b2 * b4 * b6
+    if disc == 0:
+        raise SingularModel(f"discriminant 0 for {(a1, a2, a3, a4, a6)}")
+    return Curve(a1, a2, a3, a4, a6, b2, b4, b6, b8, c4, c6, disc)
 
 
 def on_curve(e: Curve, pt: Point) -> bool:

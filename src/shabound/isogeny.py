@@ -9,10 +9,11 @@ the x-map, so nothing here needs the roots of a kernel polynomial.
 One division-polynomial recursion serves three rings: Z[x] for psi_p
 itself, series in 1 / x truncated to the few leading coefficients the
 dual kernel reads, and Z[x] / (h) for the check that h divides psi_p.
-That check, the closure check, the dual-kernel solve and Velu's formulas
-run over Z, once a kernel polynomial is rescaled to a monic integral
-one; Fractions appear only where a kernel polynomial or a model comes in
-or goes out.
+That check, the closure check and Velu's formulas run over Z on one
+rescaled pair (_integral_kernel: a_i -> D^i a_i and h -> D^(2d) h(y / D^2),
+D the lcm of h's denominators, 1 for a kernel point), the dual-kernel
+solve after its own change of variable; Fractions appear only where a
+kernel polynomial or a transformation comes in or goes out.
 Codomains come back globally minimal, with the factorization of their
 discriminant, so discriminant valuations feed the descent classifier
 directly; that factorization starts from hinted primes of the domain.
@@ -109,11 +110,14 @@ def _integral_kernel(e: Curve, h: list[Fraction]) -> tuple[Curve, list[int]]:
     """The model scaled by a_i -> D^i a_i and h_D = D^(2d) h(y / D^2), D the lcm of h's denominators.
 
     The scaled model's x-coordinates are D^2 x, so h_D, monic integral,
-    cuts out on it the points h cuts out on e.
+    cuts out on it the points h cuts out on e.  This is the one rescaling
+    of a kernel polynomial: the kernel checks and Velu's formulas run on
+    this pair.  For a kernel of E[p], D is a power of p, since p x is
+    integral at every root of psi_p.
     """
     big_d = _denominator(h)
     if big_d != 1:
-        e = Curve(*(a * big_d**wt for a, wt in zip(e.ainvs(), (1, 2, 3, 4, 6))))
+        e = invariants(*(a * big_d**wt for a, wt in zip(e.ainvs(), (1, 2, 3, 4, 6))))
     return e, _scaled(h, big_d**2)
 
 
@@ -153,65 +157,40 @@ class IsogenyData:
     codomain_disc_factorization: Factorization  # of codomain.disc, from minimal_model
 
 
-def _integralize(coeffs: tuple) -> tuple[Curve, int]:
-    """Scale a rational model (a1, a2, a3, a4, a6) to an integral one; returns (curve, scale d).
+def _velu_model(e: Curve, h: list[int]) -> Curve:
+    """Velu's codomain of e / <h>, for h monic integral on the integral model e.
 
-    The scaling is the u = 1/d change of coordinates, so points move by
-    (x, y) -> (d^2 x, d^3 y).  Integer coefficients come back with d = 1
-    and no Fraction arithmetic.
+    It comes from the power sums of h (y-free, p odd), which are integers,
+    so t and w, and the model, are integral.
     """
-    d = 1
-    weights = (1, 2, 3, 4, 6)
-    while True:
-        dens = [(c * d**wt).denominator for c, wt in zip(coeffs, weights)]
-        if all(den == 1 for den in dens):
-            break
-        d *= lcm(*dens)
-    model = invariants(*(int(c * d**wt) for c, wt in zip(coeffs, weights)))
-    return model, d
-
-
-def _velu_model(e: Curve, h_d: list[int], big_d: int) -> tuple[Curve, int]:
-    """Velu's codomain as an integral model and its scale d (see _integralize).
-
-    It comes from the power sums of the kernel polynomial (y-free, p odd).
-
-    h_d = D^d kernel(y / D) is the kernel polynomial made monic integral,
-    so its power sums are D^k times the kernel's, and D^2 t and D^3 w are
-    integers: a4 and a6 of the raw model are one Fraction each, and
-    integers for an integral kernel (D = 1), which _integralize returns
-    at once.
-    """
-    d = len(h_d) - 1
+    d = len(h) - 1
     b2, b4, b6 = e.b2, e.b4, e.b6
-    p1, p2, p3 = polys.power_sums(h_d, 3)
-    d2, d3 = big_d**2, big_d**3
-    t = 6 * p2 + b2 * big_d * p1 + d * b4 * d2  # D^2 t
-    w = 10 * p3 + 2 * b2 * big_d * p2 + 3 * b4 * d2 * p1 + d * b6 * d3  # D^3 w
-    a4, a6 = e.a4 * d2 - 5 * t, e.a6 * d3 - b2 * big_d * t - 7 * w
-    if big_d != 1:
-        a4, a6 = Q(a4, d2), Q(a6, d3)
-    return _integralize((e.a1, e.a2, e.a3, a4, a6))
+    p1, p2, p3 = polys.power_sums(h, 3)
+    t = 6 * p2 + b2 * p1 + d * b4
+    w = 10 * p3 + 2 * b2 * p2 + 3 * b4 * p1 + d * b6
+    return invariants(e.a1, e.a2, e.a3, e.a4 - 5 * t, e.a6 - b2 * t - 7 * w)
 
 
 def _velu(
-    e: Curve, p: int, kernel: tuple, h_d: list[int], big_d: int, hints: tuple[int, ...]
+    e: Curve, p: int, kernel: tuple, e_k: Curve, h_k: list[int], big_d: int, hints: tuple[int, ...]
 ) -> IsogenyData:
-    """Velu's codomain made globally minimal, with its discriminant factored.
+    """Velu's codomain of e / <kernel> made globally minimal, with its discriminant factored.
 
-    The raw model's discriminant is factored with the hints (primes of the
-    domain's discriminant) and p first: isogenous curves share their bad
-    primes.
+    e_k, h_k is the integral pair of _integral_kernel at scale big_d (e and
+    kernel themselves for a kernel point, D = 1).  The raw model's
+    discriminant is factored with the hints (primes of the domain's
+    discriminant) and p first: isogenous curves share their bad primes,
+    and D is a power of p.
     """
-    raw, scale = _velu_model(e, h_d, big_d)
+    raw = _velu_model(e_k, h_k)
     if is_prime(p):  # a point of order 9 also has a Velu quotient
         hints = (*hints, p)
     # hints above the trial limit would complete factorizations that factor() gives up on
     fac_raw = factor_with_hints(raw.disc, tuple(q for q in hints if q <= _TRIAL_LIMIT))
     emin, tr, fac_min = minimal_model(raw, fac_raw)
-    if scale != 1:
-        # raw coordinates are (scale^2 x, scale^3 y) images of the Velu output
-        tr = Transformation(tr.u / scale, tr.r / scale**2, tr.s / scale, tr.t / scale**3)
+    if big_d != 1:
+        # raw coordinates are (D^2 x, D^3 y) images of Velu's model on e
+        tr = Transformation(tr.u / big_d, tr.r / big_d**2, tr.s / big_d, tr.t / big_d**3)
     return IsogenyData(p, e, emin, tr, kernel, fac_min)
 
 
@@ -228,7 +207,7 @@ def velu_quotient(e: Curve, pt: Point, p: int, hints: tuple[int, ...] = ()) -> I
     if reps is None:
         raise InputError(f"kernel point must have exact order {p}")
     h = polys.from_roots([x for x, _ in reps])
-    return _velu(e, p, tuple(map(Q, h)), h, 1, hints)
+    return _velu(e, p, tuple(map(Q, h)), e, h, 1, hints)
 
 
 def velu_quotient_from_kernel_poly(
@@ -238,25 +217,22 @@ def velu_quotient_from_kernel_poly(
 
     h must be monic of degree (p-1)/2, divide the p-division polynomial,
     and its root set must be stable under the doubling map (subgroup
-    rationality check); both checks run over Z (see _checked_kernel).
-    Velu's formulas run over Z after x = y / D, D the lcm of h's
-    denominators, which makes h_D = D^d h(y / D) monic integral.  hints
-    are primes of the discriminant of e (see _velu).
+    rationality check); both checks, and Velu's formulas, run over Z on
+    the integral pair of _integral_kernel.  hints are primes of the
+    discriminant of e (see _velu).
     """
-    h = _checked_kernel(e, h, p)[0]
-    big_d = _denominator(h)
-    return _velu(e, p, tuple(h), _scaled(h, big_d), big_d, hints)
+    h, e_k, h_k = _checked_kernel(e, h, p)
+    return _velu(e, p, tuple(h), e_k, h_k, _denominator(h), hints)
 
 
 def velu_model_from_kernel_poly(e: Curve, h: list[Fraction], p: int) -> Curve:
     """An integral model of E / <h>, for a caller that needs it only up to isomorphism.
 
     The same checks as velu_quotient_from_kernel_poly, then Velu's
-    formulas on the integral pair of _integral_kernel, whose raw model is
-    integral already: no Fraction, no factorization, no minimal model.
+    formulas on the integral pair of _integral_kernel: no Fraction, no
+    factorization, no minimal model.
     """
-    _, e_k, h_k = _checked_kernel(e, h, p)
-    return _velu_model(e_k, h_k, 1)[0]
+    return _velu_model(*_checked_kernel(e, h, p)[1:])
 
 
 def _checked_kernel(e: Curve, h: list[Fraction], p: int) -> tuple[list[Fraction], Curve, list[int]]:
@@ -343,14 +319,14 @@ def dual_kernel_poly(iso: IsogenyData) -> list[Fraction]:
     u, r = map(_int_if_integral, (iso.to_minimal.u, iso.to_minimal.r))
     kappa = c * u**2
     n_top = [n - c * r * hh for n, hh in zip(n_top, [0, *hh_top[:-1]])]  # top(N'), deg h_c^2 = 2d
-    one = [1] + [0] * d
-    hh_pows = [one]
-    for _ in range(d - 1):
+    hh_pows = [None, hh_top]  # hh_pows[k]: the top of h_c^(2k), k >= 1
+    for _ in range(d - 2):
         hh_pows.append(_mul_top(hh_pows[-1], hh_top))
-    n_pow, t_tops = one, {}  # t_tops[j]: the top of T_j, j >= 1
-    for j in range(1, d + 1):
-        n_pow = _mul_top(n_pow, n_top)
+    n_pow, t_tops = n_top, {}  # t_tops[j]: the top of T_j, j >= 1; T_d = N'^d
+    for j in range(1, d):
         t_tops[j] = _mul_top(n_pow, hh_pows[d - j])
+        n_pow = _mul_top(n_pow, n_top)
+    t_tops[d] = n_pow
     big_h = [0] * d + [1]
     for j in range(d - 1, -1, -1):  # the coefficient of y^(2d^2 + j)
         big_h[j] = a_top[d - j] - sum(big_h[i] * t_tops[i][i - j] for i in range(j + 1, d + 1))

@@ -8,13 +8,19 @@ as the reference for the integer reduction in ``elliptic.minimal_model``,
 and a second Gauss-Jordan elimination as the reference for ``fplinalg``.
 The dual check by minimal models, which factors the discriminant of the
 round trip's codomain and compares minimal invariants, is the reference
-for the closed-form isomorphism test the scan runs.
+for the closed-form isomorphism test the scan runs.  Velu's quotient by
+a kernel polynomial with denominators through a Fraction model, cleared
+afterwards, is the reference for the one integral rescaling of
+``isogeny._integral_kernel``.
 """
 
 from fractions import Fraction
+from math import lcm
 
+from shabound import polys
 from shabound.arith import factor_with_hints
 from shabound.elliptic import (
+    Transformation,
     _require_on_curve,
     invariants,
     kernel_multiples,
@@ -123,6 +129,29 @@ def oracle_dual_round_trip(cls):
         iso.codomain, dual_kernel_poly(iso), p, iso.codomain_disc_factorization.primes
     ).codomain
     return (back.c4, back.c6, back.disc) == (cls.curve.c4, cls.curve.c6, cls.curve.disc)
+
+
+def oracle_velu_from_kernel_poly(e, h, p, hints=()):
+    """Velu's quotient by the monic kernel polynomial h through a Fraction model:
+    (codomain, to_minimal, factorization of the codomain's discriminant).
+
+    a4 and a6 of Velu's model on e come from h's power sums as Fractions,
+    and an lcm loop finds the scale that clears their denominators before
+    the model is minimalized.
+    """
+    h = [Q(c) for c in h]
+    d = len(h) - 1
+    p1, p2, p3 = polys.power_sums(h, 3)
+    t = 6 * p2 + e.b2 * p1 + d * e.b4
+    w = 10 * p3 + 2 * e.b2 * p2 + 3 * e.b4 * p1 + d * e.b6
+    coeffs = (Q(e.a1), Q(e.a2), Q(e.a3), e.a4 - 5 * t, e.a6 - e.b2 * t - 7 * w)
+    weights, scale = (1, 2, 3, 4, 6), 1
+    while any((c * scale**wt).denominator != 1 for c, wt in zip(coeffs, weights)):
+        scale *= lcm(*((c * scale**wt).denominator for c, wt in zip(coeffs, weights)))
+    raw = invariants(*(int(c * scale**wt) for c, wt in zip(coeffs, weights)))
+    emin, tr, fac = minimal_model(raw, factor_with_hints(raw.disc, (*hints, p)))
+    u, r, s, t = tr.u / scale, tr.r / scale**2, tr.s / scale, tr.t / scale**3
+    return emin, Transformation(u, r, s, t), fac
 
 
 def fp_rref(p, rows, cols):

@@ -149,6 +149,21 @@ def test_matrix_and_sandwich_reject_a_modulus_that_is_not_an_odd_prime(capsys, c
         assert err == f"error: modulus {p} is not an odd prime\n", (s1, s2)
 
 
+@pytest.mark.parametrize("command", ["matrix", "sandwich"])
+@pytest.mark.parametrize(
+    "s1, s2, message",
+    [
+        ("5", "11", "p = 5 may not appear in S1 or S2"),
+        ("2", "5", "p = 5 may not appear in S1 or S2"),
+        ("11", "11", "S1 and S2 overlap: [11]"),
+    ],
+)
+def test_matrix_and_sandwich_reject_the_same_prime_sets(capsys, command, s1, s2, message):
+    # both commands check the sets where their one character table is built
+    code, out, err = run(capsys, command, "--p", "5", "--s1", s1, "--s2", s2, "--json")
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 def test_bounds_budget(capsys):
     cases = [
         ("5,1,3,1", {"sha_guarantee": "1", "m_threshold": "100"}),

@@ -41,6 +41,27 @@ def test_invariants_fixture():
     assert E11A3.j == Q(-4096, 11)
 
 
+def test_invariants_satisfy_the_standard_identities():
+    rng = random.Random(17)
+    curves = {}
+    for _ in range(300):
+        ainvs = tuple(rng.randint(-6, 6) for _ in range(5))
+        try:
+            e = invariants(*ainvs)
+        except SingularModel:
+            continue
+        assert 4 * e.b8 == e.b2 * e.b6 - e.b4**2, ainvs
+        assert 1728 * e.disc == e.c4**3 - e.c6**2, ainvs
+        curves[ainvs] = e
+    assert len(curves) > 200
+    # a curve compares, hashes and prints by its a-invariants alone
+    for ainvs, e in curves.items():
+        twin = invariants(*ainvs)
+        assert twin is not e and twin == e and hash(twin) == hash(e)
+        assert repr(e) == "Curve(a1={}, a2={}, a3={}, a4={}, a6={})".format(*ainvs)
+    assert len(set(curves.values())) == len(curves)  # distinct a-invariants never compare equal
+
+
 def test_singular_input_rejected():
     with pytest.raises(SingularModel):
         invariants(0, 0, 0, 0, 0)

@@ -6,13 +6,13 @@ from fractions import Fraction
 
 import pytest
 import sympy
-from conftest import add_points, multiple, push_point
+from conftest import add_points, multiple, oracle_velu_from_kernel_poly, push_point
 
 from shabound import arith, descent, elliptic, isogeny, polys, search
 from shabound.arith import factor
 from shabound.elliptic import has_order, invariants, kernel_multiples, on_curve
 from shabound.descent import classify_primes
-from shabound.errors import InputError
+from shabound.errors import InputError, ShaboundError
 from shabound.isogeny import (
     division_poly_x,
     dual_kernel_poly,
@@ -121,7 +121,9 @@ def test_dual_check_stays_in_integers(monkeypatch):
     # at the edges.  dual_kernel_poly makes no Fraction product, with or
     # without a change of model (p = 5, b = -32 and p = 7, b = 5 need one,
     # which the solve takes in its integer u^2 and r); at b = 2 the dual's
-    # Velu step integralizes a non-integral kernel polynomial, 7 products.
+    # Velu step runs over Z on the rescaled pair of a non-integral kernel
+    # polynomial, and its 3 products solve for s, r and t in
+    # elliptic._transform_between, none at all where the model is minimal.
     # The scan's dual check takes Velu's model on the rescaled integral
     # pair instead and tests it against E in closed form: no Fraction
     # product at all, and neither a factorization nor a minimal model
@@ -151,7 +153,7 @@ def test_dual_check_stays_in_integers(monkeypatch):
         monkeypatch.setattr(Fraction, "__rmul__", counted(rmul))
         calls[0] = 0
         velu_quotient_from_kernel_poly(iso.codomain, dual_kernel_poly(iso), p)
-        assert calls[0] < 10, (p, b, calls[0])
+        assert calls[0] == (3 if b == 2 else 0), (p, b, calls[0])
         calls[0] = 0
         assert search._verify_dual_swap(cls)
         assert calls[0] == 0, (p, b, calls[0])
@@ -185,6 +187,58 @@ def test_dual_kernel_moves_with_any_change_of_model():
             want = [c / u ** (2 * d) for c in want]
             tr = elliptic.Transformation(u, r, Q(0), Q(0))
             assert dual_kernel_poly(dataclasses.replace(iso, to_minimal=tr)) == want, (p, b, u, r)
+
+
+def test_rational_kernels_match_the_fraction_model_oracle():
+    # Velu's formulas run once, over Z, on the pair scaled by D^2; the
+    # oracle takes a Fraction model and clears its denominators by the
+    # smallest scale.  Both give one codomain, transformation and
+    # factorization, for integral kernels (D = 1) and dual ones (D = p)
+    denominators = set()
+    for p, bmax in ((5, 60), (7, 40)):
+        checked = 0
+        for b in range(-bmax, bmax + 1):
+            try:
+                fib = fiber(tate_family(p), b)
+                cls = classify_primes(fib.curve, fib.point, p, fib.disc_factorization)
+            except ShaboundError:  # degenerate or unfactored fibers
+                continue
+            iso = cls.isogeny
+            for e, h, hints in (
+                (cls.curve, list(iso.kernel_x_poly), cls.disc_factorization.primes),
+                (iso.codomain, dual_kernel_poly(iso), iso.codomain_disc_factorization.primes),
+            ):
+                got = velu_quotient_from_kernel_poly(e, h, p, hints)
+                emin, tr, fac = oracle_velu_from_kernel_poly(e, h, p, hints)
+                assert got.codomain.ainvs() == emin.ainvs(), (p, b)
+                assert got.to_minimal == tr, (p, b)
+                assert got.codomain_disc_factorization == fac, (p, b)
+                denominators.add(max(c.denominator for c in h))
+            checked += 1
+        assert checked >= {5: 100, 7: 60}[p], (p, checked)
+    assert denominators == {1, 5, 7}
+
+
+def test_dual_kernel_solve_multiplies_no_series_by_one(monkeypatch):
+    # the truncated psi_p takes 4 products at p = 5 (10 at p = 7), the tops
+    # of h_c^2 and N' 7, and the tops of T_1 .. T_d 2 (5): h_c^0 = 1 and
+    # N'^1 are taken as they are, so no product has a factor one
+    calls = [0]
+    mul_top = isogeny._mul_top
+
+    def counted(f, g):
+        one = [1] + [0] * (len(f) - 1)
+        assert one not in (f, g[: len(f)])
+        calls[0] += 1
+        return mul_top(f, g)
+
+    monkeypatch.setattr(isogeny, "_mul_top", counted)
+    for p, b, want in ((5, 2, 13), (5, -32, 13), (7, 2, 22), (7, 5, 22)):
+        fib = fiber(tate_family(p), b)
+        iso = classify_primes(fib.curve, fib.point, p, fib.disc_factorization).isogeny
+        calls[0] = 0
+        dual_kernel_poly(iso)
+        assert calls[0] == want, (p, b, calls[0])
 
 
 def test_velu_from_a_point_stays_in_integers(monkeypatch):

@@ -1,6 +1,6 @@
 """The benchmark's span table names functions that still exist, its
 calibration hook still wraps the scan's per-fiber call, and nothing
-else in the package is dead.
+else in the package is dead: no definition and no import goes unused.
 
 perfbench/child.py wraps each `shabound.<module>.<name>` in its TRACED
 table for the traced runs.  The table is read here with ast, so the
@@ -45,6 +45,26 @@ def unreferenced_definitions(package: pathlib.Path) -> set[tuple[str, str]]:
     return {(module, name) for module, name in defined if name not in used}
 
 
+def unused_imports(package: pathlib.Path) -> set[tuple[str, str]]:
+    """(module, name) of each module-level import that no Name in its own module uses."""
+    unused = set()
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        imported = set()
+        for node in tree.body:
+            if isinstance(node, ast.Import):
+                imported.update(a.asname or a.name.partition(".")[0] for a in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                imported.update(a.asname or a.name for a in node.names)
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused |= {(path.stem, name) for name in imported - used}
+    return unused
+
+
+def _traced() -> set[tuple[str, str]]:
+    return {(module, name) for module, names in _traced_table().items() for name in names}
+
+
 def test_every_traced_function_resolves_to_a_callable():
     table = _traced_table()
     assert table
@@ -57,8 +77,18 @@ def test_every_traced_function_resolves_to_a_callable():
 def test_every_definition_is_used_in_the_package():
     # code that only tests call belongs in tests/ (as an oracle) or nowhere;
     # the benchmark's spans are the one other reader of the package
-    traced = {(module, name) for module, names in _traced_table().items() for name in names}
-    assert unreferenced_definitions(PACKAGE) - traced == set()
+    assert unreferenced_definitions(PACKAGE) - _traced() == set()
+
+
+def test_every_import_is_used_in_its_module(tmp_path):
+    # a traced name may be imported only for the span table to find it
+    assert unused_imports(PACKAGE) - _traced() == set()
+    (tmp_path / "mod.py").write_text(
+        "from __future__ import annotations\n"
+        "import os.path\nfrom functools import cached_property, lru_cache as cache\n"
+        "from math import lcm\n\n@cache\ndef f():\n    return os.sep\n"
+    )
+    assert unused_imports(tmp_path) == {("mod", "cached_property"), ("mod", "lcm")}
 
 
 def test_the_calibration_hook_wraps_the_per_fiber_global(monkeypatch):
