@@ -43,10 +43,6 @@ class Curve:
     c6: int = field(compare=False, repr=False)
     disc: int = field(compare=False, repr=False)
 
-    @property
-    def j(self) -> Fraction:
-        return Q(self.c4**3, self.disc)
-
     def ainvs(self) -> tuple[int, int, int, int, int]:
         return (self.a1, self.a2, self.a3, self.a4, self.a6)
 

@@ -9,10 +9,13 @@ the x-map, so nothing here needs the roots of a kernel polynomial.
 One division-polynomial recursion serves three rings: Z[x] for psi_p
 itself, series in 1 / x truncated to the few leading coefficients the
 dual kernel reads, and Z[x] / (h) for the check that h divides psi_p.
-That check, the closure check and Velu's formulas run over Z on one
-rescaled pair (_integral_kernel: a_i -> D^i a_i and h -> D^(2d) h(y / D^2),
-D the lcm of h's denominators, 1 for a kernel point), the dual-kernel
-solve after its own change of variable; Fractions appear only where a
+That check runs only where a kernel polynomial enters (a caller's, or
+the dual kernel on E'): a kernel from a point needs none, and the dual
+kernel solve trusts the kernel an IsogenyData carries.  It, the closure
+check and Velu's formulas run over Z on one rescaled pair
+(_integral_kernel: a_i -> D^i a_i and h -> D^(2d) h(y / D^2), D the lcm
+of h's denominators, 1 for a kernel point), the dual-kernel solve after
+its own change of variable; Fractions appear only where a
 kernel polynomial or a transformation comes in or goes out.
 Codomains come back globally minimal, with the factorization of their
 discriminant, so discriminant valuations feed the descent classifier
@@ -121,12 +124,6 @@ def _integral_kernel(e: Curve, h: list[Fraction]) -> tuple[Curve, list[int]]:
     return e, _scaled(h, big_d**2)
 
 
-def _require_divides_psi(e: Curve, h: list[int], p: int) -> None:
-    """h must divide psi_p: psi_p mod h is zero (h monic integral)."""
-    if any(division_poly_x(e, p, mod=h)):
-        raise InputError("kernel polynomial does not divide the p-division polynomial")
-
-
 def _psi2_squared(e: Curve) -> list[int]:
     """psi_2^2 = 4x^3 + b2 x^2 + 2 b4 x + b6."""
     return [e.b6, 2 * e.b4, e.b2, 4]
@@ -149,6 +146,13 @@ def _denominator(h: list[Fraction]) -> int:
 
 @dataclass(frozen=True)
 class IsogenyData:
+    """A p-isogeny with its minimal codomain; its kernel_x_poly divides psi_p of its domain.
+
+    _velu is the one constructor, reached from the kernel_multiples walk
+    (velu_quotient) or after _checked_kernel (velu_quotient_from_kernel_poly),
+    so the divisibility was proved where the kernel came in.
+    """
+
     p: int
     domain: Curve
     codomain: Curve  # globally minimal
@@ -246,7 +250,8 @@ def _checked_kernel(e: Curve, h: list[Fraction], p: int) -> tuple[list[Fraction]
     if len(h) != (p - 1) // 2 + 1 or h[-1] != 1:
         raise InputError(f"kernel polynomial must be monic of degree {(p - 1) // 2}")
     e_k, h_k = _integral_kernel(e, h)
-    _require_divides_psi(e_k, h_k, p)
+    if any(division_poly_x(e_k, p, mod=h_k)):
+        raise InputError("kernel polynomial does not divide the p-division polynomial")
     if not _stable_under_doubling(e_k, h_k):
         raise InputError("kernel polynomial roots are not closed under doubling")
     return h, e_k, h_k
@@ -291,7 +296,9 @@ def dual_kernel_poly(iso: IsogenyData) -> list[Fraction]:
     coefficients, which need only the top d + 1 of N_c and h_c^2, gives
     it from H_d = 1 down.  The top of A_c is the top of psi_p, from the
     truncated recursion, rescaled and divided by p h_c as a series in
-    1 / y; that h divides psi_p is checked apart, modulo h.
+    1 / y.  That h is monic and divides psi_p is not checked here: an
+    IsogenyData carries a proved kernel (see IsogenyData), and a forged
+    one gives an h' that fails the checks of the dual's own entry point.
 
     The solve runs on the minimal model directly: x_min = (X - r) / u^2
     there, so X_min = N' / (kappa h_c^2) with N' = N_c - c r h_c^2 and
@@ -302,9 +309,6 @@ def dual_kernel_poly(iso: IsogenyData) -> list[Fraction]:
     """
     e, p = iso.domain, iso.p
     h = list(iso.kernel_x_poly)
-    if not h or h[-1] != 1:
-        raise InputError("kernel polynomial must be monic")
-    _require_divides_psi(*_integral_kernel(e, h), p)
     d = len(h) - 1
     c = p * _denominator(h)
     h_c = _scaled(h, c)

@@ -22,11 +22,6 @@ def trim(f: list) -> list:
     return f
 
 
-def sub(f, g):
-    n = max(len(f), len(g))
-    return trim([(f[i] if i < len(f) else 0) - (g[i] if i < len(g) else 0) for i in range(n)])
-
-
 def mul(f, g):
     if not f or not g:
         return []

@@ -17,7 +17,7 @@ from fractions import Fraction
 
 from . import polys
 from .arith import Factorization, crt_solve, factor, is_prime, require_complete
-from .descent import S1, S2, ClassifiedCurve, analyze_curve, valuation_ratio_set
+from .descent import S1, S2, ClassifiedCurve, analyze_curve
 from .elliptic import (
     Curve,
     invariants,
@@ -187,29 +187,21 @@ def construct_parameter(family: FamilySpec, c: SearchConstraints) -> tuple[int, 
 # ------------------------------------------------------------------- scan
 
 def _verify_dual_swap(cls: ClassifiedCurve) -> bool:
-    """Re-derive the dual isogeny explicitly and check the S1/S2 swap.
+    """Re-derive the dual isogeny explicitly and check the round trip.
 
     What this certifies is the round trip E -> E' -> E'/<dual kernel>:
     the dual kernel polynomial is rebuilt from the isogeny, Velu's
-    integral model of the quotient of E' by it is taken, and a
-    closed-form test must find it isomorphic over Q to E's minimal model
-    (elliptic.isomorphic_to_minimal), so it needs neither a factorization
-    nor a minimal model of its own.  Once it passes, the per-prime swap
-    follows: valuation_ratio_set maps (v_q(Delta'), v_q(Delta)) to the
-    other set by construction.  The loop over the primes stays as a guard
-    on that bookkeeping.
+    integral model of the quotient of E' by it is taken (after its
+    kernel checks on E'), and a closed-form test must find it isomorphic
+    over Q to E's minimal model (elliptic.isomorphic_to_minimal), so it
+    needs neither a factorization nor a minimal model of its own.  The
+    per-prime S1/S2 swap then follows: valuation_ratio_set(p, v', v) is
+    the other set from valuation_ratio_set(p, v, v') whenever v >= 1,
+    since v' = p v and v = p v' cannot both hold.
     """
     iso = cls.isogeny
-    p = cls.sets.p
-    back = velu_model_from_kernel_poly(iso.codomain, dual_kernel_poly(iso), p)
-    if not isomorphic_to_minimal(back, cls.curve):
-        return False
-    fac_mid, fac_back = iso.codomain_disc_factorization, cls.disc_factorization
-    for q, verdict, _ in cls.sets.evidence:
-        dual_verdict = valuation_ratio_set(p, fac_mid.valuation(q), fac_back.valuation(q))
-        if dual_verdict != (S2 if verdict == S1 else S1):
-            return False
-    return True
+    back = velu_model_from_kernel_poly(iso.codomain, dual_kernel_poly(iso), iso.p)
+    return isomorphic_to_minimal(back, cls.curve)
 
 
 def evaluate_row(p: int, b: int, verify_dual: bool = True) -> dict:
@@ -289,13 +281,17 @@ def _row_with_forcing(args) -> dict:
     return row
 
 
+_CHUNK = 16  # fibers per pool task
+
+
 def scan(family: FamilySpec, c: SearchConstraints, jobs: int = 1, progress=None) -> dict:
     """Scan the family under the constraints; deterministic ranked report.
 
     With forcing constraints the parameter runs over the CRT class
     b0 + k*M; otherwise over 1, -1, 2, -2, ... up to the parameter box.
     Rows arrive in parameter order at every jobs count; progress(done,
-    total) is called every 50 fibers.  Rows are ranked by
+    total) is called every 50 fibers.  At most one worker per chunk of
+    16 fibers starts, and none for a scan of one chunk.  Rows are ranked by
     (|#S1 - #S2|, m_phi) descending, ties broken by parameter height.
     """
     if jobs < 1:
@@ -314,8 +310,10 @@ def scan(family: FamilySpec, c: SearchConstraints, jobs: int = 1, progress=None)
     skipped = {"degenerate": 0, "incomplete_factorization": 0, "filtered_omega": 0}
     kept = []
     errored = []
-    with concurrent.futures.ProcessPoolExecutor(jobs) if jobs > 1 else contextlib.nullcontext() as pool:
-        rows = pool.map(_row_with_forcing, args, chunksize=16) if pool else map(_row_with_forcing, args)
+    # a fork pool starts every worker at once: never more than there are chunks
+    workers = min(jobs, -(-total // _CHUNK))
+    with concurrent.futures.ProcessPoolExecutor(workers) if workers > 1 else contextlib.nullcontext() as pool:
+        rows = pool.map(_row_with_forcing, args, chunksize=_CHUNK) if pool else map(_row_with_forcing, args)
         for done, row in enumerate(rows, 1):
             if progress and done % 50 == 0:
                 progress(done, total)

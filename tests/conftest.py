@@ -33,6 +33,12 @@ from shabound.isogeny import dual_kernel_poly, velu_quotient_from_kernel_poly
 Q = Fraction
 
 
+def poly_sub(f, g):
+    """f - g for low-degree-first coefficient lists, trimmed."""
+    n = max(len(f), len(g))
+    return polys.trim([(f[i] if i < len(f) else 0) - (g[i] if i < len(g) else 0) for i in range(n)])
+
+
 def apply_transform(e, tr):
     """The model E' obtained from E by the coordinate change (must stay integral)."""
     u, r, s, t = tr.u, tr.r, tr.s, tr.t

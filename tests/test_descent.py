@@ -162,13 +162,20 @@ def test_sandwich_counts_local_pth_powers():
 
 
 def test_valuation_ratio_set_swaps_with_its_arguments():
-    # the dual isogeny sees (v', v) where the isogeny saw (v, v'): S1 and S2 trade places
+    # the dual isogeny sees (v', v) where the isogeny saw (v, v'): S1 and S2
+    # trade places and None stays None.  This identity is why the scan's dual
+    # check needs no per-prime loop once the round trip passes
+    swapped = {S1: S2, S2: S1, None: None}
+    seen = set()
     for p in (5, 7):
         for v in range(61):
             for w in range(61):
-                if (v, w) == (0, 0):
+                if (v, w) == (0, 0):  # the one pair with both w = p v and v = p w
                     continue
-                assert (valuation_ratio_set(p, v, w) == S1) == (valuation_ratio_set(p, w, v) == S2), (p, v, w)
+                verdict = valuation_ratio_set(p, v, w)
+                assert valuation_ratio_set(p, w, v) == swapped[verdict], (p, v, w)
+                seen.add(verdict)
+    assert seen == {S1, S2, None}
 
 
 def test_classify_rejects_wrong_order():

@@ -3,15 +3,18 @@
 elliptic.isomorphic_to_minimal must agree with the check by minimal
 models (conftest's oracles, which factor and minimalize) on whole fiber
 ranges, and decide rescalings and twists, j = 0 and j = 1728 included.
+The p = 7 scan corpus runs the whole dual path on 1000 fibers.
 """
 
+import pytest
 from conftest import oracle_dual_round_trip, oracle_isomorphic
 
+from shabound import report
 from shabound.descent import classify_primes
 from shabound.elliptic import invariants, isomorphic_to_minimal, minimal_model
 from shabound.errors import ShaboundError
 from shabound.isogeny import dual_kernel_poly, velu_model_from_kernel_poly
-from shabound.search import _verify_dual_swap, fiber, tate_family
+from shabound.search import SearchConstraints, _verify_dual_swap, fiber, scan, tate_family
 
 
 def _classified(p, bs):
@@ -91,3 +94,23 @@ def test_a_fractional_discriminant_ratio_is_rejected():
     e11a1, e11a3 = invariants(0, -1, 1, -10, -20), invariants(0, -1, 1, 0, 0)
     assert e11a1.disc % e11a3.disc == 0 and e11a3.disc % e11a1.disc != 0
     assert not _decide(e11a3, e11a1)  # Delta''/Delta = 1/11^4
+
+
+@pytest.fixture(scope="module")
+def corpus_p7():
+    """The p = 7 family scan over b = +-1, ..., +-500 with the dual check, at two worker counts."""
+    c = SearchConstraints(7, scan_budget=1000, verify_dual=True)
+    return scan(tate_family(7), c, jobs=1), scan(tate_family(7), c, jobs=2)
+
+
+def test_p7_corpus_verifies_the_dual_on_every_kept_fiber(corpus_p7):
+    r = corpus_p7[0]
+    # the incomplete_factorization count is not pinned: the codomain's hints will change it
+    assert r["errors"] == []
+    assert len(r["rows"]) + sum(r["skipped"].values()) == 1000
+    assert len(r["rows"]) >= 700
+    assert all(row["dual_swap_verified"] is True for row in r["rows"])
+
+
+def test_p7_corpus_is_identical_across_worker_counts(corpus_p7):
+    assert report.dumps(corpus_p7[0]) == report.dumps(corpus_p7[1])

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 import sympy
-from conftest import add_points, multiple, oracle_velu_from_kernel_poly, push_point
+from conftest import add_points, multiple, oracle_velu_from_kernel_poly, poly_sub, push_point
 
 from shabound import arith, descent, elliptic, isogeny, polys, search
 from shabound.arith import factor
@@ -108,12 +108,46 @@ def test_dual_kernel_round_trip():
     assert (back.c4, back.c6, back.disc) == (E11A3.c4, E11A3.c6, E11A3.disc)
 
 
-def test_dual_kernel_rejects_a_bad_kernel_poly():
-    # a typed error, which a scan records as an error row
-    iso = velu_quotient(E_B5, P0, 5)
-    for bad in ((1, 0, 1), (Q(1, 3), 0, 1), (0, 1, 2)):
-        with pytest.raises(InputError):
-            dual_kernel_poly(dataclasses.replace(iso, kernel_x_poly=bad))
+def _forged(cls, bad):
+    return dataclasses.replace(cls, isogeny=dataclasses.replace(cls.isogeny, kernel_x_poly=bad))
+
+
+def test_dual_kernel_rejects_a_bad_kernel_poly(monkeypatch):
+    # dual_kernel_poly trusts the forward kernel an IsogenyData carries; a
+    # forged one (not dividing psi_p, not integral, not monic) gives an h'
+    # that fails the kernel checks on E', a typed error, which a scan
+    # records as an error row
+    forged = {5: ((1, 0, 1), (Q(1, 3), 0, 1), (0, 1, 2)), 7: ((1, 0, 0, 1), (Q(1, 3), 0, 0, 1), (0, 0, 1, 2))}
+    verify = search._verify_dual_swap
+    for p, b in ((5, 2), (5, -32), (7, 5)):  # -32 and 5 with a change of model
+        fib = fiber(tate_family(p), b)
+        cls = classify_primes(fib.curve, fib.point, p, fib.disc_factorization)
+        assert verify(cls)
+        for bad in forged[p]:
+            with pytest.raises(InputError, match="does not divide"):
+                verify(_forged(cls, bad))
+            monkeypatch.setattr(search, "_verify_dual_swap", lambda cls: verify(_forged(cls, bad)))
+            row = search.evaluate_row(p, b)
+            assert row["error"] == "InputError" and "does not divide" in row["detail"], (p, b, bad)
+            assert "dual_swap_verified" not in row and row["s1"]  # fields filled before the failure stay
+
+
+def test_the_dual_check_makes_two_division_polynomial_calls(monkeypatch):
+    # per dual-checked fiber: the top of psi_p in dual_kernel_poly and
+    # psi'_p mod h' on E'; the forward kernel is not proved again
+    calls = []
+    psi = isogeny.division_poly_x
+
+    def counted(e, n, top=None, mod=None):
+        calls.append("top" if top is not None else "mod" if mod is not None else "full")
+        return psi(e, n, top, mod)
+
+    monkeypatch.setattr(isogeny, "division_poly_x", counted)
+    for p, bs in ((5, (2, -3, -32, 41)), (7, (2, -3, 5, 30))):
+        for b in bs:
+            calls.clear()
+            assert search.evaluate_row(p, b)["dual_swap_verified"], (p, b)
+            assert sorted(calls) == ["mod", "top"], (p, b, calls)
 
 
 def test_dual_check_stays_in_integers(monkeypatch):
@@ -183,7 +217,7 @@ def test_dual_kernel_moves_with_any_change_of_model():
         for u, r in ((iso.to_minimal.u, iso.to_minimal.r), (Q(2, 3), Q(-5, 7)), (Q(p), Q(1, 2))):
             want = []
             for c in reversed(raw):  # Horner in u^2 X + r
-                want = polys.sub(polys.mul(want, [r, u * u]), [-c])
+                want = poly_sub(polys.mul(want, [r, u * u]), [-c])
             want = [c / u ** (2 * d) for c in want]
             tr = elliptic.Transformation(u, r, Q(0), Q(0))
             assert dual_kernel_poly(dataclasses.replace(iso, to_minimal=tr)) == want, (p, b, u, r)

@@ -202,3 +202,38 @@ def test_reports_unchanged_when_asserts_are_stripped():
     out = subprocess.run([sys.executable, "-O", "-c", probe], capture_output=True, text=True, env=env)
     assert out.returncode == 0, out.stderr
     assert out.stdout == expected
+
+
+def test_jobs_start_at_most_one_worker_per_chunk(monkeypatch):
+    # a fork pool starts every worker at the first submit, so the scan asks
+    # for no more workers than there are chunks of 16 fibers; the stand-in
+    # pool maps in process, so no process starts here
+    from shabound import search
+
+    requested = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            requested.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, iterable, chunksize=1):
+            return map(fn, iterable)
+
+    monkeypatch.setattr(search.concurrent.futures, "ProcessPoolExecutor", InlinePool)
+    fam = tate_family(5)
+    c = SearchConstraints(5, scan_budget=40, verify_dual=True)
+    serial = report.dumps(scan(fam, c, jobs=1))
+    assert requested == []
+    assert report.dumps(scan(fam, c, jobs=64)) == serial
+    assert requested == [3]
+    short = SearchConstraints(5, scan_budget=16, verify_dual=False)
+    assert report.dumps(scan(fam, short, jobs=64)) == report.dumps(scan(fam, short, jobs=1))
+    assert requested == [3]  # one chunk: no pool at all
+    scan(fam, SearchConstraints(5, scan_budget=17, verify_dual=False), jobs=2)
+    assert requested == [3, 2]

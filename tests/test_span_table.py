@@ -29,20 +29,70 @@ def _traced_table() -> dict:
     raise AssertionError(f"no TRACED table in {CHILD}")
 
 
+def _local_names(fn) -> set[str]:
+    """The names a function binds in its own scope: arguments, assignment targets, nested defs."""
+    a = fn.args
+    names = {arg.arg for arg in (*a.posonlyargs, *a.args, *a.kwonlyargs, a.vararg, a.kwarg) if arg}
+    stack = [fn.body] if isinstance(fn, ast.Lambda) else list(fn.body)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)  # its body is a scope of its own
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            names.add(node.id)
+        elif not isinstance(node, ast.Lambda):
+            stack.extend(ast.iter_child_nodes(node))
+    return names
+
+
+def _free_names(node, bound=frozenset()):
+    """Each Name read in node that no enclosing function binds: a reference to a module global."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+        bound = bound | _local_names(node)
+    elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load) and node.id not in bound:
+        yield node.id
+    for child in ast.iter_child_nodes(node):
+        yield from _free_names(child, bound)
+
+
 def unreferenced_definitions(package: pathlib.Path) -> set[tuple[str, str]]:
-    """(module, name) of each top-level def or class that no Name or Attribute in the package uses."""
-    defined, used = set(), set()
+    """(module, name) of each top-level def or class, and (module, "Class.name") of each of
+    its methods and properties, that nothing in the package references.
+
+    A top-level definition is referenced by a global Name in its own module
+    (a nested def or local of the same name shadows it), by `from .m import
+    name`, or by `m.name` for the module m; a method or property by any
+    `.name` attribute in the package.  Dunder methods are called implicitly.
+    """
+    defined, used, attrs = set(), set(), set()
     for path in sorted(package.glob("*.py")):
-        tree = ast.parse(path.read_text())
+        module, tree = path.stem, ast.parse(path.read_text())
+        aliases = {}  # local name -> module of the package
         for node in tree.body:
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                defined.add((path.stem, node.name))
+                defined.add((module, node.name))
+            if isinstance(node, ast.ClassDef):
+                defined.update(
+                    (module, f"{node.name}.{item.name}")
+                    for item in node.body
+                    if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    and not (item.name.startswith("__") and item.name.endswith("__"))
+                )
         for node in ast.walk(tree):
-            if isinstance(node, ast.Name):
-                used.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                used.add(node.attr)
-    return {(module, name) for module, name in defined if name not in used}
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                for a in node.names:
+                    if node.module:
+                        used.add((node.module, a.name))
+                    else:
+                        aliases[a.asname or a.name] = a.name
+        used.update((module, name) for name in _free_names(tree))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute):
+                attrs.add(node.attr)
+                if isinstance(node.value, ast.Name) and node.value.id in aliases:
+                    used.add((aliases[node.value.id], node.attr))
+    # "Class.name" is never in used: any attribute of that name references it
+    return {(module, name) for module, name in defined - used if name.partition(".")[2] not in attrs}
 
 
 def unused_imports(package: pathlib.Path) -> set[tuple[str, str]]:
@@ -76,8 +126,32 @@ def test_every_traced_function_resolves_to_a_callable():
 
 def test_every_definition_is_used_in_the_package():
     # code that only tests call belongs in tests/ (as an oracle) or nowhere;
-    # the benchmark's spans are the one other reader of the package
+    # the benchmark's spans are the one other reader of the package.  Methods
+    # and properties count too
     assert unreferenced_definitions(PACKAGE) - _traced() == set()
+
+
+def test_the_definition_guard_sees_methods_and_shadowed_names(tmp_path):
+    (tmp_path / "m.py").write_text(
+        "class C:\n    def __init__(self):\n        self.x = 1\n\n"
+        "    def used(self):\n        return self.x\n\n"
+        "    def unused(self):\n        return 0\n\n"
+        "    @property\n    def prop(self):\n        return 1\n\n\n"
+        "def f():\n    return 1\n\n\n"
+        "def sub(a, b):\n    return a - b\n\n\n"
+        "def g():\n    def sub(a, b):\n        return b - a\n\n    return f(), sub(1, 2)\n\n\n"
+        "def k():\n    return 2\n\n\n"
+        "def via_attr():\n    return 3\n\n\n"
+        "def lonely():\n    return 4\n"
+    )
+    (tmp_path / "n.py").write_text(
+        "from . import m\nfrom .m import k\n\n\n"
+        "def run():\n    lonely = 1\n    return m.C().used(), k(), m.via_attr(), m.g(), lonely\n"
+    )
+    # sub is read only through g's nested def, lonely only through run's local
+    assert unreferenced_definitions(tmp_path) == {
+        ("m", "C.unused"), ("m", "C.prop"), ("m", "sub"), ("m", "lonely"), ("n", "run"),
+    }
 
 
 def test_every_import_is_used_in_its_module(tmp_path):
