@@ -4,13 +4,21 @@ All integers are rendered as decimal strings (arbitrary-precision safety
 for downstream consumers), rationals as "num/den", keys are sorted, and
 the layout is fixed, so parsing an emitted report and re-serializing it
 is byte-identical.
+
+``canonicalize`` defines the canonical form, and the text view renders
+it.  ``dumps`` writes the JSON in one pass, without the canonical copy:
+its output equals the standard library's ``json.dumps`` of
+``canonicalize(x)`` with sorted keys and a two-space indent, plus a
+newline, which stays the reference the tests compare it against.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import asdict, is_dataclass
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _quote
+
+_only_str = frozenset((str,)).issuperset  # _only_str(map(type, d)): every key of d an exact str, checked in C
 
 
 def canonicalize(obj):
@@ -33,7 +41,72 @@ def canonicalize(obj):
 
 
 def dumps(obj) -> str:
-    return json.dumps(canonicalize(obj), sort_keys=True, indent=2) + "\n"
+    """The canonical JSON of obj: two-space indent, sorted keys, a final newline."""
+    out: list[str] = []
+    try:
+        _write(obj, out, "\n")
+    except (TypeError, ValueError):
+        # with two bad values the reference raises for the first in its own
+        # walk order, which is the payload's order, not the sorted one
+        canonicalize(obj)
+        raise
+    out.append("\n")
+    return "".join(out)
+
+
+def _write(obj, out: list[str], nl: str) -> None:
+    """Append the canonical JSON of obj to out; nl is the newline and indent of its line."""
+    t = type(obj)
+    if t is str:
+        out.append(_quote(obj))
+    elif t is int:
+        out.append(f'"{obj}"')
+    elif t is dict and _only_str(map(type, obj)):
+        if not obj:
+            out.append("{}")
+            return
+        inner = nl + "  "
+        comma = "," + inner
+        sep = "{" + inner
+        for k in sorted(obj):
+            v = obj[k]
+            if type(v) is int:  # most of a report's values: written here, without a call
+                out.append(f'{sep}{_quote(k)}: "{v}"')
+            else:
+                out.append(f"{sep}{_quote(k)}: ")
+                _write(v, out, inner)
+            sep = comma
+        out.append(nl + "}")
+    elif t is list or t is tuple:
+        if not obj:
+            out.append("[]")
+            return
+        inner = nl + "  "
+        comma = "," + inner
+        sep = "[" + inner
+        for x in obj:
+            if type(x) is int:
+                out.append(f'{sep}"{x}"')
+            else:
+                out.append(sep)
+                _write(x, out, inner)
+            sep = comma
+        out.append(nl + "]")
+    elif obj is True:
+        out.append("true")
+    elif obj is False:
+        out.append("false")
+    elif obj is None:
+        out.append("null")
+    else:
+        # Fraction, dataclass, subclass of int, str, dict, list or tuple, a dict
+        # with a key that is no str (str() of its keys may collide), or a value
+        # with no canonical form
+        obj = canonicalize(obj)
+        if isinstance(obj, str):  # a str subclass comes back as itself
+            out.append(_quote(obj))
+        else:
+            _write(obj, out, nl)
 
 
 def render_text(obj) -> str:

@@ -11,9 +11,11 @@ round trip's codomain and compares minimal invariants, is the reference
 for the closed-form isomorphism test the scan runs.  Velu's quotient by
 a kernel polynomial with denominators through a Fraction model, cleared
 afterwards, is the reference for the one integral rescaling of
-``isogeny._integral_kernel``.
+``isogeny._integral_kernel``.  ``json.dumps`` of the canonical copy is
+the reference for the one-pass writer ``report.dumps``.
 """
 
+import json
 from fractions import Fraction
 from math import lcm
 
@@ -29,8 +31,14 @@ from shabound.elliptic import (
 )
 from shabound.errors import InputError, ShaboundError
 from shabound.isogeny import dual_kernel_poly, velu_quotient_from_kernel_poly
+from shabound.report import canonicalize
 
 Q = Fraction
+
+
+def oracle_dumps(obj) -> str:
+    """The canonical JSON report: the standard library's indenting encoder on the canonical copy."""
+    return json.dumps(canonicalize(obj), sort_keys=True, indent=2) + "\n"
 
 
 def poly_sub(f, g):

@@ -21,14 +21,14 @@ SEARCHES = {
         {"p": 7, "scan_budget": 60, "verify_dual": False}, 1,
         "e224b5d5184aab9c9a1488e6a5fa5b5ab8ef28f08dfda63d21fe338cd7e73bf1",
     ),
-    # the scan-p7 benchmark config: 33 fibers end as incomplete_factorization,
-    # which a hint above the trial limit in Velu's factoring would change
     # the p = 7 dual check: the closed-form isomorphism test on E'/<h'>,
     # and the kernel polynomial checks run modulo h'
     "p7-dual-200": (
         {"p": 7, "scan_budget": 200, "verify_dual": True}, 1,
         "8ccfbd7d1bfda133e27d8d84ee1e8de91a43af345a5bbce1262c23e66108f966",
     ),
+    # the scan-p7 benchmark config: 33 fibers end as incomplete_factorization,
+    # which a hint above the trial limit in Velu's factoring would change
     "p7-300": (
         {"p": 7, "scan_budget": 300, "verify_dual": False}, 1,
         "a67eaf0e234ca93cfd66f5cd62cd87e82c37ce172e378f59f2f081cdebadbfff",
@@ -44,6 +44,30 @@ SEARCHES = {
         {"p": 5, "force_s1": [41], "force_s2": [11], "omega_max": 6,
          "scan_budget": 300, "verify_dual": False}, 2,
         "d03565da974b6fcd56572f9fd7d0162fd90e69b12b506eb5635e3d6491a1d4b8",
+    ),
+}
+
+# text output (no --json): render_text shares canonicalize with the JSON writer
+TEXT_OUTPUTS = {
+    "search-p5-dual-40": (
+        None, "d3dae660b2775a8a608331a235279fd2c66d2fb77173376a961496699fd7b343",
+    ),
+    "analyze-11a3-second-kernel": (
+        ["analyze", "--curve", "[0,-1,1,0,0]", "--point", '["0/1","0/1"]', "--p", "5",
+         "--second-kernel", '["0/1","-1/1","1/1"]'],
+        "4d9b121b99834311c36e4fbcc5db09c3a2700dc0e2cb3acb750ad068a505e7bb",
+    ),
+    "bounds-budget": (
+        ["bounds", "--budget", "5,1,3,1"],
+        "e87fad34fe7eabb78cf4299977c0d5925a8001a89efefa5845b2a277b4e62a09",
+    ),
+    "sandwich": (
+        ["sandwich", "--p", "5", "--s1", "2,3", "--s2", "11,31"],
+        "f3f0a8ce58f6a498210fddef4d72614259b71fb6771eed46ae947c6eea5bb557",
+    ),
+    "matrix": (
+        ["matrix", "--p", "5", "--s1", "2,3", "--s2", "11,31"],
+        "75b07200bcd978ed7235223c9d441d04a3f3c1e07cc48deab44ffe9faa8461b1",
     ),
 }
 
@@ -82,3 +106,14 @@ def test_analyze_11a1_rational_second_kernel_bytes_pinned(capsys):
     ])
     assert code == 0
     assert _sha(capsys.readouterr().out) == ANALYZE_11A1_DUAL_KERNEL
+
+
+@pytest.mark.parametrize("name", sorted(TEXT_OUTPUTS))
+def test_text_output_bytes_pinned(name, tmp_path, capsys):
+    argv, want = TEXT_OUTPUTS[name]
+    if argv is None:  # the p5-dual-40 search config
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(SEARCHES["p5-dual-40"][0]))
+        argv = ["search", "--config", str(path), "--jobs", "1"]
+    assert main(argv) == 0
+    assert _sha(capsys.readouterr().out) == want

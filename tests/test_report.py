@@ -1,11 +1,19 @@
 """Canonical JSON serialization."""
 
 import json
+import random
+from collections import OrderedDict, namedtuple
+from enum import IntEnum
 from fractions import Fraction
 
 import pytest
+from conftest import oracle_dumps
 
 from shabound import report
+from shabound.bounds import theorem_budget
+from shabound.cli import main
+from shabound.descent import sandwich_from_sets
+from shabound.search import SearchConstraints, scan, tate_family
 
 
 def test_integers_become_decimal_strings():
@@ -37,3 +45,140 @@ def test_unserializable_rejected():
 def test_render_text_same_data():
     txt = report.render_text({"rank": 2, "s1": [2, 3]})
     assert "rank: 2" in txt and "[2, 3]" in txt
+
+
+# --- the one-pass writer against the reference: json.dumps of the canonical copy
+
+class Colour(IntEnum):
+    RED = 3
+
+
+class Tag(str):
+    pass
+
+
+Pair = namedtuple("Pair", "x y")
+
+
+def _payload(rng, depth):
+    """A random nested payload: dicts, lists and tuples (empty ones too) down to depth 0."""
+    kind = rng.randrange(4) if depth else 3
+    if kind == 0:
+        return {
+            rng.choice(["a", "b", "s1", "rows", "é", "", "0", "10", "9"]): _payload(rng, depth - 1)
+            for _ in range(rng.randrange(4))
+        }
+    if kind == 1:
+        return [_payload(rng, depth - 1) for _ in range(rng.randrange(4))]
+    if kind == 2:
+        return tuple(_payload(rng, depth - 1) for _ in range(rng.randrange(4)))
+    return rng.choice([
+        0, 7, -12, 3**90, -(2**70), "x", "ψ₅", "a\nb", True, False, None, Fraction(-9, 2), Fraction(4),
+    ])
+
+
+def test_dumps_equals_the_reference_on_random_payloads():
+    rng = random.Random(19)
+    payloads = [_payload(rng, rng.randrange(6)) for _ in range(400)]
+    payloads += [{}, [], (), {"a": {}, "b": [], "c": ()}, [[], {}, ()]]
+    for obj in payloads:
+        assert report.dumps(obj) == oracle_dumps(obj), obj
+
+
+@pytest.mark.parametrize("obj", [
+    "é", "ψ₅", "\u0000", '"', "\\", "a\nb", {"k\u0000\"": ["é", "\\"]},
+    2**200, -(2**200), -1, [2**200, -7],
+    Fraction(-9, 2), {"q": [Fraction(1, 3), Fraction(-4)]},
+    [True, False, None, 1, True], None, True,
+    {10: "ten", 9: "nine", -1: "minus"},
+    {1: "a", "1": "b"}, {"1": "b", 1: "a"}, {(1, 2): 3, None: 4, True: 5},
+    Colour.RED, [Colour.RED], {Colour.RED: Colour.RED},
+    Tag("t"), {Tag("k"): [Tag("v")]}, OrderedDict(b=1, a=[2]), Pair(1, Pair("y", None)),
+])
+def test_dumps_equals_the_reference_on_edge_cases(obj):
+    assert report.dumps(obj) == oracle_dumps(obj)
+
+
+def test_dumps_equals_the_reference_on_dataclasses():
+    for obj in (
+        theorem_budget(5, 1, 3, 1),
+        sandwich_from_sets(5, (2, 3), (11, 31)),
+        {"nested": [theorem_budget(7, 2, 1, 1)]},
+    ):
+        assert report.dumps(obj) == oracle_dumps(obj)
+
+
+def _oracle_error(obj):
+    with pytest.raises(Exception) as info:
+        oracle_dumps(obj)
+    return info.type
+
+
+@pytest.mark.parametrize("bad", [1.5, {2, 3}, object()])
+def test_dumps_raises_what_the_reference_raises(bad):
+    for obj in (bad, [1, bad], {"a": [bad]}):
+        with pytest.raises(_oracle_error(obj)):
+            report.dumps(obj)
+
+
+def test_dumps_raises_for_the_first_bad_value_in_payload_order():
+    # the reference meets the float first; the sorted walk would meet the
+    # 5000-digit int (a ValueError) first
+    obj = {"b": 1.5, "a": 10**5000}
+    assert _oracle_error(obj) is TypeError
+    with pytest.raises(TypeError):
+        report.dumps(obj)
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze", "--curve", "[0,-1,1,0,0]", "--point", '["0/1","0/1"]', "--p", "5",
+     "--second-kernel", '["0/1","-1/1","1/1"]'],
+    ["matrix", "--p", "5", "--s1", "2,3", "--s2", "11,31"],
+    ["sandwich", "--p", "5", "--s1", "2,3", "--s2", "11,31"],
+    ["bounds", "--d", "4", "--cp", "1", "--s1", "6", "--s2", "2", "--m", "3", "--mhat", "1", "--sum", "9"],
+    ["bounds", "--budget", "5,1,3,1"],
+])
+def test_cli_payloads_equal_the_reference(argv, monkeypatch, capsys):
+    seen = []
+    one_pass = report.dumps
+
+    def recording(obj):
+        seen.append(obj)
+        return one_pass(obj)
+
+    monkeypatch.setattr(report, "dumps", recording)
+    assert main([*argv, "--json"]) == 0
+    assert len(seen) == 1
+    assert capsys.readouterr().out == oracle_dumps(seen[0])
+
+
+def test_a_scan_report_takes_the_fast_path_only(monkeypatch):
+    rows = scan(tate_family(5), SearchConstraints(p=5, scan_budget=60, verify_dual=False))
+    calls = [0]
+    spec = report.canonicalize
+
+    def counting(obj):
+        calls[0] += 1
+        return spec(obj)
+
+    monkeypatch.setattr(report, "canonicalize", counting)
+    text = report.dumps(rows)
+    report.dumps({"t": (1, ("a", True), []), "n": None, "d": {}})
+    assert calls == [0]
+    monkeypatch.undo()
+    assert text == oracle_dumps(rows)
+
+
+def test_analyze_fractions_render_as_num_over_den(monkeypatch, capsys):
+    payloads = []
+    one_pass = report.dumps
+    monkeypatch.setattr(report, "dumps", lambda obj: payloads.append(obj) or one_pass(obj))
+    assert main([
+        "analyze", "--curve", "[0,-1,1,0,0]", "--point", '["0/1","0/1"]', "--p", "5",
+        "--second-kernel", '["0/1","-1/1","1/1"]', "--json",
+    ]) == 0
+    out = capsys.readouterr().out
+    point = payloads[0]["kernel_point"]
+    assert all(type(c) is Fraction for c in point)
+    for c in point:
+        assert f'"{c.numerator}/{c.denominator}"' in out
