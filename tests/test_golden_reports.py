@@ -61,6 +61,17 @@ TEXT_OUTPUTS = {
         ["bounds", "--budget", "5,1,3,1"],
         "e87fad34fe7eabb78cf4299977c0d5925a8001a89efefa5845b2a277b4e62a09",
     ),
+    # a Fraction, bools and lists of strings, printed as text
+    "bounds-formulas": (
+        ["bounds", "--d", "4", "--cp", "1", "--s1", "6", "--s2", "2", "--m", "3", "--mhat", "1",
+         "--sum", "9"],
+        "ccd0fe56bbec6e3caaedf72271dbac5d235975b422c28d119fbd41826616ab16",
+    ),
+    "bounds-formulas-advisory": (
+        ["bounds", "--d", "4", "--cp", "1", "--s1", "6", "--s2", "2", "--m", "3", "--mhat", "1",
+         "--sum", "9", "--real-embedding", "--no-zeta-p"],
+        "697299ee66dc18fefe7efff0dfc28624beff651b0273a5320bf3f6c527ef0fa1",
+    ),
     "sandwich": (
         ["sandwich", "--p", "5", "--s1", "2,3", "--s2", "11,31"],
         "f3f0a8ce58f6a498210fddef4d72614259b71fb6771eed46ae947c6eea5bb557",
