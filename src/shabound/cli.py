@@ -201,17 +201,7 @@ def cmd_matrix(args) -> int:
 
 
 def cmd_sandwich(args) -> int:
-    sw = sandwich_from_sets(args.p, *_parse_prime_lists(args))
-    payload = {
-        "p": args.p,
-        "lower_dim": sw.lower_dim,
-        "upper_dim": sw.upper_dim,
-        "lower_support": list(sw.lower_support),
-        "upper_support": list(sw.upper_support),
-        "lower_basis": [list(v) for v in sw.lower_basis],
-        "upper_basis": [list(v) for v in sw.upper_basis],
-    }
-    _emit(args, payload)
+    _emit(args, sandwich_from_sets(args.p, *_parse_prime_lists(args)))
     return 0
 
 

@@ -5,51 +5,27 @@ for downstream consumers), rationals as "num/den", keys are sorted, and
 the layout is fixed, so parsing an emitted report and re-serializing it
 is byte-identical.
 
-``canonicalize`` defines the canonical form, and the text view renders
-it.  ``dumps`` writes the JSON in one pass, without the canonical copy:
-its output equals the standard library's ``json.dumps`` of
-``canonicalize(x)`` with sorted keys and a two-space indent, plus a
-newline, which stays the reference the tests compare it against.
+``dumps`` is the one writer of the canonical form.  It takes the types a
+report is built from, exactly: str, int, bool, None, Fraction, dicts with
+str keys, lists, tuples and dataclass instances; any other value, a
+subclass of one of these included, raises TypeError.  The text view
+renders the JSON that ``dumps`` wrote, parsed back.  The reference the
+writer is tested against, the standard library's ``json.dumps`` of a
+canonical copy, lives in ``tests/conftest.py``.
 """
 
 from __future__ import annotations
 
+import json
 from dataclasses import asdict, is_dataclass
 from fractions import Fraction
-from json.encoder import encode_basestring_ascii as _quote
-
-_only_str = frozenset((str,)).issuperset  # _only_str(map(type, d)): every key of d an exact str, checked in C
-
-
-def canonicalize(obj):
-    """Recursively convert a report payload to JSON-safe canonical form."""
-    if isinstance(obj, bool):
-        return obj
-    if isinstance(obj, int):
-        return str(obj)
-    if isinstance(obj, Fraction):
-        return f"{obj.numerator}/{obj.denominator}"
-    if isinstance(obj, str) or obj is None:
-        return obj
-    if is_dataclass(obj) and not isinstance(obj, type):
-        return canonicalize(asdict(obj))
-    if isinstance(obj, dict):
-        return {str(k): canonicalize(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [canonicalize(x) for x in obj]
-    raise TypeError(f"cannot serialize {type(obj).__name__} canonically")
+from json.encoder import encode_basestring_ascii as _quote  # TypeError on a key that is no str
 
 
 def dumps(obj) -> str:
     """The canonical JSON of obj: two-space indent, sorted keys, a final newline."""
     out: list[str] = []
-    try:
-        _write(obj, out, "\n")
-    except (TypeError, ValueError):
-        # with two bad values the reference raises for the first in its own
-        # walk order, which is the payload's order, not the sorted one
-        canonicalize(obj)
-        raise
+    _write(obj, out, "\n")
     out.append("\n")
     return "".join(out)
 
@@ -61,7 +37,7 @@ def _write(obj, out: list[str], nl: str) -> None:
         out.append(_quote(obj))
     elif t is int:
         out.append(f'"{obj}"')
-    elif t is dict and _only_str(map(type, obj)):
+    elif t is dict:
         if not obj:
             out.append("{}")
             return
@@ -98,20 +74,16 @@ def _write(obj, out: list[str], nl: str) -> None:
         out.append("false")
     elif obj is None:
         out.append("null")
+    elif t is Fraction:
+        out.append(f'"{obj.numerator}/{obj.denominator}"')
+    elif is_dataclass(t):
+        _write(asdict(obj), out, nl)
     else:
-        # Fraction, dataclass, subclass of int, str, dict, list or tuple, a dict
-        # with a key that is no str (str() of its keys may collide), or a value
-        # with no canonical form
-        obj = canonicalize(obj)
-        if isinstance(obj, str):  # a str subclass comes back as itself
-            out.append(_quote(obj))
-        else:
-            _write(obj, out, nl)
+        raise TypeError(f"cannot serialize {t.__name__} canonically")
 
 
 def render_text(obj) -> str:
-    """Human-readable view of the same canonical data."""
-    data = canonicalize(obj)
+    """Human-readable view of the canonical JSON of obj."""
     lines: list[str] = []
 
     def walk(node, depth):
@@ -136,7 +108,7 @@ def render_text(obj) -> str:
         else:
             lines.append(f"{p}{_scalar(node)}")
 
-    walk(data, 0)
+    walk(json.loads(dumps(obj)), 0)
     return "\n".join(lines) + "\n"
 
 

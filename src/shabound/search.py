@@ -18,13 +18,7 @@ from fractions import Fraction
 from . import polys
 from .arith import Factorization, crt_solve, factor, is_prime, require_complete
 from .descent import S1, S2, ClassifiedCurve, analyze_curve
-from .elliptic import (
-    Curve,
-    invariants,
-    isomorphic_to_minimal,
-    minimal_model,
-    transform_point,
-)
+from .elliptic import Curve, invariants, isomorphic_to_minimal
 from .errors import (
     ClassifierDisagreement,
     DegenerateFiber,
@@ -94,21 +88,27 @@ def tate_family(p: int) -> FamilySpec:
 @dataclass(frozen=True)
 class Fiber:
     b: int
-    curve: Curve  # minimal model
+    curve: Curve  # the Tate model, which is minimal at every integer parameter
     point: tuple[Fraction, Fraction]
     disc_factorization: Factorization
 
 
 def fiber(family: FamilySpec, b: int) -> Fiber:
-    """The family member at parameter b, minimalized, with its marked point."""
+    """The Tate model at parameter b, its marked point (0, 0) and its
+    discriminant factored through the factor polynomials.
+
+    No minimal model is taken here: at an integer parameter the model is
+    already minimal in both families.  For each factor f of the
+    discriminant, Res(c4, f) is +-1 or +-p^2, so every bad prime q != p
+    is multiplicative, and v_p(Delta) < 12 where p divides the S2 factor.
+    analyze_curve's classify_primes is the one minimalization, as for
+    `shabound analyze`.
+    """
     try:
         e = invariants(*family.ainvs_at(b))
     except SingularModel as exc:
         raise DegenerateFiber(f"parameter {b} gives a singular fiber") from exc
-    fac = _fiber_disc_factorization(family, b, e.disc)
-    emin, tr, fac_min = minimal_model(e, fac)
-    pt = transform_point((Q(0), Q(0)), tr)
-    return Fiber(b, emin, pt, fac_min)
+    return Fiber(b, e, (Q(0), Q(0)), _fiber_disc_factorization(family, b, e.disc))
 
 
 def _fiber_disc_factorization(family: FamilySpec, b: int, disc: int) -> Factorization:
@@ -150,6 +150,11 @@ class SearchConstraints:
         for ell in self.force_s1 + self.force_s2:
             if not is_prime(ell):
                 raise InputError(f"forced value {ell} is not prime")
+        for name in ("force_s1", "force_s2"):
+            primes = getattr(self, name)
+            for i, ell in enumerate(primes):
+                if ell in primes[:i]:  # the CRT step needs each modulus once
+                    raise InputError(f"{name}: repeated prime {ell} in {list(primes)}")
         for ell in self.force_s2:
             if ell % self.p != 1:
                 raise InputError(f"forced S2 prime {ell} is not 1 mod {self.p}")

@@ -11,11 +11,13 @@ round trip's codomain and compares minimal invariants, is the reference
 for the closed-form isomorphism test the scan runs.  Velu's quotient by
 a kernel polynomial with denominators through a Fraction model, cleared
 afterwards, is the reference for the one integral rescaling of
-``isogeny._integral_kernel``.  ``json.dumps`` of the canonical copy is
-the reference for the one-pass writer ``report.dumps``.
+``isogeny._integral_kernel``.  ``json.dumps`` of the canonical copy
+that ``canonicalize`` makes is the reference for the one writer
+``report.dumps``; the two share no code.
 """
 
 import json
+from dataclasses import asdict, is_dataclass
 from fractions import Fraction
 from math import lcm
 
@@ -31,9 +33,27 @@ from shabound.elliptic import (
 )
 from shabound.errors import InputError, ShaboundError
 from shabound.isogeny import dual_kernel_poly, velu_quotient_from_kernel_poly
-from shabound.report import canonicalize
 
 Q = Fraction
+
+
+def canonicalize(obj):
+    """Recursively convert a report payload to JSON-safe canonical form."""
+    if isinstance(obj, bool):
+        return obj
+    if isinstance(obj, int):
+        return str(obj)
+    if isinstance(obj, Fraction):
+        return f"{obj.numerator}/{obj.denominator}"
+    if isinstance(obj, str) or obj is None:
+        return obj
+    if is_dataclass(obj) and not isinstance(obj, type):
+        return canonicalize(asdict(obj))
+    if isinstance(obj, dict):
+        return {str(k): canonicalize(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [canonicalize(x) for x in obj]
+    raise TypeError(f"cannot serialize {type(obj).__name__} canonically")
 
 
 def oracle_dumps(obj) -> str:

@@ -292,3 +292,45 @@ def test_analyze_agrees_with_scan_row(capsys):
             assert [data[key]["lower"], data[key]["upper"]] == row[key], (p, b, key)
         bounds = dict(data["bounds"], hypothesis_ok=not data["bounds"]["advisory"])
         assert {k: bounds[k] for k in shared} == row["advisory_bounds"], (p, b)
+
+
+CURVE_11A3 = ["--curve", "[0,-1,1,0,0]", "--point", '["0/1","0/1"]']
+
+
+@pytest.mark.parametrize("argv, config, message", [
+    (["analyze", "--curve", "[0,-1,1", "--point", '["0/1","0/1"]', "--p", "5"], None,
+     "curve: invalid JSON (Expecting ',' delimiter: line 1 column 8 (char 7))"),
+    (["analyze", "--curve", "[0,-1,1,0,0]", "--point", '["0/1"', "--p", "5"], None,
+     "point: invalid JSON (Expecting ',' delimiter: line 1 column 7 (char 6))"),
+    (["analyze", *CURVE_11A3, "--p", "5", "--second-kernel", "[1,"], None,
+     "second-kernel: invalid JSON (Expecting value: line 1 column 4 (char 3))"),
+    (["analyze", "--curve", "[0,-1,1,0,0]", "--point", '"O"', "--p", "5"], None,
+     "point: the kernel point may not be the identity"),
+    (["analyze", *CURVE_11A3, "--p", "11"], None, "p must be 5 or 7"),
+    (["analyze", *CURVE_11A3, "--p", "5", "--second-kernel", '{"h": [0, -1, 1]}'], None,
+     "second-kernel: expected a JSON array of coefficients, low degree first"),
+    (["analyze", *CURVE_11A3, "--p", "5", "--second-kernel", '["0/1","-1/1","2/1"]'], None,
+     "kernel polynomial must be monic of degree 2"),
+    (["analyze", *CURVE_11A3, "--p", "5", "--second-kernel", '["1/1","1/1"]'], None,
+     "kernel polynomial must be monic of degree 2"),
+    (["bounds", "--budget", "5,1,3"], None, "budget: expected p,k,n,D"),
+    (["bounds"], None, "bounds: provide --budget p,k,n,D or field invariants via --d/--cp"),
+    (["search"], '{"p": 5,', "config: invalid JSON (Expecting property name enclosed in double quotes: "
+     "line 1 column 9 (char 8))"),
+    (["search"], "[5]", "config: expected a JSON object"),
+    (["search"], '{"scan_budget": 4}', "config: missing key 'p'"),
+    (["search"], '{"p": 5, "force_s1": [41, 41]}', "force_s1: repeated prime 41 in [41, 41]"),
+], ids=[
+    "curve-json", "point-json", "second-kernel-json", "point-identity", "analyze-p-11",
+    "second-kernel-not-list", "second-kernel-not-monic", "second-kernel-degree",
+    "budget-three-parts", "bounds-no-input", "config-json", "config-not-object", "config-no-p",
+    "config-repeated-forced-prime",
+])
+def test_input_errors_exit_2_with_their_message(tmp_path, capsys, argv, config, message):
+    if config is not None:
+        path = tmp_path / "cfg.json"
+        path.write_text(config)
+        argv = [*argv, "--config", str(path)]
+    code, out, err = run(capsys, *argv, "--json")
+    assert (code, out) == (2, "")
+    assert err == f"error: {message}\n"

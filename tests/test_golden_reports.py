@@ -47,7 +47,7 @@ SEARCHES = {
     ),
 }
 
-# text output (no --json): render_text shares canonicalize with the JSON writer
+# text output (no --json): render_text renders the parsed JSON of report.dumps
 TEXT_OUTPUTS = {
     "search-p5-dual-40": (
         None, "d3dae660b2775a8a608331a235279fd2c66d2fb77173376a961496699fd7b343",

@@ -83,6 +83,10 @@ def test_constraints_validation():
         SearchConstraints(5, force_s1=(4,))
     with pytest.raises(InputError):
         SearchConstraints(5, force_s1=(5,))  # p is always excluded as above_p_overlap
+    with pytest.raises(InputError, match=r"^force_s2: repeated prime 11 in \[11, 31, 11\]$"):
+        SearchConstraints(5, force_s2=(11, 31, 11))  # the CRT would see the modulus 11 twice
+    with pytest.raises(InputError, match=r"^forced value 4 is not prime$"):
+        SearchConstraints(5, force_s1=(4, 4))
     for key in ("scan_budget", "parameter_box", "omega_max"):
         with pytest.raises(InputError):
             SearchConstraints(5, **{key: -1})
@@ -237,3 +241,80 @@ def test_jobs_start_at_most_one_worker_per_chunk(monkeypatch):
     assert requested == [3]  # one chunk: no pool at all
     scan(fam, SearchConstraints(5, scan_budget=17, verify_dual=False), jobs=2)
     assert requested == [3, 2]
+
+
+def _scanned_parameters():
+    """(p, b) of every fiber the test and benchmark scans visit: b = +-1..+-500 at
+    p = 5 and 7, and 300 fibers of each forced (S1, S2) pair of the forced p = 5 scans."""
+    params = [(p, b) for p in (5, 7) for k in range(1, 501) for b in (k, -k)]
+    for s1 in (37, 41, 43, 47):
+        c = SearchConstraints(5, force_s1=(s1,), force_s2=(11,))
+        b0, modulus = construct_parameter(tate_family(5), c)
+        ks = [0, *(k for j in range(1, 150) for k in (j, -j)), 150]
+        params += [(5, b0 + k * modulus) for k in ks]
+    return params
+
+
+def test_fibers_are_minimal_over_the_scanned_ranges():
+    # fiber takes no minimal model of its own; classify_primes' minimalization
+    # must return every integer fiber unchanged, so the rows keep the Tate model
+    from shabound.elliptic import minimal_model
+
+    checked = 0
+    for p, b in _scanned_parameters():
+        try:
+            fib = fiber(tate_family(p), b)
+        except DegenerateFiber:
+            continue
+        emin, _, fac = minimal_model(fib.curve, fib.disc_factorization)
+        assert emin is fib.curve and fac is fib.disc_factorization, (p, b)
+        checked += 1
+    assert checked == 3199  # b = 1 at p = 7 is singular
+
+
+def test_minimal_model_runs_twice_per_analysed_fiber(monkeypatch):
+    # once for the curve in classify_primes, once for Velu's codomain; an
+    # incomplete codomain factorization still counts its call
+    from shabound import descent, elliptic, isogeny, search
+
+    calls = []
+    real = elliptic.minimal_model
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    for mod in (elliptic, descent, isogeny, search):
+        if getattr(mod, "minimal_model", None) is real:
+            monkeypatch.setattr(mod, "minimal_model", counting)
+    analysed = 0
+    for c in (SearchConstraints(7, scan_budget=300, verify_dual=False), SearchConstraints(5, scan_budget=80)):
+        r = scan(tate_family(c.p), c, jobs=1)
+        analysed += c.scan_budget - r["skipped"]["degenerate"]
+    assert analysed == 379
+    assert len(calls) == 2 * analysed
+
+
+@pytest.mark.parametrize("patch, detail", [
+    ("valuation_ratio_set", r"valuation ratio at \d+ is neither p nor 1/p: \d+ -> \d+"),
+    ("reduce_point", r"classifiers disagree at \d+: point test S1, valuation test S2"),
+])
+def test_classifier_disagreements_become_rows(monkeypatch, patch, detail):
+    import re
+
+    from shabound import descent
+
+    if patch == "valuation_ratio_set":
+        monkeypatch.setattr(descent, "valuation_ratio_set", lambda p, v, v_image: None)
+    else:  # the kernel point meets the node at every split prime: the point test says S1
+        monkeypatch.setattr(descent, "reduce_point", lambda e, pt, q: descent.singular_point(e, q))
+    c = SearchConstraints(5, scan_budget=40, verify_dual=False)
+    r = scan(tate_family(5), c, jobs=1)
+    assert r["errors"]
+    for row in r["errors"]:
+        assert row["error"] == "classifier_disagreement", row
+        assert re.fullmatch(detail, row["detail"]), row["detail"]
+        assert row["curve"] and "s1" not in row
+    for row in r["rows"]:  # kept: a fiber with no split prime the patched test could meet
+        assert row["s2"] == [] and (patch == "reduce_point" or row["s1"] == []), row
+    assert len(r["rows"]) + len(r["errors"]) + sum(r["skipped"].values()) == 40

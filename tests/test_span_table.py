@@ -55,14 +55,20 @@ def _free_names(node, bound=frozenset()):
         yield from _free_names(child, bound)
 
 
+def _is_dunder(name: str) -> bool:
+    return name.startswith("__") and name.endswith("__")
+
+
 def unreferenced_definitions(package: pathlib.Path) -> set[tuple[str, str]]:
-    """(module, name) of each top-level def or class, and (module, "Class.name") of each of
-    its methods and properties, that nothing in the package references.
+    """(module, name) of each top-level def, class or assigned name, and (module,
+    "Class.name") of each method and property of a top-level class, that nothing in
+    the package references.
 
     A top-level definition is referenced by a global Name in its own module
     (a nested def or local of the same name shadows it), by `from .m import
     name`, or by `m.name` for the module m; a method or property by any
-    `.name` attribute in the package.  Dunder methods are called implicitly.
+    `.name` attribute in the package.  Dunder methods are called implicitly,
+    and dunder names such as `__all__` are read by the interpreter.
     """
     defined, used, attrs = set(), set(), set()
     for path in sorted(package.glob("*.py")):
@@ -71,12 +77,19 @@ def unreferenced_definitions(package: pathlib.Path) -> set[tuple[str, str]]:
         for node in tree.body:
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 defined.add((module, node.name))
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defined.update(
+                    (module, n.id)
+                    for target in targets
+                    for n in ast.walk(target)
+                    if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store) and not _is_dunder(n.id)
+                )
             if isinstance(node, ast.ClassDef):
                 defined.update(
                     (module, f"{node.name}.{item.name}")
                     for item in node.body
-                    if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
-                    and not (item.name.startswith("__") and item.name.endswith("__"))
+                    if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)) and not _is_dunder(item.name)
                 )
         for node in ast.walk(tree):
             if isinstance(node, ast.ImportFrom) and node.level == 1:
@@ -151,6 +164,29 @@ def test_the_definition_guard_sees_methods_and_shadowed_names(tmp_path):
     # sub is read only through g's nested def, lonely only through run's local
     assert unreferenced_definitions(tmp_path) == {
         ("m", "C.unused"), ("m", "C.prop"), ("m", "sub"), ("m", "lonely"), ("n", "run"),
+    }
+
+
+def test_the_definition_guard_sees_module_level_names(tmp_path):
+    (tmp_path / "m.py").write_text(
+        "__all__ = ['f']\n"
+        "LIMIT = 10\n"
+        "_only_str = frozenset((str,)).issuperset\n"
+        "WIDTH: int = 4\n"
+        "LOW, HIGH = 1, 2\n"
+        "STEP = LIMIT // 2\n"
+        "SHADOWED = 3\n"
+        "EXPORTED = 5\n\n\n"
+        "def f(SHADOWED=0):\n    return STEP + LOW + SHADOWED\n"
+    )
+    (tmp_path / "n.py").write_text(
+        "from . import m\nfrom .m import f\n\n\n"
+        "def g():\n    return m.EXPORTED + f()\n\n\nVALUE = g()\n"
+    )
+    # a constant left behind by a deletion is dead code like an unused def;
+    # dunder names are read by the interpreter
+    assert unreferenced_definitions(tmp_path) == {
+        ("m", "_only_str"), ("m", "WIDTH"), ("m", "HIGH"), ("m", "SHADOWED"), ("n", "VALUE"),
     }
 
 
