@@ -6,8 +6,9 @@ construction budget chain with --budget), sandwich (two-sided Selmer
 dimensions from prime sets), search (constrained family scan).  JSON is
 the contract (--json); text output renders the same data.
 
-Exit codes: 0 success, 2 input/validation error, 3 incomplete
-factorization / resource exhaustion.
+Exit codes: 0 success, 1 a scan wrote its report with internal_error
+rows, 2 input/validation error, 3 incomplete factorization / resource
+exhaustion.
 """
 
 from __future__ import annotations
@@ -17,19 +18,21 @@ import json
 import sys
 from fractions import Fraction
 
-from . import arith, fplinalg, report
+from . import arith, report
 from .bounds import (
     FieldInvariants,
     bound_report,
     sha_from_sum,
     theorem_budget,
 )
-from .descent import S1, analyze_curve, character_rows, sandwich_from_sets, valuation_ratio_set
+from .descent import S1, analyze_curve, character_rows, character_table, m_rank, sandwich_from_sets
+from .descent import valuation_ratio_set
 from .elliptic import invariants
 from .errors import IncompleteFactorization, InputError, ShaboundError
 from .isogeny import velu_quotient_from_kernel_poly
 from .search import SearchConstraints, scan, tate_family
 
+EXIT_INTERNAL = 1
 EXIT_INPUT = 2
 EXIT_INCOMPLETE = 3
 
@@ -141,8 +144,8 @@ def cmd_analyze(args) -> int:
         },
         "m_phi": an.m_phi,
         "m_phihat": an.m_phihat,
-        "sandwich_phi": {"lower": an.sandwich_phi.lower_dim, "upper": an.sandwich_phi.upper_dim},
-        "sandwich_dual": {"lower": an.sandwich_dual.lower_dim, "upper": an.sandwich_dual.upper_dim},
+        "sandwich_phi": {"lower": an.sandwich_phi[0], "upper": an.sandwich_phi[1]},
+        "sandwich_dual": {"lower": an.sandwich_dual[0], "upper": an.sandwich_dual[1]},
         "bounds": {
             "advisory": not br.hypothesis_ok,
             "hypothesis_reasons": list(br.hypothesis_reasons),
@@ -188,13 +191,14 @@ def _second_kernel_payload(cls, text: str, p: int) -> dict:
 
 def cmd_matrix(args) -> int:
     s1, s2 = _parse_prime_lists(args)
-    ells, rows = character_rows(args.p, s1, s2)
+    table = character_table(args.p, s1, s2)
+    ells, rows = character_rows(args.p, s1, s2, table)
     payload = {
         "p": args.p,
         "col_labels": [str(q) for q in s1],
         "row_labels": [str(ell) for ell in ells],
         "entries": rows,
-        "rank": fplinalg.rank(args.p, rows),
+        "rank": m_rank(args.p, s1, s2, table),
     }
     _emit(args, payload)
     return 0
@@ -280,7 +284,7 @@ def cmd_search(args) -> int:
 
     result = scan(family, constraints, jobs=args.jobs, progress=progress)
     _emit(args, result)
-    return 0
+    return EXIT_INTERNAL if any(r["error"] == "internal_error" for r in result["errors"]) else 0
 
 
 # ------------------------------------------------------------------ driver

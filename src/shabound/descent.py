@@ -194,14 +194,10 @@ def _p_adic_unit_condition_row(support, p: int) -> list[int]:
     For a prime q != p the class of q in (1-units mod p-th powers) is
     measured by (q^(p-1) - 1)/p mod p.
     """
-    row = []
-    for q in support:
-        u = pow(q, p - 1, p * p)
-        row.append(((u - 1) // p) % p)
-    return row
+    return [((pow(q, p - 1, p * p) - 1) // p) % p for q in support]
 
 
-def sandwich_from_sets(p: int, s1, s2, table: dict | None = None) -> SandwichResult:
+def sandwich_from_sets(p: int, s1, s2) -> SandwichResult:
     """Upper and lower sandwich groups from the descent sets, over Q.
 
     Q(S,p) is free on the primes of S for odd p (the sign is a p-th
@@ -211,28 +207,39 @@ def sandwich_from_sets(p: int, s1, s2, table: dict | None = None) -> SandwichRes
     sit in Q*/Q*^p = H^1(Q, mu_p), home of the mu_p-side group
     Sel^phihat(E'), while Sel^phi(E) lies in H^1(Q, Z/p).  The paper's
     field contains the p-th roots of unity, where the two agree (see
-    Analysis).  table is character_table(p, S1, S2), built here if not given.
+    Analysis).  The bases are for `shabound sandwich`; analyze_curve takes
+    the dimensions from selmer_dims.
     """
     s1, s2 = tuple(sorted(s1)), tuple(sorted(s2))
-    if table is None:
-        table = character_table(p, s1, s2)
+    table = character_table(p, s1, s2)
     ells = [ell for ell in s2 if ell % p == 1]
     upper_support = tuple(sorted(set(s1) | {p}))
     upper_rows = [[table[ell][q] for q in upper_support] for ell in ells]
     upper_basis = fplinalg.kernel_basis(p, upper_rows, len(upper_support))
-    lower_support = s1
-    lower_rows = [[table[ell][q] for q in lower_support] for ell in ells]
-    lower_rows.append(_p_adic_unit_condition_row(lower_support, p))
-    lower_basis = fplinalg.kernel_basis(p, lower_rows, len(lower_support))
+    lower_rows = [[table[ell][q] for q in s1] for ell in ells] + [_p_adic_unit_condition_row(s1, p)]
+    lower_basis = fplinalg.kernel_basis(p, lower_rows, len(s1))
     return SandwichResult(
-        p,
-        len(lower_basis),
-        len(upper_basis),
-        lower_support,
-        upper_support,
-        tuple(lower_basis),
-        tuple(upper_basis),
+        p, len(lower_basis), len(upper_basis), s1, upper_support, tuple(lower_basis), tuple(upper_basis)
     )
+
+
+def selmer_dims(p: int, cols, ells, table: dict) -> tuple[int, int, int]:
+    """(m, lower, upper) for one direction: columns cols (S), rows ells (each 1 mod p).
+
+    One elimination of the rows chi_ell(q), q in cols, then chi_ell(p).
+    m is the rank of the character matrix, the pivots among the first
+    len(cols) columns; lower and upper are the dimensions that
+    sandwich_from_sets(p, cols, ells) gives, without its bases.  table
+    is character_table(p, cols, ells) or one that contains it.
+    """
+    n = len(cols)
+    red, pivots = fplinalg.rref(p, [[table[ell][q] for q in (*cols, p)] for ell in ells])
+    m = sum(c < n for c in pivots)
+    unit = _p_adic_unit_condition_row(cols, p)
+    for row, c in zip(red, pivots[:m]):  # reduce against the matrix's own echelon rows
+        if f := unit[c]:
+            unit = [(x - f * y) % p for x, y in zip(unit, row)]
+    return m, n - m - any(unit), n + 1 - len(pivots)
 
 
 # ------------------------------------------------------------ per curve
@@ -242,21 +249,23 @@ class Analysis:
     """The per-curve certificate: descent sets, both matrix ranks, both sandwiches, bounds.
 
     Exact over Q: the sets, m_phi and m_phihat (F_p ranks of character
-    matrices) and the sandwich dimensions (kernel dimensions of F_p
-    matrices).  Advisory over Q: bounds (the report's advisory_bounds),
-    because the bound formulas need a totally imaginary field containing
-    the p-th roots of unity.  Not yet pinned down: which Selmer group
-    each sandwich brackets over Q.  On 11a3 -> 11a1 (dim Sel^phi(E) = 1,
-    dim Sel^phihat(E') = 0) the output [0, 0] / [0, 2] is consistent
-    with sandwich_phi bracketing Sel^phihat(E') and sandwich_dual
-    bracketing Sel^phi(E).
+    matrices) and the sandwich dimensions, each a (lower, upper) pair of
+    kernel dimensions of F_p matrices; selmer_dims gives a rank and a
+    pair per direction from one elimination, with no kernel basis
+    (sandwich_from_sets builds the bases).  Advisory over Q: bounds (the
+    report's advisory_bounds), because the bound formulas need a totally
+    imaginary field containing the p-th roots of unity.  Not yet pinned
+    down: which Selmer group each sandwich brackets over Q.  On 11a3 ->
+    11a1 (dim Sel^phi(E) = 1, dim Sel^phihat(E') = 0) the output
+    (0, 0) / (0, 2) is consistent with sandwich_phi bracketing
+    Sel^phihat(E') and sandwich_dual bracketing Sel^phi(E).
     """
 
     classified: ClassifiedCurve
     m_phi: int
     m_phihat: int
-    sandwich_phi: SandwichResult
-    sandwich_dual: SandwichResult
+    sandwich_phi: tuple[int, int]  # (lower, upper)
+    sandwich_dual: tuple[int, int]
     bounds: BoundReport
 
 
@@ -272,20 +281,14 @@ def analyze_curve(
 ) -> Analysis:
     """The descent pipeline for the isogeny with kernel <pt>, in both directions.
 
-    m_phihat takes its rows from the S1 primes that are 1 mod p, as
-    sandwich_from_sets does: the local groups of the others are trivial
-    over Q.
+    The phihat direction takes its rows from the S1 primes that are 1
+    mod p, as sandwich_from_sets does: the local groups of the others
+    are trivial over Q.
     """
     cls = classify_primes(e, pt, p, disc_factorization)
     s1, s2 = cls.sets.s1, cls.sets.s2
     table = character_table(p, s1, s2)
-    m_phi = m_rank(p, s1, s2, table)
-    m_phihat = m_rank(p, s2, [q for q in s1 if q % p == 1], table)
-    return Analysis(
-        cls,
-        m_phi,
-        m_phihat,
-        sandwich_from_sets(p, s1, s2, table),
-        sandwich_from_sets(p, s2, s1, table),
-        bound_report(_Q_FIELD, len(s1), len(s2), m_phi, m_phihat),
-    )
+    phi = selmer_dims(p, s1, s2, table)
+    dual = selmer_dims(p, s2, [q for q in s1 if q % p == 1], table)
+    bounds = bound_report(_Q_FIELD, len(s1), len(s2), phi[0], dual[0])
+    return Analysis(cls, phi[0], dual[0], phi[1:], dual[1:], bounds)

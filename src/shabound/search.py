@@ -12,6 +12,7 @@ from __future__ import annotations
 import concurrent.futures
 import contextlib
 import itertools
+import traceback
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -214,7 +215,8 @@ def evaluate_row(p: int, b: int, verify_dual: bool = True) -> dict:
 
     Per-row failures are recorded in the row rather than raised: a
     singular fiber, an incomplete factorization, a classifier
-    disagreement, and any other ShaboundError under its class name.
+    disagreement, any other ShaboundError under its class name, and any
+    other exception (a bug) as internal_error, its traceback on stderr.
     The row keeps the fields filled in before the failure.
     """
     family = tate_family(p)
@@ -231,6 +233,10 @@ def evaluate_row(p: int, b: int, verify_dual: bool = True) -> dict:
     except ShaboundError as exc:
         row["error"] = type(exc).__name__
         row["detail"] = str(exc)
+    except Exception as exc:  # one fiber's bug becomes a row; the scan and its report go on
+        traceback.print_exc()
+        row["error"] = "internal_error"
+        row["detail"] = f"{type(exc).__name__}: {exc}"
     return row
 
 
@@ -248,8 +254,8 @@ def _fill_row(row: dict, family: FamilySpec, b: int, verify_dual: bool) -> None:
     row["excluded"] = [list(x) for x in sets.excluded]
     row["m_phi"] = an.m_phi
     row["m_phihat"] = an.m_phihat
-    row["sandwich_phi"] = [an.sandwich_phi.lower_dim, an.sandwich_phi.upper_dim]
-    row["sandwich_dual"] = [an.sandwich_dual.lower_dim, an.sandwich_dual.upper_dim]
+    row["sandwich_phi"] = list(an.sandwich_phi)
+    row["sandwich_dual"] = list(an.sandwich_dual)
     adv = an.bounds
     row["advisory_bounds"] = {
         "hypothesis_ok": adv.hypothesis_ok,

@@ -271,6 +271,39 @@ def test_search_jobs_below_1_exit_2(tmp_path, capsys):
         assert "jobs" in err
 
 
+def test_search_records_an_internal_error_and_exits_1(tmp_path, capsys, monkeypatch):
+    # an exception that is no ShaboundError (a bug) in one fiber becomes an
+    # internal_error row: the scan goes on, writes the full report and exits
+    # 1, with the same bytes at every --jobs.  The pool's workers are forked
+    # from this process, so they run the patched fiber too
+    from shabound import search
+
+    real = search.fiber
+
+    def fragile(family, b):
+        if b % 7 == 0:
+            raise ZeroDivisionError(f"boom at {b}")
+        return real(family, b)
+
+    monkeypatch.setattr(search, "fiber", fragile)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"p": 5, "scan_budget": 40, "verify_dual": False}))
+    outs = []
+    for jobs in ("1", "2"):  # 40 fibers are three chunks: --jobs 2 starts the pool
+        code, out, err = run(capsys, "search", "--config", str(cfg), "--jobs", jobs, "--json")
+        assert code == 1, jobs
+        data = json.loads(out)
+        assert data["errors"] == [
+            {"b": str(b), "error": "internal_error", "detail": f"ZeroDivisionError: boom at {b}"}
+            for b in (7, -7, 14, -14)
+        ], jobs
+        assert len(data["rows"]) + sum(int(v) for v in data["skipped"].values()) == 36, jobs
+        if jobs == "1":  # a forked worker's stderr is not captured here
+            assert err.count("Traceback") == 4 and "ZeroDivisionError: boom at -14" in err
+        outs.append(out)
+    assert outs[0] == outs[1]
+
+
 def test_analyze_agrees_with_scan_row(capsys):
     # one per-curve pipeline: the analyze payload and the scan row of a fiber
     # carry the same sets, ranks, sandwiches and advisory bounds

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from collections import Counter
 from math import prod
 from fractions import Fraction
 
@@ -18,9 +19,10 @@ from shabound.descent import (
     factor_with_hints,
     m_rank,
     sandwich_from_sets,
+    selmer_dims,
     valuation_ratio_set,
 )
-from shabound import descent
+from shabound import descent, fplinalg
 from shabound.arith import character_eval, residue_character
 from shabound.elliptic import invariants
 from shabound.errors import DegenerateFiber, IncompleteFactorization, InputError
@@ -86,7 +88,9 @@ def test_m_rank_bounded():
 
 
 def test_sandwich_fixture_11a():
-    sw = analyze_curve(E11A3, P0, 5).sandwich_phi
+    an = analyze_curve(E11A3, P0, 5)
+    assert (an.sandwich_phi, an.sandwich_dual) == ((0, 0), (0, 2))
+    sw = sandwich_from_sets(5, (), (11,))
     assert (sw.lower_dim, sw.upper_dim) == (0, 0)
     swd = sandwich_from_sets(5, (11,), ())
     assert (swd.lower_dim, swd.upper_dim) == (0, 2)
@@ -107,6 +111,57 @@ def test_sandwich_lower_le_upper_random():
             s2 = tuple(sorted(set(rng.sample(ones, rng.randrange(0, 4))) - set(s1)))
             sw = sandwich_from_sets(p, s1, s2)
             assert sw.lower_dim <= sw.upper_dim
+
+
+def _kernel_count(p, rows, cols):
+    """#{e in F_p^cols : rows . e = 0}: every vector's image is formed, the two
+    halves of the columns apart, and the halves whose images cancel are counted."""
+
+    def images(columns):
+        out = [(0,) * len(rows)]
+        for j in columns:
+            steps = [tuple(e * row[j] % p for row in rows) for e in range(p)]
+            out = [tuple([(v + w) % p for v, w in zip(image, step)]) for image in out for step in steps]
+        return Counter(out)
+
+    left, right = images(range(cols // 2)), images(range(cols // 2, cols))
+    return sum(n * right[tuple(-v % p for v in image)] for image, n in left.items())
+
+
+def test_selmer_dims_matches_rank_sandwich_and_kernel_counts():
+    # one elimination per direction gives m, the rank of the character
+    # matrix, and both sandwich dimensions.  Columns are drawn in random
+    # order and may be 1 mod p or not; the rows are primes = 1 mod p.  For
+    # |S| <= 4 both dimensions are checked against counted kernel vectors
+    from conftest import fp_rref
+
+    rng = random.Random(97)
+    primes = [q for q in range(2, 1200) if is_prime(q)]
+    cases = counted = 0
+    seen = set()
+    for p in (5, 7, 11, 13):
+        ones = [q for q in primes if q % p == 1]
+        for _ in range(2500):
+            ells = rng.sample(ones, rng.randrange(0, 5))
+            cols = rng.sample([q for q in primes if q != p and q not in ells], rng.randrange(0, 7))
+            table = descent.character_table(p, cols, ells)
+            m, lower, upper = selmer_dims(p, cols, ells, table)
+            rows = [[table[ell][q] for q in cols] for ell in ells]
+            assert m == fplinalg.rank(p, rows) == len(fp_rref(p, rows, len(cols))[1]), (p, cols, ells)
+            sw = sandwich_from_sets(p, cols, ells)
+            assert (lower, upper) == (sw.lower_dim, sw.upper_dim), (p, cols, ells)
+            if len(cols) <= 4:
+                unit = [((pow(q, p - 1, p * p) - 1) // p) % p for q in cols]
+                full = [row + [table[ell][p]] for row, ell in zip(rows, ells)]
+                assert p**upper == _kernel_count(p, full, len(cols) + 1), (p, cols, ells)
+                assert p**lower == _kernel_count(p, rows + [unit], len(cols)), (p, cols, ells)
+                counted += 1
+            seen.add((bool(cols), bool(ells), any(q % p != 1 for q in cols), upper - lower))
+            cases += 1
+    assert cases == 10**4 and counted > 6000, (cases, counted)
+    # empty S, empty L, columns that are not 1 mod p, and every bracket width
+    assert {(False, True), (True, False)} <= {k[:2] for k in seen}
+    assert {k[2] for k in seen} == {False, True} and {k[3] for k in seen} == {0, 1, 2}
 
 
 def _is_local_pth_power(x: int, q: int, p: int) -> bool:
@@ -271,8 +326,10 @@ def test_analyze_curve_matches_standalone_matrix_and_sandwich_calls():
             s1_rows = [q for q in s1 if q % p == 1]
             assert an.m_phi == m_rank(p, s1, s2), (p, b)
             assert an.m_phihat == m_rank(p, s2, s1_rows), (p, b)
-            assert an.sandwich_phi == sandwich_from_sets(p, s1, s2) == _oracle_sandwich(p, s1, s2), (p, b)
-            assert an.sandwich_dual == sandwich_from_sets(p, s2, s1) == _oracle_sandwich(p, s2, s1), (p, b)
+            for dims, cols, others in ((an.sandwich_phi, s1, s2), (an.sandwich_dual, s2, s1)):
+                sw, oracle = sandwich_from_sets(p, cols, others), _oracle_sandwich(p, cols, others)
+                assert sw == oracle, (p, b)  # bases included
+                assert dims == (sw.lower_dim, sw.upper_dim) == (oracle.lower_dim, oracle.upper_dim), (p, b)
             assert an.m_phi == len(fp_rref(p, _oracle_rows(p, s1, s2), len(s1))[1]), (p, b)
             assert an.m_phihat == len(fp_rref(p, _oracle_rows(p, s2, s1_rows), len(s2))[1]), (p, b)
             if len(s1_rows) < len(s1):

@@ -295,6 +295,39 @@ def test_minimal_model_runs_twice_per_analysed_fiber(monkeypatch):
     assert len(calls) == 2 * analysed
 
 
+def test_one_elimination_per_direction_and_no_kernel_basis_in_a_scan(monkeypatch):
+    # analyze_curve takes m and both sandwich dimensions of a direction from
+    # one selmer_dims call, one fplinalg.rref: two per analysed fiber.  No
+    # kernel basis, sandwich_from_sets or m_rank runs in a scan, and the
+    # report keeps its pinned bytes
+    import hashlib
+
+    from test_golden_reports import SEARCHES
+
+    from shabound import descent, fplinalg
+
+    calls = dict.fromkeys(("rref", "kernel_basis", "selmer_dims", "sandwich_from_sets", "m_rank"), 0)
+
+    def counting(name, real):
+        def wrapper(*args):
+            calls[name] += 1
+            return real(*args)
+
+        return wrapper
+
+    for mod in (fplinalg, descent):
+        for name in calls:
+            if hasattr(mod, name):
+                monkeypatch.setattr(mod, name, counting(name, getattr(mod, name)))
+    cfg, jobs, digest = SEARCHES["p7-60"]
+    r = scan(tate_family(7), SearchConstraints(**cfg), jobs=jobs)
+    assert hashlib.sha256(report.dumps(r).encode()).hexdigest() == digest
+    assert r["errors"] == [] and len(r["rows"]) == 59, r["skipped"]  # b = 1 is singular
+    analysed = len(r["rows"])
+    assert calls == {"rref": 2 * analysed, "selmer_dims": 2 * analysed,
+                     "kernel_basis": 0, "sandwich_from_sets": 0, "m_rank": 0}
+
+
 @pytest.mark.parametrize("patch, detail", [
     ("valuation_ratio_set", r"valuation ratio at \d+ is neither p nor 1/p: \d+ -> \d+"),
     ("reduce_point", r"classifiers disagree at \d+: point test S1, valuation test S2"),
