@@ -8,7 +8,7 @@ rho cycle-finder uses a fixed polynomial schedule, never a random seed.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import compress
 from math import gcd, isqrt, log2, prod
@@ -346,34 +346,28 @@ def _divide_out(m: int, q: int, found: dict[int, int], k: int = 1) -> int:
     return m
 
 
-def factor(n: int, budget: int | None = None) -> Factorization | Incomplete:
-    """Factor a nonzero integer.
+def _factor_into(m: int, found: dict[int, int], budget: int | None = None, mult: int = 1) -> int:
+    """Credit the primes of m >= 1 to found, each exponent times mult; return what is unresolved.
 
     Trial division to 10^6, then perfect-power splits and Brent rho with an
-    iteration budget.  The primes below 2^12 come from one gcd of n with
-    their product, and only that gcd is trial-divided (an n below 2^24 is
+    iteration budget.  The primes below 2^12 come from one gcd of m with
+    their product, and only that gcd is trial-divided (an m below 2^24 is
     trial-divided itself).  If the cofactor is then a perfect k-th power
-    r^k, the rest of the trial division runs on r and credits each prime
-    it finds k times.  From 2^12 to 10^6 the primes come in blocks of
-    width 2^12, and a block is divided by only when the gcd of its primes'
-    product with r is > 1; the stage stops once the next block start
-    squared exceeds r.  The small primes and the block tables are built on
-    first need, never at import, and the block tables only for an r of at
-    least 2^24.
+    r^k, the rest runs on r and credits each prime it finds k times.  From
+    2^12 to 10^6 the primes come in blocks of width 2^12, and a block is
+    divided by only when the gcd of its primes' product with r is > 1; the
+    stage stops once the next block start squared exceeds r.  The small
+    primes and the block tables are built on first need, never at import,
+    and the block tables only for an r of at least 2^24.
 
     What is left has no prime factor up to 10^6.  A piece below 2^128 is a
-    prime, a perfect power (split into its root), or split by rho; a piece
-    at or above 2^128, perfect power or not, is reported unresolved.
-    Returns Incomplete (with that stubborn composite cofactor) instead of
-    looping forever; callers that need completeness must check.
+    prime, a perfect power (split into its root), or split by rho; a
+    cofactor r^k at or above 2^128, perfect power or not, is returned
+    unresolved, and so is a piece that resists the rho budget (times its
+    exponent in m).
     """
-    if n == 0:
-        raise InputError("cannot factor 0")
     if budget is None:
         budget = default_budget()
-    sign = 1 if n > 0 else -1
-    m = abs(n)
-    found: dict[int, int] = {}
     primes, product = _small_primes()
     # below 2^24 the walk over m itself is shorter than a gcd; either walk
     # ends with g 1 or a prime
@@ -382,11 +376,11 @@ def factor(n: int, budget: int | None = None) -> Factorization | Incomplete:
         if q * q > g:
             break
         if g % q == 0:
-            m = _divide_out(m, q, found)
+            m = _divide_out(m, q, found, mult)
             while g % q == 0:
                 g //= q
     if g > 1:
-        m = _divide_out(m, g, found)
+        m = _divide_out(m, g, found, mult)
     r, k = _perfect_power(m, _SMALL_LIMIT)
     lo = _SMALL_LIMIT
     while lo <= _TRIAL_LIMIT and lo * lo <= r:
@@ -394,24 +388,22 @@ def factor(n: int, budget: int | None = None) -> Factorization | Incomplete:
         if g > 1:
             for q in _block_primes(lo):
                 if g % q == 0:
-                    r = _divide_out(r, q, found, k)
+                    r = _divide_out(r, q, found, k * mult)
         lo += _BLOCK
     if 1 < r <= _TRIAL_LIMIT:
         # below the square of the next block start: a prime
-        found[r] = found.get(r, 0) + k
+        found[r] = found.get(r, 0) + k * mult
         r = 1
     # r^k has no prime factor <= 10^6 and is the cofactor the plain trial
-    # division would leave, so each rule below sees the same number
-    stack = [(r**k, 1)] if r > 1 else []
+    # division would leave; it goes on as the pair (r, k)
+    if r**k >= _WORKING_LIMIT:
+        return r**k  # beyond the declared primality range: unresolved
+    stack = [(r, k)] if r > 1 else []
     stubborn = 1
     while stack:
         m, e = stack.pop()
-        if m >= _WORKING_LIMIT:
-            # beyond the declared primality range: report as an unresolved cofactor
-            stubborn *= m**e
-            continue
         if m < _TRIAL_LIMIT * _TRIAL_LIMIT or is_prime(m):
-            found[m] = found.get(m, 0) + e
+            found[m] = found.get(m, 0) + e * mult
             continue
         r, k = _perfect_power(m, _TRIAL_LIMIT)
         if k > 1:
@@ -422,10 +414,28 @@ def factor(n: int, budget: int | None = None) -> Factorization | Incomplete:
             stubborn *= m**e
             continue
         stack.extend(((g, e), (m // g, e)))
+    return stubborn
+
+
+def _factorization(n: int, sign: int, found: dict[int, int], stubborn: int) -> Factorization | Incomplete:
+    """The one result object of a factoring: Incomplete when a cofactor is unresolved."""
     factors = tuple(sorted(found.items()))
     if stubborn > 1:
         return Incomplete(n, sign, factors, stubborn)
     return Factorization(n, sign, factors)
+
+
+def factor(n: int, budget: int | None = None) -> Factorization | Incomplete:
+    """Factor a nonzero integer: the stages of _factor_into.
+
+    Returns Incomplete (with the stubborn composite cofactor) instead of
+    looping forever; callers that need completeness must check.
+    """
+    if n == 0:
+        raise InputError("cannot factor 0")
+    found: dict[int, int] = {}
+    stubborn = _factor_into(abs(n), found, budget)
+    return _factorization(n, 1 if n > 0 else -1, found, stubborn)
 
 
 def factor_with_hints(n: int, hints: tuple[int, ...], budget: int | None = None):
@@ -446,27 +456,16 @@ def factor_with_hints(n: int, hints: tuple[int, ...], budget: int | None = None)
         raise InputError("cannot factor 0")
     if any(q < 2 for q in hints):
         raise InputError(f"hints must be primes: {hints}")
-    sign = 1 if n > 0 else -1
     m = abs(n)
-    found = {}
+    found: dict[int, int] = {}
     for q in sorted(set(hints)):
-        while m % q == 0:
-            found[q] = found.get(q, 0) + 1
-            m //= q
-    if m == 1:
-        return Factorization(n, sign, tuple(sorted(found.items())))
-    rest = factor(m * sign, budget)
-    merged = dict(found)
-    for q, e in rest.factors:
-        merged[q] = merged.get(q, 0) + e
-    factors = tuple(sorted(merged.items()))
-    if rest.complete:
-        return Factorization(n, sign, factors)
-    return Incomplete(n, sign, factors, rest.cofactor)
+        m = _divide_out(m, q, found)
+    stubborn = _factor_into(m, found, budget) if m > 1 else 1
+    return _factorization(n, 1 if n > 0 else -1, found, stubborn)
 
 
 def require_complete(f: Factorization | Incomplete) -> Factorization:
-    if isinstance(f, Incomplete):
+    if not f.complete:
         raise IncompleteFactorization(f)
     return f
 
@@ -475,9 +474,9 @@ def smallest_primitive_root(ell: int) -> int:
     """Smallest primitive root modulo a prime ell."""
     if ell == 2:
         return 1
-    fac = require_complete(factor(ell - 1))
+    exponents = [(ell - 1) // q for q in require_complete(factor(ell - 1)).primes]
     for r in range(2, ell):
-        if all(pow(r, (ell - 1) // q, ell) != 1 for q in fac.primes):
+        if all(pow(r, x, ell) != 1 for x in exponents):
             return r
     raise AssertionError("no primitive root found; ell not prime?")
 
@@ -489,17 +488,24 @@ class ResidueCharacter:
     The fixed generator is g = r^((ell-1)/p) with r the smallest primitive
     root mod ell; any other choice rescales values by a unit of Z/p and
     leaves all ranks unchanged, fixing it makes outputs byte-deterministic.
+    powers maps g^x mod ell to x for x in 0..p-1, so a value is one lookup.
     """
 
     ell: int
     p: int
     generator: int
+    powers: dict[int, int] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if self.ell % self.p != 1:
             raise InputError(f"ell = {self.ell} is not 1 mod p = {self.p}")
         if pow(self.generator, self.p, self.ell) != 1 or self.generator == 1:
             raise InputError(f"{self.generator} does not have order p = {self.p} mod {self.ell}")
+        powers, val = {}, 1
+        for x in range(self.p):
+            powers[val] = x
+            val = val * self.generator % self.ell
+        object.__setattr__(self, "powers", powers)
 
 
 @lru_cache(maxsize=1024)  # the primitive-root search factors ell - 1
@@ -518,13 +524,10 @@ def character_eval(chi: ResidueCharacter, a: int) -> int:
     ell, p = chi.ell, chi.p
     if a % ell == 0:
         raise InputError(f"{a} is divisible by ell = {ell}")
-    target = pow(a, (ell - 1) // p, ell)
-    val = 1
-    for x in range(p):
-        if val == target:
-            return x
-        val = val * chi.generator % ell
-    raise AssertionError("character value not a power of the generator")
+    x = chi.powers.get(pow(a, (ell - 1) // p, ell))
+    if x is None:
+        raise AssertionError("character value not a power of the generator")
+    return x
 
 
 def valuation(n: int, q: int) -> int:

@@ -118,8 +118,8 @@ def sha_lower_matrix(
 
     Returns the raw rational bound and its ceil clamped at 0.
     """
-    raw = Fraction(-min(s1, s2) - 3 * f.d - 1) + Fraction(m_psi + m_psi_hat, 2)
-    return raw, max(0, ceil(raw))
+    twice = 2 * (-min(s1, s2) - 3 * f.d - 1) + m_psi + m_psi_hat
+    return Fraction(twice, 2), max(0, -(-twice // 2))
 
 
 @dataclass(frozen=True)

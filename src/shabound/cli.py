@@ -134,7 +134,7 @@ def cmd_analyze(args) -> int:
         "kernel_point": [cls.point[0], cls.point[1]],
         "codomain": list(cls.isogeny.codomain.ainvs()),
         "codomain_disc": cls.isogeny.codomain.disc,
-        "kernel_x_poly": list(cls.isogeny.kernel_x_poly),
+        "kernel_x_poly": [Fraction(c) for c in cls.isogeny.kernel_x_poly],
         "sets": {
             "s1": list(sets.s1),
             "s2": list(sets.s2),

@@ -29,7 +29,6 @@ from .elliptic import (
     minimal_model,
     reduce_point,
     reduction_at,
-    singular_point,
     transform_point,
 )
 from .errors import ClassifierDisagreement, InputError
@@ -94,7 +93,7 @@ def classify_primes(
         if q == p:
             excluded.append((q, "above_p_overlap"))
             continue
-        kind = reduction_at(emin, q)
+        kind, node = reduction_at(emin, q)
         if kind == ADDITIVE:
             excluded.append((q, "additive"))
             continue
@@ -102,10 +101,8 @@ def classify_primes(
             excluded.append((q, "nonsplit"))
             continue
         # split multiplicative: the only kind left at a prime of the discriminant
-        # test 1: does the kernel point reduce to the singular point?
-        red_pt = reduce_point(emin, pmin, q)
-        sing = singular_point(emin, q)
-        verdict_pt = S1 if red_pt is not None and red_pt == sing else S2
+        # test 1: does the kernel point reduce to the node?
+        verdict_pt = S1 if reduce_point(emin, pmin, q) == node else S2
         # test 2: discriminant valuation ratio under the isogeny
         vp = iso.codomain_disc_factorization.valuation(q)
         verdict_val = valuation_ratio_set(p, v, vp)

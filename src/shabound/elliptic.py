@@ -1,9 +1,9 @@
 """Long-Weierstrass elliptic curve models over Q.
 
 Exact invariants, the kernel walk of a point of odd order, globally
-minimal models (Laska-Kraus-Connell), reduction-type classification at
-every prime and singular points of reduced models.  No floating point
-anywhere: coefficients are ints, and points are pairs of Fractions.
+minimal models (Laska-Kraus-Connell), and the reduction type at every
+prime with the node of a split one.  No floating point anywhere:
+coefficients are ints, and points are pairs of Fractions or of ints.
 The kernel walk runs over Z (a point of odd order on an integral model
 is integral), and so do on_curve and reduce_point at an integral point.
 """
@@ -13,14 +13,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from . import polys
 from .arith import Factorization, _exact_root, factor, is_prime, require_complete, valuation
 from .errors import InputError, ShaboundError, SingularModel
 
 Q = Fraction
 
 # a point is None (infinity) or an exact affine pair
-Point = tuple[Fraction, Fraction] | None
+Point = tuple[Fraction | int, Fraction | int] | None
 
 
 @dataclass(frozen=True)
@@ -292,63 +291,44 @@ NONSPLIT = "nonsplit_multiplicative"
 ADDITIVE = "additive"
 
 
-def _split_by_tangent_slopes(e: Curve, q: int) -> bool:
-    """Split iff the tangent slopes at the node are rational over F_q.
-
-    After translating the singular point to the origin the quadratic part
-    is y^2 + a1 x y - (3 x0 + a2) x^2, so the slopes satisfy
-    z^2 + a1 z - (3 x0 + a2) = 0.
-    """
-    x0, _ = singular_point(e, q)
-    f = [-(3 * x0 + e.a2) % q, e.a1 % q, 1]
-    return bool(polys.roots_modq(f, q))
-
-
-def reduction_at(e: Curve, q: int) -> str:
-    """Reduction type at the prime q of a model that is minimal at q.
+def reduction_at(e: Curve, q: int) -> tuple[str, tuple[int, int] | None]:
+    """Reduction type at the prime q of a model that is minimal at q, and
+    at a split prime the node of the reduced model.
 
     The kind is read off this model as given; a model that is not minimal
     at q may look additive there.  For q >= 5 a multiplicative prime is
-    split iff -c6 is a square mod q; for q <= 3 the tangent slopes decide.
+    split iff -c6 is a square mod q.  Its node is then read from c4 and
+    c6: x0 is the double root of 4x^3 + b2 x^2 + 2 b4 x + b6, which in
+    X = 36x + 3 b2 is X^3 - 27 c4 X - 54 c6 up to a unit, with double root
+    -3 c6 / c4; so x0 = -(c6 + b2 c4) / (12 c4) and y0 = -(a1 x0 + a3) / 2.
+    For q <= 3 one search over the q^2 residue pairs finds the singular
+    point, and the tangent slopes there decide: after moving it to the
+    origin the quadratic part is y^2 + a1 x y - (3 x0 + a2) x^2, so the
+    slopes are the roots of z^2 + a1 z - (3 x0 + a2), split iff rational.
     """
     if not is_prime(q):
         raise InputError(f"{q} is not prime")
     if e.disc % q:
-        return GOOD
+        return GOOD, None
     if e.c4 % q == 0:
-        return ADDITIVE
+        return ADDITIVE, None
+    a1, a2, a3, a4, a6 = e.ainvs()
     if q >= 5:
-        split = pow(-e.c6 % q, (q - 1) // 2, q) == 1
-    else:
-        split = _split_by_tangent_slopes(e, q)
-    return SPLIT if split else NONSPLIT
-
-
-def singular_point(e: Curve, q: int) -> tuple[int, int]:
-    """The unique singular point of the reduced minimal model mod q.
-
-    The caller is expected to pass a q-minimal model with bad reduction;
-    good reduction is rejected.
-    """
-    if e.disc % q != 0:
-        raise InputError(f"good reduction at {q}: no singular point")
-    if q <= 3:
-        a1, a2, a3, a4, a6 = e.ainvs()
-        for x in range(q):
-            for y in range(q):
-                eqn = (y * y + a1 * x * y + a3 * y - x**3 - a2 * x * x - a4 * x - a6) % q
-                fx = (a1 * y - 3 * x * x - 2 * a2 * x - a4) % q
-                fy = (2 * y + a1 * x + a3) % q
-                if eqn == 0 and fx == 0 and fy == 0:
-                    return (x, y)
-        raise ShaboundError(f"no singular point found mod {q}")
-    # q >= 5: x0 is the multiple root of 4x^3 + b2 x^2 + 2 b4 x + b6 mod q.  In
-    # X = 36x + 3 b2 that cubic is X^3 - 27 c4 X - 54 c6 up to a unit, whose
-    # multiple root is -3 c6 / c4 at a node and 0 at a cusp (q | c4).
-    big_x0 = 0 if e.c4 % q == 0 else -3 * e.c6 * pow(e.c4, -1, q)
-    x0 = (big_x0 - 3 * e.b2) * pow(36, -1, q) % q
-    y0 = -(e.a1 * x0 + e.a3) * pow(2, -1, q) % q
-    return (x0, y0)
+        if pow(-e.c6 % q, (q - 1) // 2, q) != 1:
+            return NONSPLIT, None
+        x0 = -(e.c6 + e.b2 * e.c4) * pow(12 * e.c4, -1, q) % q
+        return SPLIT, (x0, -(a1 * x0 + a3) * (q + 1) // 2 % q)
+    for x0 in range(q):
+        for y0 in range(q):
+            if (
+                (y0 * y0 + a1 * x0 * y0 + a3 * y0 - x0**3 - a2 * x0 * x0 - a4 * x0 - a6) % q == 0
+                and (a1 * y0 - 3 * x0 * x0 - 2 * a2 * x0 - a4) % q == 0
+                and (2 * y0 + a1 * x0 + a3) % q == 0
+            ):
+                if any((z * z + a1 * z - 3 * x0 - a2) % q == 0 for z in range(q)):
+                    return SPLIT, (x0, y0)
+                return NONSPLIT, None
+    raise ShaboundError(f"no singular point found mod {q}")
 
 
 def reduce_point(e: Curve, pt: Point, q: int) -> tuple[int, int] | None:

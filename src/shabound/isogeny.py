@@ -157,7 +157,7 @@ class IsogenyData:
     domain: Curve
     codomain: Curve  # globally minimal
     to_minimal: Transformation  # Velu's (rational) output model -> codomain
-    kernel_x_poly: tuple[Fraction, ...]  # monic, degree (p-1)/2
+    kernel_x_poly: tuple[int | Fraction, ...]  # monic, degree (p-1)/2; ints from a kernel point
     codomain_disc_factorization: Factorization  # of codomain.disc, from minimal_model
 
 
@@ -203,15 +203,16 @@ def velu_quotient(e: Curve, pt: Point, p: int, hints: tuple[int, ...] = ()) -> I
 
     The kernel is P, ..., ((p-1)/2)P, one representative per +-pair, from
     the integer walk that also checks the order, so the kernel polynomial
-    h is built in Z[x].  h divides the p-division polynomial without a
-    check: these multiples have distinct x-coordinates, each a root of
-    psi_p.  hints are primes of the discriminant of e (see _velu).
+    h is built in Z[x] and kept as ints.  h divides the p-division
+    polynomial without a check: these multiples have distinct
+    x-coordinates, each a root of psi_p.  hints are primes of the
+    discriminant of e (see _velu).
     """
     reps = kernel_multiples(e, pt, p)
     if reps is None:
         raise InputError(f"kernel point must have exact order {p}")
     h = polys.from_roots([x for x, _ in reps])
-    return _velu(e, p, tuple(map(Q, h)), e, h, 1, hints)
+    return _velu(e, p, tuple(h), e, h, 1, hints)
 
 
 def velu_quotient_from_kernel_poly(

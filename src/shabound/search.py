@@ -14,10 +14,16 @@ import contextlib
 import itertools
 import traceback
 from dataclasses import dataclass
-from fractions import Fraction
 
 from . import polys
-from .arith import Factorization, crt_solve, factor, is_prime, require_complete
+from .arith import (
+    Factorization,
+    _factor_into,
+    _factorization,
+    crt_solve,
+    is_prime,
+    require_complete,
+)
 from .descent import S1, S2, ClassifiedCurve, analyze_curve
 from .elliptic import Curve, invariants, isomorphic_to_minimal
 from .errors import (
@@ -30,8 +36,6 @@ from .errors import (
     UnreachableCusp,
 )
 from .isogeny import dual_kernel_poly, velu_model_from_kernel_poly
-
-Q = Fraction
 
 
 @dataclass(frozen=True)
@@ -90,7 +94,7 @@ def tate_family(p: int) -> FamilySpec:
 class Fiber:
     b: int
     curve: Curve  # the Tate model, which is minimal at every integer parameter
-    point: tuple[Fraction, Fraction]
+    point: tuple[int, int]  # (0, 0), kept as ints
     disc_factorization: Factorization
 
 
@@ -109,24 +113,20 @@ def fiber(family: FamilySpec, b: int) -> Fiber:
         e = invariants(*family.ainvs_at(b))
     except SingularModel as exc:
         raise DegenerateFiber(f"parameter {b} gives a singular fiber") from exc
-    return Fiber(b, e, (Q(0), Q(0)), _fiber_disc_factorization(family, b, e.disc))
+    return Fiber(b, e, (0, 0), _fiber_disc_factorization(family, b, e.disc))
 
 
 def _fiber_disc_factorization(family: FamilySpec, b: int, disc: int) -> Factorization:
-    """Factor the fiber discriminant factor-polynomial-wise (smaller pieces)."""
-    merged: dict[int, int] = {}
-    sign = 1
+    """Factor the fiber discriminant factor-polynomial-wise (smaller pieces) into one table."""
+    found: dict[int, int] = {}
+    sign, stubborn = 1, 1
     for fp in family.factor_polys:
         value, mult = fp.eval_at(b), fp.multiplicity
         if value < 0:
             sign *= (-1) ** mult
-        fac = require_complete(factor(value)) if abs(value) != 1 else None
-        if fac is None:
-            continue
-        for q, e in fac.factors:
-            merged[q] = merged.get(q, 0) + e * mult
-    result = Factorization(disc, sign, tuple(sorted(merged.items())))
-    return result
+        if abs(value) != 1:
+            stubborn *= _factor_into(abs(value), found, mult=mult) ** mult
+    return require_complete(_factorization(disc, sign, found, stubborn))
 
 
 @dataclass(frozen=True)

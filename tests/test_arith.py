@@ -169,6 +169,38 @@ def test_character_additivity_and_power_oracle():
             )
 
 
+def _character_by_multiplication(chi, a):
+    """The loop definition of character_eval: walk g^0, g^1, ... until a^((ell-1)/p) appears."""
+    target = pow(a, (chi.ell - 1) // chi.p, chi.ell)
+    val = 1
+    for x in range(chi.p):
+        if val == target:
+            return x
+        val = val * chi.generator % chi.ell
+    raise AssertionError("character value not a power of the generator")
+
+
+def test_character_lookup_matches_the_multiplication_loop():
+    # every ell = 1 mod p below 5000 at p = 5, 7, 11, 13: the one dict lookup
+    # equals the walk over the generator's powers on a sample of residues,
+    # the table holds exactly those p powers, and the generator is still
+    # the p-th power residue of the smallest primitive root
+    rng = random.Random(22)
+    checked = 0
+    for p in (5, 7, 11, 13):
+        for ell in range(p + 1, 5000, p):
+            if not is_prime(ell):
+                continue
+            chi = residue_character(ell, p)
+            assert chi.generator == pow(sympy.primitive_root(ell), (ell - 1) // p, ell)
+            assert chi.powers == {pow(chi.generator, x, ell): x for x in range(p)}
+            residues = [1, ell - 1, *rng.sample(range(2, ell - 1), min(24, ell - 3))]
+            for a in residues + [a + ell * rng.randrange(1, 10**6) for a in residues[:4]]:
+                assert character_eval(chi, a) == _character_by_multiplication(chi, a), (ell, p, a)
+                checked += 1
+    assert checked > 10000
+
+
 def test_crt_fixtures():
     assert crt_solve([(0, 41), (1, 11)]) == 287
     assert crt_solve([(2, 3), (3, 5)]) == 8

@@ -14,7 +14,6 @@ from shabound.elliptic import (
     NONSPLIT,
     SPLIT,
     Transformation,
-    _split_by_tangent_slopes,
     has_order,
     invariants,
     kernel_multiples,
@@ -22,7 +21,6 @@ from shabound.elliptic import (
     on_curve,
     reduce_point,
     reduction_at,
-    singular_point,
     transform_point,
 )
 from shabound.errors import DegenerateFiber, IncompleteFactorization, InputError, SingularModel
@@ -293,38 +291,57 @@ def _assert_minimal_model_of(e, emin, tr, fac):
 
 def test_reduction_kinds_fixture():
     # every model here is minimal at the primes asked about
-    assert reduction_at(E11A3, 11) == SPLIT
-    assert reduction_at(E11A3, 7) == GOOD
+    assert reduction_at(E11A3, 11) == (SPLIT, (8, 5))
+    assert reduction_at(E11A3, 7) == (GOOD, None)
     # 20a-type curve (discriminant -2^8 5^2): additive at 2
     e = invariants(0, 1, 0, 4, 4)
-    assert reduction_at(e, 2) == ADDITIVE
+    assert reduction_at(e, 2) == (ADDITIVE, None)
     # 15-ish curve nonsplit somewhere: y^2 + xy + y = x^3 + x^2 (disc = -15 model)
     e15 = invariants(1, 1, 1, 0, 0)
-    kinds = {q: reduction_at(e15, q) for q in (3, 5)}
+    kinds = {q: reduction_at(e15, q)[0] for q in (3, 5)}
     assert set(kinds.values()) <= {SPLIT, NONSPLIT}
     with pytest.raises(InputError):
         reduction_at(E11A3, 12)
 
 
+def _kind_by_tangent_slopes(e, q):
+    """The kind of a bad prime from the brute-force singular point and its tangent slopes.
+
+    Moving the singular point (x0, y0) to the origin leaves the quadratic
+    part y^2 + a1 x y - (3 x0 + a2) x^2: two rational slopes make a split
+    node, none a nonsplit one, and one (double) slope a cusp.
+    """
+    ((x0, _),) = _singular_points_brute(e, q)
+    slopes = [z for z in range(q) if (z * z + e.a1 * z - 3 * x0 - e.a2) % q == 0]
+    return {0: NONSPLIT, 1: ADDITIVE, 2: SPLIT}[len(slopes)]
+
+
 def test_split_detection_matches_tangent_slopes():
-    # for q >= 5 the -c6 quadratic-residue test must agree with slope counting
+    # for q >= 5 the -c6 quadratic-residue test, and for q <= 3 the slopes
+    # at the searched singular point, must agree with brute slope counting
     rng = random.Random(77)
     checked = 0
-    while checked < 50:
+    small = set()
+    for _ in range(2000):
+        if checked >= 50 and len(small) == 4:
+            break
         try:
             e = invariants(*(rng.randrange(-8, 9) for _ in range(5)))
         except SingularModel:
             continue
         emin, _, _ = minimal_model(e)
-        for q in (5, 7, 11, 13):
-            kind = reduction_at(emin, q)
+        for q in (2, 3, 5, 7, 11, 13):
+            kind = reduction_at(emin, q)[0]
             if kind in (SPLIT, NONSPLIT):
-                assert (kind == SPLIT) == _split_by_tangent_slopes(emin, q), (emin.ainvs(), q)
+                assert kind == _kind_by_tangent_slopes(emin, q), (emin.ainvs(), q)
                 checked += 1
+                if q <= 3:
+                    small.add((q, kind))
+    assert checked >= 50 and len(small) == 4, (checked, small)
 
 
 def test_singular_point_and_point_reduction():
-    assert singular_point(E11A3, 11) == (8, 5)
+    assert reduction_at(E11A3, 11)[1] == (8, 5)
     assert reduce_point(E11A3, (Q(0), Q(0)), 11) == (0, 0)
     # a point with 11 in the denominator reduces to infinity
     assert reduce_point(E11A3, (Q(1, 121), Q(1, 1331)), 11) is None
@@ -344,10 +361,11 @@ def _singular_points_brute(e, q):
 
 def test_singular_point_closed_form_vs_brute_force():
     # nodes from random models with q | disc; cusps from y^2 = x^3 + q(Ax + B)
-    # moved by a random integral (r, s, t), so that a1, a2, a3 are nonzero too
+    # moved by a random integral (r, s, t), so that a1, a2, a3 are nonzero too.
+    # reduction_at gives the node at a split prime, read from c4 and c6
     rng = random.Random(12)
     primes = [q for q in range(5, 44) if all(q % d for d in range(2, q))]
-    nodes = cusps = 0
+    nodes = cusps = splits = 0
     for q in primes:
         found = 0
         while found < 12:
@@ -365,9 +383,80 @@ def test_singular_point_closed_form_vs_brute_force():
                 if e.disc % q:
                     continue
             found += 1
-            assert [singular_point(e, q)] == _singular_points_brute(e, q), (e.ainvs(), q)
+            kind, node = reduction_at(e, q)
+            assert kind == _kind_by_tangent_slopes(e, q), (e.ainvs(), q)
+            assert [node] == (_singular_points_brute(e, q) if kind == SPLIT else [None]), (e.ainvs(), q)
+            splits += kind == SPLIT
             if e.c4 % q:
                 nodes += 1
             else:
                 cusps += 1
-    assert nodes >= 50 and cusps >= 50
+    assert nodes >= 50 and cusps >= 50 and splits >= 25, (nodes, cusps, splits)
+
+
+def _double_root_mod(f, q):
+    """The multiple root mod q of a cubic f (low degree first) with one: the root of gcd(f, f')."""
+    def rem(a, b):  # a mod b over F_q, b with a unit leading coefficient
+        a = [c % q for c in a]
+        inv = pow(b[-1], -1, q)
+        while len(a) >= len(b):
+            c = a[-1] * inv % q
+            shift = len(a) - len(b)
+            a = [(x - c * b[i - shift]) % q if i >= shift else x for i, x in enumerate(a)][:-1]
+            while a and a[-1] == 0:
+                a.pop()
+        return a
+
+    a, b = [c % q for c in f], [c % q for c in (f[1], 2 * f[2], 3 * f[3])]
+    while b:
+        a, b = b, rem(a, b)
+    # a is (x - x0) or (x - x0)^2 up to a unit
+    return -a[0] * pow(a[1], -1, q) % q if len(a) == 2 else -a[1] * pow(2 * a[2], -1, q) % q
+
+
+def _local_oracle(e, q):
+    """The kind at a bad prime q and, when split, the node, without reduction_at.
+
+    Below 50 by brute force: the singular point is the one residue pair
+    where the curve and both partials vanish, and the tangent slopes there
+    are counted over F_q.  Above, where a search over q^2 pairs is out of
+    reach, x0 is the root of gcd(psi_2^2, its derivative) mod q, the point
+    must make the curve and both partials vanish, and Euler's criterion on
+    the slope quadratic's discriminant a1^2 + 4 (3 x0 + a2) decides.
+    """
+    if q < 50:
+        kind = _kind_by_tangent_slopes(e, q)
+        return kind, _singular_points_brute(e, q)[0] if kind == SPLIT else None
+    a1, a2, a3, a4, a6 = e.ainvs()
+    x0 = _double_root_mod([e.b6, 2 * e.b4, e.b2, 4], q)
+    y0 = -(a1 * x0 + a3) * pow(2, -1, q) % q
+    assert (y0 * y0 + a1 * x0 * y0 + a3 * y0 - x0**3 - a2 * x0 * x0 - a4 * x0 - a6) % q == 0
+    assert (a1 * y0 - 3 * x0 * x0 - 2 * a2 * x0 - a4) % q == 0
+    disc = (a1 * a1 + 4 * (3 * x0 + a2)) % q
+    if disc == 0:
+        return ADDITIVE, None
+    if pow(disc, (q - 1) // 2, q) == 1:
+        return SPLIT, (x0, y0)
+    return NONSPLIT, None
+
+
+def test_the_local_pass_at_every_bad_prime_of_the_family_corpora():
+    # 1000 fibers of each family in scan order, every prime of the
+    # discriminant, 2, 3 and p included: one reduction_at gives the kind
+    # and the node, and an oracle that does not read c4 or c6 agrees
+    counts = {}
+    for p in (5, 7):
+        for b in [s * k for k in range(1, 501) for s in (1, -1)]:
+            try:
+                fib = fiber(tate_family(p), b)
+            except DegenerateFiber:
+                continue
+            for q in fib.disc_factorization.primes:
+                kind, node = reduction_at(fib.curve, q)
+                assert (kind, node) == _local_oracle(fib.curve, q), (p, b, q)
+                key = (kind, q if q <= 3 else "brute" if q < 50 else "closed")
+                counts[key] = counts.get(key, 0) + 1
+    assert counts.get((SPLIT, "brute"), 0) > 100 and counts.get((NONSPLIT, "brute"), 0) > 100, counts
+    assert counts.get((SPLIT, "closed"), 0) > 100 and counts.get((NONSPLIT, "closed"), 0) > 100, counts
+    assert counts.get((ADDITIVE, "brute"), 0) > 100, counts
+    assert counts.get((SPLIT, 2), 0) > 100 and counts.get((SPLIT, 3), 0) > 100, counts

@@ -16,7 +16,7 @@ import pathlib
 import random
 import subprocess
 import sys
-from math import isqrt
+from math import isqrt, prod
 
 import pytest
 import sympy
@@ -161,6 +161,83 @@ def test_small_hints_leave_factor_unchanged():
     assert kinds == {Factorization, Incomplete}
 
 
+def _edge_cofactors():
+    """(shape, k, r) with r^k just below and just above 2^128, for k in {2, 3, 5, 7}.
+
+    r has no prime factor up to 10^6, so r^k is what trial division
+    leaves: a prime q, a product q0 q of two primes (q0 the least prime
+    above 10^6, q > q0), or a square q^2.  Where even the least r of a
+    shape has r^k above 2^128, only that r is taken.
+    """
+    q0 = int(sympy.nextprime(10**6))
+    shapes = (  # (shape, the bound on q for r <= t, the least q allowed, r from q)
+        ("prime", lambda t: t, 10**6, lambda q: q),
+        ("semiprime", lambda t: t // q0, q0, lambda q: q0 * q),
+        ("square", isqrt, 10**6, lambda q: q * q),
+    )
+    for k in (2, 3, 5, 7):
+        root = int(sympy.integer_nthroot(1 << 128, k)[0])  # root^k < 2^128 <= (root + 1)^k
+        for shape, bound, least, build in shapes:
+            t = bound(root)
+            if t > least and sympy.prevprime(t + 1) > least:
+                yield shape, k, build(int(sympy.prevprime(t + 1)))  # q <= t: r <= root
+            yield shape, k, build(int(sympy.nextprime(max(t, least))))  # q > t: r > root
+
+
+def test_the_factoring_table_matches_the_oracle_at_the_2_128_edge():
+    # factor, factor_with_hints and the fiber table each build one result
+    # from _factor_into, which carries a cofactor r^k below 2^128 on as the
+    # pair (r, k) and leaves one at or above it unresolved.  n = c r^k with
+    # c = 1, or c smooth below 10^6 (the hints); the wheel divides out c's
+    # primes and then runs on r^k as for r^k alone, so one oracle call per
+    # r^k gives every n
+    from shabound.search import FactorPoly, FamilySpec, _fiber_disc_factorization
+
+    smooth = {2: 5, 3: 1, 4099: 1, 999983: 1}
+    c_smooth = prod(q**e for q, e in smooth.items())
+    seen = set()
+    for shape, k, r in _edge_cofactors():
+        assert min(sympy.factorint(r)) > 10**6
+        seen.add((shape, k, r**k < 1 << 128))
+        base = _wheel_factor(r**k)
+        cofactor = getattr(base, "cofactor", 1)
+        for c, extra in ((1, {}), (c_smooth, smooth)):
+            factors = tuple(sorted({**dict(base.factors), **extra}.items()))
+            for sign in (1, -1):
+                n = sign * c * r**k
+                if cofactor > 1:
+                    want = Incomplete(n, sign, factors, cofactor)
+                else:
+                    want = Factorization(n, sign, factors)
+                assert _key(factor(n)) == _key(want), (shape, k, n)
+                for hints in ((), (2, 3), tuple(extra)):
+                    assert _key(factor_with_hints(n, hints)) == _key(want), (shape, k, n, hints)
+        # the fiber table: constant factor polynomials r^k, c and -4099 with
+        # multiplicities 2, 5 and 3; each value's primes count times its
+        # multiplicity, and so does its unresolved cofactor
+        pieces = ((r**k, 2), (c_smooth, 5), (-4099, 3))
+        family = FamilySpec(5, "b", ((0,),) * 5, tuple(FactorPoly((v,), m, "S1") for v, m in pieces))
+        disc = prod(v**m for v, m in pieces)
+        found = {q: 5 * e for q, e in smooth.items()}
+        found[4099] += 3
+        for q, e in base.factors:
+            found[q] = found.get(q, 0) + 2 * e
+        factors = tuple(sorted(found.items()))
+        if cofactor == 1:
+            assert _key(_fiber_disc_factorization(family, 0, disc)) == _key(Factorization(disc, -1, factors))
+        else:
+            with pytest.raises(IncompleteFactorization) as caught:
+                _fiber_disc_factorization(family, 0, disc)
+            assert _key(caught.value.partial) == _key(Incomplete(disc, -1, factors, cofactor**2))
+    assert {(shape, k) for shape, k, below in seen if below} == {
+        ("prime", 2), ("prime", 3), ("prime", 5),
+        ("semiprime", 2), ("semiprime", 3), ("square", 2), ("square", 3),
+    }
+    assert {(shape, k) for shape, k, below in seen if not below} == {
+        (shape, k) for shape in ("prime", "semiprime", "square") for k in (2, 3, 5, 7)
+    }
+
+
 def test_small_hints_keep_the_p7_b_minus_150_codomain_incomplete():
     # an S2 prime enters the raw codomain discriminant to the 7th power:
     # 3555749^7 has 153 bits, above the 2^128 working limit
@@ -238,9 +315,11 @@ def test_kth_root_floors_above_the_float_range():
 
 def test_forced_scan_splits_powers_without_rho(monkeypatch, tmp_path, capsys):
     # the (41, 11) 300-fiber forced scan: plain trial division handed rho 76
-    # perfect powers q^5; the root stage and the power split leave it none,
-    # and factor is called as often as before
-    calls = {"factor": 0, "rho": 0}
+    # perfect powers q^5; the root stage and the power split leave it none.
+    # _factor_into, the one trial-division entry, runs once per factor
+    # polynomial value, codomain remainder and ell - 1 of a primitive-root
+    # search; factor itself serves only the primitive roots
+    calls = {"factor": 0, "_factor_into": 0, "rho": 0}
 
     def counted(name, fn):
         def wrapped(*args, **kwargs):
@@ -249,7 +328,8 @@ def test_forced_scan_splits_powers_without_rho(monkeypatch, tmp_path, capsys):
         return wrapped
 
     modules = [m for name, m in sys.modules.items() if name.startswith("shabound") and m]
-    for name, fn in (("factor", arith.factor), ("rho", arith._rho_brent)):
+    traced = (("factor", arith.factor), ("_factor_into", arith._factor_into), ("rho", arith._rho_brent))
+    for name, fn in traced:
         wrapped = counted(name, fn)
         for mod in modules:
             for attr, val in list(vars(mod).items()):
@@ -261,4 +341,4 @@ def test_forced_scan_splits_powers_without_rho(monkeypatch, tmp_path, capsys):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg))
     assert main(["search", "--config", str(path), "--jobs", "1", "--json"]) == 0
-    assert calls == {"factor": 895, "rho": 0}
+    assert calls == {"factor": 178, "_factor_into": 895, "rho": 0}

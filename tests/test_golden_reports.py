@@ -128,3 +128,26 @@ def test_text_output_bytes_pinned(name, tmp_path, capsys):
         argv = ["search", "--config", str(path), "--jobs", "1"]
     assert main(argv) == 0
     assert _sha(capsys.readouterr().out) == want
+
+
+@pytest.mark.parametrize("name", ["forced-41-11-300-j2", "p5-dual-40"])
+def test_search_bytes_do_not_depend_on_the_hash_seed(name, tmp_path):
+    # the factoring tables, the character tables and the local pass keep
+    # dicts; none of their iteration orders may reach the report.  Fresh
+    # interpreters under two hash seeds, the pool included at --jobs 2
+    import os
+    import pathlib
+    import subprocess
+    import sys
+
+    import shabound
+
+    cfg, jobs, want = SEARCHES[name]
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    argv = [sys.executable, "-m", "shabound.cli", "search", "--config", str(path), "--jobs", str(jobs), "--json"]
+    src = str(pathlib.Path(shabound.__file__).parent.parent)
+    for seed in ("0", "12345"):
+        out = subprocess.run(argv, capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=seed))
+        assert out.returncode == 0, out.stderr
+        assert _sha(out.stdout) == want, seed

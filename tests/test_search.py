@@ -340,7 +340,7 @@ def test_classifier_disagreements_become_rows(monkeypatch, patch, detail):
     if patch == "valuation_ratio_set":
         monkeypatch.setattr(descent, "valuation_ratio_set", lambda p, v, v_image: None)
     else:  # the kernel point meets the node at every split prime: the point test says S1
-        monkeypatch.setattr(descent, "reduce_point", lambda e, pt, q: descent.singular_point(e, q))
+        monkeypatch.setattr(descent, "reduce_point", lambda e, pt, q: descent.reduction_at(e, q)[1])
     c = SearchConstraints(5, scan_budget=40, verify_dual=False)
     r = scan(tate_family(5), c, jobs=1)
     assert r["errors"]
@@ -351,3 +351,67 @@ def test_classifier_disagreements_become_rows(monkeypatch, patch, detail):
     for row in r["rows"]:  # kept: a fiber with no split prime the patched test could meet
         assert row["s2"] == [] and (patch == "reduce_point" or row["s1"] == []), row
     assert len(r["rows"]) + len(r["errors"]) + sum(r["skipped"].values()) == 40
+
+
+def test_each_prime_of_a_fiber_is_handled_once_in_a_scan(monkeypatch):
+    # the p = 7 60-fiber scan.  Factoring: one result object for the fiber's
+    # discriminant (one table over its factor polynomials), one for Velu's
+    # codomain, one more where the codomain's minimal model has its own
+    # discriminant, and one per primitive-root search.  The local pass: one
+    # reduction_at per bad prime other than p, each with one primality
+    # test, and at q <= 3 its singular-point search is the only one.  The
+    # report keeps its pinned bytes
+    import hashlib
+
+    from test_golden_reports import SEARCHES
+
+    from shabound import arith, descent, elliptic, isogeny
+
+    built = {"Factorization": 0, "Incomplete": 0}
+    for cls in (arith.Factorization, arith.Incomplete):
+        def counting_init(self, *args, _init=cls.__init__, _name=cls.__name__):
+            built[_name] += 1
+            _init(self, *args)
+
+        monkeypatch.setattr(cls, "__init__", counting_init)
+    local, primality = [], [0]  # local: the primes of each classify_primes call
+    real_classify, real_reduction, real_is_prime = descent.classify_primes, descent.reduction_at, elliptic.is_prime
+    real_minimal, rescaled = isogeny.minimal_model, [0]
+
+    def minimal(e, fac):
+        out = real_minimal(e, fac)
+        rescaled[0] += out[1] is not elliptic.Transformation.identity()
+        return out
+
+    def classify(*args):
+        local.append([])
+        return real_classify(*args)
+
+    def reduction(e, q):
+        local[-1].append(q)
+        return real_reduction(e, q)
+
+    def is_prime(n):
+        primality[0] += 1
+        return real_is_prime(n)
+
+    monkeypatch.setattr(descent, "classify_primes", classify)
+    monkeypatch.setattr(descent, "reduction_at", reduction)
+    monkeypatch.setattr(elliptic, "is_prime", is_prime)
+    monkeypatch.setattr(isogeny, "minimal_model", minimal)
+    arith.residue_character.cache_clear()
+    cfg, jobs, digest = SEARCHES["p7-60"]
+    r = scan(tate_family(7), SearchConstraints(**cfg), jobs=jobs)
+    assert hashlib.sha256(report.dumps(r).encode()).hexdigest() == digest
+    analysed = len(r["rows"])
+    assert analysed == 59 and not r["errors"] and r["skipped"]["incomplete_factorization"] == 0
+    ells = arith.residue_character.cache_info().misses
+    assert (ells, rescaled[0]) == (20, 9)
+    assert built == {"Factorization": 2 * analysed + rescaled[0] + ells, "Incomplete": 0}
+    bs = [b for k in range(1, 31) for b in (k, -k) if b != 1]  # scan order; b = 1 is singular
+    assert sorted(row["b"] for row in r["rows"]) == sorted(bs) and len(local) == len(bs)
+    for b, qs in zip(bs, local):
+        primes = fiber(tate_family(7), b).disc_factorization.primes
+        assert qs == [q for q in primes if q != 7], b
+    assert primality[0] == sum(map(len, local))
+    assert sum(q <= 3 for qs in local for q in qs) > 40
