@@ -82,6 +82,25 @@ TEXT_OUTPUTS = {
     ),
 }
 
+# --json output of the commands that take no config
+JSON_OUTPUTS = {
+    # 11a3 under u = 2, r = -4, s = -2: the kernel point reaches the
+    # classifier through the transformation to the minimal model
+    "analyze-11a3-rescaled": (
+        ["analyze", "--curve", "[4,4,24,-32,-128]", "--point", '["0/1","-8/1"]', "--p", "5"],
+        "de29106a07d0dcdfe72a45a4cf6163fc3403c6ac86408a5cdfe73fe990610535",
+    ),
+    # p inside the sorted support (2, 3, 7, 11, 13); dimensions 2 and 4
+    "sandwich-p7-inside": (
+        ["sandwich", "--p", "7", "--s1", "2,3,11,13", "--s2", "29"],
+        "548653e7c63a59244204b87f0c27607258340417b24b677079f4bf0d1b236994",
+    ),
+    "matrix-p7": (
+        ["matrix", "--p", "7", "--s1", "2,3,11,13", "--s2", "29"],
+        "4d5d55677653281676e5e4e73abb18eaad1b1c84af203307047a1e32b78bc78f",
+    ),
+}
+
 ANALYZE_11A3_SECOND_KERNEL = "fea5a44fa1886e5d857e774aceb957660c8d67d71dca048e7e216a9ca4f434a1"
 # 11a1 with the dual kernel of 11a3 -> 11a1 as the second kernel: its
 # coefficients have denominator 5, so the kernel checks rescale by D = 5
@@ -127,6 +146,13 @@ def test_text_output_bytes_pinned(name, tmp_path, capsys):
         path.write_text(json.dumps(SEARCHES["p5-dual-40"][0]))
         argv = ["search", "--config", str(path), "--jobs", "1"]
     assert main(argv) == 0
+    assert _sha(capsys.readouterr().out) == want
+
+
+@pytest.mark.parametrize("name", sorted(JSON_OUTPUTS))
+def test_json_output_bytes_pinned(name, capsys):
+    argv, want = JSON_OUTPUTS[name]
+    assert main([*argv, "--json"]) == 0
     assert _sha(capsys.readouterr().out) == want
 
 
