@@ -346,13 +346,13 @@ def _divide_out(m: int, q: int, found: dict[int, int], k: int = 1) -> int:
     return m
 
 
-def _factor_into(m: int, found: dict[int, int], budget: int | None = None, mult: int = 1) -> int:
+def _factor_into(m: int, found: dict[int, int], mult: int = 1) -> int:
     """Credit the primes of m >= 1 to found, each exponent times mult; return what is unresolved.
 
-    Trial division to 10^6, then perfect-power splits and Brent rho with an
-    iteration budget.  The primes below 2^12 come from one gcd of m with
-    their product, and only that gcd is trial-divided (an m below 2^24 is
-    trial-divided itself).  If the cofactor is then a perfect k-th power
+    Trial division to 10^6, then perfect-power splits and Brent rho with
+    the iteration budget of default_budget().  The primes below 2^12 come
+    from one gcd of m with their product, and only that gcd is
+    trial-divided (an m below 2^24 is trial-divided itself).  If the cofactor is then a perfect k-th power
     r^k, the rest runs on r and credits each prime it finds k times.  From
     2^12 to 10^6 the primes come in blocks of width 2^12, and a block is
     divided by only when the gcd of its primes' product with r is > 1; the
@@ -366,8 +366,7 @@ def _factor_into(m: int, found: dict[int, int], budget: int | None = None, mult:
     unresolved, and so is a piece that resists the rho budget (times its
     exponent in m).
     """
-    if budget is None:
-        budget = default_budget()
+    budget = default_budget()
     primes, product = _small_primes()
     # below 2^24 the walk over m itself is shorter than a gcd; either walk
     # ends with g 1 or a prime
@@ -425,20 +424,20 @@ def _factorization(n: int, sign: int, found: dict[int, int], stubborn: int) -> F
     return Factorization(n, sign, factors)
 
 
-def factor(n: int, budget: int | None = None) -> Factorization | Incomplete:
+def factor(n: int) -> Factorization | Incomplete:
     """Factor a nonzero integer: the stages of _factor_into.
 
-    Returns Incomplete (with the stubborn composite cofactor) instead of
-    looping forever; callers that need completeness must check.
+    Returns Incomplete (with the unresolved cofactor) instead of looping
+    forever; callers that need completeness must check.
     """
     if n == 0:
         raise InputError("cannot factor 0")
     found: dict[int, int] = {}
-    stubborn = _factor_into(abs(n), found, budget)
+    stubborn = _factor_into(abs(n), found)
     return _factorization(n, 1 if n > 0 else -1, found, stubborn)
 
 
-def factor_with_hints(n: int, hints: tuple[int, ...], budget: int | None = None):
+def factor_with_hints(n: int, hints: tuple[int, ...]):
     """Factor n, stripping the hinted primes first (they usually cover everything).
 
     Velu's formulas pass the primes of the domain's discriminant and p,
@@ -460,7 +459,7 @@ def factor_with_hints(n: int, hints: tuple[int, ...], budget: int | None = None)
     found: dict[int, int] = {}
     for q in sorted(set(hints)):
         m = _divide_out(m, q, found)
-    stubborn = _factor_into(m, found, budget) if m > 1 else 1
+    stubborn = _factor_into(m, found) if m > 1 else 1
     return _factorization(n, 1 if n > 0 else -1, found, stubborn)
 
 

@@ -158,11 +158,6 @@ def theorem_budget(p: int, k: int, n: int, deg_h: int) -> TheoremBudget:
 class BoundReport:
     """All section-level bound formulas evaluated for one input bundle."""
 
-    f: FieldInvariants
-    s1: int
-    s2: int
-    m: int
-    m_hat: int
     hypothesis_ok: bool
     hypothesis_reasons: tuple[str, ...]
     selmer_lower: int
@@ -181,7 +176,7 @@ def bound_report(f: FieldInvariants, s1: int, s2: int, m: int, m_hat: int) -> Bo
     lower, upper = selmer_interval.body(f, s1, s2, m)
     raw, sha_lower = sha_lower_matrix.body(f, s1, s2, m, m_hat)
     return BoundReport(
-        f, s1, s2, m, m_hat, ok, tuple(reasons), lower, upper,
+        ok, tuple(reasons), lower, upper,
         rank_upper.body(f, s1, s2, m, m_hat),
         cassels_interval.body(f, s1, s2, upper),
         sum_lower.body(f, s1, s2),

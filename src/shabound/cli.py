@@ -27,7 +27,7 @@ from .bounds import (
 )
 from .descent import S1, analyze_curve, character_rows, character_table, m_rank, sandwich_from_sets
 from .descent import valuation_ratio_set
-from .elliptic import invariants
+from .elliptic import invariants, on_curve
 from .errors import IncompleteFactorization, InputError, ShaboundError
 from .isogeny import velu_quotient_from_kernel_poly
 from .search import SearchConstraints, scan, tate_family
@@ -121,6 +121,8 @@ def cmd_analyze(args) -> int:
     pt = parse_point(args.point)
     if pt is None:
         raise InputError("point: the kernel point may not be the identity")
+    if not on_curve(e, pt):  # on the model given, before the point moves to the minimal one
+        raise InputError(f"point {args.point} is not on the curve {args.curve}")
     p = args.p
     if p not in (5, 7):
         raise InputError("p must be 5 or 7")

@@ -27,7 +27,6 @@ from .elliptic import (
     Curve,
     Point,
     minimal_model,
-    reduce_point,
     reduction_at,
     transform_point,
 )
@@ -54,12 +53,11 @@ def valuation_ratio_set(p: int, v: int, v_image: int) -> str | None:
 
 @dataclass(frozen=True)
 class DescentSets:
-    p: int
     s1: tuple[int, ...]  # sorted; kernel point hits the singular locus
     s2: tuple[int, ...]  # sorted; kernel point stays on the smooth locus
     s3: tuple[int, ...]  # primes above p: always (p,) over Q
     excluded: tuple[tuple[int, str], ...]  # (prime, reason)
-    evidence: tuple[tuple[int, str, str], ...]  # (prime, singular_point_test, valuation_ratio_test)
+    evidence: tuple[tuple[int, str, str], ...]  # (prime, point test verdict, valuation ratio verdict)
 
 
 @dataclass(frozen=True)
@@ -83,11 +81,13 @@ def classify_primes(
 
     Runs both classifiers on every candidate prime and aborts on any
     disagreement.  The input model is minimalized first (the point is
-    carried along); velu_quotient checks that the point has order p.
+    carried along); velu_quotient checks that the point has order p, so
+    from there on it is integral (see kernel_multiples).
     """
     emin, tr, fac_min = minimal_model(e, disc_factorization)
     pmin = transform_point(pt, tr)
     iso = velu_quotient(emin, pmin, p, fac_min.primes)
+    x, y = pmin
     s1, s2, excluded, evidence = [], [], [], []
     for q, v in fac_min.factors:
         if q == p:
@@ -102,7 +102,7 @@ def classify_primes(
             continue
         # split multiplicative: the only kind left at a prime of the discriminant
         # test 1: does the kernel point reduce to the node?
-        verdict_pt = S1 if reduce_point(emin, pmin, q) == node else S2
+        verdict_pt = S1 if (x % q, y % q) == node else S2
         # test 2: discriminant valuation ratio under the isogeny
         vp = iso.codomain_disc_factorization.valuation(q)
         verdict_val = valuation_ratio_set(p, v, vp)
@@ -119,9 +119,7 @@ def classify_primes(
     for ell in s2:
         if ell % p != 1:
             raise ClassifierDisagreement(f"S2 prime {ell} is not 1 mod {p}")
-    sets = DescentSets(
-        p, tuple(sorted(s1)), tuple(sorted(s2)), (p,), tuple(excluded), tuple(evidence)
-    )
+    sets = DescentSets(tuple(sorted(s1)), tuple(sorted(s2)), (p,), tuple(excluded), tuple(evidence))
     return ClassifiedCurve(sets, emin, pmin, iso, fac_min)
 
 

@@ -3,9 +3,9 @@
 Exact invariants, the kernel walk of a point of odd order, globally
 minimal models (Laska-Kraus-Connell), and the reduction type at every
 prime with the node of a split one.  No floating point anywhere:
-coefficients are ints, and points are pairs of Fractions or of ints.
-The kernel walk runs over Z (a point of odd order on an integral model
-is integral), and so do on_curve and reduce_point at an integral point.
+coefficients are ints, points are pairs of Fractions or of ints, and the
+kernel walk runs over Z (a point of odd order on an integral model is
+integral).
 """
 
 from __future__ import annotations
@@ -58,12 +58,10 @@ def invariants(a1: int, a2: int, a3: int, a4: int, a6: int) -> Curve:
 
 
 def on_curve(e: Curve, pt: Point) -> bool:
-    """The curve equation at pt, over Z when both coordinates are integral."""
+    """The curve equation at pt."""
     if pt is None:
         return True
     x, y = pt
-    if x.denominator == 1 == y.denominator:
-        x, y = x.numerator, y.numerator
     return y * y + e.a1 * x * y + e.a3 * y == x**3 + e.a2 * x * x + e.a4 * x + e.a6
 
 
@@ -330,17 +328,3 @@ def reduction_at(e: Curve, q: int) -> tuple[str, tuple[int, int] | None]:
                 return NONSPLIT, None
     raise ShaboundError(f"no singular point found mod {q}")
 
-
-def reduce_point(e: Curve, pt: Point, q: int) -> tuple[int, int] | None:
-    """Reduce a rational point mod q; None is the point at infinity."""
-    if pt is None:
-        return None
-    x, y = pt
-    if x.denominator == 1 == y.denominator:
-        return (x.numerator % q, y.numerator % q)
-    if x.denominator % q == 0 or y.denominator % q == 0:
-        return None
-    return (
-        x.numerator * pow(x.denominator, -1, q) % q,
-        y.numerator * pow(y.denominator, -1, q) % q,
-    )

@@ -6,9 +6,9 @@ points are irrational but Galois-stable).  Both go through one power-sum
 form of Velu's formulas, and the dual kernel polynomial h' is read off
 the leading coefficients of h'(X) h^(p-1) = psi_p / (p h), X = N / h^2
 the x-map, so nothing here needs the roots of a kernel polynomial.
-One division-polynomial recursion serves three rings: Z[x] for psi_p
-itself, series in 1 / x truncated to the few leading coefficients the
-dual kernel reads, and Z[x] / (h) for the check that h divides psi_p.
+One division-polynomial recursion serves two rings: series in 1 / x
+truncated to the few leading coefficients the dual kernel reads, and
+Z[x] / (h) for the check that h divides psi_p.
 That check runs only where a kernel polynomial enters (a caller's, or
 the dual kernel on E'): a kernel from a point needs none, and the dual
 kernel solve trusts the kernel an IsogenyData carries.  It, the closure
@@ -47,33 +47,24 @@ Q = Fraction
 
 # ----------------------------------------------------- division polynomials
 
-def division_poly_x(
-    e: Curve, n: int, top: int | None = None, mod: list[int] | None = None
-) -> list[int]:
+def division_poly_x(e: Curve, n: int, ring) -> list[int]:
     """For odd n: the n-division polynomial as a polynomial in x, over Z.
 
     One recursion on the x-parts f_m, psi_m = f_m * (psi_2 if m even),
-    kept in a memo for this call alone, in one of three rings:
-    - by default Z[x], giving psi_n in full, low degree first;
-    - with top = K, series in 1 / x truncated to K terms, giving the top
-      K coefficients of psi_n, highest first.  Each step multiplies, or
-      subtracts two terms of one degree whose difference keeps a nonzero
-      leading coefficient (f_k leads with k, or k / 2 for even k), so
-      the truncation is exact;
-    - with mod = h, monic over Z, Z[x] / (h) as in Schoof's algorithm
-      (Math. Comp. 1985), giving psi_n mod h as deg h coefficients.
+    kept in a memo for this call alone, in ring, a pair (map from Z[x],
+    product there) such as (list, polys.mul) for Z[x] itself, or:
+    - polys.residue_ring(h), h monic over Z: Z[x] / (h) as in Schoof's
+      algorithm (Math. Comp. 1985), giving psi_n mod h as deg h
+      coefficients;
+    - series in 1 / x truncated to K terms, giving the top K coefficients
+      of psi_n, highest first.  Each step multiplies, or subtracts two
+      terms of one degree whose difference keeps a nonzero leading
+      coefficient (f_k leads with k, or k / 2 for even k), so the
+      truncation is exact.
     """
     if n % 2 == 0:
         raise InputError("division_poly_x is for odd n")
-    if mod is not None:
-        embed, mul = polys.residue_ring(mod)
-    elif top is not None:
-        def embed(f):
-            return _top(f, top)
-
-        mul = _mul_top
-    else:
-        embed, mul = list, polys.mul
+    embed, mul = ring
 
     def sub(f, g):  # two terms of one degree: their difference keeps that degree
         return [a - b for a, b in zip(f, g)]
@@ -251,7 +242,7 @@ def _checked_kernel(e: Curve, h: list[Fraction], p: int) -> tuple[list[Fraction]
     if len(h) != (p - 1) // 2 + 1 or h[-1] != 1:
         raise InputError(f"kernel polynomial must be monic of degree {(p - 1) // 2}")
     e_k, h_k = _integral_kernel(e, h)
-    if any(division_poly_x(e_k, p, mod=h_k)):
+    if any(division_poly_x(e_k, p, polys.residue_ring(h_k))):
         raise InputError("kernel polynomial does not divide the p-division polynomial")
     if not _stable_under_doubling(e_k, h_k):
         raise InputError("kernel polynomial roots are not closed under doubling")
@@ -315,7 +306,8 @@ def dual_kernel_poly(iso: IsogenyData) -> list[Fraction]:
     h_c = _scaled(h, c)
 
     # the top d + 1 coefficients of each polynomial, highest first: series in 1 / y
-    psi_top = [a * c**i // p for i, a in enumerate(division_poly_x(e, p, top=d + 1))]
+    series = (lambda f: _top(f, d + 1), _mul_top)  # psi_p's ring: series in 1 / x
+    psi_top = [a * c**i // p for i, a in enumerate(division_poly_x(e, p, series))]
     a_top, h_top = [], h_c[::-1]
     for k, a in enumerate(psi_top):  # A_c = (psi_c / p) / h_c, h_c monic
         a_top.append(a - sum(h_top[i] * a_top[k - i] for i in range(1, k + 1)))

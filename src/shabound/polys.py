@@ -7,8 +7,8 @@ for a monic a, which keeps Fraction normalization out of the
 division-polynomial and closure checks.
 
 Last, one mod-q helper: the brute-force root finder behind the CRT
-congruences and the split test at q <= 3.  Degrees here never exceed a
-few dozen, so dense lists and the schoolbook product are the right tool.
+congruences.  Degrees here never exceed a few dozen, so dense lists and
+the schoolbook product are the right tool.
 """
 
 from __future__ import annotations

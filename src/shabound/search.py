@@ -92,7 +92,6 @@ def tate_family(p: int) -> FamilySpec:
 
 @dataclass(frozen=True)
 class Fiber:
-    b: int
     curve: Curve  # the Tate model, which is minimal at every integer parameter
     point: tuple[int, int]  # (0, 0), kept as ints
     disc_factorization: Factorization
@@ -113,7 +112,7 @@ def fiber(family: FamilySpec, b: int) -> Fiber:
         e = invariants(*family.ainvs_at(b))
     except SingularModel as exc:
         raise DegenerateFiber(f"parameter {b} gives a singular fiber") from exc
-    return Fiber(b, e, (0, 0), _fiber_disc_factorization(family, b, e.disc))
+    return Fiber(e, (0, 0), _fiber_disc_factorization(family, b, e.disc))
 
 
 def _fiber_disc_factorization(family: FamilySpec, b: int, disc: int) -> Factorization:

@@ -36,6 +36,9 @@ from shabound.isogeny import dual_kernel_poly, velu_quotient_from_kernel_poly
 
 Q = Fraction
 
+# the ring in which isogeny.division_poly_x gives psi_n in full: Z[x], low degree first
+ZX = (list, polys.mul)
+
 
 def canonicalize(obj):
     """Recursively convert a report payload to JSON-safe canonical form."""
@@ -158,7 +161,7 @@ def oracle_isomorphic(e, emin, hints=()):
 def oracle_dual_round_trip(cls):
     """The dual check by minimal models: Velu's quotient of E' by the dual kernel,
     minimalized with its discriminant factored, has E's minimal (c4, c6, Delta)."""
-    iso, p = cls.isogeny, cls.sets.p
+    iso, p = cls.isogeny, cls.isogeny.p
     back = velu_quotient_from_kernel_poly(
         iso.codomain, dual_kernel_poly(iso), p, iso.codomain_disc_factorization.primes
     ).codomain

@@ -5,6 +5,7 @@ import random
 import pytest
 import sympy
 
+from shabound import arith
 from shabound.arith import (
     Factorization,
     Incomplete,
@@ -97,20 +98,22 @@ def test_factor_random_reconstructs():
         assert prod == n
 
 
-def test_factor_incomplete_on_tiny_budget():
+def test_factor_incomplete_on_tiny_budget(monkeypatch):
     # product of two 20-digit primes; rho with budget 1 cannot split it
     p = int(sympy.nextprime(10**19))
     q = int(sympy.nextprime(p + 10**9))
-    f = factor(p * q, budget=1)
+    monkeypatch.setattr(arith, "_DEFAULT_RHO_BUDGET", 1)
+    f = factor(p * q)
     assert isinstance(f, Incomplete)
     with pytest.raises(IncompleteFactorization):
         require_complete(f)
 
 
-def test_factor_oversize_cofactor_is_incomplete():
+def test_factor_oversize_cofactor_is_incomplete(monkeypatch):
     # the surviving cofactor exceeds the declared primality range: Incomplete, not an error
     p = int(sympy.nextprime(1 << 130))
-    f = factor(3 * p, budget=10)
+    monkeypatch.setattr(arith, "_DEFAULT_RHO_BUDGET", 10)
+    f = factor(3 * p)
     assert not f.complete
     assert f.factors == ((3, 1),)
     assert f.cofactor == p

@@ -339,6 +339,9 @@ CURVE_11A3 = ["--curve", "[0,-1,1,0,0]", "--point", '["0/1","0/1"]']
      "second-kernel: invalid JSON (Expecting value: line 1 column 4 (char 3))"),
     (["analyze", "--curve", "[0,-1,1,0,0]", "--point", '"O"', "--p", "5"], None,
      "point: the kernel point may not be the identity"),
+    # off the curve as given, which is not minimal: reported on the user's model and text
+    (["analyze", "--curve", "[4, 4, 24, -32, -128]", "--point", '["1/1","0/1"]', "--p", "5"], None,
+     'point ["1/1","0/1"] is not on the curve [4, 4, 24, -32, -128]'),
     (["analyze", *CURVE_11A3, "--p", "11"], None, "p must be 5 or 7"),
     (["analyze", *CURVE_11A3, "--p", "5", "--second-kernel", '{"h": [0, -1, 1]}'], None,
      "second-kernel: expected a JSON array of coefficients, low degree first"),
@@ -354,7 +357,7 @@ CURVE_11A3 = ["--curve", "[0,-1,1,0,0]", "--point", '["0/1","0/1"]']
     (["search"], '{"scan_budget": 4}', "config: missing key 'p'"),
     (["search"], '{"p": 5, "force_s1": [41, 41]}', "force_s1: repeated prime 41 in [41, 41]"),
 ], ids=[
-    "curve-json", "point-json", "second-kernel-json", "point-identity", "analyze-p-11",
+    "curve-json", "point-json", "second-kernel-json", "point-identity", "point-off-curve", "analyze-p-11",
     "second-kernel-not-list", "second-kernel-not-monic", "second-kernel-degree",
     "budget-three-parts", "bounds-no-input", "config-json", "config-not-object", "config-no-p",
     "config-repeated-forced-prime",

@@ -135,27 +135,37 @@ def _corpus(rng):
     return [(n if n < 0 else rng.choice((1, -1)) * n, budget) for n, budget in cases]
 
 
-def test_factor_matches_the_single_wheel_oracle():
+_DEFAULT = arith._DEFAULT_RHO_BUDGET
+
+
+def _set_budget(monkeypatch, budget):
+    """The rho budget of factor for one case of _corpus; None is the default."""
+    monkeypatch.setattr(arith, "_DEFAULT_RHO_BUDGET", _DEFAULT if budget is None else budget)
+
+
+def test_factor_matches_the_single_wheel_oracle(monkeypatch):
     cases = _corpus(random.Random(20040))
     kinds = set()
     for n, budget in cases:
-        got = factor(n, budget)
+        _set_budget(monkeypatch, budget)
+        got = factor(n)
         assert _key(got) == _key(_wheel_factor(n, budget)), (n, budget)
         kinds.add(type(got))
     assert kinds == {Factorization, Incomplete}
 
 
-def test_small_hints_leave_factor_unchanged():
+def test_small_hints_leave_factor_unchanged(monkeypatch):
     # Velu's formulas factor the codomain discriminant with the domain's
     # primes up to 10^6 as hints; that must give the same bytes as factor
     rng = random.Random(20041)
     cases = _corpus(rng)
     kinds = set()
     for n, budget in cases:
-        want = factor(n, budget)
+        _set_budget(monkeypatch, budget)
+        want = factor(n)
         small = [q for q, _ in want.factors if q <= arith._TRIAL_LIMIT]
         for hints in ((), tuple(small), tuple(rng.sample(small, len(small) // 2)) + (5, 7, 999983)):
-            got = factor_with_hints(n, hints, budget)
+            got = factor_with_hints(n, hints)
             assert _key(got) == _key(want), (n, budget, hints)
         kinds.add(type(want))
     assert kinds == {Factorization, Incomplete}

@@ -13,7 +13,7 @@ from fractions import Fraction
 
 import pytest
 import sympy
-from conftest import poly_sub
+from conftest import ZX, poly_sub
 
 from shabound import isogeny, polys
 from shabound.descent import classify_primes
@@ -77,7 +77,7 @@ def oracle_dual_kernel_poly(iso):
     e, p = iso.domain, iso.p
     x, z = sympy.symbols("x z")
     hz = _sympy_poly(iso.kernel_x_poly, z)
-    az = sympy.exquo(_sympy_poly(division_poly_x(e, p), z), hz).monic()
+    az = sympy.exquo(_sympy_poly(division_poly_x(e, p, ZX), z), hz).monic()
     b2, b4, b6 = e.b2, e.b4, e.b6
     nz = z * hz**2
     for xq in _roots_of(iso.kernel_x_poly):
@@ -191,7 +191,7 @@ def test_dual_kernel_identity_holds_on_every_coefficient():
             h_c = isogeny._scaled(h, c)
             y = sympy.symbols("y")
             quo, rem = sympy.div(
-                _sympy_poly([x // p for x in isogeny._scaled(division_poly_x(e, p), c)], y), _sympy_poly(h_c, y)
+                _sympy_poly([x // p for x in isogeny._scaled(division_poly_x(e, p, ZX), c)], y), _sympy_poly(h_c, y)
             )
             assert rem.is_zero
             a_c = [int(k) for k in reversed(quo.all_coeffs())]
@@ -256,7 +256,7 @@ def _seeded_curves():
 def test_division_poly_matches_oracle():
     for e in _seeded_curves():
         for n in (3, 5, 7, 9):
-            psi = division_poly_x(e, n)
+            psi = division_poly_x(e, n, ZX)
             assert all(type(c) is int for c in psi)
             assert psi == oracle_division_poly_x(e, n), (e.ainvs(), n)
             assert len(psi) - 1 == (n * n - 1) // 2 and psi[-1] == n
@@ -281,7 +281,8 @@ def test_truncated_ring_gives_the_top_of_psi():
         for n in (3, 5, 7, 9, 11):
             psi = oracle_division_poly_x(e, n)
             for k in (1, 2, 3, 4):
-                assert division_poly_x(e, n, top=k) == psi[: -k - 1 : -1], (e.ainvs(), n, k)
+                series = (lambda f, k=k: isogeny._top(f, k), isogeny._mul_top)
+                assert division_poly_x(e, n, series) == psi[: -k - 1 : -1], (e.ainvs(), n, k)
 
 
 def _kernel_pairs():
@@ -300,12 +301,12 @@ def test_residue_ring_gives_psi_mod_h():
         e_k, h_k = isogeny._integral_kernel(e, h)
         denominators.add(isogeny._denominator(h))
         assert h_k[-1] == 1 and all(type(c) is int for c in h_k)
-        assert division_poly_x(e_k, p, mod=h_k) == [0] * (len(h) - 1)
+        assert division_poly_x(e_k, p, polys.residue_ring(h_k)) == [0] * (len(h) - 1)
         # the same remainder as the full psi_p divided by h, for a polynomial that is no kernel
         g = [c + 1 for c in h_k[:-1]] + [1]
         y = sympy.symbols("y")
-        rem = [int(k) for k in reversed(sympy.rem(_sympy_poly(division_poly_x(e_k, p), y), _sympy_poly(g, y)).all_coeffs())]
-        assert polys.trim(division_poly_x(e_k, p, mod=g)) == polys.trim(rem)
+        rem = [int(k) for k in reversed(sympy.rem(_sympy_poly(division_poly_x(e_k, p, ZX), y), _sympy_poly(g, y)).all_coeffs())]
+        assert polys.trim(division_poly_x(e_k, p, polys.residue_ring(g))) == polys.trim(rem)
     assert denominators == {1, 5, 7}
 
 
@@ -316,6 +317,6 @@ def test_residue_ring_rejects_every_one_coefficient_perturbation():
                 moved = list(h)
                 moved[j] += delta
                 e_k, h_k = isogeny._integral_kernel(e, moved)
-                assert any(division_poly_x(e_k, p, mod=h_k)), (p, j, delta)
+                assert any(division_poly_x(e_k, p, polys.residue_ring(h_k))), (p, j, delta)
                 with pytest.raises(InputError, match="does not divide"):
                     velu_quotient_from_kernel_poly(e, moved, p)

@@ -161,7 +161,8 @@ def test_s2_prime_not_one_mod_p_becomes_error_row(monkeypatch):
     from shabound import descent
 
     # both classifiers forced to say S2: every split prime lands there, also 2 (not 1 mod 5) at b = 2
-    monkeypatch.setattr(descent, "reduce_point", lambda e, pt, q: None)
+    reduction = descent.reduction_at
+    monkeypatch.setattr(descent, "reduction_at", lambda e, q: (reduction(e, q)[0], None))
     monkeypatch.setattr(descent, "valuation_ratio_set", lambda p, v, v_image: descent.S2)
     row = evaluate_row(5, 2)
     assert row["error"] == "classifier_disagreement"
@@ -330,7 +331,7 @@ def test_one_elimination_per_direction_and_no_kernel_basis_in_a_scan(monkeypatch
 
 @pytest.mark.parametrize("patch, detail", [
     ("valuation_ratio_set", r"valuation ratio at \d+ is neither p nor 1/p: \d+ -> \d+"),
-    ("reduce_point", r"classifiers disagree at \d+: point test S1, valuation test S2"),
+    ("reduction_at", r"classifiers disagree at \d+: point test S1, valuation test S2"),
 ])
 def test_classifier_disagreements_become_rows(monkeypatch, patch, detail):
     import re
@@ -339,8 +340,9 @@ def test_classifier_disagreements_become_rows(monkeypatch, patch, detail):
 
     if patch == "valuation_ratio_set":
         monkeypatch.setattr(descent, "valuation_ratio_set", lambda p, v, v_image: None)
-    else:  # the kernel point meets the node at every split prime: the point test says S1
-        monkeypatch.setattr(descent, "reduce_point", lambda e, pt, q: descent.reduction_at(e, q)[1])
+    else:  # the node moves onto the kernel point (0, 0) at every split prime: the point test says S1
+        reduction = descent.reduction_at
+        monkeypatch.setattr(descent, "reduction_at", lambda e, q: (reduction(e, q)[0], (0, 0)))
     c = SearchConstraints(5, scan_budget=40, verify_dual=False)
     r = scan(tate_family(5), c, jobs=1)
     assert r["errors"]
@@ -349,7 +351,7 @@ def test_classifier_disagreements_become_rows(monkeypatch, patch, detail):
         assert re.fullmatch(detail, row["detail"]), row["detail"]
         assert row["curve"] and "s1" not in row
     for row in r["rows"]:  # kept: a fiber with no split prime the patched test could meet
-        assert row["s2"] == [] and (patch == "reduce_point" or row["s1"] == []), row
+        assert row["s2"] == [] and (patch == "reduction_at" or row["s1"] == []), row
     assert len(r["rows"]) + len(r["errors"]) + sum(r["skipped"].values()) == 40
 
 

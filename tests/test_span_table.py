@@ -17,6 +17,8 @@ from shabound import search
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 CHILD = ROOT / "perfbench" / "child.py"
 PACKAGE = ROOT / "src" / "shabound"
+# dataclasses that report.dumps writes whole, every field through asdict
+WRITTEN_WHOLE = frozenset({"SandwichResult", "TheoremBudget"})
 
 
 def _traced_table() -> dict:
@@ -59,16 +61,27 @@ def _is_dunder(name: str) -> bool:
     return name.startswith("__") and name.endswith("__")
 
 
-def unreferenced_definitions(package: pathlib.Path) -> set[tuple[str, str]]:
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    """Decorated by @dataclass or @dataclasses.dataclass, with or without arguments."""
+    for d in node.decorator_list:
+        d = d.func if isinstance(d, ast.Call) else d
+        if "dataclass" in (getattr(d, "id", None), getattr(d, "attr", None)):
+            return True
+    return False
+
+
+def unreferenced_definitions(package: pathlib.Path, written_whole=frozenset()) -> set[tuple[str, str]]:
     """(module, name) of each top-level def, class or assigned name, and (module,
-    "Class.name") of each method and property of a top-level class, that nothing in
-    the package references.
+    "Class.name") of each method, property and dataclass field of a top-level
+    class, that nothing in the package references.
 
     A top-level definition is referenced by a global Name in its own module
     (a nested def or local of the same name shadows it), by `from .m import
-    name`, or by `m.name` for the module m; a method or property by any
-    `.name` attribute in the package.  Dunder methods are called implicitly,
-    and dunder names such as `__all__` are read by the interpreter.
+    name`, or by `m.name` for the module m; a method, property or field by
+    any `.name` attribute in the package.  The fields of the dataclasses
+    named in written_whole are all read, by the report writer's asdict.
+    Dunder methods are called implicitly, and dunder names such as
+    `__all__` are read by the interpreter.
     """
     defined, used, attrs = set(), set(), set()
     for path in sorted(package.glob("*.py")):
@@ -91,6 +104,12 @@ def unreferenced_definitions(package: pathlib.Path) -> set[tuple[str, str]]:
                     for item in node.body
                     if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)) and not _is_dunder(item.name)
                 )
+                if _is_dataclass(node) and node.name not in written_whole:
+                    defined.update(
+                        (module, f"{node.name}.{item.target.id}")
+                        for item in node.body
+                        if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)
+                    )
         for node in ast.walk(tree):
             if isinstance(node, ast.ImportFrom) and node.level == 1:
                 for a in node.names:
@@ -141,7 +160,7 @@ def test_every_definition_is_used_in_the_package():
     # code that only tests call belongs in tests/ (as an oracle) or nowhere;
     # the benchmark's spans are the one other reader of the package.  Methods
     # and properties count too
-    assert unreferenced_definitions(PACKAGE) - _traced() == set()
+    assert unreferenced_definitions(PACKAGE, WRITTEN_WHOLE) - _traced() == set()
 
 
 def test_the_definition_guard_sees_methods_and_shadowed_names(tmp_path):
@@ -187,6 +206,23 @@ def test_the_definition_guard_sees_module_level_names(tmp_path):
     # dunder names are read by the interpreter
     assert unreferenced_definitions(tmp_path) == {
         ("m", "_only_str"), ("m", "WIDTH"), ("m", "HIGH"), ("m", "SHADOWED"), ("n", "VALUE"),
+    }
+
+
+def test_the_definition_guard_sees_dataclass_fields(tmp_path):
+    (tmp_path / "m.py").write_text(
+        "import dataclasses\nfrom dataclasses import dataclass, field\n\n\n"
+        "@dataclass(frozen=True)\nclass A:\n    read: int\n    unread: int\n"
+        "    hidden: int = field(default=0, repr=False)\n\n\n"
+        "@dataclasses.dataclass\nclass B:\n    alone: int\n\n\n"
+        "@dataclass\nclass Whole:\n    written: int\n\n\n"
+        "class Plain:\n    annotated: int\n\n\n"
+        "print(A(1, 2).read, B(3), Whole(4), Plain())\n"
+    )
+    # a field is read by any .name attribute; Whole is written whole, and
+    # Plain's annotation is no field
+    assert unreferenced_definitions(tmp_path, {"Whole"}) == {
+        ("m", "A.unread"), ("m", "A.hidden"), ("m", "B.alone"),
     }
 
 
