@@ -349,16 +349,16 @@ def _divide_out(m: int, q: int, found: dict[int, int], k: int = 1) -> int:
 def _factor_into(m: int, found: dict[int, int], mult: int = 1) -> int:
     """Credit the primes of m >= 1 to found, each exponent times mult; return what is unresolved.
 
-    Trial division to 10^6, then perfect-power splits and Brent rho with
-    the iteration budget of default_budget().  The primes below 2^12 come
-    from one gcd of m with their product, and only that gcd is
-    trial-divided (an m below 2^24 is trial-divided itself).  If the cofactor is then a perfect k-th power
-    r^k, the rest runs on r and credits each prime it finds k times.  From
-    2^12 to 10^6 the primes come in blocks of width 2^12, and a block is
-    divided by only when the gcd of its primes' product with r is > 1; the
-    stage stops once the next block start squared exceeds r.  The small
-    primes and the block tables are built on first need, never at import,
-    and the block tables only for an r of at least 2^24.
+    Trial division to 10^6, then perfect-power splits and Brent rho with the
+    iteration budget of default_budget().  The primes below 2^12 come from
+    one gcd of m with their product, and only that gcd is trial-divided (an
+    m below 2^24 is trial-divided itself).  If the cofactor is then a
+    perfect k-th power r^k, the rest runs on r and credits each prime it
+    finds k times.  From 2^12 to 10^6 the primes come in blocks of width
+    2^12, and a block is divided by only when the gcd of its primes' product
+    with r is > 1; the stage stops once the next block start squared exceeds
+    r.  The small primes and the block tables are built on first need, never
+    at import, and the block tables only for an r of at least 2^24.
 
     What is left has no prime factor up to 10^6.  A piece below 2^128 is a
     prime, a perfect power (split into its root), or split by rho; a

@@ -306,7 +306,7 @@ def dual_kernel_poly(iso: IsogenyData) -> list[Fraction]:
     h_c = _scaled(h, c)
 
     # the top d + 1 coefficients of each polynomial, highest first: series in 1 / y
-    series = (lambda f: _top(f, d + 1), _mul_top)  # psi_p's ring: series in 1 / x
+    series = (lambda f: _top(f, d + 1), _mul_top)
     psi_top = [a * c**i // p for i, a in enumerate(division_poly_x(e, p, series))]
     a_top, h_top = [], h_c[::-1]
     for k, a in enumerate(psi_top):  # A_c = (psi_c / p) / h_c, h_c monic
