@@ -3,24 +3,24 @@
 Two entry points: a kernel generated by a rational point of order p, or a
 rational kernel x-polynomial of degree (p-1)/2 (for subgroups whose
 points are irrational but Galois-stable).  Both go through one power-sum
-form of Velu's formulas, and the dual kernel polynomial h' is read off
-the leading coefficients of h'(X) h^(p-1) = psi_p / (p h), X = N / h^2
-the x-map, so nothing here needs the roots of a kernel polynomial.
-One division-polynomial recursion serves two rings: series in 1 / x
-truncated to the few leading coefficients the dual kernel reads, and
-Z[x] / (h) for the check that h divides psi_p.
-That check runs only where a kernel polynomial enters (a caller's, or
-the dual kernel on E'): a kernel from a point needs none, and the dual
-kernel solve trusts the kernel an IsogenyData carries.  It, the closure
-check and Velu's formulas run over Z on one rescaled pair
-(_integral_kernel: a_i -> D^i a_i and h -> D^(2d) h(y / D^2), D the lcm
-of h's denominators, 1 for a kernel point), the dual-kernel solve after
-its own change of variable; Fractions appear only where a
-kernel polynomial or a transformation comes in or goes out.
+form of Velu's formulas.  The dual kernel polynomial h' is read off the
+leading coefficients of h'(X) h^(p-1) = psi_p / (p h), the top of the
+x-map X = N / h^2 coming from the same power sums, so nothing here needs
+the roots of a kernel polynomial.  One division-polynomial recursion
+serves two rings: series in 1 / x truncated to the few leading
+coefficients the dual kernel reads, and Z[x] / (h), shared by the check
+that h divides psi_p and the closure check.  Both checks run only where
+a kernel polynomial enters (a caller's, or the dual kernel on E'), and
+with Velu's formulas over Z on one rescaled pair (_integral_kernel:
+a_i -> D^i a_i and h -> D^(2d) h(y / D^2), D the lcm of h's
+denominators, 1 for a kernel point).  So the dual check stays in Z, the
+solve giving h' as the ints (H, kappa); Fractions appear only where a
+kernel polynomial or a transformation comes in or goes out, as in
+dual_kernel_poly's return.
 Codomains come back globally minimal, with the factorization of their
 discriminant, so discriminant valuations feed the descent classifier
 directly; that factorization starts from hinted primes of the domain.
-velu_model_from_kernel_poly skips both for a caller that needs the
+velu_model_from_scaled_kernel skips both for a caller that needs the
 codomain only up to isomorphism: the dual check.
 """
 
@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 from . import polys
 from .arith import _TRIAL_LIMIT, Factorization, factor_with_hints, is_prime
@@ -47,7 +47,7 @@ Q = Fraction
 
 # ----------------------------------------------------- division polynomials
 
-def division_poly_x(e: Curve, n: int, ring) -> list[int]:
+def division_poly_x(e: Curve, n: int, ring, psi2_sq: list[int] | None = None) -> list[int]:
     """For odd n: the n-division polynomial as a polynomial in x, over Z.
 
     One recursion on the x-parts f_m, psi_m = f_m * (psi_2 if m even),
@@ -61,6 +61,7 @@ def division_poly_x(e: Curve, n: int, ring) -> list[int]:
       terms of one degree whose difference keeps a nonzero leading
       coefficient (f_k leads with k, or k / 2 for even k), so the
       truncation is exact.
+    psi2_sq is psi_2^2 in ring, for a caller that has it already.
     """
     if n % 2 == 0:
         raise InputError("division_poly_x is for odd n")
@@ -95,24 +96,27 @@ def division_poly_x(e: Curve, n: int, ring) -> list[int]:
                 memo[k] = prod(f(m), inner)
         return memo[k]
 
-    psi2_sq = embed(_psi2_squared(e))
+    psi2_sq = embed(_psi2_squared(e)) if psi2_sq is None else psi2_sq
     t2 = mul(psi2_sq, psi2_sq)  # psi_2^4
     return f(n)
 
 
-def _integral_kernel(e: Curve, h: list[Fraction]) -> tuple[Curve, list[int]]:
-    """The model scaled by a_i -> D^i a_i and h_D = D^(2d) h(y / D^2), D the lcm of h's denominators.
+def _integral_kernel(e: Curve, big_h: list[int], kappa: int) -> tuple[Curve, list[int]]:
+    """For h(y) = kappa^-d H(kappa y), H monic integral: the model scaled by
+    a_i -> D^i a_i and h_D = D^(2d) h(y / D^2), D the lcm of h's denominators.
 
     The scaled model's x-coordinates are D^2 x, so h_D, monic integral,
     cuts out on it the points h cuts out on e.  This is the one rescaling
     of a kernel polynomial: the kernel checks and Velu's formulas run on
-    this pair.  For a kernel of E[p], D is a power of p, since p x is
-    integral at every root of psi_p.
+    this pair, made without a Fraction.  For a kernel of E[p], D is a
+    power of p, since p x is integral at every root of psi_p.
     """
-    big_d = _denominator(h)
+    d = len(big_h) - 1
+    dens = [kappa ** (d - j) for j in range(d + 1)]
+    big_d = lcm(*(b // gcd(a, b) for a, b in zip(big_h, dens)))
     if big_d != 1:
         e = invariants(*(a * big_d**wt for a, wt in zip(e.ainvs(), (1, 2, 3, 4, 6))))
-    return e, _scaled(h, big_d**2)
+    return e, [a * big_d ** (2 * (d - j)) // b for j, (a, b) in enumerate(zip(big_h, dens))]
 
 
 def _psi2_squared(e: Curve) -> list[int]:
@@ -217,66 +221,77 @@ def velu_quotient_from_kernel_poly(
     the integral pair of _integral_kernel.  hints are primes of the
     discriminant of e (see _velu).
     """
-    h, e_k, h_k = _checked_kernel(e, h, p)
-    return _velu(e, p, tuple(h), e_k, h_k, _denominator(h), hints)
+    h = [Q(c) for c in h]
+    big_d = _denominator(h)
+    e_k, h_k = _checked_kernel(e, _scaled(h, big_d), big_d, p)
+    return _velu(e, p, tuple(h), e_k, h_k, big_d, hints)
 
 
-def velu_model_from_kernel_poly(e: Curve, h: list[Fraction], p: int) -> Curve:
-    """An integral model of E / <h>, for a caller that needs it only up to isomorphism.
-
-    The same checks as velu_quotient_from_kernel_poly, then Velu's
-    formulas on the integral pair of _integral_kernel: no Fraction, no
-    factorization, no minimal model.
+def velu_model_from_scaled_kernel(e: Curve, big_h: list[int], kappa: int, p: int) -> Curve:
+    """An integral model of E / <h>, h(y) = kappa^-d H(kappa y), for the dual check,
+    which needs it only up to isomorphism: the checks of _checked_kernel,
+    then Velu's formulas on its pair; no Fraction, factorization or minimal model.
     """
-    return _velu_model(*_checked_kernel(e, h, p)[1:])
+    return _velu_model(*_checked_kernel(e, big_h, kappa, p))
 
 
-def _checked_kernel(e: Curve, h: list[Fraction], p: int) -> tuple[list[Fraction], Curve, list[int]]:
-    """h as Fractions and the integral pair of _integral_kernel, once h passes the checks.
-
-    Both checks run on that pair: psi_p mod h_D, and closure under doubling.
+def _checked_kernel(e: Curve, big_h: list[int], kappa: int, p: int) -> tuple[Curve, list[int]]:
+    """The integral pair of _integral_kernel for h(y) = kappa^-d H(kappa y), once h passes
+    the checks: psi_p mod h_D and closure under doubling, in one ring Z[y] / (h_D).
     """
     if not isinstance(p, int) or p < 3 or p % 2 == 0:
         raise InputError(f"p must be an odd integer >= 3, got {p}")
-    h = [Q(c) for c in h]
-    if len(h) != (p - 1) // 2 + 1 or h[-1] != 1:
+    if len(big_h) != (p - 1) // 2 + 1 or big_h[-1] != 1:
         raise InputError(f"kernel polynomial must be monic of degree {(p - 1) // 2}")
-    e_k, h_k = _integral_kernel(e, h)
-    if any(division_poly_x(e_k, p, polys.residue_ring(h_k))):
+    e_k, h_k = _integral_kernel(e, big_h, kappa)
+    ring = polys.residue_ring(h_k)
+    psi2_sq = ring[0](_psi2_squared(e_k))
+    if any(division_poly_x(e_k, p, ring, psi2_sq)):
         raise InputError("kernel polynomial does not divide the p-division polynomial")
-    if not _stable_under_doubling(e_k, h_k):
+    if not _stable_under_doubling(e_k, h_k, ring, psi2_sq):
         raise InputError("kernel polynomial roots are not closed under doubling")
-    return h, e_k, h_k
+    return e_k, h_k
 
 
-def _stable_under_doubling(e: Curve, h: list[int]) -> bool:
+def _stable_under_doubling(e: Curve, h: list[int], ring, psi2_sq: list[int]) -> bool:
     """True iff x(2z) is a root of h for every root z of h, h monic integral.
 
     With x(2z) = num(z) / den(z), that is den^d * h(num / den) = 0 mod h(z),
-    d = deg h, over Z.  For a squarefree h dividing psi_p this is closure
-    of the root set, since doubling is injective on x-coordinates of
-    E[p] - {O}.
+    d = deg h, over Z in ring = polys.residue_ring(h), den = psi_2^2 given
+    in it.  For a squarefree h dividing psi_p this is closure of the root
+    set, since doubling is injective on x-coordinates of E[p] - {O}.
     """
-    reduce, mul = polys.residue_ring(h)
+    reduce, mul = ring
     num = reduce([-e.b8, -2 * e.b6, -e.b4, 0, 1])
-    den = reduce(_psi2_squared(e))
     # Horner in homogeneous form: acc = sum_{j >= i} h_j num^(j-i) den^(d-j)
     acc = den_pow = reduce([1])
     for c in reversed(h[:-1]):
-        den_pow = mul(den_pow, den)
+        den_pow = mul(den_pow, psi2_sq)
         acc = [a + c * b for a, b in zip(mul(acc, num), den_pow)]
     return not any(acc)
 
 
 def dual_kernel_poly(iso: IsogenyData) -> list[Fraction]:
-    """Kernel x-polynomial of the dual isogeny, on the minimal codomain model.
+    """Kernel x-polynomial h' of the dual isogeny, on the minimal codomain model.
+
+    h'_j = H_j / kappa^(d-j) for the ints (H, kappa) of scaled_dual_kernel,
+    whose solve reads the x-map from Velu's power sums; the dual check
+    stays in Z, and this return is where the dual path makes Fractions.
+    """
+    big_h, kappa = scaled_dual_kernel(iso)
+    return [Q(hj, kappa ** (len(big_h) - 1 - j)) for j, hj in enumerate(big_h)]
+
+
+def scaled_dual_kernel(iso: IsogenyData) -> tuple[list[int], int]:
+    """(H, kappa) with H(Y) = kappa^d h'(Y / kappa) monic integral, h' the
+    dual kernel polynomial on the minimal codomain model.
 
     The dual kernel is the image of E[p].  phi maps E[p] - ker p-to-1
-    onto ker(phi-hat) - {O}, so for each root x(R) of the dual kernel
-    polynomial h', X - x(R) has p simple zeros, where X = N / h^2 is the
-    x-map: the x-coordinates of E[p] outside the kernel, the roots of
-    A = psi_p / (p h).  Both sides being monic, h'(X) h^(p-1) = A exactly
-    (the setting of Bostan, Morain, Salvy, Schost 2008).
+    onto ker(phi-hat) - {O}, so for each root x(R) of h', X - x(R) has p
+    simple zeros, where X = N / h^2 is the x-map: the x-coordinates of
+    E[p] outside the kernel, the roots of A = psi_p / (p h).  Both sides
+    being monic, h'(X) h^(p-1) = A exactly (the setting of Bostan, Morain,
+    Salvy, Schost 2008).
 
     This runs over Z after the change of variable y = c x with c = p D,
     D the lcm of h's denominators: h_c = c^d h(y / c) and
@@ -286,18 +301,19 @@ def dual_kernel_poly(iso: IsogenyData) -> list[Fraction]:
     reads sum_j H_j T_j = A_c, T_j = N_c^j h_c^(2(d-j)) monic of degree
     2d^2 + j, so H is integral: a triangular solve on the top d + 1
     coefficients, which need only the top d + 1 of N_c and h_c^2, gives
-    it from H_d = 1 down.  The top of A_c is the top of psi_p, from the
-    truncated recursion, rescaled and divided by p h_c as a series in
-    1 / y.  That h is monic and divides psi_p is not checked here: an
-    IsogenyData carries a proved kernel (see IsogenyData), and a forged
-    one gives an h' that fails the checks of the dual's own entry point.
+    it from H_d = 1 down.  The top of A_c is the top of psi_p (truncated
+    recursion), rescaled and divided by p h_c as a series in 1 / y; that of
+    N_c is c X as a series in 1 / y (_x_map_expansion) times that of h_c^2.
+    That h is monic and divides psi_p is not checked here: an IsogenyData
+    carries a proved kernel, and a forged one gives an h' that fails the
+    checks of the dual's own entry point.
 
     The solve runs on the minimal model directly: x_min = (X - r) / u^2
-    there, so X_min = N' / (kappa h_c^2) with N' = N_c - c r h_c^2 and
-    kappa = c u^2, and the same solve on top(N') against the same A_c
-    gives H'_j = kappa^(d-j) h'_min,j.  u and r are taken as ints when
-    they are integral (u = 1 or p in every fiber seen), so the solve makes
-    no Fraction product then.
+    there, so X_min = N' / (kappa h_c^2) with N' = N_c - c r h_c^2 (c X - c r
+    times h_c^2) and kappa = c u^2, and the same solve gives
+    H_j = kappa^(d-j) h'_min,j.  For a kernel from a point Velu's model is
+    integral, so u and r are integers (Silverman AEC VII.1.3(d)), taken as
+    ints: then the solve makes no Fraction.
     """
     e, p = iso.domain, iso.p
     h = list(iso.kernel_x_poly)
@@ -312,10 +328,8 @@ def dual_kernel_poly(iso: IsogenyData) -> list[Fraction]:
     for k, a in enumerate(psi_top):  # A_c = (psi_c / p) / h_c, h_c monic
         a_top.append(a - sum(h_top[i] * a_top[k - i] for i in range(1, k + 1)))
     hh_top = _mul_top(h_top, h_top)
-    n_top = _velu_x_numerator_top(e, h_c, p, c, hh_top)
-    u, r = map(_int_if_integral, (iso.to_minimal.u, iso.to_minimal.r))
-    kappa = c * u**2
-    n_top = [n - c * r * hh for n, hh in zip(n_top, [0, *hh_top[:-1]])]  # top(N'), deg h_c^2 = 2d
+    u, r = (a.numerator if a.denominator == 1 else a for a in (iso.to_minimal.u, iso.to_minimal.r))
+    n_top = _mul_top([1, -c * r, *_x_map_expansion(e, h_c, c, d - 1)], hh_top)  # top(N')
     hh_pows = [None, hh_top]  # hh_pows[k]: the top of h_c^(2k), k >= 1
     for _ in range(d - 2):
         hh_pows.append(_mul_top(hh_pows[-1], hh_top))
@@ -327,11 +341,7 @@ def dual_kernel_poly(iso: IsogenyData) -> list[Fraction]:
     big_h = [0] * d + [1]
     for j in range(d - 1, -1, -1):  # the coefficient of y^(2d^2 + j)
         big_h[j] = a_top[d - j] - sum(big_h[i] * t_tops[i][i - j] for i in range(j + 1, d + 1))
-    return [Q(hj, kappa ** (d - j)) for j, hj in enumerate(big_h)]
-
-
-def _int_if_integral(a: Fraction) -> int | Fraction:
-    return a.numerator if a.denominator == 1 else a
+    return big_h, c * u**2
 
 
 def _top(f: list[int], k: int) -> list[int]:
@@ -350,22 +360,15 @@ def _mul_top(f: list[int], g: list[int]) -> list[int]:
     return out
 
 
-def _velu_x_numerator_top(e: Curve, h_c: list[int], p: int, c: int, hh_top: list[int]) -> list[int]:
-    """The top len(hh_top) coefficients of N_c, highest first, X = N_c / (c h_c^2)
-    the Velu x-map at x = y / c (Kohel's form); hh_top is the top of h_c^2.
+def _x_map_expansion(e: Curve, h_c: list[int], c: int, k: int) -> list[int]:
+    """E_1, ..., E_k in c X = y + sum_j E_j y^-j, Velu's x-map at x = y / c as a series in 1 / y.
 
-    X = p x - 2 s_1 - t(x) h'/h - T(x) (h'/h)', with s_1 the sum of the
-    roots of h, t = 6x^2 + b2 x + b4 and T = 4x^3 + b2 x^2 + 2 b4 x + b6;
-    N_c = c^(2d+1) X h^2 in terms of h_c, t_c = c^2 t and T_c = c^3 T.
-    Its three terms, and the two of the inner difference, each have the
-    degree of the whole, and every factor leads with a nonzero
-    coefficient, so series in 1 / y truncated to len(hh_top) terms give
-    the top exactly.
+    X = x + sum over the roots x_Q of h of t_Q / (x - x_Q) + u_Q / (x - x_Q)^2,
+    t_Q = 6 x_Q^2 + b2 x_Q + b4, u_Q = psi_2^2(x_Q) (Velu 1971, p odd), so
+    E_j = (4j+2) S_{j+1} + j b2 c S_j + (2j-1) b4 c^2 S_{j-1} + (j-1) b6 c^3 S_{j-2},
+    S_i the power sums of h_c (S_0 = d): integers, h_c being monic integral.
     """
-    k = len(hh_top)
-    h, dh, ddh = (_top(f, k) for f in (h_c, polys.deriv(h_c), polys.deriv(polys.deriv(h_c))))
-    lin = _top([2 * h_c[-2], p], k)  # c (p x - 2 s_1) for monic h
-    t_c, big_t_c = (_top(_scaled(f, c), k) for f in ([e.b4, e.b2, 6], _psi2_squared(e)))
-    inner = [a - b for a, b in zip(_mul_top(ddh, h), _mul_top(dh, dh))]
-    terms = (_mul_top(lin, hh_top), _mul_top(_mul_top(t_c, dh), h), _mul_top(big_t_c, inner))
-    return [a - b - g for a, b, g in zip(*terms)]
+    s = [0, len(h_c) - 1, *polys.power_sums(h_c, k + 1)]  # s[i + 1] = S_i
+    b2, b4, b6 = e.b2 * c, e.b4 * c**2, e.b6 * c**3
+    return [(4 * j + 2) * s[j + 2] + j * b2 * s[j + 1] + (2 * j - 1) * b4 * s[j] + (j - 1) * b6 * s[j - 1]
+            for j in range(1, k + 1)]

@@ -40,10 +40,6 @@ def evaluate(f, x):
     return acc
 
 
-def deriv(f):
-    return trim([i * c for i, c in enumerate(f)][1:])
-
-
 def from_roots(roots) -> list:
     """Monic polynomial with the given roots; integer roots give integer coefficients."""
     out = [1]

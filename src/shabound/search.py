@@ -35,7 +35,7 @@ from .errors import (
     SingularModel,
     UnreachableCusp,
 )
-from .isogeny import dual_kernel_poly, velu_model_from_kernel_poly
+from .isogeny import scaled_dual_kernel, velu_model_from_scaled_kernel
 
 
 @dataclass(frozen=True)
@@ -195,17 +195,17 @@ def _verify_dual_swap(cls: ClassifiedCurve) -> bool:
     """Re-derive the dual isogeny explicitly and check the round trip.
 
     What this certifies is the round trip E -> E' -> E'/<dual kernel>:
-    the dual kernel polynomial is rebuilt from the isogeny, Velu's
-    integral model of the quotient of E' by it is taken (after its
-    kernel checks on E'), and a closed-form test must find it isomorphic
-    over Q to E's minimal model (elliptic.isomorphic_to_minimal), so it
-    needs neither a factorization nor a minimal model of its own.  The
-    per-prime S1/S2 swap then follows: valuation_ratio_set(p, v', v) is
-    the other set from valuation_ratio_set(p, v, v') whenever v >= 1,
-    since v' = p v and v = p v' cannot both hold.
+    the dual kernel is rebuilt from the isogeny as ints (H, kappa), Velu's
+    integral model of E'/<h'> is taken after its kernel checks on E', and
+    a closed-form test must find it isomorphic over Q to E's minimal model
+    (elliptic.isomorphic_to_minimal): no Fraction, factorization or
+    minimal model.  The per-prime S1/S2 swap then follows:
+    valuation_ratio_set(p, v', v) is the other set from
+    valuation_ratio_set(p, v, v') whenever v >= 1, since v' = p v and
+    v = p v' cannot both hold.
     """
     iso = cls.isogeny
-    back = velu_model_from_kernel_poly(iso.codomain, dual_kernel_poly(iso), iso.p)
+    back = velu_model_from_scaled_kernel(iso.codomain, *scaled_dual_kernel(iso), iso.p)
     return isomorphic_to_minimal(back, cls.curve)
 
 

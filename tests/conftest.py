@@ -14,12 +14,18 @@ afterwards, is the reference for the one integral rescaling of
 ``isogeny._integral_kernel``.  ``json.dumps`` of the canonical copy
 that ``canonicalize`` makes is the reference for the one writer
 ``report.dumps``; the two share no code.
+
+One fixture lives here too, ``corpus_p7``: the 1000-fiber p = 7 scan
+with the dual check that the acceptance criteria and the dual-check
+tests share.
 """
 
 import json
 from dataclasses import asdict, is_dataclass
 from fractions import Fraction
 from math import lcm
+
+import pytest
 
 from shabound import polys
 from shabound.arith import factor_with_hints
@@ -33,6 +39,7 @@ from shabound.elliptic import (
 )
 from shabound.errors import InputError, ShaboundError
 from shabound.isogeny import dual_kernel_poly, velu_quotient_from_kernel_poly
+from shabound.search import SearchConstraints, scan, tate_family
 
 Q = Fraction
 
@@ -228,6 +235,16 @@ def fp_kernel_basis(p, rows, cols):
             v[c] = (-red[r_idx][f]) % p
         basis.append(tuple(v))
     return basis
+
+
+@pytest.fixture(scope="session")
+def corpus_p7():
+    """The p = 7 family scan over b = +-1, ..., +-500 with the dual check, at two worker counts.
+
+    Session scope: two modules read it, and a module-scoped fixture would scan once for each.
+    """
+    c = SearchConstraints(7, scan_budget=1000, verify_dual=True)
+    return scan(tate_family(7), c, jobs=1), scan(tate_family(7), c, jobs=2)
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

@@ -3,18 +3,17 @@
 elliptic.isomorphic_to_minimal must agree with the check by minimal
 models (conftest's oracles, which factor and minimalize) on whole fiber
 ranges, and decide rescalings and twists, j = 0 and j = 1728 included.
-The p = 7 scan corpus runs the whole dual path on 1000 fibers.
+The p = 7 scan corpus (conftest's corpus_p7) runs the whole dual path on 1000 fibers.
 """
 
-import pytest
 from conftest import oracle_dual_round_trip, oracle_isomorphic
 
 from shabound import report
 from shabound.descent import classify_primes
 from shabound.elliptic import invariants, isomorphic_to_minimal, minimal_model
 from shabound.errors import ShaboundError
-from shabound.isogeny import dual_kernel_poly, velu_model_from_kernel_poly
-from shabound.search import SearchConstraints, _verify_dual_swap, fiber, scan, tate_family
+from shabound.isogeny import scaled_dual_kernel, velu_model_from_scaled_kernel
+from shabound.search import _verify_dual_swap, fiber, tate_family
 
 
 def _classified(p, bs):
@@ -33,7 +32,7 @@ def test_closed_form_agrees_with_the_minimal_model_oracle():
         checked = 0
         for b, cls in _classified(p, [s * b for b in bs for s in (1, -1)]):
             iso = cls.isogeny
-            back = velu_model_from_kernel_poly(iso.codomain, dual_kernel_poly(iso), p)
+            back = velu_model_from_scaled_kernel(iso.codomain, *scaled_dual_kernel(iso), p)
             hints = (*cls.disc_factorization.primes, p)
             # E is the round trip's target, E' a curve it is not isomorphic to
             assert isomorphic_to_minimal(back, cls.curve) == oracle_isomorphic(back, cls.curve, hints), (p, b)
@@ -94,13 +93,6 @@ def test_a_fractional_discriminant_ratio_is_rejected():
     e11a1, e11a3 = invariants(0, -1, 1, -10, -20), invariants(0, -1, 1, 0, 0)
     assert e11a1.disc % e11a3.disc == 0 and e11a3.disc % e11a1.disc != 0
     assert not _decide(e11a3, e11a1)  # Delta''/Delta = 1/11^4
-
-
-@pytest.fixture(scope="module")
-def corpus_p7():
-    """The p = 7 family scan over b = +-1, ..., +-500 with the dual check, at two worker counts."""
-    c = SearchConstraints(7, scan_budget=1000, verify_dual=True)
-    return scan(tate_family(7), c, jobs=1), scan(tate_family(7), c, jobs=2)
 
 
 def test_p7_corpus_verifies_the_dual_on_every_kept_fiber(corpus_p7):

@@ -133,41 +133,57 @@ def test_dual_kernel_rejects_a_bad_kernel_poly(monkeypatch):
 
 
 def test_the_dual_check_makes_two_division_polynomial_calls(monkeypatch):
-    # per dual-checked fiber: the top of psi_p in dual_kernel_poly and
-    # psi'_p mod h' on E'; the forward kernel is not proved again
+    # per dual-checked fiber: the top of psi_p in the dual kernel solve and
+    # psi'_p mod h' on E', in the ring the closure test on E' shares, then
+    # the isomorphism test against E; the forward kernel is not proved again
     calls = []
-    psi = isogeny.division_poly_x
+    psi, closed, iso_test = isogeny.division_poly_x, isogeny._stable_under_doubling, search.isomorphic_to_minimal
 
-    def counted(e, n, ring):
+    def counted(e, n, ring, *psi2_sq):
         mul = ring[1]
-        calls.append("top" if mul is isogeny._mul_top else "full" if mul is polys.mul else "mod")
-        return psi(e, n, ring)
+        calls.append("top" if mul is isogeny._mul_top else "full" if mul is polys.mul else ("mod", ring))
+        return psi(e, n, ring, *psi2_sq)
+
+    def counted_closure(e, h, ring, psi2_sq):
+        calls.append(("closure", ring))
+        return closed(e, h, ring, psi2_sq)
+
+    def counted_iso(e, emin):
+        calls.append("isomorphic")
+        return iso_test(e, emin)
 
     monkeypatch.setattr(isogeny, "division_poly_x", counted)
+    monkeypatch.setattr(isogeny, "_stable_under_doubling", counted_closure)
+    monkeypatch.setattr(search, "isomorphic_to_minimal", counted_iso)
     for p, bs in ((5, (2, -3, -32, 41)), (7, (2, -3, 5, 30))):
         for b in bs:
             calls.clear()
             assert search.evaluate_row(p, b)["dual_swap_verified"], (p, b)
-            assert sorted(calls) == ["mod", "top"], (p, b, calls)
+            assert [c if isinstance(c, str) else c[0] for c in calls] == ["top", "mod", "closure", "isomorphic"], (p, b)
+            assert calls[1][1] is calls[2][1]  # one residue ring
 
 
 def test_dual_check_stays_in_integers(monkeypatch):
-    # dual_kernel_poly and the dual's Velu step run over Z: Fractions only
-    # at the edges.  dual_kernel_poly makes no Fraction product, with or
-    # without a change of model (p = 5, b = -32 and p = 7, b = 5 need one,
-    # which the solve takes in its integer u^2 and r); at b = 2 the dual's
-    # Velu step runs over Z on the rescaled pair of a non-integral kernel
-    # polynomial, and its 3 products solve for s, r and t in
-    # elliptic._transform_between, none at all where the model is minimal.
-    # The scan's dual check takes Velu's model on the rescaled integral
-    # pair instead and tests it against E in closed form: no Fraction
-    # product at all, and neither a factorization nor a minimal model
-    calls = [0]
-    mul, rmul = Fraction.__mul__, Fraction.__rmul__
+    # The scan's dual check runs over Z end to end: the dual kernel as the
+    # ints (H, kappa), Velu's model on the integral pair made from them,
+    # and the closed-form test against E.  It makes no Fraction at all,
+    # with or without a change of model (u = 1 at b = 2; u = p at p = 5,
+    # b = -32 and p = 7, b = 5), and neither a factorization nor a
+    # minimal model.  The Fraction edge, dual_kernel_poly and the dual's
+    # velu_quotient_from_kernel_poly, makes no Fraction product where the
+    # model is minimal; at b = 2 its Velu step runs over Z on the rescaled
+    # pair of a non-integral kernel polynomial, and its 3 products solve
+    # for s, r and t in elliptic._transform_between
+    made, products = [0], [0]
+    new, mul, rmul = Fraction.__new__, Fraction.__mul__, Fraction.__rmul__
+
+    def counted_new(cls, *args, **kwargs):
+        made[0] += 1
+        return new(cls, *args, **kwargs)
 
     def counted(op):
         def wrapped(a, b):
-            calls[0] += 1
+            products[0] += 1
             return op(a, b)
         return wrapped
 
@@ -183,16 +199,19 @@ def test_dual_check_stays_in_integers(monkeypatch):
         fib = fiber(tate_family(p), b)
         cls = classify_primes(fib.curve, fib.point, p, fib.disc_factorization)
         iso = cls.isogeny
-        assert (iso.to_minimal.u == 1) == (b == 2), (p, b)
+        assert iso.to_minimal.u == (1 if b == 2 else p), (p, b)
+        monkeypatch.setattr(Fraction, "__new__", counted_new)
+        made[0] = 0
+        assert search._verify_dual_swap(cls)
+        assert made[0] == 0, (p, b, made[0])
+        assert Fraction(1, 2) and made[0] == 1  # the counter counts
+        monkeypatch.undo()
         monkeypatch.setattr(Fraction, "__mul__", counted(mul))
         monkeypatch.setattr(Fraction, "__rmul__", counted(rmul))
-        calls[0] = 0
+        products[0] = 0
         velu_quotient_from_kernel_poly(iso.codomain, dual_kernel_poly(iso), p)
-        assert calls[0] == (3 if b == 2 else 0), (p, b, calls[0])
-        calls[0] = 0
-        assert search._verify_dual_swap(cls)
-        assert calls[0] == 0, (p, b, calls[0])
-        assert Fraction(1, 2) * 3 == Fraction(3, 2) and calls[0] > 0  # the counter counts
+        assert products[0] == (3 if b == 2 else 0), (p, b, products[0])
+        assert Fraction(1, 2) * 3 == Fraction(3, 2) and products[0] > 0  # the counter counts
         monkeypatch.undo()
         for name, home in (("factor_with_hints", arith), ("minimal_model", elliptic)):
             fn = getattr(home, name)
@@ -256,8 +275,9 @@ def test_rational_kernels_match_the_fraction_model_oracle():
 
 def test_dual_kernel_solve_multiplies_no_series_by_one(monkeypatch):
     # the truncated psi_p takes 4 products at p = 5 (10 at p = 7), the tops
-    # of h_c^2 and N' 7, and the tops of T_1 .. T_d 2 (5): h_c^0 = 1 and
-    # N'^1 are taken as they are, so no product has a factor one
+    # of h_c^2 and N' 2 (N' is the x-map's series times h_c^2), and the
+    # tops of T_1 .. T_d 2 (5): h_c^0 = 1 and N'^1 are taken as they are,
+    # so no product has a factor one
     calls = [0]
     mul_top = isogeny._mul_top
 
@@ -268,7 +288,7 @@ def test_dual_kernel_solve_multiplies_no_series_by_one(monkeypatch):
         return mul_top(f, g)
 
     monkeypatch.setattr(isogeny, "_mul_top", counted)
-    for p, b, want in ((5, 2, 13), (5, -32, 13), (7, 2, 22), (7, 5, 22)):
+    for p, b, want in ((5, 2, 8), (5, -32, 8), (7, 2, 17), (7, 5, 17)):
         fib = fiber(tate_family(p), b)
         iso = classify_primes(fib.curve, fib.point, p, fib.disc_factorization).isogeny
         calls[0] = 0

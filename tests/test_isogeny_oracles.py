@@ -17,7 +17,7 @@ from conftest import ZX, poly_sub
 
 from shabound import isogeny, polys
 from shabound.descent import classify_primes
-from shabound.elliptic import invariants
+from shabound.elliptic import invariants, isomorphic_to_minimal
 from shabound.errors import InputError
 from shabound.isogeny import (
     division_poly_x,
@@ -119,9 +119,17 @@ def oracle_division_poly_x(e, n):
 
 # -------------------------------------------------------------------- tests
 
+def _integral_pair(e, h):
+    """The library's integral pair of a kernel polynomial h, ints and Fractions alike."""
+    big_d = isogeny._denominator(h)
+    return isogeny._integral_kernel(e, isogeny._scaled(h, big_d), big_d)
+
+
 def _stable_under_doubling(e, h):
-    """The library's closure test, on the integral pair its callers pass it."""
-    return isogeny._stable_under_doubling(*isogeny._integral_kernel(e, h))
+    """The library's closure test, on the integral pair and in the ring its callers pass it."""
+    e_k, h_k = _integral_pair(e, h)
+    ring = polys.residue_ring(h_k)
+    return isogeny._stable_under_doubling(e_k, h_k, ring, ring[0](isogeny._psi2_squared(e_k)))
 
 
 def _isogenies(p, bs):
@@ -169,9 +177,15 @@ def _raw_dual_scaled(iso, c):
 
 
 def _velu_x_numerator(e, h_c, p, c):
-    """N_c in full, X = N_c / (c h_c^2) the Velu x-map at x = y / c (Kohel's form):
-    the polynomial whose top coefficients isogeny._velu_x_numerator_top gives."""
-    dh, ddh = polys.deriv(h_c), polys.deriv(polys.deriv(h_c))
+    """N_c in full, X = N_c / (c h_c^2) the Velu x-map at x = y / c, in Kohel's form:
+
+    X = p x - 2 s_1 - t(x) h'/h - T(x) (h'/h)', with s_1 the sum of the
+    roots of h, t = 6x^2 + b2 x + b4 and T = 4x^3 + b2 x^2 + 2 b4 x + b6;
+    N_c = c^(2d+1) X h^2 in terms of h_c, t_c = c^2 t and T_c = c^3 T.
+    The library reads only its top, from the power sums of h_c instead.
+    """
+    dh = [i * a for i, a in enumerate(h_c)][1:]
+    ddh = [i * a for i, a in enumerate(dh)][1:]
     out = polys.mul([2 * h_c[-2], p], polys.mul(h_c, h_c))
     out = poly_sub(out, polys.mul(isogeny._scaled([e.b4, e.b2, 6], c), polys.mul(dh, h_c)))
     inner = poly_sub(polys.mul(ddh, h_c), polys.mul(dh, dh))
@@ -180,36 +194,45 @@ def _velu_x_numerator(e, h_c, p, c):
 
 def test_dual_kernel_identity_holds_on_every_coefficient():
     # dual_kernel_poly reads H off the top d + 1 coefficients of
-    # sum_j H_j N_c^j h_c^(2(d-j)) = A_c; the identity holds on all of them
+    # sum_j H_j N_c^j h_c^(2(d-j)) = A_c; the identity holds on all of
+    # them, and the top of N_c, from Velu's power sums, is the top of
+    # Kohel's form.  Kernels from points (D = 1), p = 7 with u = p among
+    # them, and dual-of-dual Fraction kernels (D = p)
     cases = [(5, [s * b for b in range(1, 41) for s in (1, -1)])]
-    cases.append((7, [s * b for b in range(2, 7) for s in (1, -1)]))
-    moved = 0
-    for p, bs in cases:
-        for b, iso in _isogenies(p, bs):
-            e, h = iso.domain, list(iso.kernel_x_poly)
-            d, c = len(h) - 1, p * isogeny._denominator(h)
-            h_c = isogeny._scaled(h, c)
-            y = sympy.symbols("y")
-            quo, rem = sympy.div(
-                _sympy_poly([x // p for x in isogeny._scaled(division_poly_x(e, p, ZX), c)], y), _sympy_poly(h_c, y)
-            )
-            assert rem.is_zero
-            a_c = [int(k) for k in reversed(quo.all_coeffs())]
-            n_c, hh = _velu_x_numerator(e, h_c, p, c), polys.mul(h_c, h_c)
-            hh_top = hh[: -d - 2 : -1]
-            assert isogeny._velu_x_numerator_top(e, h_c, p, c, hh_top) == n_c[: -d - 2 : -1]
-            total = []
-            for j, hj in enumerate(_raw_dual_scaled(iso, c)):
-                term = [hj]
-                for _ in range(j):
-                    term = polys.mul(term, n_c)
-                for _ in range(d - j):
-                    term = polys.mul(term, hh)
-                total = poly_sub(total, [-t for t in term])
-            assert total == a_c, (p, b)
-            assert len(a_c) - 1 == p * d
-            moved += iso.to_minimal.u != 1
+    cases.append((7, [s * b for b in range(2, 7) for s in (1, -1)] + [12]))
+    isos = [(p, b, iso) for p, bs in cases for b, iso in _isogenies(p, bs)]
+    for p, b in ((5, -3), (7, 2)):
+        iso = next(_isogenies(p, [b]))[1]
+        isos.append((p, ("dual", b), velu_quotient_from_kernel_poly(iso.codomain, dual_kernel_poly(iso), p)))
+    moved, kinds = 0, set()
+    for p, b, iso in isos:
+        e, h = iso.domain, list(iso.kernel_x_poly)
+        d, c = len(h) - 1, p * isogeny._denominator(h)
+        h_c = isogeny._scaled(h, c)
+        y = sympy.symbols("y")
+        quo, rem = sympy.div(
+            _sympy_poly([x // p for x in isogeny._scaled(division_poly_x(e, p, ZX), c)], y), _sympy_poly(h_c, y)
+        )
+        assert rem.is_zero
+        a_c = [int(k) for k in reversed(quo.all_coeffs())]
+        n_c, hh = _velu_x_numerator(e, h_c, p, c), polys.mul(h_c, h_c)
+        hh_top = hh[: -d - 2 : -1]
+        n_top = isogeny._mul_top([1, 0, *isogeny._x_map_expansion(e, h_c, c, d - 1)], hh_top)
+        assert n_top == n_c[: -d - 2 : -1], (p, b)
+        total = []
+        for j, hj in enumerate(_raw_dual_scaled(iso, c)):
+            term = [hj]
+            for _ in range(j):
+                term = polys.mul(term, n_c)
+            for _ in range(d - j):
+                term = polys.mul(term, hh)
+            total = poly_sub(total, [-t for t in term])
+        assert total == a_c, (p, b)
+        assert len(a_c) - 1 == p * d
+        moved += iso.to_minimal.u != 1
+        kinds.add((p, c // p, iso.to_minimal.u))
     assert moved >= 2  # the change-of-model path is covered too
+    assert {(7, 1, 7), (5, 5, 5), (7, 7, 7)} <= kinds, kinds  # (p, D, u)
 
 
 def test_dual_of_kernel_poly_isogeny_matches_oracle():
@@ -298,7 +321,7 @@ def _kernel_pairs():
 def test_residue_ring_gives_psi_mod_h():
     denominators = set()
     for e, h, p in _kernel_pairs():
-        e_k, h_k = isogeny._integral_kernel(e, h)
+        e_k, h_k = _integral_pair(e, h)
         denominators.add(isogeny._denominator(h))
         assert h_k[-1] == 1 and all(type(c) is int for c in h_k)
         assert division_poly_x(e_k, p, polys.residue_ring(h_k)) == [0] * (len(h) - 1)
@@ -316,7 +339,28 @@ def test_residue_ring_rejects_every_one_coefficient_perturbation():
             for delta in (1, -1, Q(1, p)):
                 moved = list(h)
                 moved[j] += delta
-                e_k, h_k = isogeny._integral_kernel(e, moved)
+                e_k, h_k = _integral_pair(e, moved)
                 assert any(division_poly_x(e_k, p, polys.residue_ring(h_k))), (p, j, delta)
                 with pytest.raises(InputError, match="does not divide"):
                     velu_quotient_from_kernel_poly(e, moved, p)
+
+
+def test_scaled_kernel_entry_rejects_every_one_coefficient_perturbation():
+    # the dual check's entry takes the dual kernel as the ints (H, kappa),
+    # h' = kappa^-d H(kappa y); moving one coefficient of H by 1, or the
+    # scale kappa by a factor p, leaves no kernel of a p-isogeny
+    for p, bs in ((5, [2, -3, 7, 12, -32]), (7, [2, -3, 5, -6])):
+        for _, iso in _isogenies(p, bs):
+            big_h, kappa = isogeny.scaled_dual_kernel(iso)
+            assert all(type(c) is int for c in (*big_h, kappa))
+            back = isogeny.velu_model_from_scaled_kernel(iso.codomain, big_h, kappa, p)
+            assert isomorphic_to_minimal(back, iso.domain)  # the round trip, fibers being minimal
+            d = len(big_h) - 1
+            for j in range(d + 1):
+                for delta in (1, -1):
+                    moved = list(big_h)
+                    moved[j] += delta
+                    with pytest.raises(InputError, match="must be monic" if j == d else "does not divide"):
+                        isogeny.velu_model_from_scaled_kernel(iso.codomain, moved, kappa, p)
+            with pytest.raises(InputError, match="does not divide"):
+                isogeny.velu_model_from_scaled_kernel(iso.codomain, big_h, kappa * p, p)
