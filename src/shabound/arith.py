@@ -112,21 +112,19 @@ def _lucas_strong_probable_prime(n: int) -> bool:
 def is_prime(n: int) -> bool:
     """Deterministic primality for 0 <= n < 2^128.
 
-    Below psi_13 (~2^81) this is Miller-Rabin with the shortest prefix of
-    the prime bases proven for n's size; up to the 2^128 working limit it
-    is a Baillie-PSW check (strong base-2 MR plus strong Lucas).  Inputs
-    at or beyond the working limit are rejected rather than answered
-    probabilistically.
+    Below 2^12 it is a lookup in the table of _small_primes.  Below psi_13
+    (~2^81) it is Miller-Rabin with the shortest prefix of the prime bases
+    proven for n's size; up to the 2^128 working limit it is a Baillie-PSW
+    check (strong base-2 MR plus strong Lucas).  Inputs at or beyond the
+    working limit are rejected rather than answered probabilistically.
     """
     if n < 0:
         raise InputError("is_prime expects a nonnegative integer")
+    if n < _SMALL_LIMIT:
+        return n in _small_prime_set()
     if n >= _WORKING_LIMIT:
         raise InputError(f"n >= 2^128 is outside the declared working range: {n}")
-    if n < 2:
-        return False
     for p in _MR_BASES:
-        if n == p:
-            return True
         if n % p == 0:
             return False
     for k, psi in enumerate(_MR_PSI, 1):
@@ -181,12 +179,6 @@ class Factorization:
     @property
     def complete(self) -> bool:
         return True
-
-    def valuation(self, q: int) -> int:
-        for p, e in self.factors:
-            if p == q:
-                return e
-        return 0
 
     @property
     def primes(self) -> tuple[int, ...]:
@@ -256,6 +248,12 @@ def _small_primes() -> tuple[tuple[int, ...], int]:
             sieve[q * q :: q] = bytes(len(range(q * q, _SMALL_LIMIT, q)))
     primes = tuple(compress(range(2, _SMALL_LIMIT), sieve[2:]))
     return primes, prod(primes)
+
+
+@lru_cache(maxsize=1)
+def _small_prime_set() -> frozenset[int]:
+    """The primes below _SMALL_LIMIT as a set: is_prime's table."""
+    return frozenset(_small_primes()[0])
 
 
 @lru_cache(maxsize=1)
@@ -380,6 +378,8 @@ def _factor_into(m: int, found: dict[int, int], mult: int = 1) -> int:
                 g //= q
     if g > 1:
         m = _divide_out(m, g, found, mult)
+    if m == 1:
+        return 1
     r, k = _perfect_power(m, _SMALL_LIMIT)
     lo = _SMALL_LIMIT
     while lo <= _TRIAL_LIMIT and lo * lo <= r:
@@ -458,7 +458,11 @@ def factor_with_hints(n: int, hints: tuple[int, ...]):
     m = abs(n)
     found: dict[int, int] = {}
     for q in sorted(set(hints)):
-        m = _divide_out(m, q, found)
+        k = 0
+        while m % q == 0:
+            m, k = m // q, k + 1
+        if k:
+            found[q] = k
     stubborn = _factor_into(m, found) if m > 1 else 1
     return _factorization(n, 1 if n > 0 else -1, found, stubborn)
 

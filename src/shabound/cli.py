@@ -176,11 +176,11 @@ def _second_kernel_payload(cls, text: str, p: int) -> dict:
     iso2 = velu_quotient_from_kernel_poly(cls.curve, h, p, cls.disc_factorization.primes)
     # Valuation-ratio classification only; there is no rational kernel point here.
     s1, s2 = [], []
-    fac2 = iso2.codomain_disc_factorization
+    image_vals = dict(iso2.codomain_disc_factorization.factors)
     for q, v in cls.disc_factorization.factors:
         if q == p:
             continue
-        verdict = valuation_ratio_set(p, v, fac2.valuation(q))
+        verdict = valuation_ratio_set(p, v, image_vals.get(q, 0))
         if verdict is not None:  # a prime with neither ratio is skipped
             (s1 if verdict == S1 else s2).append(q)
     return {

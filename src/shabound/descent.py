@@ -87,6 +87,7 @@ def classify_primes(
     emin, tr, fac_min = minimal_model(e, disc_factorization)
     pmin = transform_point(pt, tr)
     iso = velu_quotient(emin, pmin, p, fac_min.primes)
+    image_vals = dict(iso.codomain_disc_factorization.factors)
     x, y = pmin
     s1, s2, excluded, evidence = [], [], [], []
     for q, v in fac_min.factors:
@@ -104,7 +105,7 @@ def classify_primes(
         # test 1: does the kernel point reduce to the node?
         verdict_pt = S1 if (x % q, y % q) == node else S2
         # test 2: discriminant valuation ratio under the isogeny
-        vp = iso.codomain_disc_factorization.valuation(q)
+        vp = image_vals.get(q, 0)
         verdict_val = valuation_ratio_set(p, v, vp)
         if verdict_val is None:
             raise ClassifierDisagreement(

@@ -3,9 +3,9 @@
 Exact invariants, the kernel walk of a point of odd order, globally
 minimal models (Laska-Kraus-Connell), and the reduction type at every
 prime with the node of a split one.  No floating point anywhere:
-coefficients are ints, points are pairs of Fractions or of ints, and the
-kernel walk runs over Z (a point of odd order on an integral model is
-integral).
+coefficients are ints, and so are the changes of model between integral
+models; points are pairs of Fractions or of ints, and the kernel walk
+runs over Z (a point of odd order on an integral model is integral).
 """
 
 from __future__ import annotations
@@ -132,19 +132,22 @@ def has_order(e: Curve, pt: Point, p: int) -> bool:
 
 @dataclass(frozen=True)
 class Transformation:
-    """Coordinate change x = u^2 x' + r, y = u^3 y' + s u^2 x' + t."""
+    """Coordinate change x = u^2 x' + r, y = u^3 y' + s u^2 x' + t.
 
-    u: Fraction
-    r: Fraction
-    s: Fraction
-    t: Fraction
+    Ints between integral models (minimal_model); Fractions from a rescaled kernel.
+    """
+
+    u: int | Fraction
+    r: int | Fraction
+    s: int | Fraction
+    t: int | Fraction
 
     @staticmethod
     def identity() -> "Transformation":
         return _IDENTITY
 
 
-_IDENTITY = Transformation(Q(1), Q(0), Q(0), Q(0))
+_IDENTITY = Transformation(1, 0, 0, 0)
 
 
 def transform_point(pt: Point, tr: Transformation) -> Point:
@@ -215,11 +218,20 @@ def _reduce_model(e: Curve) -> Curve:
 
 
 def _transform_between(e: Curve, emin: Curve, u: int) -> Transformation:
-    """The (u, r, s, t) carrying e to emin; solved from the a-invariant relations."""
-    s = (u * emin.a1 - e.a1) / Q(2)
-    r = (u**2 * emin.a2 - e.a2 + s * e.a1 + s * s) / Q(3)
-    t = (u**3 * emin.a3 - e.a3 - r * e.a1) / Q(2)
-    return Transformation(Q(u), r, s, t)
+    """The (u, r, s, t) carrying e to emin; solved from the a-invariant relations.
+
+    For integral e and emin and an integer u > 0, r, s and t are integers
+    (Silverman AEC VII.1.3(d)): each division is exact and gives an int,
+    and one with a remainder would give a Fraction, not a wrong int.
+    """
+
+    def exact(num, den):
+        return num // den if num % den == 0 else Q(num, den)
+
+    s = exact(u * emin.a1 - e.a1, 2)
+    r = exact(u**2 * emin.a2 - e.a2 + s * e.a1 + s * s, 3)
+    t = exact(u**3 * emin.a3 - e.a3 - r * e.a1, 2)
+    return Transformation(u, r, s, t)
 
 
 def minimal_model(

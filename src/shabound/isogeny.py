@@ -3,10 +3,12 @@
 Two entry points: a kernel generated by a rational point of order p, or a
 rational kernel x-polynomial of degree (p-1)/2 (for subgroups whose
 points are irrational but Galois-stable).  Both go through one power-sum
-form of Velu's formulas.  The dual kernel polynomial h' is read off the
-leading coefficients of h'(X) h^(p-1) = psi_p / (p h), the top of the
-x-map X = N / h^2 coming from the same power sums, so nothing here needs
-the roots of a kernel polynomial.  One division-polynomial recursion
+form of Velu's formulas, the sums read off a kernel walk's x-coordinates
+or, by Newton's identities, off a kernel polynomial.  The dual kernel
+polynomial h' is read off the leading coefficients of
+h'(X) h^(p-1) = psi_p / (p h), the top of the x-map X = N / h^2 coming
+from the same power sums, so nothing here needs the roots of a kernel
+polynomial.  One division-polynomial recursion
 serves two rings: series in 1 / x truncated to the few leading
 coefficients the dual kernel reads, and Z[x] / (h), shared by the check
 that h divides psi_p and the closure check.  Both checks run only where
@@ -14,9 +16,10 @@ a kernel polynomial enters (a caller's, or the dual kernel on E'), and
 with Velu's formulas over Z on one rescaled pair (_integral_kernel:
 a_i -> D^i a_i and h -> D^(2d) h(y / D^2), D the lcm of h's
 denominators, 1 for a kernel point).  So the dual check stays in Z, the
-solve giving h' as the ints (H, kappa); Fractions appear only where a
-kernel polynomial or a transformation comes in or goes out, as in
-dual_kernel_poly's return.
+solve giving h' as the ints (H, kappa).  The changes of model that
+minimal_model returns are ints too.  Fractions appear only where a
+caller's kernel polynomial comes in (its to_minimal carries D back) or
+a kernel polynomial goes out, as in dual_kernel_poly's return.
 Codomains come back globally minimal, with the factorization of their
 discriminant, so discriminant valuations feed the descent classifier
 directly; that factorization starts from hinted primes of the domain.
@@ -144,44 +147,41 @@ class IsogenyData:
     """A p-isogeny with its minimal codomain; its kernel_x_poly divides psi_p of its domain.
 
     _velu is the one constructor, reached from the kernel_multiples walk
-    (velu_quotient) or after _checked_kernel (velu_quotient_from_kernel_poly),
-    so the divisibility was proved where the kernel came in.
+    (velu_quotient) or after the checks of velu_model_from_scaled_kernel
+    (velu_quotient_from_kernel_poly), so the divisibility was proved where
+    the kernel came in.
     """
 
     p: int
     domain: Curve
     codomain: Curve  # globally minimal
-    to_minimal: Transformation  # Velu's (rational) output model -> codomain
+    to_minimal: Transformation  # Velu's output model -> codomain; ints from a kernel point
     kernel_x_poly: tuple[int | Fraction, ...]  # monic, degree (p-1)/2; ints from a kernel point
     codomain_disc_factorization: Factorization  # of codomain.disc, from minimal_model
 
 
-def _velu_model(e: Curve, h: list[int]) -> Curve:
-    """Velu's codomain of e / <h>, for h monic integral on the integral model e.
+def _velu_model(e: Curve, d: int, p1: int, p2: int, p3: int) -> Curve:
+    """Velu's codomain of e / G on the integral model e, from the first three
+    power sums p1, p2, p3 of the d kernel x-coordinates, one per +-pair of G - {O}.
 
-    It comes from the power sums of h (y-free, p odd), which are integers,
-    so t and w, and the model, are integral.
+    The formula is y-free (p odd).  The sums are integers, whether read off
+    a kernel walk's integer x-coordinates or, by Newton's identities, off a
+    monic integral kernel polynomial, so t and w, and the model, are integral.
     """
-    d = len(h) - 1
     b2, b4, b6 = e.b2, e.b4, e.b6
-    p1, p2, p3 = polys.power_sums(h, 3)
     t = 6 * p2 + b2 * p1 + d * b4
     w = 10 * p3 + 2 * b2 * p2 + 3 * b4 * p1 + d * b6
     return invariants(e.a1, e.a2, e.a3, e.a4 - 5 * t, e.a6 - b2 * t - 7 * w)
 
 
-def _velu(
-    e: Curve, p: int, kernel: tuple, e_k: Curve, h_k: list[int], big_d: int, hints: tuple[int, ...]
-) -> IsogenyData:
+def _velu(e: Curve, p: int, kernel: tuple, raw: Curve, big_d: int, hints: tuple[int, ...]) -> IsogenyData:
     """Velu's codomain of e / <kernel> made globally minimal, with its discriminant factored.
 
-    e_k, h_k is the integral pair of _integral_kernel at scale big_d (e and
-    kernel themselves for a kernel point, D = 1).  The raw model's
-    discriminant is factored with the hints (primes of the domain's
-    discriminant) and p first: isogenous curves share their bad primes,
-    and D is a power of p.
+    raw is Velu's integral model on the pair of _integral_kernel at scale
+    big_d (on e itself for a kernel point, D = 1).  Its discriminant is
+    factored with the hints (primes of the domain's discriminant) and p
+    first: isogenous curves share their bad primes, and D is a power of p.
     """
-    raw = _velu_model(e_k, h_k)
     if is_prime(p):  # a point of order 9 also has a Velu quotient
         hints = (*hints, p)
     # hints above the trial limit would complete factorizations that factor() gives up on
@@ -189,7 +189,7 @@ def _velu(
     emin, tr, fac_min = minimal_model(raw, fac_raw)
     if big_d != 1:
         # raw coordinates are (D^2 x, D^3 y) images of Velu's model on e
-        tr = Transformation(tr.u / big_d, tr.r / big_d**2, tr.s / big_d, tr.t / big_d**3)
+        tr = Transformation(Q(tr.u, big_d), Q(tr.r, big_d**2), Q(tr.s, big_d), Q(tr.t, big_d**3))
     return IsogenyData(p, e, emin, tr, kernel, fac_min)
 
 
@@ -197,17 +197,18 @@ def velu_quotient(e: Curve, pt: Point, p: int, hints: tuple[int, ...] = ()) -> I
     """The quotient isogeny E -> E/<P> for a rational point P of odd prime order p.
 
     The kernel is P, ..., ((p-1)/2)P, one representative per +-pair, from
-    the integer walk that also checks the order, so the kernel polynomial
-    h is built in Z[x] and kept as ints.  h divides the p-division
-    polynomial without a check: these multiples have distinct
-    x-coordinates, each a root of psi_p.  hints are primes of the
-    discriminant of e (see _velu).
+    the integer walk that also checks the order; Velu's power sums are
+    read off its x-coordinates, and the kernel polynomial h, built from
+    them in Z[x], is kept as ints.  h divides the p-division polynomial
+    without a check: these multiples have distinct x-coordinates, each a
+    root of psi_p.  hints are primes of the discriminant of e (see _velu).
     """
     reps = kernel_multiples(e, pt, p)
     if reps is None:
         raise InputError(f"kernel point must have exact order {p}")
-    h = polys.from_roots([x for x, _ in reps])
-    return _velu(e, p, tuple(h), e, h, 1, hints)
+    xs = [x for x, _ in reps]
+    raw = _velu_model(e, len(xs), sum(xs), sum(x * x for x in xs), sum(x**3 for x in xs))
+    return _velu(e, p, tuple(polys.from_roots(xs)), raw, 1, hints)
 
 
 def velu_quotient_from_kernel_poly(
@@ -223,21 +224,16 @@ def velu_quotient_from_kernel_poly(
     """
     h = [Q(c) for c in h]
     big_d = _denominator(h)
-    e_k, h_k = _checked_kernel(e, _scaled(h, big_d), big_d, p)
-    return _velu(e, p, tuple(h), e_k, h_k, big_d, hints)
+    raw = velu_model_from_scaled_kernel(e, _scaled(h, big_d), big_d, p)
+    return _velu(e, p, tuple(h), raw, big_d, hints)
 
 
 def velu_model_from_scaled_kernel(e: Curve, big_h: list[int], kappa: int, p: int) -> Curve:
-    """An integral model of E / <h>, h(y) = kappa^-d H(kappa y), for the dual check,
-    which needs it only up to isomorphism: the checks of _checked_kernel,
-    then Velu's formulas on its pair; no Fraction, factorization or minimal model.
-    """
-    return _velu_model(*_checked_kernel(e, big_h, kappa, p))
-
-
-def _checked_kernel(e: Curve, big_h: list[int], kappa: int, p: int) -> tuple[Curve, list[int]]:
-    """The integral pair of _integral_kernel for h(y) = kappa^-d H(kappa y), once h passes
-    the checks: psi_p mod h_D and closure under doubling, in one ring Z[y] / (h_D).
+    """An integral model of E / <h>, h(y) = kappa^-d H(kappa y): Velu's formulas on
+    the pair (e_k, h_D) of _integral_kernel, from h_D's power sums, once h passes the
+    checks, psi_p mod h_D and closure under doubling in one ring Z[y] / (h_D).  No
+    Fraction, factorization or minimal model: the dual check, which needs the codomain
+    only up to isomorphism, stops here; velu_quotient_from_kernel_poly goes on to _velu.
     """
     if not isinstance(p, int) or p < 3 or p % 2 == 0:
         raise InputError(f"p must be an odd integer >= 3, got {p}")
@@ -250,7 +246,7 @@ def _checked_kernel(e: Curve, big_h: list[int], kappa: int, p: int) -> tuple[Cur
         raise InputError("kernel polynomial does not divide the p-division polynomial")
     if not _stable_under_doubling(e_k, h_k, ring, psi2_sq):
         raise InputError("kernel polynomial roots are not closed under doubling")
-    return e_k, h_k
+    return _velu_model(e_k, len(h_k) - 1, *polys.power_sums(h_k, 3))
 
 
 def _stable_under_doubling(e: Curve, h: list[int], ring, psi2_sq: list[int]) -> bool:
@@ -312,8 +308,8 @@ def scaled_dual_kernel(iso: IsogenyData) -> tuple[list[int], int]:
     there, so X_min = N' / (kappa h_c^2) with N' = N_c - c r h_c^2 (c X - c r
     times h_c^2) and kappa = c u^2, and the same solve gives
     H_j = kappa^(d-j) h'_min,j.  For a kernel from a point Velu's model is
-    integral, so u and r are integers (Silverman AEC VII.1.3(d)), taken as
-    ints: then the solve makes no Fraction.
+    integral, so u and r are ints (Silverman AEC VII.1.3(d)), and an integral
+    Fraction u or r is taken as an int: then the solve makes no Fraction.
     """
     e, p = iso.domain, iso.p
     h = list(iso.kernel_x_poly)

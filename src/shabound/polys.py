@@ -1,8 +1,9 @@
 """Small dense univariate polynomial helpers.
 
-Coefficients low-degree-first.  Two layers: ring operations and
-evaluation that work over Z or Q alike (the type of the coefficients
-passed in is the type that comes out), and arithmetic in Z[y] / (a)
+Coefficients low-degree-first.  Two layers: evaluation, the polynomial
+with given roots and power sums, which work over Z or Q alike (the type
+of the coefficients passed in is the type that comes out; the tests hold
+the full product), and arithmetic in Z[y] / (a)
 for a monic a, which keeps Fraction normalization out of the
 division-polynomial and closure checks.
 
@@ -16,22 +17,6 @@ from __future__ import annotations
 
 # ------------------------------------------------------------ over Z or Q
 
-def trim(f: list) -> list:
-    while f and f[-1] == 0:
-        f.pop()
-    return f
-
-
-def mul(f, g):
-    if not f or not g:
-        return []
-    out = [0] * (len(f) + len(g) - 1)
-    for i, a in enumerate(f):
-        for j, b in enumerate(g):
-            out[i + j] += a * b
-    return trim(out)
-
-
 def evaluate(f, x):
     """f(x) by Horner's rule."""
     acc = 0
@@ -43,8 +28,8 @@ def evaluate(f, x):
 def from_roots(roots) -> list:
     """Monic polynomial with the given roots; integer roots give integer coefficients."""
     out = [1]
-    for r in roots:
-        out = mul(out, [-r, 1])
+    for r in roots:  # out * (x - r): out one degree up, minus r * out
+        out = [a - r * b for a, b in zip([0, *out], [*out, 0])]
     return out
 
 

@@ -139,6 +139,7 @@ class SearchConstraints:
     verify_dual: bool = True
 
     def __post_init__(self):
+        tate_family(self.p)  # first: the checks below divide by p
         for name in ("scan_budget", "parameter_box", "omega_max"):
             value = getattr(self, name)
             if value is not None and value < 0:

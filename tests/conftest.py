@@ -21,6 +21,8 @@ tests share.
 """
 
 import json
+import pathlib
+import re
 from dataclasses import asdict, is_dataclass
 from fractions import Fraction
 from math import lcm
@@ -43,8 +45,26 @@ from shabound.search import SearchConstraints, scan, tate_family
 
 Q = Fraction
 
+def poly_trim(f: list) -> list:
+    """f without its zero top coefficients."""
+    while f and f[-1] == 0:
+        f.pop()
+    return f
+
+
+def poly_mul(f, g):
+    """The schoolbook product of two low-degree-first coefficient lists, trimmed."""
+    if not f or not g:
+        return []
+    out = [0] * (len(f) + len(g) - 1)
+    for i, a in enumerate(f):
+        for j, b in enumerate(g):
+            out[i + j] += a * b
+    return poly_trim(out)
+
+
 # the ring in which isogeny.division_poly_x gives psi_n in full: Z[x], low degree first
-ZX = (list, polys.mul)
+ZX = (list, poly_mul)
 
 
 def canonicalize(obj):
@@ -74,7 +94,7 @@ def oracle_dumps(obj) -> str:
 def poly_sub(f, g):
     """f - g for low-degree-first coefficient lists, trimmed."""
     n = max(len(f), len(g))
-    return polys.trim([(f[i] if i < len(f) else 0) - (g[i] if i < len(g) else 0) for i in range(n)])
+    return poly_trim([(f[i] if i < len(f) else 0) - (g[i] if i < len(g) else 0) for i in range(n)])
 
 
 def apply_transform(e, tr):
@@ -194,7 +214,7 @@ def oracle_velu_from_kernel_poly(e, h, p, hints=()):
         scale *= lcm(*((c * scale**wt).denominator for c, wt in zip(coeffs, weights)))
     raw = invariants(*(int(c * scale**wt) for c, wt in zip(coeffs, weights)))
     emin, tr, fac = minimal_model(raw, factor_with_hints(raw.disc, (*hints, p)))
-    u, r, s, t = tr.u / scale, tr.r / scale**2, tr.s / scale, tr.t / scale**3
+    u, r, s, t = Q(tr.u, scale), Q(tr.r, scale**2), Q(tr.s, scale), Q(tr.t, scale**3)
     return emin, Transformation(u, r, s, t), fac
 
 
@@ -247,6 +267,17 @@ def corpus_p7():
     return scan(tate_family(7), c, jobs=1), scan(tate_family(7), c, jobs=2)
 
 
+def source_size() -> tuple[int, int]:
+    """Source LOC of src/shabound/*.py (as `wc -l` counts them) and the number of
+    entries in the `dependencies` array of pyproject.toml: the two sizes that the
+    roadmap's design aim tracks.  A regular expression, not tomllib, which
+    Python 3.10 lacks, reads the array."""
+    root = pathlib.Path(__file__).resolve().parent.parent
+    loc = sum(len(f.read_text().splitlines()) for f in (root / "src" / "shabound").glob("*.py"))
+    deps = re.search(r"^dependencies\s*=\s*\[(.*?)\]", (root / "pyproject.toml").read_text(), re.M | re.S)
+    return loc, len(re.findall(r"\"[^\"]*\"|'[^']*'", deps.group(1)))
+
+
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
     try:
         from test_acceptance import VERDICTS
@@ -256,3 +287,5 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         terminalreporter.section("acceptance criteria")
         for line in sorted(VERDICTS):
             terminalreporter.write_line(line)
+        loc, deps = source_size()
+        terminalreporter.write_line(f"source LOC (src/shabound/*.py): {loc}; runtime dependencies: {deps}")

@@ -1,6 +1,7 @@
 """Number-theoretic primitives: primality, factorization, characters, CRT."""
 
 import random
+from math import isqrt
 
 import pytest
 import sympy
@@ -210,3 +211,9 @@ def test_crt_fixtures():
     with pytest.raises(InputError):
         crt_solve([(1, 4), (0, 6)])  # moduli not coprime
 
+
+
+def test_is_prime_matches_trial_division_across_the_table_edge():
+    # below 2^12 is_prime reads the small-prime table; 2^13 covers its edge at 4096
+    for n in range(1 << 13):
+        assert is_prime(n) == (n >= 2 and all(n % q for q in range(2, isqrt(n) + 1))), n

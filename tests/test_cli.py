@@ -356,11 +356,14 @@ CURVE_11A3 = ["--curve", "[0,-1,1,0,0]", "--point", '["0/1","0/1"]']
     (["search"], "[5]", "config: expected a JSON object"),
     (["search"], '{"scan_budget": 4}', "config: missing key 'p'"),
     (["search"], '{"p": 5, "force_s1": [41, 41]}', "force_s1: repeated prime 41 in [41, 41]"),
+    # p is checked against the families before a forced prime is reduced mod p
+    (["search"], '{"p": 0, "force_s2": [11]}', "families are available for p in {5, 7}"),
+    (["search"], '{"p": 1, "force_s2": [11]}', "families are available for p in {5, 7}"),
 ], ids=[
     "curve-json", "point-json", "second-kernel-json", "point-identity", "point-off-curve", "analyze-p-11",
     "second-kernel-not-list", "second-kernel-not-monic", "second-kernel-degree",
     "budget-three-parts", "bounds-no-input", "config-json", "config-not-object", "config-no-p",
-    "config-repeated-forced-prime",
+    "config-repeated-forced-prime", "config-p-0-forced", "config-p-1-forced",
 ])
 def test_input_errors_exit_2_with_their_message(tmp_path, capsys, argv, config, message):
     if config is not None:

