@@ -8,7 +8,7 @@ rho cycle-finder uses a fixed polynomial schedule, never a random seed.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from collections import namedtuple
 from functools import lru_cache
 from itertools import compress
 from math import gcd, isqrt, log2, prod
@@ -153,28 +153,28 @@ def jacobi(a: int, n: int) -> int:
     return result if n == 1 else 0
 
 
-@dataclass(frozen=True)
-class Factorization:
+class Factorization(namedtuple("Factorization", [
+    "value",  # int
+    "sign",  # 1 or -1
+    "factors",  # tuple of (prime, exponent), primes ascending
+])):
     """Complete signed factorization: value = sign * prod(p^e)."""
 
-    value: int
-    sign: int
-    factors: tuple[tuple[int, int], ...]  # (prime, exponent), primes ascending
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.sign not in (1, -1):
-            raise InputError(f"sign {self.sign} is not 1 or -1")
-        prod = self.sign
+    def __new__(cls, value: int, sign: int, factors: tuple[tuple[int, int], ...]):
+        if sign not in (1, -1):
+            raise InputError(f"sign {sign} is not 1 or -1")
+        prod = sign
         prev = 1
-        for p, e in self.factors:
+        for p, e in factors:
             if p <= prev or e <= 0:
-                raise InputError(
-                    f"factors {self.factors} must be ascending with positive exponents"
-                )
+                raise InputError(f"factors {factors} must be ascending with positive exponents")
             prev = p
             prod *= p**e
-        if prod != self.value:
-            raise InputError(f"factorization {self.factors} does not multiply back to {self.value}")
+        if prod != value:
+            raise InputError(f"factorization {factors} does not multiply back to {value}")
+        return super().__new__(cls, value, sign, factors)
 
     @property
     def complete(self) -> bool:
@@ -185,14 +185,15 @@ class Factorization:
         return tuple(p for p, _ in self.factors)
 
 
-@dataclass(frozen=True)
-class Incomplete:
+class Incomplete(namedtuple("Incomplete", [
+    "value",  # int
+    "sign",  # 1 or -1
+    "factors",  # tuple of (prime, exponent), primes ascending
+    "cofactor",  # int, unresolved: resisted the rho budget, or at or above 2^128, prime or not
+])):
     """Partial factorization: value = sign * prod(p^e) * cofactor."""
 
-    value: int
-    sign: int
-    factors: tuple[tuple[int, int], ...]
-    cofactor: int  # composite, resisted the budget
+    __slots__ = ()
 
     @property
     def complete(self) -> bool:
@@ -484,31 +485,33 @@ def smallest_primitive_root(ell: int) -> int:
     raise AssertionError("no primitive root found; ell not prime?")
 
 
-@dataclass(frozen=True)
-class ResidueCharacter:
+class ResidueCharacter(namedtuple("ResidueCharacter", [
+    "ell",  # int
+    "p",  # int
+    "generator",  # int
+    "powers",  # dict[int, int], built from the others, never passed
+])):
     """One coordinate of the local-units-mod-p-th-powers map at a prime ell = 1 mod p.
 
     The fixed generator is g = r^((ell-1)/p) with r the smallest primitive
     root mod ell; any other choice rescales values by a unit of Z/p and
     leaves all ranks unchanged, fixing it makes outputs byte-deterministic.
-    powers maps g^x mod ell to x for x in 0..p-1, so a value is one lookup.
+    powers maps g^x mod ell to x for x in 0..p-1, so a value is one lookup;
+    it is determined by the other fields, so equality is theirs.
     """
 
-    ell: int
-    p: int
-    generator: int
-    powers: dict[int, int] = field(init=False, compare=False, repr=False)
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.ell % self.p != 1:
-            raise InputError(f"ell = {self.ell} is not 1 mod p = {self.p}")
-        if pow(self.generator, self.p, self.ell) != 1 or self.generator == 1:
-            raise InputError(f"{self.generator} does not have order p = {self.p} mod {self.ell}")
+    def __new__(cls, ell: int, p: int, generator: int):
+        if ell % p != 1:
+            raise InputError(f"ell = {ell} is not 1 mod p = {p}")
+        if pow(generator, p, ell) != 1 or generator == 1:
+            raise InputError(f"{generator} does not have order p = {p} mod {ell}")
         powers, val = {}, 1
-        for x in range(self.p):
+        for x in range(p):
             powers[val] = x
-            val = val * self.generator % self.ell
-        object.__setattr__(self, "powers", powers)
+            val = val * generator % ell
+        return super().__new__(cls, ell, p, generator, powers)
 
 
 @lru_cache(maxsize=1024)  # the primitive-root search factors ell - 1
@@ -529,7 +532,7 @@ def character_eval(chi: ResidueCharacter, a: int) -> int:
         raise InputError(f"{a} is divisible by ell = {ell}")
     x = chi.powers.get(pow(a, (ell - 1) // p, ell))
     if x is None:
-        raise AssertionError("character value not a power of the generator")
+        raise AssertionError(f"character value of {a} mod {ell} not a power of the generator {chi.generator}")
     return x
 
 

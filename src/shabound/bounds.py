@@ -11,7 +11,7 @@ advisory instead of refusing (see hypothesis_status).
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from math import ceil
 
@@ -19,18 +19,20 @@ from .arith import is_prime
 from .errors import HypothesisViolated, InputError
 
 
-@dataclass(frozen=True)
-class FieldInvariants:
-    d: int  # [K:Q]
-    cp: int  # dim_{F_p} C_K[p]
-    totally_imaginary: bool
-    contains_zeta_p: bool
+class FieldInvariants(namedtuple("FieldInvariants", [
+    "d",  # int, [K:Q]
+    "cp",  # int, dim_{F_p} C_K[p]
+    "totally_imaginary",  # bool
+    "contains_zeta_p",  # bool
+])):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.d <= 0 or self.cp < 0:
+    def __new__(cls, d: int, cp: int, totally_imaginary: bool, contains_zeta_p: bool):
+        if d <= 0 or cp < 0:
             raise InputError("field degree must be positive, class dimension nonnegative")
-        if self.totally_imaginary and self.d % 2:
+        if totally_imaginary and d % 2:
             raise InputError("a totally imaginary field has even degree")
+        return super().__new__(cls, d, cp, totally_imaginary, contains_zeta_p)
 
 
 def hypothesis_status(f: FieldInvariants) -> tuple[bool, list[str]]:
@@ -122,16 +124,10 @@ def sha_lower_matrix(
     return Fraction(twice, 2), max(0, -(-twice // 2))
 
 
-@dataclass(frozen=True)
-class TheoremBudget:
-    p: int
-    k: int
-    n: int
-    deg_h: int
-    m_threshold: int
-    d_max: int
-    s2_max: int
-    sha_guarantee: int
+class TheoremBudget(namedtuple("TheoremBudget", "p k n deg_h m_threshold d_max s2_max sha_guarantee")):
+    """The construction's budget chain, all ints (see theorem_budget)."""
+
+    __slots__ = ()
 
 
 def theorem_budget(p: int, k: int, n: int, deg_h: int) -> TheoremBudget:
@@ -154,19 +150,20 @@ def theorem_budget(p: int, k: int, n: int, deg_h: int) -> TheoremBudget:
     return TheoremBudget(p, k, n, deg_h, m_threshold, d_max, s2_max, sha_guarantee)
 
 
-@dataclass(frozen=True)
-class BoundReport:
+class BoundReport(namedtuple("BoundReport", [
+    "hypothesis_ok",  # bool
+    "hypothesis_reasons",  # tuple[str, ...]
+    "selmer_lower",  # int
+    "selmer_upper",  # int
+    "rank_upper",  # int
+    "cassels_interval",  # tuple[int, int]
+    "sum_lower",  # int
+    "sha_lower_raw",  # Fraction
+    "sha_lower",  # int
+])):
     """All section-level bound formulas evaluated for one input bundle."""
 
-    hypothesis_ok: bool
-    hypothesis_reasons: tuple[str, ...]
-    selmer_lower: int
-    selmer_upper: int
-    rank_upper: int
-    cassels_interval: tuple[int, int]
-    sum_lower: int
-    sha_lower_raw: Fraction
-    sha_lower: int
+    __slots__ = ()
 
 
 def bound_report(f: FieldInvariants, s1: int, s2: int, m: int, m_hat: int) -> BoundReport:

@@ -30,7 +30,6 @@ from .descent import valuation_ratio_set
 from .elliptic import invariants, on_curve
 from .errors import IncompleteFactorization, InputError, ShaboundError
 from .isogeny import velu_quotient_from_kernel_poly
-from .search import SearchConstraints, scan, tate_family
 
 EXIT_INTERNAL = 1
 EXIT_INPUT = 2
@@ -246,6 +245,9 @@ def cmd_bounds(args) -> int:
 
 
 def cmd_search(args) -> int:
+    # here, not at the top: only search loads the process pool's modules
+    from .search import SearchConstraints, scan, tate_family
+
     try:
         with open(args.config) as fh:
             cfg = json.load(fh)

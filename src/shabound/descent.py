@@ -10,7 +10,7 @@ family scan both go through it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from . import fplinalg
 from .arith import (  # factor_with_hints: the benchmark's span table traces it here
@@ -20,7 +20,7 @@ from .arith import (  # factor_with_hints: the benchmark's span table traces it 
     is_prime,
     residue_character,
 )
-from .bounds import BoundReport, FieldInvariants, bound_report
+from .bounds import FieldInvariants, bound_report
 from .elliptic import (
     ADDITIVE,
     NONSPLIT,
@@ -31,7 +31,7 @@ from .elliptic import (
     transform_point,
 )
 from .errors import ClassifierDisagreement, InputError
-from .isogeny import IsogenyData, velu_quotient
+from .isogeny import velu_quotient
 
 S1 = "S1"
 S2 = "S2"
@@ -51,24 +51,26 @@ def valuation_ratio_set(p: int, v: int, v_image: int) -> str | None:
     return None
 
 
-@dataclass(frozen=True)
-class DescentSets:
-    s1: tuple[int, ...]  # sorted; kernel point hits the singular locus
-    s2: tuple[int, ...]  # sorted; kernel point stays on the smooth locus
-    s3: tuple[int, ...]  # primes above p: always (p,) over Q
-    excluded: tuple[tuple[int, str], ...]  # (prime, reason)
-    evidence: tuple[tuple[int, str, str], ...]  # (prime, point test verdict, valuation ratio verdict)
+class DescentSets(namedtuple("DescentSets", [
+    "s1",  # tuple[int, ...], sorted; kernel point hits the singular locus
+    "s2",  # tuple[int, ...], sorted; kernel point stays on the smooth locus
+    "s3",  # tuple[int, ...], primes above p: always (p,) over Q
+    "excluded",  # tuple of (prime, reason)
+    "evidence",  # tuple of (prime, point test verdict, valuation ratio verdict)
+])):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class ClassifiedCurve:
+class ClassifiedCurve(namedtuple("ClassifiedCurve", [
+    "sets",  # DescentSets
+    "curve",  # Curve, the minimal model actually classified
+    "point",  # Point
+    "isogeny",  # isogeny.IsogenyData
+    "disc_factorization",  # Factorization of curve.disc
+])):
     """Everything classify_primes learns along the way."""
 
-    sets: DescentSets
-    curve: Curve  # minimal model actually classified
-    point: Point
-    isogeny: IsogenyData
-    disc_factorization: Factorization
+    __slots__ = ()
 
 
 def classify_primes(
@@ -173,15 +175,16 @@ def m_rank(p: int, s1, s2, table: dict | None = None) -> int:
 
 # ------------------------------------------------------------ the sandwich
 
-@dataclass(frozen=True)
-class SandwichResult:
-    p: int
-    lower_dim: int
-    upper_dim: int
-    lower_support: tuple[int, ...]
-    upper_support: tuple[int, ...]
-    lower_basis: tuple[tuple[int, ...], ...]  # exponent vectors over lower_support
-    upper_basis: tuple[tuple[int, ...], ...]
+class SandwichResult(namedtuple("SandwichResult", [
+    "p",  # int
+    "lower_dim",  # int
+    "upper_dim",  # int
+    "lower_support",  # tuple[int, ...]
+    "upper_support",  # tuple[int, ...]
+    "lower_basis",  # tuple of exponent vectors (tuple[int, ...]) over lower_support
+    "upper_basis",  # the same over upper_support
+])):
+    __slots__ = ()
 
 
 def _p_adic_unit_condition_row(support, p: int) -> list[int]:
@@ -240,8 +243,14 @@ def selmer_dims(p: int, cols, ells, table: dict) -> tuple[int, int, int]:
 
 # ------------------------------------------------------------ per curve
 
-@dataclass(frozen=True)
-class Analysis:
+class Analysis(namedtuple("Analysis", [
+    "classified",  # ClassifiedCurve
+    "m_phi",  # int
+    "m_phihat",  # int
+    "sandwich_phi",  # (lower, upper), ints
+    "sandwich_dual",  # (lower, upper), ints
+    "bounds",  # bounds.BoundReport
+])):
     """The per-curve certificate: descent sets, both matrix ranks, both sandwiches, bounds.
 
     Exact over Q: the sets, m_phi and m_phihat (F_p ranks of character
@@ -257,12 +266,7 @@ class Analysis:
     Sel^phihat(E') and sandwich_dual bracketing Sel^phi(E).
     """
 
-    classified: ClassifiedCurve
-    m_phi: int
-    m_phihat: int
-    sandwich_phi: tuple[int, int]  # (lower, upper)
-    sandwich_dual: tuple[int, int]
-    bounds: BoundReport
+    __slots__ = ()
 
 
 # Over Q the paper's field hypotheses fail, so the bounds are advisory.

@@ -10,7 +10,7 @@ runs over Z (a point of odd order on an integral model is integral).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 from fractions import Fraction
 
 from .arith import Factorization, _exact_root, factor, is_prime, require_complete, valuation
@@ -22,28 +22,21 @@ Q = Fraction
 Point = tuple[Fraction | int, Fraction | int] | None
 
 
-@dataclass(frozen=True)
-class Curve:
+class Curve(namedtuple("Curve", "a1 a2 a3 a4 a6 b2 b4 b6 b8 c4 c6 disc")):
     """A model with its invariants; build it with invariants(), which computes them once.
 
-    A curve compares, hashes and prints by its a-invariants alone.
+    A named tuple of ints.  b2 to disc are functions of the a-invariants,
+    so two curves are equal, and hash alike, exactly when their
+    a-invariants agree; a curve prints by its a-invariants alone.
     """
 
-    a1: int
-    a2: int
-    a3: int
-    a4: int
-    a6: int
-    b2: int = field(compare=False, repr=False)
-    b4: int = field(compare=False, repr=False)
-    b6: int = field(compare=False, repr=False)
-    b8: int = field(compare=False, repr=False)
-    c4: int = field(compare=False, repr=False)
-    c6: int = field(compare=False, repr=False)
-    disc: int = field(compare=False, repr=False)
+    __slots__ = ()
+
+    def __repr__(self) -> str:
+        return "Curve(a1={}, a2={}, a3={}, a4={}, a6={})".format(*self[:5])
 
     def ainvs(self) -> tuple[int, int, int, int, int]:
-        return (self.a1, self.a2, self.a3, self.a4, self.a6)
+        return self[:5]
 
 
 def invariants(a1: int, a2: int, a3: int, a4: int, a6: int) -> Curve:
@@ -130,17 +123,13 @@ def has_order(e: Curve, pt: Point, p: int) -> bool:
 
 # ------------------------------------------------------------- transforms
 
-@dataclass(frozen=True)
-class Transformation:
+class Transformation(namedtuple("Transformation", "u r s t")):
     """Coordinate change x = u^2 x' + r, y = u^3 y' + s u^2 x' + t.
 
     Ints between integral models (minimal_model); Fractions from a rescaled kernel.
     """
 
-    u: int | Fraction
-    r: int | Fraction
-    s: int | Fraction
-    t: int | Fraction
+    __slots__ = ()
 
     @staticmethod
     def identity() -> "Transformation":

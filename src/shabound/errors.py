@@ -10,11 +10,15 @@ class SingularModel(ShaboundError):
 
 
 class IncompleteFactorization(ShaboundError):
-    """A factorization budget was exhausted; carries the partial result."""
+    """A factorization left a cofactor unresolved; carries the partial result.
+
+    The cofactor resisted the rho budget, or is at or above 2^128, where
+    no primality test is declared; there it may be a prime.
+    """
 
     def __init__(self, partial):
         self.partial = partial
-        super().__init__(f"unfactored composite cofactor {partial.cofactor}")
+        super().__init__(f"unresolved cofactor {partial.cofactor}")
 
 
 class HypothesisViolated(ShaboundError):

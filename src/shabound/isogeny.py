@@ -29,12 +29,12 @@ codomain only up to isomorphism: the dual check.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from math import gcd, lcm
 
 from . import polys
-from .arith import _TRIAL_LIMIT, Factorization, factor_with_hints, is_prime
+from .arith import _TRIAL_LIMIT, factor_with_hints, is_prime
 from .elliptic import (
     Curve,
     Point,
@@ -142,8 +142,14 @@ def _denominator(h: list[Fraction]) -> int:
 
 # ------------------------------------------------------------- isogeny data
 
-@dataclass(frozen=True)
-class IsogenyData:
+class IsogenyData(namedtuple("IsogenyData", [
+    "p",  # int
+    "domain",  # Curve
+    "codomain",  # Curve, globally minimal
+    "to_minimal",  # Transformation, Velu's output model -> codomain; ints from a kernel point
+    "kernel_x_poly",  # tuple, monic, degree (p-1)/2; ints from a kernel point, else Fractions
+    "codomain_disc_factorization",  # Factorization of codomain.disc, from minimal_model
+])):
     """A p-isogeny with its minimal codomain; its kernel_x_poly divides psi_p of its domain.
 
     _velu is the one constructor, reached from the kernel_multiples walk
@@ -152,12 +158,7 @@ class IsogenyData:
     the kernel came in.
     """
 
-    p: int
-    domain: Curve
-    codomain: Curve  # globally minimal
-    to_minimal: Transformation  # Velu's output model -> codomain; ints from a kernel point
-    kernel_x_poly: tuple[int | Fraction, ...]  # monic, degree (p-1)/2; ints from a kernel point
-    codomain_disc_factorization: Factorization  # of codomain.disc, from minimal_model
+    __slots__ = ()
 
 
 def _velu_model(e: Curve, d: int, p1: int, p2: int, p3: int) -> Curve:

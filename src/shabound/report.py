@@ -7,8 +7,9 @@ is byte-identical.
 
 ``dumps`` is the one writer of the canonical form.  It takes the types a
 report is built from, exactly: str, int, bool, None, Fraction, dicts with
-str keys, lists, tuples and dataclass instances; any other value, a
-subclass of one of these included, raises TypeError.  The text view
+str keys, lists, tuples, and the records of this package, named tuples
+written as the dict of their fields; any other value, a subclass of one
+of these included, raises TypeError.  The text view
 renders the JSON that ``dumps`` wrote, parsed back.  The reference the
 writer is tested against, the standard library's ``json.dumps`` of a
 canonical copy, lives in ``tests/conftest.py``.
@@ -17,9 +18,10 @@ canonical copy, lives in ``tests/conftest.py``.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, is_dataclass
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote  # TypeError on a key that is no str
+
+_PACKAGE = __package__ + "."
 
 
 def dumps(obj) -> str:
@@ -76,8 +78,8 @@ def _write(obj, out: list[str], nl: str) -> None:
         out.append("null")
     elif t is Fraction:
         out.append(f'"{obj.numerator}/{obj.denominator}"')
-    elif is_dataclass(t):
-        _write(asdict(obj), out, nl)
+    elif issubclass(t, tuple) and t.__module__.startswith(_PACKAGE):  # a record of this package
+        _write(obj._asdict(), out, nl)
     else:
         raise TypeError(f"cannot serialize {t.__name__} canonically")
 

@@ -13,7 +13,7 @@ import concurrent.futures
 import contextlib
 import itertools
 import traceback
-from dataclasses import dataclass
+from collections import namedtuple
 
 from . import polys
 from .arith import (
@@ -25,7 +25,7 @@ from .arith import (
     require_complete,
 )
 from .descent import S1, S2, ClassifiedCurve, analyze_curve
-from .elliptic import Curve, invariants, isomorphic_to_minimal
+from .elliptic import invariants, isomorphic_to_minimal
 from .errors import (
     ClassifierDisagreement,
     DegenerateFiber,
@@ -38,24 +38,26 @@ from .errors import (
 from .isogeny import scaled_dual_kernel, velu_model_from_scaled_kernel
 
 
-@dataclass(frozen=True)
-class FactorPoly:
+class FactorPoly(namedtuple("FactorPoly", [
+    "coeffs",  # tuple[int, ...], low-degree-first, primitive, positive leading
+    "multiplicity",  # int
+    "role",  # S1 or S2: the set a prime dividing this factor lands in
+])):
     """An irreducible factor of the family discriminant, with its cusp role."""
 
-    coeffs: tuple[int, ...]  # low-degree-first, primitive, positive leading
-    multiplicity: int
-    role: str  # which S-set a prime dividing this factor lands in
+    __slots__ = ()
 
     def eval_at(self, b: int) -> int:
         return polys.evaluate(self.coeffs, b)
 
 
-@dataclass(frozen=True)
-class FamilySpec:
-    p: int
-    parameter_name: str
-    ainv_polys: tuple[tuple[int, ...], ...]  # five coefficient lists in the parameter
-    factor_polys: tuple[FactorPoly, ...]  # the discriminant's content is 1 in both families
+class FamilySpec(namedtuple("FamilySpec", [
+    "p",  # int
+    "parameter_name",  # str
+    "ainv_polys",  # five coefficient tuples in the parameter
+    "factor_polys",  # tuple[FactorPoly, ...]; the discriminant's content is 1 in both families
+])):
+    __slots__ = ()
 
     def ainvs_at(self, b: int) -> tuple[int, int, int, int, int]:
         return tuple(polys.evaluate(cs, b) for cs in self.ainv_polys)
@@ -90,11 +92,12 @@ def tate_family(p: int) -> FamilySpec:
     return _FAMILIES[p]
 
 
-@dataclass(frozen=True)
-class Fiber:
-    curve: Curve  # the Tate model, which is minimal at every integer parameter
-    point: tuple[int, int]  # (0, 0), kept as ints
-    disc_factorization: Factorization
+class Fiber(namedtuple("Fiber", [
+    "curve",  # Curve, the Tate model, which is minimal at every integer parameter
+    "point",  # (0, 0), kept as ints
+    "disc_factorization",  # Factorization of curve.disc
+])):
+    __slots__ = ()
 
 
 def fiber(family: FamilySpec, b: int) -> Fiber:
@@ -128,17 +131,28 @@ def _fiber_disc_factorization(family: FamilySpec, b: int, disc: int) -> Factoriz
     return require_complete(_factorization(disc, sign, found, stubborn))
 
 
-@dataclass(frozen=True)
-class SearchConstraints:
-    p: int
-    force_s1: tuple[int, ...] = ()
-    force_s2: tuple[int, ...] = ()
-    omega_max: int | None = None
-    scan_budget: int = 1000
-    parameter_box: int = 1000
-    verify_dual: bool = True
+class SearchConstraints(namedtuple("SearchConstraints", [
+    "p",  # int
+    "force_s1",  # tuple[int, ...]
+    "force_s2",  # tuple[int, ...]
+    "omega_max",  # int, or None for no filter
+    "scan_budget",  # int
+    "parameter_box",  # int
+    "verify_dual",  # bool
+])):
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(
+        cls,
+        p: int,
+        force_s1: tuple[int, ...] = (),
+        force_s2: tuple[int, ...] = (),
+        omega_max: int | None = None,
+        scan_budget: int = 1000,
+        parameter_box: int = 1000,
+        verify_dual: bool = True,
+    ):
+        self = super().__new__(cls, p, force_s1, force_s2, omega_max, scan_budget, parameter_box, verify_dual)
         tate_family(self.p)  # first: the checks below divide by p
         for name in ("scan_budget", "parameter_box", "omega_max"):
             value = getattr(self, name)
@@ -159,6 +173,7 @@ class SearchConstraints:
         for ell in self.force_s2:
             if ell % self.p != 1:
                 raise InputError(f"forced S2 prime {ell} is not 1 mod {self.p}")
+        return self
 
 
 def construct_parameter(family: FamilySpec, c: SearchConstraints) -> tuple[int, int]:

@@ -23,7 +23,6 @@ tests share.
 import json
 import pathlib
 import re
-from dataclasses import asdict, is_dataclass
 from fractions import Fraction
 from math import lcm
 
@@ -77,8 +76,8 @@ def canonicalize(obj):
         return f"{obj.numerator}/{obj.denominator}"
     if isinstance(obj, str) or obj is None:
         return obj
-    if is_dataclass(obj) and not isinstance(obj, type):
-        return canonicalize(asdict(obj))
+    if isinstance(obj, tuple) and hasattr(obj, "_fields"):  # a named tuple: the record's fields by name
+        return canonicalize(dict(zip(obj._fields, obj)))
     if isinstance(obj, dict):
         return {str(k): canonicalize(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):

@@ -118,6 +118,9 @@ def test_factor_oversize_cofactor_is_incomplete(monkeypatch):
     assert not f.complete
     assert f.factors == ((3, 1),)
     assert f.cofactor == p
+    with pytest.raises(IncompleteFactorization) as info:
+        require_complete(f)
+    assert str(info.value) == f"unresolved cofactor {p}"  # a prime, not a composite
 
 
 def test_factorization_validates():

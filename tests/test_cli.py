@@ -78,15 +78,14 @@ def test_analyze_wrong_order_exit_2(capsys):
     assert "order" in err
 
 
-def test_analyze_incomplete_exit_3(capsys, monkeypatch):
-    monkeypatch.setenv("SHABOUND_FACTOR_BUDGET", "100")
-    # re-evaluate the default budget lazily? arith reads env at import; pass a curve
-    # whose cofactor exceeds the primality working range instead (budget-independent)
+def test_analyze_incomplete_exit_3(capsys):
+    # a curve whose cofactor exceeds the primality working range, whatever the rho budget
     fam = tate_family(5)
     b = 10**40 + 177
     curve = json.dumps([str(a) for a in fam.ainvs_at(b)])
     code, _, err = run(capsys, "analyze", "--curve", curve, "--point", '["0/1","0/1"]', "--p", "5")
     assert code == 3
+    assert err.startswith("error: incomplete factorization: unresolved cofactor ")
 
 
 @pytest.mark.parametrize("value", ["abc", "-1"])
@@ -104,6 +103,16 @@ def test_bad_factor_budget_env_exit_2(value):
     ]
     env["SHABOUND_FACTOR_BUDGET"] = "0"
     assert subprocess.run(argv, capture_output=True, env=env).returncode == 0
+
+
+def test_the_cli_loads_neither_dataclasses_nor_the_process_pool():
+    # every command pays for the cli's imports in a fresh interpreter; only
+    # search, which imports its module when it runs, loads concurrent.futures
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(shabound.__file__).parent.parent))
+    new = "print(sorted({'dataclasses', 'concurrent.futures'} & (set(sys.modules) - before)))\n"
+    code = f"import sys\nbefore = set(sys.modules)\nimport shabound.cli\n{new}import shabound.search\n{new}"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert (out.returncode, out.stdout, out.stderr) == (0, "[]\n['concurrent.futures']\n", "")
 
 
 def test_matrix_fixture(capsys):

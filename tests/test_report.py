@@ -118,7 +118,7 @@ def test_dumps_equals_the_reference_on_edge_cases(obj):
         assert report.dumps(obj) == oracle_dumps(obj)
 
 
-def test_dumps_equals_the_reference_on_dataclasses():
+def test_dumps_equals_the_reference_on_records():
     for obj in (
         theorem_budget(5, 1, 3, 1),
         sandwich_from_sets(5, (2, 3), (11, 31)),

@@ -17,7 +17,7 @@ from shabound import search
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 CHILD = ROOT / "perfbench" / "child.py"
 PACKAGE = ROOT / "src" / "shabound"
-# dataclasses that report.dumps writes whole, every field through asdict
+# records that report.dumps writes whole, every field through _asdict
 WRITTEN_WHOLE = frozenset({"SandwichResult", "TheoremBudget"})
 
 
@@ -61,25 +61,43 @@ def _is_dunder(name: str) -> bool:
     return name.startswith("__") and name.endswith("__")
 
 
-def _is_dataclass(node: ast.ClassDef) -> bool:
-    """Decorated by @dataclass or @dataclasses.dataclass, with or without arguments."""
-    for d in node.decorator_list:
-        d = d.func if isinstance(d, ast.Call) else d
-        if "dataclass" in (getattr(d, "id", None), getattr(d, "attr", None)):
-            return True
-    return False
+def _name(node) -> str | None:
+    """The name a Name or an Attribute ends in: namedtuple for collections.namedtuple."""
+    return getattr(node, "id", None) or getattr(node, "attr", None)
+
+
+def _record_fields(node: ast.ClassDef) -> list[str]:
+    """The fields of a record class, none for any other class.
+
+    A subclass of a namedtuple(...) call has the fields that call lists,
+    in one string or as a list of strings.  A dataclass (decorated by
+    @dataclass or @dataclasses.dataclass, with or without arguments) and a
+    typing.NamedTuple have their annotated names.
+    """
+    for base in node.bases:
+        if isinstance(base, ast.Call) and _name(base.func) == "namedtuple":
+            spec = ast.literal_eval(base.args[1])
+            return spec.replace(",", " ").split() if isinstance(spec, str) else list(spec)
+    decorators = [d.func if isinstance(d, ast.Call) else d for d in node.decorator_list]
+    if any(_name(d) == "dataclass" for d in decorators) or any(_name(b) == "NamedTuple" for b in node.bases):
+        return [
+            item.target.id
+            for item in node.body
+            if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)
+        ]
+    return []
 
 
 def unreferenced_definitions(package: pathlib.Path, written_whole=frozenset()) -> set[tuple[str, str]]:
     """(module, name) of each top-level def, class or assigned name, and (module,
-    "Class.name") of each method, property and dataclass field of a top-level
+    "Class.name") of each method, property and record field of a top-level
     class, that nothing in the package references.
 
     A top-level definition is referenced by a global Name in its own module
     (a nested def or local of the same name shadows it), by `from .m import
     name`, or by `m.name` for the module m; a method, property or field by
-    any `.name` attribute in the package.  The fields of the dataclasses
-    named in written_whole are all read, by the report writer's asdict.
+    any `.name` attribute in the package.  The fields of the records
+    named in written_whole are all read, by the report writer's _asdict.
     Dunder methods are called implicitly, and dunder names such as
     `__all__` are read by the interpreter.
     """
@@ -104,12 +122,8 @@ def unreferenced_definitions(package: pathlib.Path, written_whole=frozenset()) -
                     for item in node.body
                     if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)) and not _is_dunder(item.name)
                 )
-                if _is_dataclass(node) and node.name not in written_whole:
-                    defined.update(
-                        (module, f"{node.name}.{item.target.id}")
-                        for item in node.body
-                        if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)
-                    )
+                if node.name not in written_whole:
+                    defined.update((module, f"{node.name}.{name}") for name in _record_fields(node))
         for node in ast.walk(tree):
             if isinstance(node, ast.ImportFrom) and node.level == 1:
                 for a in node.names:
@@ -209,21 +223,37 @@ def test_the_definition_guard_sees_module_level_names(tmp_path):
     }
 
 
-def test_the_definition_guard_sees_dataclass_fields(tmp_path):
+def test_the_definition_guard_sees_record_fields(tmp_path):
     (tmp_path / "m.py").write_text(
-        "import dataclasses\nfrom dataclasses import dataclass, field\n\n\n"
-        "@dataclass(frozen=True)\nclass A:\n    read: int\n    unread: int\n"
-        "    hidden: int = field(default=0, repr=False)\n\n\n"
-        "@dataclasses.dataclass\nclass B:\n    alone: int\n\n\n"
-        "@dataclass\nclass Whole:\n    written: int\n\n\n"
+        "import collections\nimport dataclasses\nfrom collections import namedtuple\n"
+        "from typing import NamedTuple\n\n\n"
+        "class A(namedtuple('A', 'read unread, hidden', defaults=(0,))):\n    __slots__ = ()\n\n\n"
+        "class B(collections.namedtuple('B', [\n    'alone',  # unread\n    'seen',\n])):\n"
+        "    __slots__ = ()\n\n\n"
+        "class Whole(namedtuple('Whole', 'written')):\n    __slots__ = ()\n\n\n"
+        "class C(NamedTuple):\n    typed: int\n    seen_too: int = 0\n\n\n"
+        "@dataclasses.dataclass(frozen=True)\nclass D:\n    old: int\n\n\n"
         "class Plain:\n    annotated: int\n\n\n"
-        "print(A(1, 2).read, B(3), Whole(4), Plain())\n"
+        "print(A(1, 2).read, B(3, 4).seen, Whole(5), C(6).seen_too, D(7), Plain())\n"
     )
-    # a field is read by any .name attribute; Whole is written whole, and
-    # Plain's annotation is no field
+    # a field is read by any .name attribute, however the call lists it;
+    # Whole is written whole, and Plain's annotation is no field
     assert unreferenced_definitions(tmp_path, {"Whole"}) == {
-        ("m", "A.unread"), ("m", "A.hidden"), ("m", "B.alone"),
+        ("m", "A.unread"), ("m", "A.hidden"), ("m", "B.alone"), ("m", "C.typed"), ("m", "D.old"),
     }
+
+
+def test_the_package_builds_records_only_through_their_constructors():
+    # _make and _replace skip a record's __new__, and with it the checks of
+    # Factorization, FieldInvariants, SearchConstraints and ResidueCharacter;
+    # only tests that forge a record may call them
+    calls = {
+        (path.stem, node.attr)
+        for path in sorted(PACKAGE.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Attribute) and node.attr in ("_make", "_replace")
+    }
+    assert calls == set()
 
 
 def test_every_import_is_used_in_its_module(tmp_path):
