@@ -503,6 +503,8 @@ class ResidueCharacter(namedtuple("ResidueCharacter", [
     __slots__ = ()
 
     def __new__(cls, ell: int, p: int, generator: int):
+        if not is_prime(ell):  # a composite ell can pass both checks below: 3 has order 5 mod 121
+            raise InputError(f"ell = {ell} is not prime")
         if ell % p != 1:
             raise InputError(f"ell = {ell} is not 1 mod p = {p}")
         if pow(generator, p, ell) != 1 or generator == 1:

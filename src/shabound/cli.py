@@ -245,7 +245,7 @@ def cmd_bounds(args) -> int:
 
 
 def cmd_search(args) -> int:
-    # here, not at the top: only search loads the process pool's modules
+    # here, not at the top: the other commands need none of the scan's code
     from .search import SearchConstraints, scan, tate_family
 
     try:

@@ -9,10 +9,11 @@ certified descent invariants.
 
 from __future__ import annotations
 
-import concurrent.futures
 import contextlib
 import itertools
-import traceback
+import marshal
+import os
+import sys
 from collections import namedtuple
 
 from . import polys
@@ -249,6 +250,8 @@ def evaluate_row(p: int, b: int, verify_dual: bool = True) -> dict:
         row["error"] = type(exc).__name__
         row["detail"] = str(exc)
     except Exception as exc:  # one fiber's bug becomes a row; the scan and its report go on
+        import traceback  # here, not at the top: it costs every search's startup about 5 ms
+
         traceback.print_exc()
         row["error"] = "internal_error"
         row["detail"] = f"{type(exc).__name__}: {exc}"
@@ -307,7 +310,91 @@ def _row_with_forcing(args) -> dict:
     return row
 
 
-_CHUNK = 16  # fibers per pool task
+_CHUNK = 16  # fibers per chunk; chunk i runs in process i mod workers
+
+
+def _rows(args, workers: int):
+    """The rows of args in order, from workers processes: chunk i of
+    _CHUNK fibers runs in process i mod workers, where process 0 is this
+    one and the others are forked children.
+
+    Each child sends one message per finished chunk, its rows marshalled,
+    down its own pipe and exits; this process takes the chunks in
+    parameter order, its own rows as it computes them.  A child that dies
+    before sending its rows makes this raise RuntimeError; on any exit
+    every child is reaped, killed first if it is still running.
+    """
+    chunks = iter(lambda: list(itertools.islice(args, _CHUNK)), [])
+    children = []  # [pid, reader] of processes 1 .. workers - 1; pid None once reaped
+    try:
+        for k in range(1, workers):
+            r, w = os.pipe()
+            reader = open(r, "rb")
+            sys.stdout.flush()  # a child must not write this process's buffered text again
+            sys.stderr.flush()
+            pid = os.fork()
+            if pid == 0:
+                _send_rows(itertools.islice(chunks, k, None, workers), w, [reader] + [rd for _, rd in children])
+            children.append([pid, reader])
+            os.close(w)
+        for i, chunk in enumerate(chunks):
+            if i % workers == 0:
+                yield from map(_row_with_forcing, chunk)
+                continue
+            child = children[i % workers - 1]
+            try:  # a message is its length in 8 bytes, then the marshalled rows
+                rows = marshal.loads(child[1].read(int.from_bytes(child[1].read(8), "little")))
+            except EOFError:  # no message, or a cut one: the child died
+                raise RuntimeError(
+                    f"scan worker {i % workers} exited with code {_reap(child)} "
+                    f"before sending the fibers from b = {chunk[0][1]}"
+                ) from None
+            yield from rows
+        for k, child in enumerate(children, 1):
+            code = _reap(child)
+            if code:
+                raise RuntimeError(f"scan worker {k} exited with code {code}")
+    finally:
+        for pid, reader in children:
+            reader.close()
+            if pid is not None:
+                import signal
+
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+
+
+def _reap(child: list) -> int:
+    """Wait for the child [pid, reader], mark it reaped, and return its exit code."""
+    _, status = os.waitpid(child[0], 0)
+    child[0] = None
+    return os.waitstatus_to_exitcode(status)
+
+
+def _send_rows(chunks, fd: int, readers: list):
+    """In a forked child: close the readers it inherited, evaluate the
+    chunks, write one message per chunk to fd, and exit without returning
+    to the caller's stack."""
+    code = 1
+    try:
+        for reader in readers:  # a child holding a read end would never see its pipe break
+            reader.close()
+        with open(fd, "wb") as out:
+            for chunk in chunks:
+                data = marshal.dumps(list(map(_row_with_forcing, chunk)))
+                out.write(len(data).to_bytes(8, "little") + data)
+                out.flush()
+        code = 0
+    except Exception:
+        import traceback
+
+        traceback.print_exc()
+    finally:
+        try:
+            sys.stdout.flush()
+            sys.stderr.flush()
+        finally:
+            os._exit(code)
 
 
 def scan(family: FamilySpec, c: SearchConstraints, jobs: int = 1, progress=None) -> dict:
@@ -316,9 +403,11 @@ def scan(family: FamilySpec, c: SearchConstraints, jobs: int = 1, progress=None)
     With forcing constraints the parameter runs over the CRT class
     b0 + k*M; otherwise over 1, -1, 2, -2, ... up to the parameter box.
     Rows arrive in parameter order at every jobs count; progress(done,
-    total) is called every 50 fibers.  At most one worker per chunk of
-    16 fibers starts, and none for a scan of one chunk.  Rows are ranked by
-    (|#S1 - #S2|, m_phi) descending, ties broken by parameter height.
+    total) is called every 50 fibers.  The scan runs in min(jobs, chunks
+    of 16 fibers) processes, this one included, so it forks none for a
+    scan of one chunk, and none where os has no fork (Windows).  Rows are
+    ranked by (|#S1 - #S2|, m_phi) descending, ties broken by parameter
+    height.
     """
     if jobs < 1:
         raise InputError(f"jobs must be at least 1, got {jobs}")
@@ -336,10 +425,8 @@ def scan(family: FamilySpec, c: SearchConstraints, jobs: int = 1, progress=None)
     skipped = {"degenerate": 0, "incomplete_factorization": 0, "filtered_omega": 0}
     kept = []
     errored = []
-    # a fork pool starts every worker at once: never more than there are chunks
-    workers = min(jobs, -(-total // _CHUNK))
-    with concurrent.futures.ProcessPoolExecutor(workers) if workers > 1 else contextlib.nullcontext() as pool:
-        rows = pool.map(_row_with_forcing, args, chunksize=_CHUNK) if pool else map(_row_with_forcing, args)
+    workers = min(jobs, -(-total // _CHUNK)) if hasattr(os, "fork") else 1
+    with contextlib.closing(_rows(args, workers)) as rows:
         for done, row in enumerate(rows, 1):
             if progress and done % 50 == 0:
                 progress(done, total)

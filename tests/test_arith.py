@@ -133,6 +133,8 @@ def test_factorization_validates():
         lambda: ResidueCharacter(12, 5, 1),  # ell not 1 mod p
         lambda: ResidueCharacter(11, 5, 1),  # trivial generator
         lambda: ResidueCharacter(11, 5, 2),  # 2 has order 10 mod 11
+        lambda: ResidueCharacter(121, 5, 3),  # 121 = 1 mod 5 and 3 has order 5 mod 121, but 121 = 11^2
+        lambda: ResidueCharacter(1, 5, 3),  # 1 is no prime
     )
     for call in bad:
         with pytest.raises(InputError):

@@ -106,13 +106,13 @@ def test_bad_factor_budget_env_exit_2(value):
 
 
 def test_the_cli_loads_neither_dataclasses_nor_the_process_pool():
-    # every command pays for the cli's imports in a fresh interpreter; only
-    # search, which imports its module when it runs, loads concurrent.futures
+    # every command pays for the cli's imports in a fresh interpreter, and
+    # search for its module's: the scan forks its workers with os.fork
     env = dict(os.environ, PYTHONPATH=str(pathlib.Path(shabound.__file__).parent.parent))
-    new = "print(sorted({'dataclasses', 'concurrent.futures'} & (set(sys.modules) - before)))\n"
+    new = "print(sorted({'dataclasses', 'concurrent.futures', 'multiprocessing'} & (set(sys.modules) - before)))\n"
     code = f"import sys\nbefore = set(sys.modules)\nimport shabound.cli\n{new}import shabound.search\n{new}"
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
-    assert (out.returncode, out.stdout, out.stderr) == (0, "[]\n['concurrent.futures']\n", "")
+    assert (out.returncode, out.stdout, out.stderr) == (0, "[]\n[]\n", "")
 
 
 def test_matrix_fixture(capsys):

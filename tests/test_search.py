@@ -180,7 +180,9 @@ def test_forced_prime_missing_becomes_error_row(monkeypatch, jobs):
 
 
 def test_reports_unchanged_when_asserts_are_stripped():
-    # python -O strips assert statements; no runtime invariant may live in one
+    # python -O strips assert statements; no runtime invariant may live in one.
+    # The probe scans at jobs 2, so a worker forks while a line still sits
+    # in stdout's buffer, which the worker must not write again
     import os
     import pathlib
     import subprocess
@@ -196,48 +198,93 @@ def test_reports_unchanged_when_asserts_are_stripped():
         "from shabound.search import SearchConstraints, scan, tate_family\n"
         "if not sys.flags.optimize:\n"
         "    sys.exit('asserts are not stripped')\n"
+        "sys.stdout.write('-O\\n')\n"
         f"for c in {configs!r}:\n"
-        "    sys.stdout.write(report.dumps(scan(tate_family(c.p), c)))\n"
+        "    sys.stdout.write(report.dumps(scan(tate_family(c.p), c, jobs=2)))\n"
     )
     env = dict(os.environ, PYTHONPATH=str(pathlib.Path(shabound.__file__).parent.parent))
+    env.pop("PYTHONUNBUFFERED", None)  # stdout to a pipe is then block-buffered
     out = subprocess.run([sys.executable, "-O", "-c", probe], capture_output=True, text=True, env=env)
     assert out.returncode == 0, out.stderr
-    assert out.stdout == expected
+    assert out.stdout == "-O\n" + expected
 
 
 def test_jobs_start_at_most_one_worker_per_chunk(monkeypatch):
-    # a fork pool starts every worker at the first submit, so the scan asks
-    # for no more workers than there are chunks of 16 fibers; the stand-in
-    # pool maps in process, so no process starts here
+    # the scanning process is worker 0, so a scan forks min(jobs, chunks of
+    # 16 fibers) - 1 children, and none for a scan of one chunk
+    import os
+
     from shabound import search
 
-    requested = []
+    forks, fork = [], os.fork
 
-    class InlinePool:
-        def __init__(self, max_workers):
-            requested.append(max_workers)
+    def counted():
+        forks.append(1)
+        return fork()
 
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, iterable, chunksize=1):
-            return map(fn, iterable)
-
-    monkeypatch.setattr(search.concurrent.futures, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(search.os, "fork", counted)
     fam = tate_family(5)
-    c = SearchConstraints(5, scan_budget=40, verify_dual=True)
-    serial = report.dumps(scan(fam, c, jobs=1))
-    assert requested == []
-    assert report.dumps(scan(fam, c, jobs=64)) == serial
-    assert requested == [3]
-    short = SearchConstraints(5, scan_budget=16, verify_dual=False)
-    assert report.dumps(scan(fam, short, jobs=64)) == report.dumps(scan(fam, short, jobs=1))
-    assert requested == [3]  # one chunk: no pool at all
-    scan(fam, SearchConstraints(5, scan_budget=17, verify_dual=False), jobs=2)
-    assert requested == [3, 2]
+    for budget, jobs, forked in [(40, 64, 2), (16, 64, 0), (17, 2, 1)]:
+        c = SearchConstraints(5, scan_budget=budget, verify_dual=budget == 40)
+        serial = report.dumps(scan(fam, c, jobs=1))
+        del forks[:]
+        assert report.dumps(scan(fam, c, jobs=jobs)) == serial, (budget, jobs)
+        assert len(forks) == forked, (budget, jobs)
+
+
+def test_a_worker_that_dies_makes_the_scan_raise_and_leaves_no_child(monkeypatch):
+    # 40 fibers at jobs 2: chunk 1, b = 9 .. -16, runs in the forked child;
+    # it dies at b = 11 without sending a row
+    import os
+    import signal
+
+    from shabound import search
+
+    scanner, row = os.getpid(), search._row_with_forcing
+
+    def dies_in_the_child(args):
+        if args[1] == 11 and os.getpid() != scanner:
+            os._exit(3)
+        return row(args)
+
+    def hung(signum, frame):
+        raise TimeoutError("the scan did not raise within 20 s")
+
+    monkeypatch.setattr(search, "_row_with_forcing", dies_in_the_child)
+    previous = signal.signal(signal.SIGALRM, hung)
+    signal.alarm(20)
+    try:
+        with pytest.raises(RuntimeError, match="scan worker 1 exited with code 3 before sending the fibers from b = 9"):
+            scan(tate_family(5), SearchConstraints(5, scan_budget=40, verify_dual=False), jobs=2)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_an_interrupted_scan_kills_and_reaps_its_workers():
+    # KeyboardInterrupt from the progress callback, with the forked worker
+    # still running: the scan's cleanup kills it and waits for it
+    import os
+
+    def interrupt(done, total):
+        raise KeyboardInterrupt
+
+    with pytest.raises(KeyboardInterrupt):
+        scan(tate_family(5), SearchConstraints(5, scan_budget=200, verify_dual=True), jobs=2, progress=interrupt)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_without_fork_the_scan_runs_serially(monkeypatch):
+    # where os has no fork (Windows) every jobs count gives the serial bytes
+    from shabound import search
+
+    c = SearchConstraints(5, scan_budget=40, verify_dual=False)
+    serial = report.dumps(scan(tate_family(5), c, jobs=1))
+    monkeypatch.delattr(search.os, "fork")
+    assert report.dumps(scan(tate_family(5), c, jobs=3)) == serial
 
 
 def _scanned_parameters():
