@@ -38,6 +38,18 @@ SEARCHES = {
          "scan_budget": 60, "verify_dual": False}, 2,
         "66dd14441746b4cd69c50d7e934daa765b6f4ad037bb3d7c78b6e3450ab5e11f",
     ),
+    # the dual check on fibers the omega filter drops (28 of 100): it runs
+    # on them too, and the report does not depend on the worker count
+    "forced-41-11-dual-100": (
+        {"p": 5, "force_s1": [41], "force_s2": [11], "omega_max": 6,
+         "scan_budget": 100, "verify_dual": True}, 1,
+        "9729b527008f97cc414a83e6d55cf7b5ead28c59a37cfbb4d3357ed6fb61f93b",
+    ),
+    "forced-41-11-dual-100-j2": (
+        {"p": 5, "force_s1": [41], "force_s2": [11], "omega_max": 6,
+         "scan_budget": 100, "verify_dual": True}, 2,
+        "9729b527008f97cc414a83e6d55cf7b5ead28c59a37cfbb4d3357ed6fb61f93b",
+    ),
     # the search-p5-forced-j2 benchmark config: 42 fibers end as
     # incomplete_factorization, cofactors q^5 >= 2^128 that factor leaves unresolved
     "forced-41-11-300-j2": (
