@@ -166,8 +166,12 @@ class BoundReport(namedtuple("BoundReport", [
     __slots__ = ()
 
 
+@functools.lru_cache(maxsize=1024)  # a scan asks for few (s1, s2, m, m_hat) over one field
 def bound_report(f: FieldInvariants, s1: int, s2: int, m: int, m_hat: int) -> BoundReport:
-    """Evaluate every bound formula; hypothesis failures are flagged, not fatal."""
+    """Evaluate every bound formula; hypothesis failures are flagged, not fatal.
+
+    Pure in its hashable inputs, so cached; an input error raises on every call.
+    """
     _require_nonnegative(s1, s2, m, m_hat)
     ok, reasons = hypothesis_status(f)
     lower, upper = selmer_interval.body(f, s1, s2, m)

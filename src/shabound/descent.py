@@ -4,8 +4,9 @@ Classifies the bad primes into S1/S2/S3 with two independent tests (the
 reduction of the kernel point versus the discriminant-valuation ratio
 under the isogeny), builds the power-residue character matrix whose rank
 is m(S1, S2), and computes the two-sided Selmer sandwich dimensions.
-analyze_curve runs the whole pipeline for one curve; the CLI and the
-family scan both go through it.
+analyze_curve runs the whole pipeline for one curve, as classify_primes
+and then analyze_classified; the CLI goes through it, and the family
+scan calls the two halves itself so that it can stop after the first.
 """
 
 from __future__ import annotations
@@ -279,13 +280,19 @@ def analyze_curve(
     p: int,
     disc_factorization: Factorization | None = None,
 ) -> Analysis:
-    """The descent pipeline for the isogeny with kernel <pt>, in both directions.
+    """The descent pipeline for the isogeny with kernel <pt>, in both
+    directions: classify_primes, then analyze_classified."""
+    return analyze_classified(classify_primes(e, pt, p, disc_factorization), p)
+
+
+def analyze_classified(cls: ClassifiedCurve, p: int) -> Analysis:
+    """Everything after classify_primes: one character table, selmer_dims
+    in each direction, bound_report.
 
     The phihat direction takes its rows from the S1 primes that are 1
     mod p, as sandwich_from_sets does: the local groups of the others
     are trivial over Q.
     """
-    cls = classify_primes(e, pt, p, disc_factorization)
     s1, s2 = cls.sets.s1, cls.sets.s2
     table = character_table(p, s1, s2)
     phi = selmer_dims(p, s1, s2, table)

@@ -24,8 +24,9 @@ from .arith import (
     crt_solve,
     is_prime,
     require_complete,
+    residue_character,
 )
-from .descent import S1, S2, ClassifiedCurve, analyze_curve
+from .descent import S1, S2, ClassifiedCurve, analyze_classified, classify_primes
 from .elliptic import invariants, isomorphic_to_minimal
 from .errors import (
     ClassifierDisagreement,
@@ -109,8 +110,7 @@ def fiber(family: FamilySpec, b: int) -> Fiber:
     already minimal in both families.  For each factor f of the
     discriminant, Res(c4, f) is +-1 or +-p^2, so every bad prime q != p
     is multiplicative, and v_p(Delta) < 12 where p divides the S2 factor.
-    analyze_curve's classify_primes is the one minimalization, as for
-    `shabound analyze`.
+    classify_primes is the one minimalization, as for `shabound analyze`.
     """
     try:
         e = invariants(*family.ainvs_at(b))
@@ -226,7 +226,7 @@ def _verify_dual_swap(cls: ClassifiedCurve) -> bool:
     return isomorphic_to_minimal(back, cls.curve)
 
 
-def evaluate_row(p: int, b: int, verify_dual: bool = True) -> dict:
+def evaluate_row(p: int, b: int, verify_dual: bool = True, omega_max: int | None = None) -> dict:
     """Evaluate one fiber end to end; returns a JSON-able row dict.
 
     Per-row failures are recorded in the row rather than raised: a
@@ -234,11 +234,21 @@ def evaluate_row(p: int, b: int, verify_dual: bool = True) -> dict:
     disagreement, any other ShaboundError under its class name, and any
     other exception (a bug) as internal_error, its traceback on stderr.
     The row keeps the fields filled in before the failure.
+
+    With omega_max set, a fiber with more than omega_max distinct
+    discriminant primes (the scan's filtered_omega) stops after
+    classify_primes: its row holds curve, disc, omega_of_cofactor, s1
+    and s2, and no character table, elimination or bound is built.  It
+    still goes through every step that can end it another way: fiber(),
+    classify_primes (Velu, the codomain's factoring, both classifiers),
+    the primitive-root search of each row prime ell = 1 mod p, and the
+    dual check when verify_dual is on.  Without omega_max the row is
+    always the full one.
     """
     family = tate_family(p)
     row: dict = {"b": b}
     try:
-        _fill_row(row, family, b, verify_dual)
+        _fill_row(row, family, b, verify_dual, omega_max)
     except DegenerateFiber:
         row["error"] = "degenerate"
     except IncompleteFactorization:
@@ -258,14 +268,29 @@ def evaluate_row(p: int, b: int, verify_dual: bool = True) -> dict:
     return row
 
 
-def _fill_row(row: dict, family: FamilySpec, b: int, verify_dual: bool) -> None:
+def _over_omega(row: dict, omega_max: int | None) -> bool:
+    """The omega filter: the report drops a fiber with more than omega_max distinct discriminant primes."""
+    return omega_max is not None and row["omega_of_cofactor"] > omega_max
+
+
+def _fill_row(row: dict, family: FamilySpec, b: int, verify_dual: bool, omega_max: int | None) -> None:
     p = family.p
     fib = fiber(family, b)
     row["curve"] = list(fib.curve.ainvs())
     row["disc"] = fib.curve.disc
     row["omega_of_cofactor"] = len(fib.disc_factorization.factors)
-    an = analyze_curve(fib.curve, fib.point, p, fib.disc_factorization)
-    sets = an.classified.sets
+    cls = classify_primes(fib.curve, fib.point, p, fib.disc_factorization)
+    sets = cls.sets
+    if _over_omega(row, omega_max):
+        row["s1"] = list(sets.s1)  # for _row_with_forcing's flags
+        row["s2"] = list(sets.s2)
+        for ell in (*sets.s2, *sets.s1):  # character_table's rows: a primitive-root search can be incomplete
+            if ell % p == 1:
+                residue_character(ell, p)
+        if verify_dual:
+            _verify_dual_swap(cls)
+        return
+    an = analyze_classified(cls, p)
     row["s1"] = list(sets.s1)
     row["s2"] = list(sets.s2)
     row["s3"] = list(sets.s3)
@@ -289,8 +314,8 @@ def _fill_row(row: dict, family: FamilySpec, b: int, verify_dual: bool) -> None:
 
 
 def _row_with_forcing(args) -> dict:
-    p, b, verify_dual, force_s1, force_s2 = args
-    row = evaluate_row(p, b, verify_dual)
+    p, b, verify_dual, omega_max, force_s1, force_s2 = args
+    row = evaluate_row(p, b, verify_dual, omega_max)
     if "error" in row:
         return row
     flags = []
@@ -408,6 +433,13 @@ def scan(family: FamilySpec, c: SearchConstraints, jobs: int = 1, progress=None)
     scan of one chunk, and none where os has no fork (Windows).  Rows are
     ranked by (|#S1 - #S2|, m_phi) descending, ties broken by parameter
     height.
+
+    A fiber's outcome is the first of: skipped as degenerate, skipped as
+    incomplete_factorization, an error row, skipped as filtered_omega
+    (more than omega_max distinct discriminant primes), kept.  The omega
+    filter runs in evaluate_row right after classify_primes, and a fiber
+    it drops still runs every step that can give it one of the first
+    three outcomes.
     """
     if jobs < 1:
         raise InputError(f"jobs must be at least 1, got {jobs}")
@@ -419,7 +451,7 @@ def scan(family: FamilySpec, c: SearchConstraints, jobs: int = 1, progress=None)
     else:
         candidates = itertools.takewhile(lambda b: b <= c.parameter_box, steps)
     args = (
-        (c.p, b, c.verify_dual, c.force_s1, c.force_s2)
+        (c.p, b, c.verify_dual, c.omega_max, c.force_s1, c.force_s2)
         for b in itertools.islice(candidates, c.scan_budget)
     )
     skipped = {"degenerate": 0, "incomplete_factorization": 0, "filtered_omega": 0}
@@ -435,7 +467,7 @@ def scan(family: FamilySpec, c: SearchConstraints, jobs: int = 1, progress=None)
                 skipped[err] += 1
             elif err:
                 errored.append(row)
-            elif c.omega_max is not None and row["omega_of_cofactor"] > c.omega_max:
+            elif _over_omega(row, c.omega_max):
                 skipped["filtered_omega"] += 1
             else:
                 kept.append(row)

@@ -128,3 +128,16 @@ def test_negative_inputs_rejected_everywhere():
     # the hypotheses are still required by the public formulas
     with pytest.raises(HypothesisViolated):
         rank_upper(FQ, 0, 0, 0, 0)
+
+
+def test_bound_report_is_cached_and_rejects_bad_input_every_time():
+    # every scan fiber asks over the same field; an input error is raised,
+    # not cached, on each call
+    bound_report.cache_clear()
+    first = bound_report(FQ, 2, 1, 1, 0)
+    assert bound_report(FQ, 2, 1, 1, 0) is first
+    for _ in range(3):
+        with pytest.raises(InputError):
+            bound_report(FQ, 2, 1, -1, 0)
+    info = bound_report.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (1, 4, 1)

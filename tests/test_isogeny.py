@@ -452,10 +452,14 @@ def test_changes_of_model_on_a_scanned_fiber_are_ints():
         assert all(type(v) is int for v in (tr.u, tr.r, tr.s, tr.t)), (p, b, tr)
 
 
-def test_a_p7_scan_makes_one_fraction_per_kept_row(monkeypatch):
-    # with the dual check off, the scan's only Fraction is each kept row's
-    # advisory sha_lower_raw (bounds.bound_report); changes of model and
-    # kernel polynomials stay ints
+def test_a_p7_scan_makes_one_fraction_per_distinct_bound_report(monkeypatch):
+    # with the dual check off, the scan's only Fraction is the advisory
+    # sha_lower_raw of each bound report; bound_report is cached, so one
+    # per distinct (#S1, #S2, m_phi, m_phihat) of the kept rows.  Changes
+    # of model and kernel polynomials stay ints
+    from shabound import bounds
+
+    bounds.bound_report.cache_clear()
     made = [0]
     new = Fraction.__new__
 
@@ -466,4 +470,5 @@ def test_a_p7_scan_makes_one_fraction_per_kept_row(monkeypatch):
     monkeypatch.setattr(Fraction, "__new__", counted)
     report = search.scan(tate_family(7), search.SearchConstraints(7, scan_budget=300, verify_dual=False))
     monkeypatch.undo()
-    assert len(report["rows"]) > 200 and made[0] == len(report["rows"]), (made[0], len(report["rows"]))
+    distinct = {(len(r["s1"]), len(r["s2"]), r["m_phi"], r["m_phihat"]) for r in report["rows"]}
+    assert len(report["rows"]) > 200 and made[0] == len(distinct), (made[0], len(distinct))

@@ -139,13 +139,13 @@ def test_scan_forced_contains_crt_solution():
 
 
 def test_other_shabound_error_becomes_error_row(monkeypatch):
-    from shabound import descent
+    from shabound import search
     from shabound.errors import HypothesisViolated
 
     def fail(*args, **kwargs):
         raise HypothesisViolated("injected")
 
-    monkeypatch.setattr(descent, "classify_primes", fail)
+    monkeypatch.setattr(search, "classify_primes", fail)  # the scan calls it, then analyze_classified
     row = evaluate_row(5, 2)
     assert row["error"] == "HypothesisViolated" and row["detail"] == "injected"
     assert row["curve"] and "s1" not in row  # fields filled before the failure stay
@@ -410,7 +410,7 @@ def test_each_prime_of_a_fiber_is_handled_once_in_a_scan(monkeypatch):
 
     from test_golden_reports import SEARCHES
 
-    from shabound import arith, descent, elliptic, isogeny
+    from shabound import arith, descent, elliptic, isogeny, search
 
     built = {"Factorization": 0, "Incomplete": 0}
     for cls in (arith.Factorization, arith.Incomplete):
@@ -420,7 +420,7 @@ def test_each_prime_of_a_fiber_is_handled_once_in_a_scan(monkeypatch):
 
         monkeypatch.setattr(cls, "__new__", staticmethod(counting_new))
     local, primality = [], [0]  # local: the primes of each classify_primes call
-    real_classify, real_reduction, real_is_prime = descent.classify_primes, descent.reduction_at, elliptic.is_prime
+    real_classify, real_reduction, real_is_prime = search.classify_primes, descent.reduction_at, elliptic.is_prime
     real_minimal, rescaled = isogeny.minimal_model, [0]
 
     def minimal(e, fac):
@@ -440,7 +440,7 @@ def test_each_prime_of_a_fiber_is_handled_once_in_a_scan(monkeypatch):
         primality[0] += 1
         return real_is_prime(n)
 
-    monkeypatch.setattr(descent, "classify_primes", classify)
+    monkeypatch.setattr(search, "classify_primes", classify)
     monkeypatch.setattr(descent, "reduction_at", reduction)
     monkeypatch.setattr(elliptic, "is_prime", is_prime)
     monkeypatch.setattr(isogeny, "minimal_model", minimal)
@@ -460,3 +460,80 @@ def test_each_prime_of_a_fiber_is_handled_once_in_a_scan(monkeypatch):
         assert qs == [q for q in primes if q != 7], b
     assert primality[0] == sum(map(len, local))
     assert sum(q <= 3 for qs in local for q in qs) > 40
+
+
+# fibers of the forced (41, 11) scan with 7 or more discriminant primes and
+# no error: an omega_max of 6 drops them.  Row primes ell = 1 mod 5: 11 in
+# S2 and 41 in S1 of each
+_FILTERED = (-1066, 3444, -2870)
+
+
+def test_a_filtered_fiber_stops_after_classification():
+    # without omega_max, or under a cap it meets, evaluate_row gives the
+    # full row; over the cap the row keeps what _row_with_forcing reads
+    for b in _FILTERED:
+        full = evaluate_row(5, b, True)
+        assert full["omega_of_cofactor"] > 6 and full["dual_swap_verified"] and "error" not in full, full
+        assert evaluate_row(5, b, True, omega_max=full["omega_of_cofactor"]) == full
+        keep = ("b", "curve", "disc", "omega_of_cofactor", "s1", "s2")
+        assert evaluate_row(5, b, True, omega_max=6) == {k: full[k] for k in keep}
+
+
+def test_only_kept_rows_build_character_tables_and_bounds(monkeypatch):
+    # the search-p5-forced-j2 config at jobs 1: all 300 fibers are
+    # classified, 42 end there (Velu's codomain is not fully factored), 110
+    # go over omega_max 6, and only the 148 kept rows build a character
+    # table, run two eliminations and ask for their bounds, not 258.  The
+    # report keeps its pinned bytes
+    import hashlib
+
+    from test_golden_reports import SEARCHES
+
+    from shabound import descent, search
+
+    calls = dict.fromkeys(("classify_primes", "character_table", "selmer_dims", "bound_report"), 0)
+
+    def counting(name, real):
+        def wrapper(*args):
+            calls[name] += 1
+            return real(*args)
+
+        return wrapper
+
+    for name in calls:
+        mod = search if name == "classify_primes" else descent
+        monkeypatch.setattr(mod, name, counting(name, getattr(mod, name)))
+    cfg, _, digest = SEARCHES["forced-41-11-300-j2"]
+    r = scan(tate_family(5), SearchConstraints(**cfg), jobs=1)
+    assert hashlib.sha256(report.dumps(r).encode()).hexdigest() == digest
+    assert len(r["rows"]) == 148 and not r["errors"]
+    assert r["skipped"] == {"degenerate": 0, "incomplete_factorization": 42, "filtered_omega": 110}
+    assert calls == {"classify_primes": 300, "character_table": 148, "selmer_dims": 296, "bound_report": 148}
+
+
+@pytest.mark.parametrize("fault", ["row prime 11", "row prime 41", "classifiers", "dual check"])
+def test_a_filtered_fiber_keeps_its_skip_or_error_reason(monkeypatch, fault):
+    # each step that can end a fiber another way still runs on a fiber over
+    # omega_max, so it ends as it does without the filter, never as
+    # filtered_omega
+    from shabound import arith, descent, search
+
+    if fault.startswith("row prime"):  # the primitive-root search of ell factors ell - 1
+        n, real = int(fault.split()[-1]) - 1, arith.factor
+        monkeypatch.setattr(arith, "factor", lambda m: arith.Incomplete(m, 1, (), m) if m == n else real(m))
+        arith.residue_character.cache_clear()
+    elif fault == "classifiers":
+        monkeypatch.setattr(descent, "valuation_ratio_set", lambda p, v, v_image: None)
+    else:
+        def fail(cls):
+            raise InputError("injected")
+
+        monkeypatch.setattr(search, "_verify_dual_swap", fail)
+    for b in _FILTERED:
+        full, short = evaluate_row(5, b, True), evaluate_row(5, b, True, omega_max=6)
+        assert "error" in full, (b, full)
+        assert (short["error"], short.get("detail")) == (full["error"], full.get("detail")), b
+    c = SearchConstraints(5, force_s1=(41,), force_s2=(11,), omega_max=6, scan_budget=40)
+    r = scan(tate_family(5), c, jobs=1)
+    assert r["rows"] == [] and r["skipped"]["filtered_omega"] == 0, r["skipped"]
+    assert len(r["errors"]) + sum(r["skipped"].values()) == 40
