@@ -126,7 +126,7 @@ def cmd_analyze(args) -> int:
     if p not in (5, 7):
         raise InputError("p must be 5 or 7")
     an = analyze_curve(e, pt, p)
-    cls, sets, br = an.classified, an.classified.sets, an.bounds
+    cls, br = an.classified, an.bounds
     payload = {
         "p": p,
         "input_curve": list(e.ainvs()),
@@ -136,13 +136,7 @@ def cmd_analyze(args) -> int:
         "codomain": list(cls.isogeny.codomain.ainvs()),
         "codomain_disc": cls.isogeny.codomain.disc,
         "kernel_x_poly": [Fraction(c) for c in cls.isogeny.kernel_x_poly],
-        "sets": {
-            "s1": list(sets.s1),
-            "s2": list(sets.s2),
-            "s3": list(sets.s3),
-            "excluded": [list(x) for x in sets.excluded],
-            "evidence": [list(x) for x in sets.evidence],
-        },
+        "sets": cls.sets,
         "m_phi": an.m_phi,
         "m_phihat": an.m_phihat,
         "sandwich_phi": {"lower": an.sandwich_phi[0], "upper": an.sandwich_phi[1]},
@@ -224,19 +218,9 @@ def cmd_bounds(args) -> int:
         totally_imaginary=not args.real_embedding,
         contains_zeta_p=not args.no_zeta_p,
     )
-    br = bound_report(f, args.s1, args.s2, args.m, args.mhat)
     payload = {
-        "d": f.d, "cp": f.cp,
-        "hypothesis_ok": br.hypothesis_ok,
-        "hypothesis_reasons": list(br.hypothesis_reasons),
-        "s1": args.s1, "s2": args.s2, "m": args.m, "mhat": args.mhat,
-        "selmer_lower": br.selmer_lower,
-        "selmer_upper": br.selmer_upper,
-        "rank_upper": br.rank_upper,
-        "cassels_interval": list(br.cassels_interval),
-        "sum_lower": br.sum_lower,
-        "sha_lower_raw": br.sha_lower_raw,
-        "sha_lower": br.sha_lower,
+        "d": f.d, "cp": f.cp, "s1": args.s1, "s2": args.s2, "m": args.m, "mhat": args.mhat,
+        **bound_report(f, args.s1, args.s2, args.m, args.mhat)._asdict(),
     }
     if args.sum is not None:
         payload["sha_from_sum"] = sha_from_sum(args.sum, args.rank)
@@ -257,11 +241,7 @@ def cmd_search(args) -> int:
         raise InputError(f"config: invalid JSON ({exc})") from exc
     if not isinstance(cfg, dict):
         raise InputError("config: expected a JSON object")
-    known = {
-        "p", "force_s1", "force_s2", "omega_max",
-        "scan_budget", "parameter_box", "verify_dual",
-    }
-    unknown = set(cfg) - known
+    unknown = set(cfg) - set(SearchConstraints._fields)
     if unknown:
         raise InputError(f"config: unknown keys {sorted(unknown)}")
     if "p" not in cfg:

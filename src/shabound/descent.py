@@ -3,10 +3,11 @@
 Classifies the bad primes into S1/S2/S3 with two independent tests (the
 reduction of the kernel point versus the discriminant-valuation ratio
 under the isogeny), builds the power-residue character matrix whose rank
-is m(S1, S2), and computes the two-sided Selmer sandwich dimensions.
-analyze_curve runs the whole pipeline for one curve, as classify_primes
-and then analyze_classified; the CLI goes through it, and the family
-scan calls the two halves itself so that it can stop after the first.
+is m(S1, S2), and computes the two-sided Selmer sandwich dimensions, all
+three from one elimination per direction (selmer_dims).  analyze_curve
+runs the whole pipeline for one curve, as classify_primes and then
+analyze_classified; the CLI goes through it, and the family scan calls
+the two halves itself so that it can stop after the first.
 """
 
 from __future__ import annotations
@@ -170,8 +171,9 @@ def character_rows(p: int, s1, s2, table: dict | None = None) -> tuple[list[int]
 
 
 def m_rank(p: int, s1, s2, table: dict | None = None) -> int:
-    """m(S1, S2): the F_p-rank of the character matrix; table as for character_rows."""
-    return fplinalg.rank(p, character_rows(p, s1, s2, table)[1])
+    """m(S1, S2): the F_p-rank of the character matrix, from selmer_dims; table as for character_rows."""
+    table = character_table(p, s1, s2) if table is None else table
+    return selmer_dims(p, s1, character_rows(p, s1, s2, table)[0], table)[0]
 
 
 # ------------------------------------------------------------ the sandwich
@@ -207,20 +209,20 @@ def sandwich_from_sets(p: int, s1, s2) -> SandwichResult:
     sit in Q*/Q*^p = H^1(Q, mu_p), home of the mu_p-side group
     Sel^phihat(E'), while Sel^phi(E) lies in H^1(Q, Z/p).  The paper's
     field contains the p-th roots of unity, where the two agree (see
-    Analysis).  The bases are for `shabound sandwich`; analyze_curve takes
-    the dimensions from selmer_dims.
+    Analysis).  Both ends are kernels of one row list over one support,
+    S1 and p.  The lower end adds v_p = 0, which makes p a pivot column (0
+    in every basis vector, then dropped), and the p-adic unit condition.
+    The bases are for `shabound sandwich`; analyze_curve takes the
+    dimensions from selmer_dims.
     """
-    s1, s2 = tuple(sorted(s1)), tuple(sorted(s2))
     table = character_table(p, s1, s2)
-    ells = [ell for ell in s2 if ell % p == 1]
-    upper_support = tuple(sorted(set(s1) | {p}))
-    upper_rows = [[table[ell][q] for q in upper_support] for ell in ells]
-    upper_basis = fplinalg.kernel_basis(p, upper_rows, len(upper_support))
-    lower_rows = [[table[ell][q] for q in s1] for ell in ells] + [_p_adic_unit_condition_row(s1, p)]
-    lower_basis = fplinalg.kernel_basis(p, lower_rows, len(s1))
-    return SandwichResult(
-        p, len(lower_basis), len(upper_basis), s1, upper_support, tuple(lower_basis), tuple(upper_basis)
-    )
+    s1, support = tuple(sorted(s1)), tuple(sorted({*s1, p}))
+    rows = [[table[ell][q] for q in support] for ell in s2 if ell % p == 1]
+    upper_basis = fplinalg.kernel_basis(p, rows, len(support))
+    at_p = support.index(p)
+    lower_rows = rows + [[int(q == p) for q in support], _p_adic_unit_condition_row(support, p)]
+    lower_basis = tuple(v[:at_p] + v[at_p + 1:] for v in fplinalg.kernel_basis(p, lower_rows, len(support)))
+    return SandwichResult(p, len(lower_basis), len(upper_basis), s1, support, lower_basis, tuple(upper_basis))
 
 
 def selmer_dims(p: int, cols, ells, table: dict) -> tuple[int, int, int]:
@@ -229,8 +231,9 @@ def selmer_dims(p: int, cols, ells, table: dict) -> tuple[int, int, int]:
     One elimination of the rows chi_ell(q), q in cols, then chi_ell(p).
     m is the rank of the character matrix, the pivots among the first
     len(cols) columns; lower and upper are the dimensions that
-    sandwich_from_sets(p, cols, ells) gives, without its bases.  table
-    is character_table(p, cols, ells) or one that contains it.
+    sandwich_from_sets(p, cols, ells) gives, without a kernel basis; m_rank
+    takes m from here.  table is character_table(p, cols, ells) or one
+    that contains it.
     """
     n = len(cols)
     red, pivots = fplinalg.rref(p, [[table[ell][q] for q in (*cols, p)] for ell in ells])
@@ -257,8 +260,8 @@ class Analysis(namedtuple("Analysis", [
     Exact over Q: the sets, m_phi and m_phihat (F_p ranks of character
     matrices) and the sandwich dimensions, each a (lower, upper) pair of
     kernel dimensions of F_p matrices; selmer_dims gives a rank and a
-    pair per direction from one elimination, with no kernel basis
-    (sandwich_from_sets builds the bases).  Advisory over Q: bounds (the
+    pair per direction from one elimination, with no kernel basis (only
+    `shabound sandwich` prints bases).  Advisory over Q: bounds (the
     report's advisory_bounds), because the bound formulas need a totally
     imaginary field containing the p-th roots of unity.  Not yet pinned
     down: which Selmer group each sandwich brackets over Q.  On 11a3 ->

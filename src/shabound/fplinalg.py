@@ -2,9 +2,9 @@
 
 Matrices here come from power-residue characters and are at most a few
 hundred rows/columns, so plain Gauss elimination on Python ints is exact
-and fast enough.  The elimination runs on plain lists of rows whose
-entries are residues in [0, p); callers check p and label the rows and
-columns themselves.
+and fast enough.  rref is the one elimination: a rank is its pivot
+count, and kernel_basis reads a kernel off it.  Rows are plain lists of
+residues in [0, p); callers check p and label the rows and columns.
 """
 
 from __future__ import annotations
@@ -31,10 +31,6 @@ def rref(p: int, rows: list[list[int]]) -> tuple[list[list[int]], tuple[int, ...
         if r == len(a):
             break
     return a, tuple(pivots)
-
-
-def rank(p: int, rows: list[list[int]]) -> int:
-    return len(rref(p, rows)[1])
 
 
 def kernel_basis(p: int, rows: list[list[int]], cols: int) -> list[tuple[int, ...]]:

@@ -102,15 +102,35 @@ def test_sandwich_empty_sets():
 
 
 def test_sandwich_lower_le_upper_random():
+    # and both ends equal the oracle's, bases included.  The second half
+    # draws S1 with p below, inside and above it, and puts a prime that is
+    # not 1 mod p in S2, whose row the sandwich drops
     rng = random.Random(47)
     primes = [ell for ell in range(2, 300) if is_prime(ell)]
+    cases = []
     for p in (5, 7):
         ones = [ell for ell in primes if ell % p == 1]
         for _ in range(100):
             s1 = tuple(sorted(rng.sample([q for q in primes if q != p], rng.randrange(0, 4))))
             s2 = tuple(sorted(set(rng.sample(ones, rng.randrange(0, 4))) - set(s1)))
-            sw = sandwich_from_sets(p, s1, s2)
-            assert sw.lower_dim <= sw.upper_dim
+            cases.append((p, s1, s2))
+    seen = Counter()
+    for p in (5, 7, 11, 13):
+        below, above = [q for q in primes if q < p], [q for q in primes if q > p]
+        for i in range(60):
+            s1 = rng.sample(below, rng.randrange(1, min(3, len(below)) + 1)) if i % 3 else []
+            s1 += rng.sample(above, rng.randrange(1, 4)) if i % 3 < 2 else []
+            others = [q for q in primes if q != p and q not in s1]
+            s2 = rng.sample([q for q in others if q % p == 1], rng.randrange(0, 3))
+            s2 += rng.sample([q for q in others if q % p != 1], 1)
+            at = sorted({*s1, p}).index(p)
+            seen["below" if at == 0 else "above" if at == len(s1) else "inside"] += 1
+            cases.append((p, tuple(s1), tuple(s2)))
+    assert seen == {"below": 80, "inside": 80, "above": 80}, seen
+    for p, s1, s2 in cases:
+        sw = sandwich_from_sets(p, s1, s2)
+        assert sw.lower_dim <= sw.upper_dim
+        assert sw == _oracle_sandwich(p, s1, s2), (p, s1, s2)  # bases included
 
 
 def _kernel_count(p, rows, cols):
@@ -147,7 +167,7 @@ def test_selmer_dims_matches_rank_sandwich_and_kernel_counts():
             table = descent.character_table(p, cols, ells)
             m, lower, upper = selmer_dims(p, cols, ells, table)
             rows = [[table[ell][q] for q in cols] for ell in ells]
-            assert m == fplinalg.rank(p, rows) == len(fp_rref(p, rows, len(cols))[1]), (p, cols, ells)
+            assert m == len(fplinalg.rref(p, rows)[1]) == len(fp_rref(p, rows, len(cols))[1]), (p, cols, ells)
             sw = sandwich_from_sets(p, cols, ells)
             assert (lower, upper) == (sw.lower_dim, sw.upper_dim), (p, cols, ells)
             if len(cols) <= 4:

@@ -18,7 +18,7 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 CHILD = ROOT / "perfbench" / "child.py"
 PACKAGE = ROOT / "src" / "shabound"
 # records that report.dumps writes whole, every field through _asdict
-WRITTEN_WHOLE = frozenset({"SandwichResult", "TheoremBudget"})
+WRITTEN_WHOLE = frozenset({"BoundReport", "DescentSets", "SandwichResult", "TheoremBudget"})
 
 
 def _traced_table() -> dict:
