@@ -17,6 +17,15 @@ SEARCHES = {
         {"p": 5, "scan_budget": 40, "verify_dual": True}, 1,
         "99dcc62f626c454381af3f06a2eb066660f5ce7a82ea1032cc0ddcdccfc7f84c",
     ),
+    # the scan-p5-dual benchmark config, at both worker counts
+    "p5-dual-80": (
+        {"p": 5, "scan_budget": 80, "verify_dual": True}, 1,
+        "d62c4c0d4e124431310818d2a8616606d561077fc97453573b90c383111b6dd1",
+    ),
+    "p5-dual-80-j2": (
+        {"p": 5, "scan_budget": 80, "verify_dual": True}, 2,
+        "d62c4c0d4e124431310818d2a8616606d561077fc97453573b90c383111b6dd1",
+    ),
     "p7-60": (
         {"p": 7, "scan_budget": 60, "verify_dual": False}, 1,
         "e224b5d5184aab9c9a1488e6a5fa5b5ab8ef28f08dfda63d21fe338cd7e73bf1",
