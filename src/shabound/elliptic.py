@@ -23,7 +23,8 @@ Point = tuple[Fraction | int, Fraction | int] | None
 
 
 class Curve(namedtuple("Curve", "a1 a2 a3 a4 a6 b2 b4 b6 b8 c4 c6 disc")):
-    """A model with its invariants; build it with invariants(), which computes them once.
+    """A model with its invariants; build it with invariants(), which computes them
+    once, or with scaled() from another model.
 
     A named tuple of ints.  b2 to disc are functions of the a-invariants,
     so two curves are equal, and hash alike, exactly when their
@@ -48,6 +49,16 @@ def invariants(a1: int, a2: int, a3: int, a4: int, a6: int) -> Curve:
     if disc == 0:
         raise SingularModel(f"discriminant 0 for {(a1, a2, a3, a4, a6)}")
     return Curve(a1, a2, a3, a4, a6, b2, b4, b6, b8, c4, c6, disc)
+
+
+def scaled(e: Curve, u: int) -> Curve:
+    """The model with a_i -> u^i a_i (x -> u^2 x, y -> u^3 y): each invariant
+    scales by u to its weight, so none is recomputed."""
+    u2 = u * u
+    u3, u4 = u2 * u, u2 * u2
+    u6 = u3 * u3
+    return Curve(e.a1 * u, e.a2 * u2, e.a3 * u3, e.a4 * u4, e.a6 * u6, e.b2 * u2, e.b4 * u4, e.b6 * u6,
+                 e.b8 * u4 * u4, e.c4 * u4, e.c6 * u6, e.disc * u6 * u6)
 
 
 def on_curve(e: Curve, pt: Point) -> bool:

@@ -8,12 +8,15 @@ or, by Newton's identities, off a kernel polynomial.  The dual kernel
 polynomial h' is read off the leading coefficients of
 h'(X) h^(p-1) = psi_p / (p h), the top of the x-map X = N / h^2 coming
 from the same power sums, so nothing here needs the roots of a kernel
-polynomial.  One division-polynomial recursion
-serves two rings: series in 1 / x truncated to the few leading
-coefficients the dual kernel reads, and Z[x] / (h), shared by the check
-that h divides psi_p and the closure check.  Both checks run only where
-a kernel polynomial enters (a caller's, or the dual kernel on E'), and
-with Velu's formulas over Z on one rescaled pair (_integral_kernel:
+polynomial.  One division-polynomial recursion, run from a cached
+plan of products for each n, serves every ring: series in 1 / x
+truncated to the few leading coefficients the dual kernel reads, and
+Z[x] / (h) for the kernel checks.  Those run in one pass over that
+ring: psi_p mod h must vanish, then the closure test under doubling
+reads psi_2^2, psi_2^4 and psi_3 off the same recursion's registers.
+Both checks run only where a kernel polynomial enters (a caller's, or
+the dual kernel on E'), and with Velu's formulas over Z on one rescaled
+pair (_integral_kernel:
 a_i -> D^i a_i and h -> D^(2d) h(y / D^2), D the lcm of h's
 denominators, 1 for a kernel point).  So the dual check stays in Z, the
 solve giving h' as the ints (H, kappa).  The changes of model that
@@ -30,6 +33,7 @@ codomain only up to isomorphism: the dual check.
 from __future__ import annotations
 
 from collections import namedtuple
+from functools import lru_cache, partial
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -42,6 +46,7 @@ from .elliptic import (
     invariants,
     kernel_multiples,
     minimal_model,
+    scaled,
 )
 from .errors import InputError
 
@@ -50,58 +55,89 @@ Q = Fraction
 
 # ----------------------------------------------------- division polynomials
 
-def division_poly_x(e: Curve, n: int, ring, psi2_sq: list[int] | None = None) -> list[int]:
-    """For odd n: the n-division polynomial as a polynomial in x, over Z.
+def division_poly_x(e: Curve, n: int, ring, base: list | None = None) -> list[int]:
+    """For odd n >= 3: the n-division polynomial as a polynomial in x, over Z.
 
-    One recursion on the x-parts f_m, psi_m = f_m * (psi_2 if m even),
-    kept in a memo for this call alone, in ring, a pair (map from Z[x],
-    product there) such as (list, polys.mul) for Z[x] itself, or:
+    One recursion on the x-parts f_m, psi_m = f_m * (psi_2 if m even), in
+    ring, a pair (map from Z[x], product there) such as list and the full
+    product for Z[x] itself, or:
     - polys.residue_ring(h), h monic over Z: Z[x] / (h) as in Schoof's
       algorithm (Math. Comp. 1985), giving psi_n mod h as deg h
       coefficients;
-    - series in 1 / x truncated to K terms, giving the top K coefficients
-      of psi_n, highest first.  Each step multiplies, or subtracts two
-      terms of one degree whose difference keeps a nonzero leading
-      coefficient (f_k leads with k, or k / 2 for even k), so the
+    - _series_ring(K), series in 1 / x truncated to K terms, giving the top
+      K coefficients of psi_n, highest first.  Each step multiplies, or
+      subtracts two terms of one degree whose difference keeps a nonzero
+      leading coefficient (f_k leads with k, or k / 2 for even k), so the
       truncation is exact.
-    psi2_sq is psi_2^2 in ring, for a caller that has it already.
+    The steps come from _division_plan(n), run on registers that start as
+    _division_base(e, ring); base is that list, for a caller that reads
+    its psi_2^2, psi_2^4 and f_3 too.
     """
-    if n % 2 == 0:
-        raise InputError("division_poly_x is for odd n")
+    if n % 2 == 0 or n < 3:
+        raise InputError(f"division_poly_x is for odd n >= 3, got {n}")
+    steps, out = _division_plan(n)
+    mul = ring[1]
+    regs = _division_base(e, ring) if base is None else list(base)
+    for a, b, minus in steps:
+        regs.append([x - y for x, y in zip(regs[a], regs[b])] if minus else mul(regs[a], regs[b]))
+    return regs[out]
+
+
+def _division_base(e: Curve, ring) -> list:
+    """The recursion's first registers in ring: psi_2^2 = 4x^3 + b2 x^2 + 2 b4 x + b6,
+    psi_2^4, f_3 = psi_3 and f_4 = psi_4 / psi_2."""
     embed, mul = ring
-
-    def sub(f, g):  # two terms of one degree: their difference keeps that degree
-        return [a - b for a, b in zip(f, g)]
-
     b2, b4, b6, b8 = e.b2, e.b4, e.b6, e.b8
-    one = embed([1])
-    memo: dict[int, list[int]] = {
-        1: one,
-        2: one,
-        3: embed([b8, 3 * b6, 3 * b4, b2, 3]),
-        4: embed([b4 * b8 - b6**2, b2 * b8 - b4 * b6, 10 * b8, 10 * b6, 5 * b4, b2, 2]),
-    }
+    psi2_sq = embed([b6, 2 * b4, b2, 4])
+    return [
+        psi2_sq,
+        mul(psi2_sq, psi2_sq),
+        embed([b8, 3 * b6, 3 * b4, b2, 3]),
+        embed([b4 * b8 - b6**2, b2 * b8 - b4 * b6, 10 * b8, 10 * b6, 5 * b4, b2, 2]),
+    ]
 
-    def prod(*factors):  # with no product by f_1 = f_2 = 1
-        out = one
-        for g in factors:
-            out = g if out is one else out if g is one else mul(out, g)
-        return out
 
-    def f(k):
-        if k not in memo:
-            m = k // 2
-            if k % 2:
-                a, b = prod(f(m + 2), f(m), f(m), f(m)), prod(f(m - 1), f(m + 1), f(m + 1), f(m + 1))
-                memo[k] = sub(prod(a, t2), b) if m % 2 == 0 else sub(a, prod(b, t2))
+@lru_cache(maxsize=None)
+def _division_plan(n: int) -> tuple[tuple[tuple[int, int, bool], ...], int]:
+    """The recursion to f_n as steps (a, b, minus) on a register list, and
+    the register that ends up holding f_n.
+
+    A step appends regs[a] - regs[b] if minus, else regs[a] * regs[b].
+    Registers 0-3 are _division_base's psi_2^2, psi_2^4, f_3, f_4.  On the
+    x-parts the recursion reads
+        f_(2m+1) = f_(m+2) f_m^3 t - f_(m-1) f_(m+1)^3       (m even),
+        f_(2m+1) = f_(m+2) f_m^3 - f_(m-1) f_(m+1)^3 t       (m odd),
+        f_(2m) = f_m (f_(m+2) f_(m-1)^2 - f_(m-2) f_(m+1)^2),
+    t = psi_2^4.  A product of several factors is built one factor at a
+    time, t first and then by index, and each partial product is made
+    once, so powers and partial products are shared between steps
+    (t f_4 and f_3^3 at n = 7).  f_1 = f_2 = 1 enter no product.
+    """
+    regs: dict[tuple[int, ...], int] = {(0,): 1, (3,): 2, (4,): 3}  # factors -> register; 0 is psi_2^4
+    steps: list[tuple[int, int, bool]] = []
+
+    def step(a: int, b: int, minus: bool) -> int:
+        steps.append((a, b, minus))
+        return len(steps) + 3
+
+    def product(factors: tuple[int, ...]) -> int:
+        key = tuple(sorted(k for k in factors if k not in (1, 2)))
+        if key not in regs:
+            if len(key) == 1:
+                m = key[0] // 2
+                if key[0] % 2:
+                    t_lead, t_rest = ((0,), ()) if m % 2 == 0 else ((), (0,))
+                    lead, rest = product((m + 2, m, m, m, *t_lead)), product((m - 1, m + 1, m + 1, m + 1, *t_rest))
+                    regs[key] = step(lead, rest, True)
+                else:
+                    inner = step(product((m + 2, m - 1, m - 1)), product((m - 2, m + 1, m + 1)), True)
+                    regs[key] = step(product((m,)), inner, False)
             else:
-                inner = sub(prod(f(m + 2), f(m - 1), f(m - 1)), prod(f(m - 2), f(m + 1), f(m + 1)))
-                memo[k] = prod(f(m), inner)
-        return memo[k]
+                regs[key] = step(product(key[:-1]), product(key[-1:]), False)
+        return regs[key]
 
-    psi2_sq = embed(_psi2_squared(e)) if psi2_sq is None else psi2_sq
-    t2 = mul(psi2_sq, psi2_sq)  # psi_2^4
-    return f(n)
+    out = product((n,))
+    return tuple(steps), out
 
 
 def _integral_kernel(e: Curve, big_h: list[int], kappa: int) -> tuple[Curve, list[int]]:
@@ -118,13 +154,8 @@ def _integral_kernel(e: Curve, big_h: list[int], kappa: int) -> tuple[Curve, lis
     dens = [kappa ** (d - j) for j in range(d + 1)]
     big_d = lcm(*(b // gcd(a, b) for a, b in zip(big_h, dens)))
     if big_d != 1:
-        e = invariants(*(a * big_d**wt for a, wt in zip(e.ainvs(), (1, 2, 3, 4, 6))))
+        e = scaled(e, big_d)
     return e, [a * big_d ** (2 * (d - j)) // b for j, (a, b) in enumerate(zip(big_h, dens))]
-
-
-def _psi2_squared(e: Curve) -> list[int]:
-    """psi_2^2 = 4x^3 + b2 x^2 + 2 b4 x + b6."""
-    return [e.b6, 2 * e.b4, e.b2, 4]
 
 
 def _scaled(f: list, c: int) -> list[int]:
@@ -232,7 +263,9 @@ def velu_quotient_from_kernel_poly(
 def velu_model_from_scaled_kernel(e: Curve, big_h: list[int], kappa: int, p: int) -> Curve:
     """An integral model of E / <h>, h(y) = kappa^-d H(kappa y): Velu's formulas on
     the pair (e_k, h_D) of _integral_kernel, from h_D's power sums, once h passes the
-    checks, psi_p mod h_D and closure under doubling in one ring Z[y] / (h_D).  No
+    kernel checks in one pass over Z[y] / (h_D).  The recursion's registers there
+    (_division_base) are made once; psi_p mod h_D must vanish, and then the closure
+    test under doubling reads psi_2^2, psi_2^4 and f_3 off the same registers.  No
     Fraction, factorization or minimal model: the dual check, which needs the codomain
     only up to isomorphism, stops here; velu_quotient_from_kernel_poly goes on to _velu.
     """
@@ -242,29 +275,35 @@ def velu_model_from_scaled_kernel(e: Curve, big_h: list[int], kappa: int, p: int
         raise InputError(f"kernel polynomial must be monic of degree {(p - 1) // 2}")
     e_k, h_k = _integral_kernel(e, big_h, kappa)
     ring = polys.residue_ring(h_k)
-    psi2_sq = ring[0](_psi2_squared(e_k))
-    if any(division_poly_x(e_k, p, ring, psi2_sq)):
+    base = _division_base(e_k, ring)
+    if any(division_poly_x(e_k, p, ring, base)):
         raise InputError("kernel polynomial does not divide the p-division polynomial")
-    if not _stable_under_doubling(e_k, h_k, ring, psi2_sq):
+    if not _stable_under_doubling(h_k, ring, base):
         raise InputError("kernel polynomial roots are not closed under doubling")
     return _velu_model(e_k, len(h_k) - 1, *polys.power_sums(h_k, 3))
 
 
-def _stable_under_doubling(e: Curve, h: list[int], ring, psi2_sq: list[int]) -> bool:
+def _stable_under_doubling(h: list[int], ring, base: list) -> bool:
     """True iff x(2z) is a root of h for every root z of h, h monic integral.
 
-    With x(2z) = num(z) / den(z), that is den^d * h(num / den) = 0 mod h(z),
-    d = deg h, over Z in ring = polys.residue_ring(h), den = psi_2^2 given
-    in it.  For a squarefree h dividing psi_p this is closure of the root
-    set, since doubling is injective on x-coordinates of E[p] - {O}.
+    x(2z) = z - psi_3 / psi_2^2 = num / den, num = z psi_2^2 - f_3 and
+    den = psi_2^2, so closure is den^d h(num / den) = 0 mod h(z), d = deg h,
+    over Z in ring = polys.residue_ring(h), from the registers base of the
+    psi_p recursion there (_division_base: psi_2^2, psi_2^4 = den^2, f_3).
+    For a squarefree h dividing psi_p this is closure of the root set,
+    since doubling is injective on x-coordinates of E[p] - {O}.
     """
-    reduce, mul = ring
-    num = reduce([-e.b8, -2 * e.b6, -e.b4, 0, 1])
-    # Horner in homogeneous form: acc = sum_{j >= i} h_j num^(j-i) den^(d-j)
-    acc = den_pow = reduce([1])
-    for c in reversed(h[:-1]):
-        den_pow = mul(den_pow, psi2_sq)
-        acc = [a + c * b for a, b in zip(mul(acc, num), den_pow)]
+    mul = ring[1]
+    den, den_pow, f3 = base[0], base[1], base[2]
+    top = den[-1]  # y den = [0, *den] - top h mod h
+    num = [a - top * c - b for a, c, b in zip([0, *den], h, f3)]
+    # Horner in homogeneous form: acc = sum_{j >= i} h_j num^(j-i) den^(d-j), from h_d = 1
+    d = len(h) - 1
+    acc = [a + h[d - 1] * b for a, b in zip(num, den)]
+    for i in range(d - 2, -1, -1):
+        acc = [a + h[i] * b for a, b in zip(mul(acc, num), den_pow)]
+        if i:
+            den_pow = mul(den_pow, den)
     return not any(acc)
 
 
@@ -298,9 +337,11 @@ def scaled_dual_kernel(iso: IsogenyData) -> tuple[list[int], int]:
     reads sum_j H_j T_j = A_c, T_j = N_c^j h_c^(2(d-j)) monic of degree
     2d^2 + j, so H is integral: a triangular solve on the top d + 1
     coefficients, which need only the top d + 1 of N_c and h_c^2, gives
-    it from H_d = 1 down.  The top of A_c is the top of psi_p (truncated
-    recursion), rescaled and divided by p h_c as a series in 1 / y; that of
-    N_c is c X as a series in 1 / y (_x_map_expansion) times that of h_c^2.
+    it from H_d = 1 down; it reads T_j only at its top j + 1, so the
+    products that make T_j stop there.  The top of A_c is the top of psi_p
+    (truncated recursion), rescaled and divided by p h_c as a series in
+    1 / y, in one loop; that of N_c is c X as a series in 1 / y (_x_map_top)
+    times that of h_c^2.
     That h is monic and divides psi_p is not checked here: an IsogenyData
     carries a proved kernel, and a forged one gives an h' that fails the
     checks of the dual's own entry point.
@@ -313,32 +354,47 @@ def scaled_dual_kernel(iso: IsogenyData) -> tuple[list[int], int]:
     Fraction u or r is taken as an int: then the solve makes no Fraction.
     """
     e, p = iso.domain, iso.p
-    h = list(iso.kernel_x_poly)
+    h = iso.kernel_x_poly
     d = len(h) - 1
     c = p * _denominator(h)
     h_c = _scaled(h, c)
-
-    # the top d + 1 coefficients of each polynomial, highest first: series in 1 / y
-    series = (lambda f: _top(f, d + 1), _mul_top)
-    psi_top = [a * c**i // p for i, a in enumerate(division_poly_x(e, p, series))]
-    a_top, h_top = [], h_c[::-1]
-    for k, a in enumerate(psi_top):  # A_c = (psi_c / p) / h_c, h_c monic
-        a_top.append(a - sum(h_top[i] * a_top[k - i] for i in range(1, k + 1)))
-    hh_top = _mul_top(h_top, h_top)
-    u, r = (a.numerator if a.denominator == 1 else a for a in (iso.to_minimal.u, iso.to_minimal.r))
-    n_top = _mul_top([1, -c * r, *_x_map_expansion(e, h_c, c, d - 1)], hh_top)  # top(N')
-    hh_pows = [None, hh_top]  # hh_pows[k]: the top of h_c^(2k), k >= 1
-    for _ in range(d - 2):
-        hh_pows.append(_mul_top(hh_pows[-1], hh_top))
-    n_pow, t_tops = n_top, {}  # t_tops[j]: the top of T_j, j >= 1; T_d = N'^d
-    for j in range(1, d):
-        t_tops[j] = _mul_top(n_pow, hh_pows[d - j])
-        n_pow = _mul_top(n_pow, n_top)
-    t_tops[d] = n_pow
+    h_top = h_c[::-1]  # all d + 1 coefficients of h_c, highest first
+    # the top d + 1 coefficients of A_c = (psi_c / p) / h_c, h_c monic: series in 1 / y
+    a_top, scale = [], 1
+    for a in division_poly_x(e, p, _series_ring(d + 1)):
+        a = a * scale // p
+        for i in range(1, len(a_top) + 1):
+            a -= h_top[i] * a_top[-i]
+        a_top.append(a)
+        scale *= c
+    tr = iso.to_minimal
+    u = tr.u.numerator if tr.u.denominator == 1 else tr.u
+    r = tr.r.numerator if tr.r.denominator == 1 else tr.r
+    hh = _mul_top(h_top, h_top)
+    n_top = _mul_top(_x_map_top(e, h_c, c, r, d + 1), hh)  # top(N'), N' = (c X - c r) h_c^2
+    # t_tops[j]: the top j + 1 coefficients of T_j = N'^j h_c^(2(d-j)); N'^1 and
+    # h_c^2 are taken as they are, so no product has a factor one
+    n_pows = [None, n_top]
+    for _ in range(d - 1):
+        n_pows.append(_mul_top(n_pows[-1], n_top))
+    t_tops, hh_pow = [None] * d + [n_pows[d]], hh
+    for j in range(d - 1, 0, -1):
+        t_tops[j] = _mul_top(n_pows[j][: j + 1], hh_pow)
+        if j > 1:
+            hh_pow = _mul_top(hh_pow[:j], hh)
     big_h = [0] * d + [1]
     for j in range(d - 1, -1, -1):  # the coefficient of y^(2d^2 + j)
-        big_h[j] = a_top[d - j] - sum(big_h[i] * t_tops[i][i - j] for i in range(j + 1, d + 1))
+        acc = a_top[d - j]
+        for i in range(j + 1, d + 1):
+            acc -= big_h[i] * t_tops[i][i - j]
+        big_h[j] = acc
     return big_h, c * u**2
+
+
+def _series_ring(k: int):
+    """Series in 1 / x truncated to k terms, for division_poly_x: the embedding
+    of Z[x] (_top) and the product there (_mul_top)."""
+    return partial(_top, k=k), _mul_top
 
 
 def _top(f: list[int], k: int) -> list[int]:
@@ -349,23 +405,28 @@ def _top(f: list[int], k: int) -> list[int]:
 def _mul_top(f: list[int], g: list[int]) -> list[int]:
     """The top len(f) coefficients of f g, highest first, from the top len(f) of f and of g."""
     n = len(f)
-    out = [0] * n
-    for i, a in enumerate(f):
-        if a:
-            for j in range(n - i):
-                out[i + j] += a * g[j]
+    b = g[0]
+    out = [a * b for a in f]
+    for j in range(1, n):
+        b = g[j]
+        if b:
+            for i in range(j, n):
+                out[i] += f[i - j] * b
     return out
 
 
-def _x_map_expansion(e: Curve, h_c: list[int], c: int, k: int) -> list[int]:
-    """E_1, ..., E_k in c X = y + sum_j E_j y^-j, Velu's x-map at x = y / c as a series in 1 / y.
+def _x_map_top(e: Curve, h_c: list[int], c: int, r, k: int) -> list:
+    """The top k terms of c (X - r) = y - c r + sum_j E_j y^-j, Velu's x-map at x = y / c
+    as a series in 1 / y, highest first.
 
     X = x + sum over the roots x_Q of h of t_Q / (x - x_Q) + u_Q / (x - x_Q)^2,
     t_Q = 6 x_Q^2 + b2 x_Q + b4, u_Q = psi_2^2(x_Q) (Velu 1971, p odd), so
     E_j = (4j+2) S_{j+1} + j b2 c S_j + (2j-1) b4 c^2 S_{j-1} + (j-1) b6 c^3 S_{j-2},
     S_i the power sums of h_c (S_0 = d): integers, h_c being monic integral.
     """
-    s = [0, len(h_c) - 1, *polys.power_sums(h_c, k + 1)]  # s[i + 1] = S_i
-    b2, b4, b6 = e.b2 * c, e.b4 * c**2, e.b6 * c**3
-    return [(4 * j + 2) * s[j + 2] + j * b2 * s[j + 1] + (2 * j - 1) * b4 * s[j] + (j - 1) * b6 * s[j - 1]
-            for j in range(1, k + 1)]
+    s = [0, len(h_c) - 1, *polys.power_sums(h_c, k - 1)]  # s[i + 1] = S_i
+    b2, b4, b6 = e.b2 * c, e.b4 * c * c, e.b6 * c**3
+    out = [1, -c * r]
+    for j in range(1, k - 1):
+        out.append((4 * j + 2) * s[j + 2] + j * b2 * s[j + 1] + (2 * j - 1) * b4 * s[j] + (j - 1) * b6 * s[j - 1])
+    return out

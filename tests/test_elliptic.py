@@ -60,6 +60,24 @@ def test_invariants_satisfy_the_standard_identities():
     assert len(set(curves.values())) == len(curves)  # distinct a-invariants never compare equal
 
 
+def test_scaled_model_has_the_invariants_of_its_a_invariants():
+    # a_i -> u^i a_i scales each of b2 .. disc by u to its weight, so scaled()
+    # gives every field invariants() computes from the scaled a-invariants
+    rng = random.Random(23)
+    checked = 0
+    for _ in range(200):
+        ainvs = tuple(rng.randint(-50, 50) for _ in range(5))
+        try:
+            e = invariants(*ainvs)
+        except SingularModel:
+            continue
+        for u in (1, 2, -3, 5, 7**4):
+            want = invariants(*(a * u**w for a, w in zip(ainvs, (1, 2, 3, 4, 6))))
+            assert tuple(elliptic.scaled(e, u)) == tuple(want), (ainvs, u)
+        checked += 1
+    assert checked > 150
+
+
 def test_singular_input_rejected():
     with pytest.raises(SingularModel):
         invariants(0, 0, 0, 0, 0)

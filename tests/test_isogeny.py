@@ -97,6 +97,24 @@ def test_quotient_rejects_bad_kernel_poly():
             velu_quotient_from_kernel_poly(E_B5, h, p)
 
 
+def test_a_kernel_polynomial_dividing_psi_but_not_closed_is_rejected():
+    # T = (0, 0) has order 9, with x(2T) = 12 and x(3T) = 4.  h = x psi_3 / (3 (x - 4))
+    # has the roots x(T) = 0 and the x-coordinates of the three other pairs of
+    # 3-torsion points, so it divides psi_9 and passes that check; 12 = x(2T)
+    # is no root, so the closure check rejects it, at both entry points
+    e = invariants(-3, -12, -12, 0, 0)
+    h = [0, 144, 0, -9, 1]
+    assert multiple(e, 9, P0) is None and multiple(e, 2, P0)[0] == 12 and multiple(e, 3, P0)[0] == 4
+    assert _divides(h, division_poly_x(e, 9, ZX)) and not _divides(h, [-12, 1])
+    with pytest.raises(InputError, match="not closed under doubling"):
+        velu_quotient_from_kernel_poly(e, h, 9)
+    with pytest.raises(InputError, match="not closed under doubling"):
+        isogeny.velu_model_from_scaled_kernel(e, h, 1, 9)
+    # <T> itself passes both checks
+    iso = velu_quotient(e, P0, 9)
+    assert velu_quotient_from_kernel_poly(e, iso.kernel_x_poly, 9).codomain == iso.codomain
+
+
 def test_dual_kernel_round_trip():
     iso = velu_quotient(E11A3, P0, 5)
     h = dual_kernel_poly(iso)
@@ -133,19 +151,20 @@ def test_dual_kernel_rejects_a_bad_kernel_poly(monkeypatch):
 
 def test_the_dual_check_makes_two_division_polynomial_calls(monkeypatch):
     # per dual-checked fiber: the top of psi_p in the dual kernel solve and
-    # psi'_p mod h' on E', in the ring the closure test on E' shares, then
-    # the isomorphism test against E; the forward kernel is not proved again
+    # psi'_p mod h' on E', whose ring and registers (psi_2^2, psi_2^4, f_3)
+    # the closure test on E' reads, then the isomorphism test against E;
+    # the forward kernel is not proved again
     calls = []
     psi, closed, iso_test = isogeny.division_poly_x, isogeny._stable_under_doubling, search.isomorphic_to_minimal
 
-    def counted(e, n, ring, *psi2_sq):
+    def counted(e, n, ring, *base):
         mul = ring[1]
-        calls.append("top" if mul is isogeny._mul_top else "full" if mul is poly_mul else ("mod", ring))
-        return psi(e, n, ring, *psi2_sq)
+        calls.append("top" if mul is isogeny._mul_top else "full" if mul is poly_mul else ("mod", ring, *base))
+        return psi(e, n, ring, *base)
 
-    def counted_closure(e, h, ring, psi2_sq):
-        calls.append(("closure", ring))
-        return closed(e, h, ring, psi2_sq)
+    def counted_closure(h, ring, base):
+        calls.append(("closure", ring, base))
+        return closed(h, ring, base)
 
     def counted_iso(e, emin):
         calls.append("isomorphic")
@@ -160,6 +179,7 @@ def test_the_dual_check_makes_two_division_polynomial_calls(monkeypatch):
             assert search.evaluate_row(p, b)["dual_swap_verified"], (p, b)
             assert [c if isinstance(c, str) else c[0] for c in calls] == ["top", "mod", "closure", "isomorphic"], (p, b)
             assert calls[1][1] is calls[2][1]  # one residue ring
+            assert calls[1][2] is calls[2][2]  # one set of recursion registers in it
 
 
 def test_dual_check_stays_in_integers(monkeypatch):
@@ -273,10 +293,11 @@ def test_rational_kernels_match_the_fraction_model_oracle():
 
 
 def test_dual_kernel_solve_multiplies_no_series_by_one(monkeypatch):
-    # the truncated psi_p takes 4 products at p = 5 (10 at p = 7), the tops
-    # of h_c^2 and N' 2 (N' is the x-map's series times h_c^2), and the
-    # tops of T_1 .. T_d 2 (5): h_c^0 = 1 and N'^1 are taken as they are,
-    # so no product has a factor one
+    # the truncated psi_p takes 4 products at p = 5 (7 at p = 7: psi_2^4,
+    # then f_3^3 and psi_2^4 f_4 are each made once), the tops of h_c^2 and
+    # N' 2 (N' is the x-map's series times h_c^2), and the tops of T_1 .. T_d
+    # and the powers of N' and h_c^2 they need 2 (5): h_c^0 = 1, N'^1 and
+    # h_c^2 are taken as they are, so no product has a factor one
     calls = [0]
     mul_top = isogeny._mul_top
 
@@ -287,7 +308,7 @@ def test_dual_kernel_solve_multiplies_no_series_by_one(monkeypatch):
         return mul_top(f, g)
 
     monkeypatch.setattr(isogeny, "_mul_top", counted)
-    for p, b, want in ((5, 2, 8), (5, -32, 8), (7, 2, 17), (7, 5, 17)):
+    for p, b, want in ((5, 2, 8), (5, -32, 8), (7, 2, 14), (7, 5, 14)):
         fib = fiber(tate_family(p), b)
         iso = classify_primes(fib.curve, fib.point, p, fib.disc_factorization).isogeny
         calls[0] = 0

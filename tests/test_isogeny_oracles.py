@@ -129,7 +129,7 @@ def _stable_under_doubling(e, h):
     """The library's closure test, on the integral pair and in the ring its callers pass it."""
     e_k, h_k = _integral_pair(e, h)
     ring = polys.residue_ring(h_k)
-    return isogeny._stable_under_doubling(e_k, h_k, ring, ring[0](isogeny._psi2_squared(e_k)))
+    return isogeny._stable_under_doubling(h_k, ring, isogeny._division_base(e_k, ring))
 
 
 def _isogenies(p, bs):
@@ -217,7 +217,7 @@ def test_dual_kernel_identity_holds_on_every_coefficient():
         a_c = [int(k) for k in reversed(quo.all_coeffs())]
         n_c, hh = _velu_x_numerator(e, h_c, p, c), poly_mul(h_c, h_c)
         hh_top = hh[: -d - 2 : -1]
-        n_top = isogeny._mul_top([1, 0, *isogeny._x_map_expansion(e, h_c, c, d - 1)], hh_top)
+        n_top = isogeny._mul_top(isogeny._x_map_top(e, h_c, c, 0, d + 1), hh_top)
         assert n_top == n_c[: -d - 2 : -1], (p, b)
         total = []
         for j, hj in enumerate(_raw_dual_scaled(iso, c)):
@@ -304,8 +304,7 @@ def test_truncated_ring_gives_the_top_of_psi():
         for n in (3, 5, 7, 9, 11):
             psi = oracle_division_poly_x(e, n)
             for k in (1, 2, 3, 4):
-                series = (lambda f, k=k: isogeny._top(f, k), isogeny._mul_top)
-                assert division_poly_x(e, n, series) == psi[: -k - 1 : -1], (e.ainvs(), n, k)
+                assert division_poly_x(e, n, isogeny._series_ring(k)) == psi[: -k - 1 : -1], (e.ainvs(), n, k)
 
 
 def _kernel_pairs():

@@ -3,6 +3,7 @@
 import random
 from fractions import Fraction
 
+import pytest
 import sympy
 from conftest import poly_mul, poly_trim
 
@@ -104,6 +105,34 @@ def test_roots_modq():
         brute = [b for b in range(q) if (b * b - 11 * b - 1) % q == 0]
         assert got == brute
     assert polys.roots_modq(f, 11) == [1, 10]
+
+
+def _brute_roots(f, q):
+    return [b for b in range(q) if polys.evaluate(f, b) % q == 0]
+
+
+def test_roots_modq_matches_brute_force_below_2000():
+    # every prime q < 2000, on the family polynomials and on seeded random
+    # polynomials of degree <= 3 (repeated roots and f = 0 mod q included)
+    from shabound.arith import is_prime
+    from shabound.search import tate_family
+
+    family = [list(fp.coeffs) for p in (5, 7) for fp in tate_family(p).factor_polys]
+    rng = random.Random(2000)
+    checked = 0
+    for q in filter(is_prime, range(2, 2000)):
+        cases = family + [[rng.randrange(-3 * q, 3 * q) for _ in range(rng.randrange(1, 5))] for _ in range(4)]
+        cases += [[-r * r, 2 * r, -1] for r in (rng.randrange(q),)]  # -(x - r)^2
+        for f in cases:
+            if all(c % q == 0 for c in f):
+                with pytest.raises(ValueError):
+                    polys.roots_modq(f, q)
+                continue
+            assert polys.roots_modq(f, q) == _brute_roots(f, q), (f, q)
+            checked += 1
+    assert checked > 3000
+    with pytest.raises(ValueError):
+        polys.roots_modq([7, -14, 21], 7)
 
 
 def test_has_root_large_q():

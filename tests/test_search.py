@@ -63,6 +63,26 @@ def test_cusp_factors_always_split_at_one_mod_p():
             assert any(polys.roots_modq(list(fp.coeffs), ell) for fp in s2)
 
 
+def test_construct_parameter_forced_s2_prime_near_10_12_is_fast():
+    # the S2 congruence's root mod ell comes from a root finder polynomial in
+    # log ell; a search linear in ell would take days here
+    import time
+
+    from shabound import polys
+    from shabound.arith import is_prime
+
+    for p in (5, 7):
+        ell = next(q for q in range(10**12, 10**12 + 10**5) if q % p == 1 and is_prime(q))
+        start = time.perf_counter()
+        b0, modulus = construct_parameter(tate_family(p), SearchConstraints(p, force_s2=(ell,)))
+        assert time.perf_counter() - start < 1.0, p
+        s2 = [list(fp.coeffs) for fp in tate_family(p).factor_polys if fp.role == "S2"]
+        assert modulus == ell and 0 <= b0 < ell
+        assert any(polys.evaluate(f, b0) % ell == 0 for f in s2), p
+        roots = polys.roots_modq(s2[0], ell)
+        assert roots == sorted(set(roots)) and all(polys.evaluate(s2[0], r) % ell == 0 for r in roots)
+
+
 def test_construct_parameter_unreachable_without_s2_factor():
     fam = tate_family(5)
     crippled = fam._replace(factor_polys=tuple(fp for fp in fam.factor_polys if fp.role != "S2"))
