@@ -474,17 +474,6 @@ def require_complete(f: Factorization | Incomplete) -> Factorization:
     return f
 
 
-def smallest_primitive_root(ell: int) -> int:
-    """Smallest primitive root modulo a prime ell."""
-    if ell == 2:
-        return 1
-    exponents = [(ell - 1) // q for q in require_complete(factor(ell - 1)).primes]
-    for r in range(2, ell):
-        if all(pow(r, x, ell) != 1 for x in exponents):
-            return r
-    raise AssertionError("no primitive root found; ell not prime?")
-
-
 class ResidueCharacter(namedtuple("ResidueCharacter", [
     "ell",  # int
     "p",  # int
@@ -493,9 +482,11 @@ class ResidueCharacter(namedtuple("ResidueCharacter", [
 ])):
     """One coordinate of the local-units-mod-p-th-powers map at a prime ell = 1 mod p.
 
-    The fixed generator is g = r^((ell-1)/p) with r the smallest primitive
-    root mod ell; any other choice rescales values by a unit of Z/p and
-    leaves all ranks unchanged, fixing it makes outputs byte-deterministic.
+    The fixed generator is g = a^((ell-1)/p) with a the least integer >= 2
+    for which that power is not 1 mod ell, so finding it factors nothing.
+    Any other generator of the p-th roots of unity rescales values by a
+    unit of Z/p and leaves all ranks and kernels unchanged; fixing one
+    makes outputs byte-deterministic.
     powers maps g^x mod ell to x for x in 0..p-1, so a value is one lookup;
     it is determined by the other fields, so equality is theirs.
     """
@@ -516,14 +507,15 @@ class ResidueCharacter(namedtuple("ResidueCharacter", [
         return super().__new__(cls, ell, p, generator, powers)
 
 
-@lru_cache(maxsize=1024)  # the primitive-root search factors ell - 1
+@lru_cache(maxsize=1024)  # saves rebuilding the generator's power table
 def residue_character(ell: int, p: int) -> ResidueCharacter:
     if not is_prime(ell) or not is_prime(p) or p == 2:
         raise InputError(f"residue_character needs primes, p odd: ell={ell}, p={p}")
     if ell % p != 1:
         raise InputError(f"ell = {ell} is not 1 mod p = {p}")
-    r = smallest_primitive_root(ell)
-    g = pow(r, (ell - 1) // p, ell)
+    a, e = 2, (ell - 1) // p
+    while (g := pow(a, e, ell)) == 1:  # a is a p-th power mod ell
+        a += 1
     return ResidueCharacter(ell, p, g)
 
 

@@ -24,7 +24,6 @@ from .arith import (
     crt_solve,
     is_prime,
     require_complete,
-    residue_character,
 )
 from .descent import S1, S2, ClassifiedCurve, analyze_classified, classify_primes
 from .elliptic import invariants, isomorphic_to_minimal
@@ -240,10 +239,9 @@ def evaluate_row(p: int, b: int, verify_dual: bool = True, omega_max: int | None
     classify_primes: its row holds curve, disc, omega_of_cofactor, s1
     and s2, and no character table, elimination or bound is built.  It
     still goes through every step that can end it another way: fiber(),
-    classify_primes (Velu, the codomain's factoring, both classifiers),
-    the primitive-root search of each row prime ell = 1 mod p, and the
-    dual check when verify_dual is on.  Without omega_max the row is
-    always the full one.
+    classify_primes (Velu, the codomain's factoring, both classifiers)
+    and the dual check when verify_dual is on.  Without omega_max the
+    row is always the full one.
     """
     family = tate_family(p)
     row: dict = {"b": b}
@@ -284,9 +282,6 @@ def _fill_row(row: dict, family: FamilySpec, b: int, verify_dual: bool, omega_ma
     if _over_omega(row, omega_max):
         row["s1"] = list(sets.s1)  # for _row_with_forcing's flags
         row["s2"] = list(sets.s2)
-        for ell in (*sets.s2, *sets.s1):  # character_table's rows: a primitive-root search can be incomplete
-            if ell % p == 1:
-                residue_character(ell, p)
         if verify_dual:
             _verify_dual_swap(cls)
         return

@@ -12,9 +12,10 @@ import time
 from fractions import Fraction
 
 import pytest
+import sympy
 
-from shabound import report
-from shabound.arith import character_eval, is_prime, residue_character
+from shabound import descent, report
+from shabound.arith import ResidueCharacter, character_eval, is_prime, residue_character
 from shabound.bounds import FieldInvariants, cassels_interval, selmer_interval, sha_from_sum, theorem_budget
 from shabound.cli import main
 from shabound.descent import m_rank, sandwich_from_sets
@@ -102,11 +103,10 @@ def test_criterion_4_classifier_agreement(corpus, corpus_p7):
     assert ok
 
 
-def test_criterion_5_character_and_rank_oracles():
+def _criterion_5_draws():
+    """Criterion 5's random instances: (p, S1, S2) for a rank, and (ell, a, b) for a character."""
     rng = random.Random(20260823)
     primes = [ell for ell in range(2, 10**4) if is_prime(ell)]
-    instances = 0
-    ok = True
     for p in (5, 7):
         ones = [ell for ell in primes if ell % p == 1]
         others = [q for q in primes if q != p]
@@ -115,28 +115,76 @@ def test_criterion_5_character_and_rank_oracles():
             s2 = sorted(set(rng.sample(ones, rng.randrange(1, 4))) - set(s1))
             if not s2:
                 continue
-            chis = [residue_character(ell, p) for ell in s2]
-            rows = [[character_eval(chi, q) for q in s1] for chi in chis]
-            kernel = sum(
-                1
-                for v in itertools.product(range(p), repeat=len(s1))
-                if all(sum(r * x for r, x in zip(row, v)) % p == 0 for row in rows)
-            )
-            m = m_rank(p, tuple(s1), tuple(s2))
-            ok = ok and kernel == p ** (len(s1) - m)
-            # character oracle: explicit p-th-power membership + additivity
             ell = rng.choice(ones[:200])
-            chi = residue_character(ell, p)
-            pth = {pow(x, p, ell) for x in range(1, ell)}
-            a, b = rng.randrange(1, ell), rng.randrange(1, ell)
-            ok = ok and (character_eval(chi, a) == 0) == (a in pth)
-            ok = ok and character_eval(chi, a * b) == (character_eval(chi, a) + character_eval(chi, b)) % p
-            instances += 2  # one rank instance + one character instance
-            if not ok:
-                break
+            yield p, s1, s2, ell, rng.randrange(1, ell), rng.randrange(1, ell)
+
+
+def test_criterion_5_character_and_rank_oracles():
+    instances = 0
+    ok = True
+    for p, s1, s2, ell, a, b in _criterion_5_draws():
+        chis = [residue_character(q, p) for q in s2]
+        rows = [[character_eval(chi, q) for q in s1] for chi in chis]
+        kernel = sum(
+            1
+            for v in itertools.product(range(p), repeat=len(s1))
+            if all(sum(r * x for r, x in zip(row, v)) % p == 0 for row in rows)
+        )
+        m = m_rank(p, tuple(s1), tuple(s2))
+        ok = ok and kernel == p ** (len(s1) - m)
+        # character oracle: explicit p-th-power membership + additivity
+        chi = residue_character(ell, p)
+        pth = {pow(x, p, ell) for x in range(1, ell)}
+        ok = ok and (character_eval(chi, a) == 0) == (a in pth)
+        ok = ok and character_eval(chi, a * b) == (character_eval(chi, a) + character_eval(chi, b)) % p
+        instances += 2  # one rank instance + one character instance
+        if not ok:
+            break
     ok = ok and instances >= 10**3
     _line(5, f"character/rank brute-force oracles ({instances} instances)", ok)
     assert ok
+
+
+def _old_convention_character(ell: int, p: int) -> ResidueCharacter:
+    """The character whose generator is the p-th power residue of the smallest primitive root."""
+    return ResidueCharacter(ell, p, pow(sympy.primitive_root(ell), (ell - 1) // p, ell))
+
+
+def test_generator_convention_oracle(monkeypatch):
+    """The generator rule of residue_character, against sympy's primitive root.
+
+    residue_character(ell, p) takes g = a^((ell-1)/p) for the least a >= 2
+    whose power is not 1.  Any other generator of the p-th roots of unity,
+    such as r^((ell-1)/p) for the smallest primitive root r, gives a row
+    chi_ell(q) that is a fixed unit multiple of this one, so the ranks and
+    the kernel bases of every matrix are the same under both.
+    """
+    primes = [q for q in range(2, 2000) if is_prime(q)]
+    moved = 0
+    for p in (3, 5, 7, 11, 13):
+        for ell in primes:
+            if ell % p != 1:
+                continue
+            e = (ell - 1) // p
+            chi, old = residue_character(ell, p), _old_convention_character(ell, p)
+            least = next(a for a in itertools.count(2) if pow(a, e, ell) != 1)
+            assert chi.generator == pow(least, e, ell), (ell, p)
+            # the primes below ell generate F_ell*, so neither row is 0
+            row = [character_eval(chi, q) for q in primes if q != ell]
+            old_row = [character_eval(old, q) for q in primes if q != ell]
+            unit = next(filter(None, row)) * pow(next(filter(None, old_row)), -1, p) % p
+            assert row == [unit * x % p for x in old_row], (ell, p)
+            moved += unit != 1
+    assert moved == 97  # of the 316 pairs (ell, p), the rest keep their generator
+    draws = [(p, tuple(s1), tuple(s2)) for p, s1, s2, *_ in _criterion_5_draws()]
+    assert 2 * len(draws) == 1040
+
+    def results():
+        return [(m_rank(*d), sandwich_from_sets(*d)) for d in draws]
+
+    new = results()
+    monkeypatch.setattr(descent, "residue_character", _old_convention_character)
+    assert results() == new
 
 
 def test_criterion_6_sandwich_soundness_and_monotonicity(corpus):

@@ -18,7 +18,6 @@ from shabound.arith import (
     jacobi,
     require_complete,
     residue_character,
-    smallest_primitive_root,
     valuation,
 )
 from shabound.errors import IncompleteFactorization, InputError
@@ -148,16 +147,24 @@ def test_valuation():
     assert valuation(7, 5) == 0
 
 
-def test_smallest_primitive_root():
-    for ell in (3, 5, 7, 11, 13, 31, 41, 61):
-        assert smallest_primitive_root(ell) == sympy.primitive_root(ell)
-
-
 def test_character_fixtures():
     chi = residue_character(11, 5)
     assert character_eval(chi, 3) == 3
-    chi31 = residue_character(31, 5)
-    assert character_eval(chi31, 2) == 4
+    chi31 = residue_character(31, 5)  # generator 2 = 2^6 mod 31, so chi(2) = 1
+    assert (chi31.generator, character_eval(chi31, 2)) == (2, 1)
+
+
+def test_residue_character_factors_nothing(monkeypatch):
+    # ell - 1 = 2^2 * 3 * 5 * q1 * q2 with q1, q2 > 10^6: with no rho budget
+    # its factorization is incomplete, and the generator needs none of it
+    q1, q2 = 1000003, 1000033
+    ell = 60 * q1 * q2 + 1
+    assert sympy.factorint(ell - 1) == {2: 2, 3: 1, 5: 1, q1: 1, q2: 1} and is_prime(ell)
+    monkeypatch.setattr(arith, "_DEFAULT_RHO_BUDGET", 0)
+    assert not factor(ell - 1).complete
+    residue_character.cache_clear()
+    chi = residue_character(ell, 5)
+    assert chi.generator == pow(2, (ell - 1) // 5, ell) != 1
 
 
 def test_character_additivity_and_power_oracle():
@@ -192,8 +199,7 @@ def _character_by_multiplication(chi, a):
 def test_character_lookup_matches_the_multiplication_loop():
     # every ell = 1 mod p below 5000 at p = 5, 7, 11, 13: the one dict lookup
     # equals the walk over the generator's powers on a sample of residues,
-    # the table holds exactly those p powers, and the generator is still
-    # the p-th power residue of the smallest primitive root
+    # and the table holds exactly those p powers
     rng = random.Random(22)
     checked = 0
     for p in (5, 7, 11, 13):
@@ -201,7 +207,6 @@ def test_character_lookup_matches_the_multiplication_loop():
             if not is_prime(ell):
                 continue
             chi = residue_character(ell, p)
-            assert chi.generator == pow(sympy.primitive_root(ell), (ell - 1) // p, ell)
             assert chi.powers == {pow(chi.generator, x, ell): x for x in range(p)}
             residues = [1, ell - 1, *rng.sample(range(2, ell - 1), min(24, ell - 3))]
             for a in residues + [a + ell * rng.randrange(1, 10**6) for a in residues[:4]]:

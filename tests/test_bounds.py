@@ -141,3 +141,51 @@ def test_bound_report_is_cached_and_rejects_bad_input_every_time():
             bound_report(FQ, 2, 1, -1, 0)
     info = bound_report.cache_info()
     assert (info.hits, info.misses, info.currsize) == (1, 4, 1)
+
+
+def test_sha_lower_is_zero_on_every_phi_matrix_over_q():
+    """sha_lower is 0 whenever m and m-hat are the ranks of the curve's own phi-matrices.
+
+    m_phi is the rank of a matrix with #S2 rows and #S1 columns, and
+    m_phihat that of a matrix with at most #S1 rows and #S2 columns, so
+    each is at most min(#S1, #S2) and m + m-hat <= 2 min(#S1, #S2).
+    sha_lower_matrix takes twice the bound as
+    2(-min(#S1, #S2) - 3d - 1) + m + m-hat, which is then at most
+    -2(3d + 1) < 0, and its ceiling clamps to 0 for every degree d.  The
+    formula is meant for the ranks of a larger matrix from another
+    isogeny of the network (theorem_budget's m_threshold > s2_max); the
+    scan rows and analyze give it the phi-matrices, on which it cannot
+    be positive.  Checked on the kept rows of three pinned scans and on
+    random S-sets through analyze_classified.
+    """
+    import hashlib
+    import random
+    from types import SimpleNamespace
+
+    from test_golden_reports import SEARCHES
+
+    from shabound import report
+    from shabound.arith import is_prime
+    from shabound.descent import analyze_classified
+    from shabound.search import SearchConstraints, scan, tate_family
+
+    for name in ("p5-dual-80", "p7-300", "forced-41-11-300-j2"):
+        cfg, _, digest = SEARCHES[name]
+        r = scan(tate_family(cfg["p"]), SearchConstraints(**cfg), jobs=1)
+        assert hashlib.sha256(report.dumps(r).encode()).hexdigest() == digest, name
+        assert r["rows"], name
+        for row in r["rows"]:
+            assert row["m_phi"] + row["m_phihat"] <= 2 * min(len(row["s1"]), len(row["s2"])), (name, row["b"])
+            assert row["advisory_bounds"]["sha_lower"] == 0, (name, row["b"])
+    rng = random.Random(2026)
+    primes = [q for q in range(2, 600) if is_prime(q)]
+    positive_ranks = 0
+    for i in range(2000):
+        p = (5, 7)[i % 2]
+        s1 = sorted(rng.sample([q for q in primes if q != p], rng.randrange(0, 6)))
+        s2 = sorted(set(rng.sample([q for q in primes if q % p == 1], rng.randrange(0, 6))) - set(s1))
+        an = analyze_classified(SimpleNamespace(sets=SimpleNamespace(s1=tuple(s1), s2=tuple(s2))), p)
+        assert an.m_phi + an.m_phihat <= 2 * min(len(s1), len(s2)), (p, s1, s2)
+        assert an.bounds.sha_lower == 0 and an.bounds.sha_lower_raw <= -4, (p, s1, s2)
+        positive_ranks += an.m_phi + an.m_phihat > 0
+    assert positive_ranks > 1000

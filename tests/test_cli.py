@@ -120,7 +120,7 @@ def test_matrix_fixture(capsys):
     assert code == 0
     data = json.loads(out)
     assert data["rank"] == "2"
-    assert data["entries"] == [["1", "3"], ["4", "1"]]
+    assert data["entries"] == [["1", "3"], ["1", "4"]]
 
 
 def test_matrix_empty_s1(capsys):

@@ -55,7 +55,7 @@ def test_classify_carries_nonminimal_input():
 
 
 def test_character_matrix_fixture():
-    assert character_rows(5, (2, 3), (11, 31)) == ([11, 31], [[1, 3], [4, 1]])
+    assert character_rows(5, (2, 3), (11, 31)) == ([11, 31], [[1, 3], [1, 4]])
     assert m_rank(5, (2, 3), (11, 31)) == 2
 
 

@@ -327,8 +327,8 @@ def test_forced_scan_splits_powers_without_rho(monkeypatch, tmp_path, capsys):
     # the (41, 11) 300-fiber forced scan: plain trial division handed rho 76
     # perfect powers q^5; the root stage and the power split leave it none.
     # _factor_into, the one trial-division entry, runs once per factor
-    # polynomial value, codomain remainder and ell - 1 of a primitive-root
-    # search; factor itself serves only the primitive roots
+    # polynomial value and codomain remainder, and factor never: a scan
+    # factors discriminants only
     calls = {"factor": 0, "_factor_into": 0, "rho": 0}
 
     def counted(name, fn):
@@ -345,10 +345,10 @@ def test_forced_scan_splits_powers_without_rho(monkeypatch, tmp_path, capsys):
             for attr, val in list(vars(mod).items()):
                 if val is fn:
                     monkeypatch.setattr(mod, attr, wrapped)
-    arith.residue_character.cache_clear()  # its primitive-root search factors ell - 1
+    arith.residue_character.cache_clear()
     cfg = {"p": 5, "force_s1": [41], "force_s2": [11], "omega_max": 6,
            "scan_budget": 300, "verify_dual": False}
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg))
     assert main(["search", "--config", str(path), "--jobs", "1", "--json"]) == 0
-    assert calls == {"factor": 178, "_factor_into": 895, "rho": 0}
+    assert calls == {"factor": 0, "_factor_into": 717, "rho": 0}

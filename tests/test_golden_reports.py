@@ -99,7 +99,7 @@ TEXT_OUTPUTS = {
     ),
     "matrix": (
         ["matrix", "--p", "5", "--s1", "2,3", "--s2", "11,31"],
-        "75b07200bcd978ed7235223c9d441d04a3f3c1e07cc48deab44ffe9faa8461b1",
+        "32d309c442f40901ba519c58b63dce37338130942933e56c87b757b59aee53bb",
     ),
 }
 

@@ -421,8 +421,8 @@ def test_classifier_disagreements_become_rows(monkeypatch, patch, detail):
 def test_each_prime_of_a_fiber_is_handled_once_in_a_scan(monkeypatch):
     # the p = 7 60-fiber scan.  Factoring: one result object for the fiber's
     # discriminant (one table over its factor polynomials), one for Velu's
-    # codomain, one more where the codomain's minimal model has its own
-    # discriminant, and one per primitive-root search.  The local pass: one
+    # codomain, and one more where the codomain's minimal model has its own
+    # discriminant; a residue character factors nothing.  The local pass: one
     # reduction_at per bad prime other than p, each with one primality
     # test, and at q <= 3 its singular-point search is the only one.  The
     # report keeps its pinned bytes
@@ -472,7 +472,7 @@ def test_each_prime_of_a_fiber_is_handled_once_in_a_scan(monkeypatch):
     assert analysed == 59 and not r["errors"] and r["skipped"]["incomplete_factorization"] == 0
     ells = arith.residue_character.cache_info().misses
     assert (ells, rescaled[0]) == (20, 9)
-    assert built == {"Factorization": 2 * analysed + rescaled[0] + ells, "Incomplete": 0}
+    assert built == {"Factorization": 2 * analysed + rescaled[0], "Incomplete": 0}
     bs = [b for k in range(1, 31) for b in (k, -k) if b != 1]  # scan order; b = 1 is singular
     assert sorted(row["b"] for row in r["rows"]) == sorted(bs) and len(local) == len(bs)
     for b, qs in zip(bs, local):
@@ -483,8 +483,7 @@ def test_each_prime_of_a_fiber_is_handled_once_in_a_scan(monkeypatch):
 
 
 # fibers of the forced (41, 11) scan with 7 or more discriminant primes and
-# no error: an omega_max of 6 drops them.  Row primes ell = 1 mod 5: 11 in
-# S2 and 41 in S1 of each
+# no error: an omega_max of 6 drops them
 _FILTERED = (-1066, 3444, -2870)
 
 
@@ -531,18 +530,36 @@ def test_only_kept_rows_build_character_tables_and_bounds(monkeypatch):
     assert calls == {"classify_primes": 300, "character_table": 148, "selmer_dims": 296, "bound_report": 148}
 
 
-@pytest.mark.parametrize("fault", ["row prime 11", "row prime 41", "classifiers", "dual check"])
+def test_a_scan_factors_no_ell_minus_1(monkeypatch):
+    # the search-p5-forced-j2 config with factor unusable: a scan factors
+    # the fiber discriminant and Velu's codomain, through _factor_into, and
+    # no residue character factors ell - 1.  The report keeps its pinned bytes
+    import hashlib
+
+    from test_golden_reports import SEARCHES
+
+    from shabound import arith, elliptic
+
+    def refuse(n):
+        raise AssertionError(f"factor({n}) called")
+
+    monkeypatch.setattr(arith, "factor", refuse)
+    monkeypatch.setattr(elliptic, "factor", refuse)
+    arith.residue_character.cache_clear()
+    cfg, _, digest = SEARCHES["forced-41-11-300-j2"]
+    r = scan(tate_family(5), SearchConstraints(**cfg), jobs=1)
+    assert hashlib.sha256(report.dumps(r).encode()).hexdigest() == digest
+    assert arith.residue_character.cache_info().misses > 0
+
+
+@pytest.mark.parametrize("fault", ["classifiers", "dual check"])
 def test_a_filtered_fiber_keeps_its_skip_or_error_reason(monkeypatch, fault):
     # each step that can end a fiber another way still runs on a fiber over
     # omega_max, so it ends as it does without the filter, never as
     # filtered_omega
-    from shabound import arith, descent, search
+    from shabound import descent, search
 
-    if fault.startswith("row prime"):  # the primitive-root search of ell factors ell - 1
-        n, real = int(fault.split()[-1]) - 1, arith.factor
-        monkeypatch.setattr(arith, "factor", lambda m: arith.Incomplete(m, 1, (), m) if m == n else real(m))
-        arith.residue_character.cache_clear()
-    elif fault == "classifiers":
+    if fault == "classifiers":
         monkeypatch.setattr(descent, "valuation_ratio_set", lambda p, v, v_image: None)
     else:
         def fail(cls):
