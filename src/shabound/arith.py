@@ -110,13 +110,15 @@ def _lucas_strong_probable_prime(n: int) -> bool:
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic primality for 0 <= n < 2^128.
+    """Deterministic primality for 0 <= n < 2^128; a proof below psi_13 (~2^81).
 
     Below 2^12 it is a lookup in the table of _small_primes.  Below psi_13
-    (~2^81) it is Miller-Rabin with the shortest prefix of the prime bases
-    proven for n's size; up to the 2^128 working limit it is a Baillie-PSW
-    check (strong base-2 MR plus strong Lucas).  Inputs at or beyond the
-    working limit are rejected rather than answered probabilistically.
+    it is Miller-Rabin with the shortest prefix of the prime bases proven
+    for n's size (OEIS A014233), so its answer is a proof.  From psi_13 to
+    the 2^128 working limit it is Baillie-PSW (strong base-2 MR plus strong
+    Lucas): no counterexample is known, but it is verified only below 2^64,
+    so a True there is not a proof.  Inputs at or beyond the working limit
+    are rejected rather than answered probabilistically.
     """
     if n < 0:
         raise InputError("is_prime expects a nonnegative integer")
@@ -311,7 +313,7 @@ def _kth_root(m: int, k: int) -> int:
         x = y
 
 
-def _exact_root(m: int, k: int) -> int | None:
+def exact_root(m: int, k: int) -> int | None:
     """r with r^k == m, or None; most non-powers fail a k-th power residue test."""
     product, moduli = _residue_moduli(k)
     a = m % product
@@ -332,7 +334,7 @@ def _perfect_power(m: int, least: int) -> tuple[int, int]:
     for q in _small_primes()[0]:
         if q >= log2(m) / log2(least):
             break
-        while (r := _exact_root(m, q)) is not None:
+        while (r := exact_root(m, q)) is not None:
             m, k = r, k * q
     return m, k
 
@@ -431,10 +433,23 @@ def factor(n: int) -> Factorization | Incomplete:
     Returns Incomplete (with the unresolved cofactor) instead of looping
     forever; callers that need completeness must check.
     """
+    return factor_product(n, ((abs(n), 1),))
+
+
+def factor_product(n: int, pieces) -> Factorization | Incomplete:
+    """Factor a nonzero n from pieces (value, multiplicity), values >= 1,
+    with |n| = prod(value^multiplicity): each value runs through the
+    stages of _factor_into into one table, its primes and any unresolved
+    cofactor counted multiplicity times.  InputError if the pieces miss n."""
     if n == 0:
         raise InputError("cannot factor 0")
+    pieces = tuple(pieces)
+    if any(v < 1 or m < 1 for v, m in pieces) or prod(v**m for v, m in pieces) != abs(n):
+        raise InputError(f"the pieces {pieces} are not a factoring of |{n}|")
     found: dict[int, int] = {}
-    stubborn = _factor_into(abs(n), found)
+    stubborn = 1
+    for value, mult in pieces:
+        stubborn *= _factor_into(value, found, mult) ** mult
     return _factorization(n, 1 if n > 0 else -1, found, stubborn)
 
 

@@ -60,21 +60,23 @@ def _parse_fraction(s) -> Fraction:
     raise InputError(f"expected a fraction like '3/4', got {s!r}")
 
 
-def parse_curve(text: str):
+def _json_arg(label: str, text: str):
+    """The JSON value of a command-line argument; InputError under its label if the text is not JSON."""
     try:
-        data = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as exc:
-        raise InputError(f"curve: invalid JSON ({exc})") from exc
+        raise InputError(f"{label}: invalid JSON ({exc})") from exc
+
+
+def parse_curve(text: str):
+    data = _json_arg("curve", text)
     if not isinstance(data, list) or len(data) != 5:
         raise InputError("curve: expected a JSON array [a1,a2,a3,a4,a6]")
     return invariants(*[_parse_int(a) for a in data])
 
 
 def parse_point(text: str):
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise InputError(f"point: invalid JSON ({exc})") from exc
+    data = _json_arg("point", text)
     if data == "O":
         return None
     if not isinstance(data, list) or len(data) != 2:
@@ -153,16 +155,14 @@ def cmd_analyze(args) -> int:
         },
     }
     if args.second_kernel is not None:
-        payload["second_kernel"] = _second_kernel_payload(cls, args.second_kernel, p)
+        payload["second_kernel"] = _second_kernel_payload(cls, args.second_kernel)
     _emit(args, payload)
     return 0
 
 
-def _second_kernel_payload(cls, text: str, p: int) -> dict:
-    try:
-        coeffs = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise InputError(f"second-kernel: invalid JSON ({exc})") from exc
+def _second_kernel_payload(cls, text: str) -> dict:
+    p = cls.isogeny.p
+    coeffs = _json_arg("second-kernel", text)
     if not isinstance(coeffs, list):
         raise InputError("second-kernel: expected a JSON array of coefficients, low degree first")
     h = tuple(_parse_fraction(c) for c in coeffs)
@@ -230,7 +230,7 @@ def cmd_bounds(args) -> int:
 
 def cmd_search(args) -> int:
     # here, not at the top: the other commands need none of the scan's code
-    from .search import SearchConstraints, scan, tate_family
+    from .search import SearchConstraints, scan
 
     try:
         with open(args.config) as fh:
@@ -261,12 +261,11 @@ def cmd_search(args) -> int:
         parameter_box=_parse_int(cfg.get("parameter_box", 1000)),
         verify_dual=verify_dual,
     )
-    family = tate_family(constraints.p)
 
     def progress(done, total):
         print(f"scan: {done}/{total} fibers", file=sys.stderr)
 
-    result = scan(family, constraints, jobs=args.jobs, progress=progress)
+    result = scan(constraints, jobs=args.jobs, progress=progress)
     _emit(args, result)
     return EXIT_INTERNAL if any(r["error"] == "internal_error" for r in result["errors"]) else 0
 

@@ -285,18 +285,18 @@ def analyze_curve(
 ) -> Analysis:
     """The descent pipeline for the isogeny with kernel <pt>, in both
     directions: classify_primes, then analyze_classified."""
-    return analyze_classified(classify_primes(e, pt, p, disc_factorization), p)
+    return analyze_classified(classify_primes(e, pt, p, disc_factorization))
 
 
-def analyze_classified(cls: ClassifiedCurve, p: int) -> Analysis:
-    """Everything after classify_primes: one character table, selmer_dims
-    in each direction, bound_report.
+def analyze_classified(cls: ClassifiedCurve) -> Analysis:
+    """Everything after classify_primes, for p = cls.isogeny.p: one
+    character table, selmer_dims in each direction, bound_report.
 
     The phihat direction takes its rows from the S1 primes that are 1
     mod p, as sandwich_from_sets does: the local groups of the others
     are trivial over Q.
     """
-    s1, s2 = cls.sets.s1, cls.sets.s2
+    p, s1, s2 = cls.isogeny.p, cls.sets.s1, cls.sets.s2
     table = character_table(p, s1, s2)
     phi = selmer_dims(p, s1, s2, table)
     dual = selmer_dims(p, s2, [q for q in s1 if q % p == 1], table)

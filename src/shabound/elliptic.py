@@ -13,7 +13,7 @@ from __future__ import annotations
 from collections import namedtuple
 from fractions import Fraction
 
-from .arith import Factorization, _exact_root, factor, is_prime, require_complete, valuation
+from .arith import Factorization, exact_root, factor, is_prime, require_complete, valuation
 from .errors import InputError, ShaboundError, SingularModel
 
 Q = Fraction
@@ -289,7 +289,7 @@ def isomorphic_to_minimal(e: Curve, emin: Curve) -> bool:
     factor that is no sixth or fourth power in Q.
     """
     m, rem = divmod(e.disc, emin.disc)
-    u = _exact_root(m, 12) if m > 0 and not rem else None
+    u = exact_root(m, 12) if m > 0 and not rem else None
     return u is not None and (e.c4, e.c6) == (u**4 * emin.c4, u**6 * emin.c6)
 
 

@@ -15,16 +15,10 @@ import marshal
 import os
 import sys
 from collections import namedtuple
+from math import prod
 
 from . import polys
-from .arith import (
-    Factorization,
-    _factor_into,
-    _factorization,
-    crt_solve,
-    is_prime,
-    require_complete,
-)
+from .arith import crt_solve, factor_product, is_prime, require_complete
 from .descent import S1, S2, ClassifiedCurve, analyze_classified, classify_primes
 from .elliptic import invariants, isomorphic_to_minimal
 from .errors import (
@@ -54,10 +48,11 @@ class FactorPoly(namedtuple("FactorPoly", [
 
 class FamilySpec(namedtuple("FamilySpec", [
     "p",  # int
-    "parameter_name",  # str
-    "ainv_polys",  # five coefficient tuples in the parameter
+    "ainv_polys",  # five coefficient tuples in the parameter b
     "factor_polys",  # tuple[FactorPoly, ...]; the discriminant's content is 1 in both families
 ])):
+    """A family in the parameter b, its discriminant the product of its factor polynomials."""
+
     __slots__ = ()
 
     def ainvs_at(self, b: int) -> tuple[int, int, int, int, int]:
@@ -72,11 +67,11 @@ class FamilySpec(namedtuple("FamilySpec", [
 # multiplicative prime dividing only that factor in.
 _FAMILIES = {
     5: FamilySpec(
-        5, "b", ((1, -1), (0, -1), (0, -1), (0,), (0,)),
+        5, ((1, -1), (0, -1), (0, -1), (0,), (0,)),
         (FactorPoly((0, 1), 5, S1), FactorPoly((-1, -11, 1), 1, S2)),
     ),
     7: FamilySpec(
-        7, "b", ((1, 1, -1), (0, 0, 1, -1), (0, 0, 1, -1), (0,), (0,)),
+        7, ((1, 1, -1), (0, 0, 1, -1), (0, 0, 1, -1), (0,), (0,)),
         (
             FactorPoly((-1, 1), 7, S1),
             FactorPoly((0, 1), 7, S1),
@@ -103,7 +98,9 @@ class Fiber(namedtuple("Fiber", [
 
 def fiber(family: FamilySpec, b: int) -> Fiber:
     """The Tate model at parameter b, its marked point (0, 0) and its
-    discriminant factored through the factor polynomials.
+    discriminant factored by arith.factor_product from the values of the
+    factor polynomials at b, each a smaller number than the discriminant;
+    IncompleteFactorization if a value resists.
 
     No minimal model is taken here: at an integer parameter the model is
     already minimal in both families.  For each factor f of the
@@ -115,20 +112,8 @@ def fiber(family: FamilySpec, b: int) -> Fiber:
         e = invariants(*family.ainvs_at(b))
     except SingularModel as exc:
         raise DegenerateFiber(f"parameter {b} gives a singular fiber") from exc
-    return Fiber(e, (0, 0), _fiber_disc_factorization(family, b, e.disc))
-
-
-def _fiber_disc_factorization(family: FamilySpec, b: int, disc: int) -> Factorization:
-    """Factor the fiber discriminant factor-polynomial-wise (smaller pieces) into one table."""
-    found: dict[int, int] = {}
-    sign, stubborn = 1, 1
-    for fp in family.factor_polys:
-        value, mult = fp.eval_at(b), fp.multiplicity
-        if value < 0:
-            sign *= (-1) ** mult
-        if abs(value) != 1:
-            stubborn *= _factor_into(abs(value), found, mult=mult) ** mult
-    return require_complete(_factorization(disc, sign, found, stubborn))
+    pieces = ((abs(fp.eval_at(b)), fp.multiplicity) for fp in family.factor_polys)
+    return Fiber(e, (0, 0), require_complete(factor_product(e.disc, pieces)))
 
 
 class SearchConstraints(namedtuple("SearchConstraints", [
@@ -176,33 +161,22 @@ class SearchConstraints(namedtuple("SearchConstraints", [
         return self
 
 
-def construct_parameter(family: FamilySpec, c: SearchConstraints) -> tuple[int, int]:
-    """CRT parameter forcing: least nonnegative b and the modulus of the class.
+def construct_parameter(c: SearchConstraints) -> tuple[int, int]:
+    """CRT parameter forcing in tate_family(c.p): least nonnegative b and
+    the modulus of the class.
 
     Forced S1 primes get b = 0 mod ell (the S1-cusp factor vanishes
     there); forced S2 primes get b = (smallest root of the S2 factor
     polynomial) mod ell, or UnreachableCusp when there is none.
     """
-    s2_factors = [fp for fp in family.factor_polys if fp.role == S2]
-    congruences: list[tuple[int, int]] = []
-    for ell in c.force_s1:
-        congruences.append((0, ell))
+    s2_factors = [fp for fp in tate_family(c.p).factor_polys if fp.role == S2]
+    congruences = [(0, ell) for ell in c.force_s1]
     for ell in c.force_s2:
-        root = None
-        for fp in s2_factors:
-            rts = polys.roots_modq(list(fp.coeffs), ell)
-            if rts:
-                root = rts[0]
-                break
-        if root is None:
+        roots = [r for fp in s2_factors for r in polys.roots_modq(list(fp.coeffs), ell)]
+        if not roots:
             raise UnreachableCusp(f"no S2 factor polynomial has a root mod {ell}")
-        congruences.append((root, ell))
-    if not congruences:
-        return 0, 1
-    modulus = 1
-    for _, ell in congruences:
-        modulus *= ell
-    return crt_solve(congruences), modulus
+        congruences.append((roots[0], ell))
+    return crt_solve(congruences), prod(ell for _, ell in congruences)
 
 
 # ------------------------------------------------------------------- scan
@@ -285,7 +259,7 @@ def _fill_row(row: dict, family: FamilySpec, b: int, verify_dual: bool, omega_ma
         if verify_dual:
             _verify_dual_swap(cls)
         return
-    an = analyze_classified(cls, p)
+    an = analyze_classified(cls)
     row["s1"] = list(sets.s1)
     row["s2"] = list(sets.s2)
     row["s3"] = list(sets.s3)
@@ -309,20 +283,22 @@ def _fill_row(row: dict, family: FamilySpec, b: int, verify_dual: bool, omega_ma
 
 
 def _row_with_forcing(args) -> dict:
-    p, b, verify_dual, omega_max, force_s1, force_s2 = args
-    row = evaluate_row(p, b, verify_dual, omega_max)
+    """The row of the work item (c, b): evaluate_row under the constraints
+    c, with the forcing checks."""
+    c, b = args
+    row = evaluate_row(c.p, b, c.verify_dual, c.omega_max)
     if "error" in row:
         return row
     flags = []
-    for ell in force_s1:
+    for ell in c.force_s1:
         if ell not in row["s1"]:
             flags.append([ell, S1])
-    for ell in force_s2:
+    for ell in c.force_s2:
         if ell not in row["s2"]:
             flags.append([ell, S2])
     if flags:
         row["forcing_failed"] = flags
-    for ell in list(force_s1) + list(force_s2):
+    for ell in c.force_s1 + c.force_s2:
         if row["disc"] % ell:
             row["error"] = "forced_prime_missing"
             row["detail"] = f"forced prime {ell} does not divide the discriminant"
@@ -417,8 +393,8 @@ def _send_rows(chunks, fd: int, readers: list):
             os._exit(code)
 
 
-def scan(family: FamilySpec, c: SearchConstraints, jobs: int = 1, progress=None) -> dict:
-    """Scan the family under the constraints; deterministic ranked report.
+def scan(c: SearchConstraints, jobs: int = 1, progress=None) -> dict:
+    """Scan tate_family(c.p) under the constraints; deterministic ranked report.
 
     With forcing constraints the parameter runs over the CRT class
     b0 + k*M; otherwise over 1, -1, 2, -2, ... up to the parameter box.
@@ -438,17 +414,14 @@ def scan(family: FamilySpec, c: SearchConstraints, jobs: int = 1, progress=None)
     """
     if jobs < 1:
         raise InputError(f"jobs must be at least 1, got {jobs}")
-    b0, modulus = construct_parameter(family, c)
+    b0, modulus = construct_parameter(c)
     total = c.scan_budget if modulus > 1 else min(c.scan_budget, 2 * c.parameter_box)
     steps = itertools.chain.from_iterable((k, -k) for k in itertools.count(1))  # 1, -1, 2, -2, ...
     if modulus > 1:
         candidates = (b0 + k * modulus for k in itertools.chain((0,), steps))
     else:
         candidates = itertools.takewhile(lambda b: b <= c.parameter_box, steps)
-    args = (
-        (c.p, b, c.verify_dual, c.omega_max, c.force_s1, c.force_s2)
-        for b in itertools.islice(candidates, c.scan_budget)
-    )
+    args = ((c, b) for b in itertools.islice(candidates, c.scan_budget))
     skipped = {"degenerate": 0, "incomplete_factorization": 0, "filtered_omega": 0}
     kept = []
     errored = []
@@ -468,7 +441,7 @@ def scan(family: FamilySpec, c: SearchConstraints, jobs: int = 1, progress=None)
                 kept.append(row)
     kept.sort(key=lambda r: (-r["selmer_sum_proxy"], -r["m_phi"], abs(r["b"]), r["b"] < 0))
     return {
-        "family": {"p": c.p, "parameter": family.parameter_name},
+        "family": {"p": c.p, "parameter": "b"},
         "constraints": {
             "force_s1": list(c.force_s1),
             "force_s2": list(c.force_s2),

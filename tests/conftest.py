@@ -40,7 +40,7 @@ from shabound.elliptic import (
 )
 from shabound.errors import InputError, ShaboundError
 from shabound.isogeny import dual_kernel_poly, velu_quotient_from_kernel_poly
-from shabound.search import SearchConstraints, scan, tate_family
+from shabound.search import SearchConstraints, scan
 
 Q = Fraction
 
@@ -263,7 +263,7 @@ def corpus_p7():
     Session scope: two modules read it, and a module-scoped fixture would scan once for each.
     """
     c = SearchConstraints(7, scan_budget=1000, verify_dual=True)
-    return scan(tate_family(7), c, jobs=1), scan(tate_family(7), c, jobs=2)
+    return scan(c, jobs=1), scan(c, jobs=2)
 
 
 def source_size() -> tuple[int, int]:

@@ -34,10 +34,9 @@ def _line(num: int, name: str, ok: bool) -> None:
 @pytest.fixture(scope="module")
 def corpus():
     """Default p=5 family scan, >= 10^3 nondegenerate fibers, two worker counts."""
-    fam = tate_family(5)
     c = SearchConstraints(5, scan_budget=1000, parameter_box=600, verify_dual=True)
-    r_serial = scan(fam, c, jobs=1)
-    r_parallel = scan(fam, c, jobs=2)
+    r_serial = scan(c, jobs=1)
+    r_parallel = scan(c, jobs=2)
     return r_serial, r_parallel
 
 
@@ -240,10 +239,9 @@ def test_criterion_7_bound_formula_grid():
 
 
 def test_criterion_8_constrained_construction():
-    fam = tate_family(5)
     c = SearchConstraints(5, force_s1=(41,), force_s2=(11,))
-    b0, modulus = construct_parameter(fam, c)
-    fib = fiber(fam, b0)
+    b0, modulus = construct_parameter(c)
+    fib = fiber(tate_family(5), b0)
     # least nonnegative solution of the chosen system (smallest root 1 mod 11)
     least = next(b for b in range(modulus) if b % 41 == 0 and b % 11 == 1)
     ok = (

@@ -167,11 +167,11 @@ def test_sha_lower_is_zero_on_every_phi_matrix_over_q():
     from shabound import report
     from shabound.arith import is_prime
     from shabound.descent import analyze_classified
-    from shabound.search import SearchConstraints, scan, tate_family
+    from shabound.search import SearchConstraints, scan
 
     for name in ("p5-dual-80", "p7-300", "forced-41-11-300-j2"):
         cfg, _, digest = SEARCHES[name]
-        r = scan(tate_family(cfg["p"]), SearchConstraints(**cfg), jobs=1)
+        r = scan(SearchConstraints(**cfg), jobs=1)
         assert hashlib.sha256(report.dumps(r).encode()).hexdigest() == digest, name
         assert r["rows"], name
         for row in r["rows"]:
@@ -184,7 +184,7 @@ def test_sha_lower_is_zero_on_every_phi_matrix_over_q():
         p = (5, 7)[i % 2]
         s1 = sorted(rng.sample([q for q in primes if q != p], rng.randrange(0, 6)))
         s2 = sorted(set(rng.sample([q for q in primes if q % p == 1], rng.randrange(0, 6))) - set(s1))
-        an = analyze_classified(SimpleNamespace(sets=SimpleNamespace(s1=tuple(s1), s2=tuple(s2))), p)
+        an = analyze_classified(SimpleNamespace(isogeny=SimpleNamespace(p=p), sets=SimpleNamespace(s1=tuple(s1), s2=tuple(s2))))
         assert an.m_phi + an.m_phihat <= 2 * min(len(s1), len(s2)), (p, s1, s2)
         assert an.bounds.sha_lower == 0 and an.bounds.sha_lower_raw <= -4, (p, s1, s2)
         positive_ranks += an.m_phi + an.m_phihat > 0

@@ -23,9 +23,9 @@ import sympy
 
 import shabound
 from shabound import arith
-from shabound.arith import Factorization, Incomplete, factor, factor_with_hints, is_prime
+from shabound.arith import Factorization, Incomplete, factor, factor_product, factor_with_hints, is_prime
 from shabound.cli import main
-from shabound.errors import IncompleteFactorization
+from shabound.errors import IncompleteFactorization, InputError
 from shabound.isogeny import velu_quotient
 from shabound.search import fiber, tate_family
 
@@ -195,14 +195,12 @@ def _edge_cofactors():
 
 
 def test_the_factoring_table_matches_the_oracle_at_the_2_128_edge():
-    # factor, factor_with_hints and the fiber table each build one result
-    # from _factor_into, which carries a cofactor r^k below 2^128 on as the
-    # pair (r, k) and leaves one at or above it unresolved.  n = c r^k with
-    # c = 1, or c smooth below 10^6 (the hints); the wheel divides out c's
-    # primes and then runs on r^k as for r^k alone, so one oracle call per
-    # r^k gives every n
-    from shabound.search import FactorPoly, FamilySpec, _fiber_disc_factorization
-
+    # factor, factor_with_hints and factor_product (the fiber table) each
+    # build one result from _factor_into, which carries a cofactor r^k below
+    # 2^128 on as the pair (r, k) and leaves one at or above it unresolved.
+    # n = c r^k with c = 1, or c smooth below 10^6 (the hints); the wheel
+    # divides out c's primes and then runs on r^k as for r^k alone, so one
+    # oracle call per r^k gives every n
     smooth = {2: 5, 3: 1, 4099: 1, 999983: 1}
     c_smooth = prod(q**e for q, e in smooth.items())
     seen = set()
@@ -222,23 +220,20 @@ def test_the_factoring_table_matches_the_oracle_at_the_2_128_edge():
                 assert _key(factor(n)) == _key(want), (shape, k, n)
                 for hints in ((), (2, 3), tuple(extra)):
                     assert _key(factor_with_hints(n, hints)) == _key(want), (shape, k, n, hints)
-        # the fiber table: constant factor polynomials r^k, c and -4099 with
-        # multiplicities 2, 5 and 3; each value's primes count times its
+        # the fiber table: pieces r^k, c and 4099 with multiplicities 2, 5
+        # and 3 of a negative n; each value's primes count times its
         # multiplicity, and so does its unresolved cofactor
-        pieces = ((r**k, 2), (c_smooth, 5), (-4099, 3))
-        family = FamilySpec(5, "b", ((0,),) * 5, tuple(FactorPoly((v,), m, "S1") for v, m in pieces))
-        disc = prod(v**m for v, m in pieces)
+        pieces = ((r**k, 2), (c_smooth, 5), (4099, 3))
+        disc = -prod(v**m for v, m in pieces)
         found = {q: 5 * e for q, e in smooth.items()}
         found[4099] += 3
         for q, e in base.factors:
             found[q] = found.get(q, 0) + 2 * e
         factors = tuple(sorted(found.items()))
         if cofactor == 1:
-            assert _key(_fiber_disc_factorization(family, 0, disc)) == _key(Factorization(disc, -1, factors))
+            assert _key(factor_product(disc, pieces)) == _key(Factorization(disc, -1, factors))
         else:
-            with pytest.raises(IncompleteFactorization) as caught:
-                _fiber_disc_factorization(family, 0, disc)
-            assert _key(caught.value.partial) == _key(Incomplete(disc, -1, factors, cofactor**2))
+            assert _key(factor_product(disc, pieces)) == _key(Incomplete(disc, -1, factors, cofactor**2))
     assert {(shape, k) for shape, k, below in seen if below} == {
         ("prime", 2), ("prime", 3), ("prime", 5),
         ("semiprime", 2), ("semiprime", 3), ("square", 2), ("square", 3),
@@ -246,6 +241,13 @@ def test_the_factoring_table_matches_the_oracle_at_the_2_128_edge():
     assert {(shape, k) for shape, k, below in seen if not below} == {
         (shape, k) for shape in ("prime", "semiprime", "square") for k in (2, 3, 5, 7)
     }
+
+
+def test_factor_product_rejects_pieces_that_miss_n():
+    assert _key(factor_product(-360, ((2, 3), (45, 1), (1, 4)))) == _key(factor(-360))
+    for n, pieces in ((360, ((2, 3), (44, 1))), (-8, ((-2, 3),)), (0, ((0, 1),)), (8, ((2, 3), (5, 0)))):
+        with pytest.raises(InputError):
+            factor_product(n, pieces)
 
 
 def test_small_hints_keep_the_p7_b_minus_150_codomain_incomplete():

@@ -489,7 +489,7 @@ def test_a_p7_scan_makes_one_fraction_per_distinct_bound_report(monkeypatch):
         return new(cls, *args, **kwargs)
 
     monkeypatch.setattr(Fraction, "__new__", counted)
-    report = search.scan(tate_family(7), search.SearchConstraints(7, scan_budget=300, verify_dual=False))
+    report = search.scan(search.SearchConstraints(7, scan_budget=300, verify_dual=False))
     monkeypatch.undo()
     distinct = {(len(r["s1"]), len(r["s2"]), r["m_phi"], r["m_phihat"]) for r in report["rows"]}
     assert len(report["rows"]) > 200 and made[0] == len(distinct), (made[0], len(distinct))

@@ -13,7 +13,7 @@ from shabound import report
 from shabound.bounds import theorem_budget
 from shabound.cli import main
 from shabound.descent import sandwich_from_sets
-from shabound.search import SearchConstraints, scan, tate_family
+from shabound.search import SearchConstraints, scan
 
 
 def test_integers_become_decimal_strings():
@@ -163,7 +163,7 @@ def test_cli_payloads_equal_the_reference(argv, monkeypatch, capsys):
 
 
 def test_a_scan_report_equals_the_reference():
-    rows = scan(tate_family(5), SearchConstraints(p=5, scan_budget=60, verify_dual=True))
+    rows = scan(SearchConstraints(p=5, scan_budget=60, verify_dual=True))
     assert report.dumps(rows) == oracle_dumps(rows)
 
 

@@ -43,9 +43,8 @@ def test_fiber_fixture_and_degenerate():
 
 
 def test_construct_parameter_fixture():
-    fam = tate_family(5)
     c = SearchConstraints(5, force_s1=(41,), force_s2=(11,))
-    b0, modulus = construct_parameter(fam, c)
+    b0, modulus = construct_parameter(c)
     assert (b0, modulus) == (287, 451)
     assert 0 <= b0 < modulus  # least nonnegative representative
 
@@ -74,7 +73,7 @@ def test_construct_parameter_forced_s2_prime_near_10_12_is_fast():
     for p in (5, 7):
         ell = next(q for q in range(10**12, 10**12 + 10**5) if q % p == 1 and is_prime(q))
         start = time.perf_counter()
-        b0, modulus = construct_parameter(tate_family(p), SearchConstraints(p, force_s2=(ell,)))
+        b0, modulus = construct_parameter(SearchConstraints(p, force_s2=(ell,)))
         assert time.perf_counter() - start < 1.0, p
         s2 = [list(fp.coeffs) for fp in tate_family(p).factor_polys if fp.role == "S2"]
         assert modulus == ell and 0 <= b0 < ell
@@ -83,11 +82,14 @@ def test_construct_parameter_forced_s2_prime_near_10_12_is_fast():
         assert roots == sorted(set(roots)) and all(polys.evaluate(s2[0], r) % ell == 0 for r in roots)
 
 
-def test_construct_parameter_unreachable_without_s2_factor():
+def test_construct_parameter_unreachable_without_s2_factor(monkeypatch):
+    from shabound import search
+
     fam = tate_family(5)
     crippled = fam._replace(factor_polys=tuple(fp for fp in fam.factor_polys if fp.role != "S2"))
+    monkeypatch.setitem(search._FAMILIES, 5, crippled)
     with pytest.raises(UnreachableCusp):
-        construct_parameter(crippled, SearchConstraints(5, force_s2=(11,)))
+        construct_parameter(SearchConstraints(5, force_s2=(11,)))
 
 
 def test_constraints_validation():
@@ -107,7 +109,7 @@ def test_constraints_validation():
         with pytest.raises(InputError):
             SearchConstraints(5, **{key: -1})
     with pytest.raises(InputError):
-        scan(tate_family(5), SearchConstraints(5, scan_budget=0), jobs=0)
+        scan(SearchConstraints(5, scan_budget=0), jobs=0)
 
 
 def test_regression_fiber_large_sets():
@@ -126,31 +128,27 @@ def test_evaluate_row_p7():
 
 
 def test_scan_small_deterministic_and_ranked():
-    fam = tate_family(5)
     c = SearchConstraints(5, scan_budget=20, parameter_box=50, verify_dual=False)
-    r1 = scan(fam, c, jobs=1)
-    r2 = scan(fam, c, jobs=2)
+    r1 = scan(c, jobs=1)
+    r2 = scan(c, jobs=2)
     assert report.dumps(r1) == report.dumps(r2)
     proxies = [row["selmer_sum_proxy"] for row in r1["rows"]]
     assert proxies == sorted(proxies, reverse=True)
 
 
 def test_scan_empty_budget():
-    fam = tate_family(5)
-    r = scan(fam, SearchConstraints(5, scan_budget=0), jobs=1)
+    r = scan(SearchConstraints(5, scan_budget=0), jobs=1)
     assert r["rows"] == []
 
 
 def test_scan_omega_filter():
-    fam = tate_family(5)
-    r = scan(fam, SearchConstraints(5, scan_budget=5, omega_max=0, verify_dual=False), jobs=1)
+    r = scan(SearchConstraints(5, scan_budget=5, omega_max=0, verify_dual=False), jobs=1)
     assert r["rows"] == [] and r["skipped"]["filtered_omega"] == 5
 
 
 def test_scan_forced_contains_crt_solution():
-    fam = tate_family(5)
     c = SearchConstraints(5, force_s1=(41,), force_s2=(11,), scan_budget=3)
-    r = scan(fam, c, jobs=1)
+    r = scan(c, jobs=1)
     bs = [row["b"] for row in r["rows"]]
     assert 287 in bs
     for row in r["rows"]:
@@ -169,7 +167,7 @@ def test_other_shabound_error_becomes_error_row(monkeypatch):
     row = evaluate_row(5, 2)
     assert row["error"] == "HypothesisViolated" and row["detail"] == "injected"
     assert row["curve"] and "s1" not in row  # fields filled before the failure stay
-    r = scan(tate_family(5), SearchConstraints(5, scan_budget=4, verify_dual=False), jobs=1)
+    r = scan(SearchConstraints(5, scan_budget=4, verify_dual=False), jobs=1)
     assert r["rows"] == [] and [e["error"] for e in r["errors"]] == ["HypothesisViolated"] * 4
 
 
@@ -190,9 +188,9 @@ def test_forced_prime_missing_becomes_error_row(monkeypatch, jobs):
     from shabound import search
 
     # a broken CRT step: the scan walks 1, -1, 2, -2 with 41 and 11 still forced
-    monkeypatch.setattr(search, "construct_parameter", lambda family, c: (0, 1))
+    monkeypatch.setattr(search, "construct_parameter", lambda c: (0, 1))
     c = SearchConstraints(5, force_s1=(41,), force_s2=(11,), scan_budget=4, verify_dual=False)
-    r = scan(tate_family(5), c, jobs=jobs)
+    r = scan(c, jobs=jobs)
     assert r["rows"] == [] and [e["b"] for e in r["errors"]] == [1, -1, 2, -2]
     for row in r["errors"]:
         assert row["error"] == "forced_prime_missing"
@@ -211,16 +209,16 @@ def test_reports_unchanged_when_asserts_are_stripped():
     import shabound
 
     configs = [SearchConstraints(5, scan_budget=40), SearchConstraints(7, scan_budget=20)]
-    expected = "".join(report.dumps(scan(tate_family(c.p), c)) for c in configs)
+    expected = "".join(report.dumps(scan(c)) for c in configs)
     probe = (
         "import sys\n"
         "from shabound import report\n"
-        "from shabound.search import SearchConstraints, scan, tate_family\n"
+        "from shabound.search import SearchConstraints, scan\n"
         "if not sys.flags.optimize:\n"
         "    sys.exit('asserts are not stripped')\n"
         "sys.stdout.write('-O\\n')\n"
         f"for c in {configs!r}:\n"
-        "    sys.stdout.write(report.dumps(scan(tate_family(c.p), c, jobs=2)))\n"
+        "    sys.stdout.write(report.dumps(scan(c, jobs=2)))\n"
     )
     env = dict(os.environ, PYTHONPATH=str(pathlib.Path(shabound.__file__).parent.parent))
     env.pop("PYTHONUNBUFFERED", None)  # stdout to a pipe is then block-buffered
@@ -243,12 +241,11 @@ def test_jobs_start_at_most_one_worker_per_chunk(monkeypatch):
         return fork()
 
     monkeypatch.setattr(search.os, "fork", counted)
-    fam = tate_family(5)
     for budget, jobs, forked in [(40, 64, 2), (16, 64, 0), (17, 2, 1)]:
         c = SearchConstraints(5, scan_budget=budget, verify_dual=budget == 40)
-        serial = report.dumps(scan(fam, c, jobs=1))
+        serial = report.dumps(scan(c, jobs=1))
         del forks[:]
-        assert report.dumps(scan(fam, c, jobs=jobs)) == serial, (budget, jobs)
+        assert report.dumps(scan(c, jobs=jobs)) == serial, (budget, jobs)
         assert len(forks) == forked, (budget, jobs)
 
 
@@ -275,7 +272,7 @@ def test_a_worker_that_dies_makes_the_scan_raise_and_leaves_no_child(monkeypatch
     signal.alarm(20)
     try:
         with pytest.raises(RuntimeError, match="scan worker 1 exited with code 3 before sending the fibers from b = 9"):
-            scan(tate_family(5), SearchConstraints(5, scan_budget=40, verify_dual=False), jobs=2)
+            scan(SearchConstraints(5, scan_budget=40, verify_dual=False), jobs=2)
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
@@ -292,7 +289,7 @@ def test_an_interrupted_scan_kills_and_reaps_its_workers():
         raise KeyboardInterrupt
 
     with pytest.raises(KeyboardInterrupt):
-        scan(tate_family(5), SearchConstraints(5, scan_budget=200, verify_dual=True), jobs=2, progress=interrupt)
+        scan(SearchConstraints(5, scan_budget=200, verify_dual=True), jobs=2, progress=interrupt)
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
 
@@ -302,9 +299,9 @@ def test_without_fork_the_scan_runs_serially(monkeypatch):
     from shabound import search
 
     c = SearchConstraints(5, scan_budget=40, verify_dual=False)
-    serial = report.dumps(scan(tate_family(5), c, jobs=1))
+    serial = report.dumps(scan(c, jobs=1))
     monkeypatch.delattr(search.os, "fork")
-    assert report.dumps(scan(tate_family(5), c, jobs=3)) == serial
+    assert report.dumps(scan(c, jobs=3)) == serial
 
 
 def _scanned_parameters():
@@ -313,7 +310,7 @@ def _scanned_parameters():
     params = [(p, b) for p in (5, 7) for k in range(1, 501) for b in (k, -k)]
     for s1 in (37, 41, 43, 47):
         c = SearchConstraints(5, force_s1=(s1,), force_s2=(11,))
-        b0, modulus = construct_parameter(tate_family(5), c)
+        b0, modulus = construct_parameter(c)
         ks = [0, *(k for j in range(1, 150) for k in (j, -j)), 150]
         params += [(5, b0 + k * modulus) for k in ks]
     return params
@@ -353,7 +350,7 @@ def test_minimal_model_runs_twice_per_analysed_fiber(monkeypatch):
             monkeypatch.setattr(mod, "minimal_model", counting)
     analysed = 0
     for c in (SearchConstraints(7, scan_budget=300, verify_dual=False), SearchConstraints(5, scan_budget=80)):
-        r = scan(tate_family(c.p), c, jobs=1)
+        r = scan(c, jobs=1)
         analysed += c.scan_budget - r["skipped"]["degenerate"]
     assert analysed == 379
     assert len(calls) == 2 * analysed
@@ -384,7 +381,7 @@ def test_one_elimination_per_direction_and_no_kernel_basis_in_a_scan(monkeypatch
             if hasattr(mod, name):
                 monkeypatch.setattr(mod, name, counting(name, getattr(mod, name)))
     cfg, jobs, digest = SEARCHES["p7-60"]
-    r = scan(tate_family(7), SearchConstraints(**cfg), jobs=jobs)
+    r = scan(SearchConstraints(**cfg), jobs=jobs)
     assert hashlib.sha256(report.dumps(r).encode()).hexdigest() == digest
     assert r["errors"] == [] and len(r["rows"]) == 59, r["skipped"]  # b = 1 is singular
     analysed = len(r["rows"])
@@ -407,7 +404,7 @@ def test_classifier_disagreements_become_rows(monkeypatch, patch, detail):
         reduction = descent.reduction_at
         monkeypatch.setattr(descent, "reduction_at", lambda e, q: (reduction(e, q)[0], (0, 0)))
     c = SearchConstraints(5, scan_budget=40, verify_dual=False)
-    r = scan(tate_family(5), c, jobs=1)
+    r = scan(c, jobs=1)
     assert r["errors"]
     for row in r["errors"]:
         assert row["error"] == "classifier_disagreement", row
@@ -466,7 +463,7 @@ def test_each_prime_of_a_fiber_is_handled_once_in_a_scan(monkeypatch):
     monkeypatch.setattr(isogeny, "minimal_model", minimal)
     arith.residue_character.cache_clear()
     cfg, jobs, digest = SEARCHES["p7-60"]
-    r = scan(tate_family(7), SearchConstraints(**cfg), jobs=jobs)
+    r = scan(SearchConstraints(**cfg), jobs=jobs)
     assert hashlib.sha256(report.dumps(r).encode()).hexdigest() == digest
     analysed = len(r["rows"])
     assert analysed == 59 and not r["errors"] and r["skipped"]["incomplete_factorization"] == 0
@@ -523,7 +520,7 @@ def test_only_kept_rows_build_character_tables_and_bounds(monkeypatch):
         mod = search if name == "classify_primes" else descent
         monkeypatch.setattr(mod, name, counting(name, getattr(mod, name)))
     cfg, _, digest = SEARCHES["forced-41-11-300-j2"]
-    r = scan(tate_family(5), SearchConstraints(**cfg), jobs=1)
+    r = scan(SearchConstraints(**cfg), jobs=1)
     assert hashlib.sha256(report.dumps(r).encode()).hexdigest() == digest
     assert len(r["rows"]) == 148 and not r["errors"]
     assert r["skipped"] == {"degenerate": 0, "incomplete_factorization": 42, "filtered_omega": 110}
@@ -547,7 +544,7 @@ def test_a_scan_factors_no_ell_minus_1(monkeypatch):
     monkeypatch.setattr(elliptic, "factor", refuse)
     arith.residue_character.cache_clear()
     cfg, _, digest = SEARCHES["forced-41-11-300-j2"]
-    r = scan(tate_family(5), SearchConstraints(**cfg), jobs=1)
+    r = scan(SearchConstraints(**cfg), jobs=1)
     assert hashlib.sha256(report.dumps(r).encode()).hexdigest() == digest
     assert arith.residue_character.cache_info().misses > 0
 
@@ -571,6 +568,6 @@ def test_a_filtered_fiber_keeps_its_skip_or_error_reason(monkeypatch, fault):
         assert "error" in full, (b, full)
         assert (short["error"], short.get("detail")) == (full["error"], full.get("detail")), b
     c = SearchConstraints(5, force_s1=(41,), force_s2=(11,), omega_max=6, scan_budget=40)
-    r = scan(tate_family(5), c, jobs=1)
+    r = scan(c, jobs=1)
     assert r["rows"] == [] and r["skipped"]["filtered_omega"] == 0, r["skipped"]
     assert len(r["errors"]) + sum(r["skipped"].values()) == 40

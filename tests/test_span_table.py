@@ -157,6 +157,28 @@ def unused_imports(package: pathlib.Path) -> set[tuple[str, str]]:
     return unused
 
 
+def private_imports(package: pathlib.Path) -> set[tuple[str, str]]:
+    """(module, name) of each underscore name a module takes from another
+    module of the package, by `from .m import _name` or as `m._name`."""
+    found = set()
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        aliases = set()  # local names of package modules
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                if node.module:
+                    found.update((path.stem, a.name) for a in node.names if a.name.startswith("_"))
+                else:
+                    aliases.update(a.asname or a.name for a in node.names)
+        found.update(
+            (path.stem, node.attr)
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and node.attr.startswith("_") and not _is_dunder(node.attr)
+            and isinstance(node.value, ast.Name) and node.value.id in aliases
+        )
+    return found
+
+
 def _traced() -> set[tuple[str, str]]:
     return {(module, name) for module, names in _traced_table().items() for name in names}
 
@@ -267,6 +289,19 @@ def test_every_import_is_used_in_its_module(tmp_path):
     assert unused_imports(tmp_path) == {("mod", "cached_property"), ("mod", "lcm")}
 
 
+def test_no_module_takes_another_modules_private_names(tmp_path):
+    # an underscore name is its module's own; a second module that needs it
+    # needs a public name.  The one exception is ROADMAP item 1's: Velu's
+    # hint filter in isogeny reads arith's trial-division limit
+    assert private_imports(PACKAGE) == {("isogeny", "_TRIAL_LIMIT")}
+    (tmp_path / "m.py").write_text("_LIMIT = 1\n\n\ndef _helper():\n    return _LIMIT\n")
+    (tmp_path / "n.py").write_text(
+        "from . import m\nfrom .m import _helper\n\n\n"
+        "def f():\n    return m._LIMIT + _helper() + len(m.__name__)\n"
+    )
+    assert private_imports(tmp_path) == {("n", "_helper"), ("n", "_LIMIT")}
+
+
 def test_the_calibration_hook_wraps_the_per_fiber_global(monkeypatch):
     # perfbench/child.py's install_slices reassigns search._row_with_forcing
     # to tick its calibration slices once per fiber; a rename would fail
@@ -289,6 +324,6 @@ def test_the_calibration_hook_wraps_the_per_fiber_global(monkeypatch):
 
     monkeypatch.setattr(search, "_row_with_forcing", counted)
     c = search.SearchConstraints(5, scan_budget=6, parameter_box=10, verify_dual=False)
-    result = search.scan(search.tate_family(5), c, jobs=1)
+    result = search.scan(c, jobs=1)
     assert seen == [1, -1, 2, -2, 3, -3]
     assert len(result["rows"]) + len(result["errors"]) + sum(result["skipped"].values()) == 6
