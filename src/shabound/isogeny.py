@@ -403,8 +403,19 @@ def _top(f: list[int], k: int) -> list[int]:
 
 
 def _mul_top(f: list[int], g: list[int]) -> list[int]:
-    """The top len(f) coefficients of f g, highest first, from the top len(f) of f and of g."""
+    """The top len(f) coefficients of f g, highest first, from the top len(f) of f and of g.
+
+    Lengths 3 and 4, the series of the p = 5 and p = 7 dual solve, are written out.
+    """
     n = len(f)
+    if n == 3:
+        f0, f1, f2 = f
+        g0, g1, g2 = g[:3]
+        return [f0 * g0, f1 * g0 + f0 * g1, f2 * g0 + f1 * g1 + f0 * g2]
+    if n == 4:
+        f0, f1, f2, f3 = f
+        g0, g1, g2, g3 = g[:4]
+        return [f0 * g0, f1 * g0 + f0 * g1, f2 * g0 + f1 * g1 + f0 * g2, f3 * g0 + f2 * g1 + f1 * g2 + f0 * g3]
     b = g[0]
     out = [a * b for a in f]
     for j in range(1, n):

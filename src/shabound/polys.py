@@ -9,7 +9,9 @@ division-polynomial and closure checks.
 
 Last, the root finder over F_q behind the CRT congruences, polynomial
 in log q.  Degrees here never exceed a few dozen, so dense lists and
-the schoolbook product are the right tool.
+the schoolbook product are the right tool.  The residue rings of degree
+2 and 3, all that the p = 5 and p = 7 kernel checks build, have their
+reduction and product written out; other degrees take the loops.
 """
 
 from __future__ import annotations
@@ -57,34 +59,75 @@ def residue_ring(a: list[int]):
     """Reduction into Z[y] / (a) and the product there, for a monic a over Z.
 
     A residue is the list of its deg a coefficients, zeros included.  The
-    reduction subtracts multiples of a from the top down, in place, so it
-    stays in Z.
+    reduction subtracts multiples of a from the top down, so it stays in
+    Z.  For deg a = 2 and 3, the ring degrees of the p = 5 and p = 7
+    kernel checks, both are written out: the reduction by Horner's rule,
+    r -> y r + c with the y^n term replaced, and the product coefficient
+    by coefficient with its terms of degree n and up folded in.  Other
+    degrees take the schoolbook product and then subtract from the top
+    down, in place.
     """
     n = len(a) - 1
-    low, pad = a[:n], [0] * (n - 1)
+    if n == 2:  # y^2 = -a1 y - a0
+        a0, a1 = a[:2]
 
-    def fold(r):  # in place, from the top: r_(k+n) y^(k+n) = -r_(k+n) y^k low(y) mod a
-        for k in range(len(r) - n - 1, -1, -1):
-            c = r[k + n]
-            if c:
-                for i, ai in enumerate(low, k):
-                    r[i] -= c * ai
-        del r[n:]
-        return r
+        def reduce(f):
+            r0 = r1 = 0
+            for c in reversed(f):
+                r0, r1 = c - a0 * r1, r0 - a1 * r1
+            return [r0, r1]
 
-    def reduce(f):
-        return fold([*f, *[0] * (n - len(f))])
+        def product(f, g):
+            f0, f1 = f
+            g0, g1 = g
+            c2 = f1 * g1
+            return [f0 * g0 - a0 * c2, f0 * g1 + f1 * g0 - a1 * c2]
 
-    def product(f, g):  # the schoolbook product, folded
-        y = g[0]
-        out = [x * y for x in f]
-        out += pad
-        for j in range(1, n):
-            y = g[j]
-            if y:
-                for i, x in enumerate(f, j):
-                    out[i] += x * y
-        return fold(out)
+    elif n == 3:  # y^3 = -a2 y^2 - a1 y - a0; a product folds its y^4 term c4, then its y^3 term c3
+        a0, a1, a2 = a[:3]
+
+        def reduce(f):
+            r0 = r1 = r2 = 0
+            for c in reversed(f):
+                r0, r1, r2 = c - a0 * r2, r0 - a1 * r2, r1 - a2 * r2
+            return [r0, r1, r2]
+
+        def product(f, g):
+            f0, f1, f2 = f
+            g0, g1, g2 = g
+            c4 = f2 * g2
+            c3 = f1 * g2 + f2 * g1 - a2 * c4
+            return [
+                f0 * g0 - a0 * c3,
+                f0 * g1 + f1 * g0 - a0 * c4 - a1 * c3,
+                f0 * g2 + f1 * g1 + f2 * g0 - a1 * c4 - a2 * c3,
+            ]
+
+    else:
+        low, pad = a[:n], [0] * (n - 1)
+
+        def fold(r):  # in place, from the top: r_(k+n) y^(k+n) = -r_(k+n) y^k low(y) mod a
+            for k in range(len(r) - n - 1, -1, -1):
+                c = r[k + n]
+                if c:
+                    for i, ai in enumerate(low, k):
+                        r[i] -= c * ai
+            del r[n:]
+            return r
+
+        def reduce(f):
+            return fold([*f, *[0] * (n - len(f))])
+
+        def product(f, g):  # the schoolbook product, folded
+            y = g[0]
+            out = [x * y for x in f]
+            out += pad
+            for j in range(1, n):
+                y = g[j]
+                if y:
+                    for i, x in enumerate(f, j):
+                        out[i] += x * y
+            return fold(out)
 
     return reduce, product
 

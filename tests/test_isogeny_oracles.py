@@ -9,6 +9,7 @@ agree exactly; the division-polynomial oracle runs the classical
 recursion in sympy's QQ[x].
 """
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -305,6 +306,20 @@ def test_truncated_ring_gives_the_top_of_psi():
             psi = oracle_division_poly_x(e, n)
             for k in (1, 2, 3, 4):
                 assert division_poly_x(e, n, isogeny._series_ring(k)) == psi[: -k - 1 : -1], (e.ainvs(), n, k)
+
+
+def test_mul_top_is_the_top_of_the_full_product():
+    # lengths 3 and 4 are written out, the others take the loop; g may be
+    # longer than f, and only its top len(f) coefficients count
+    rng = random.Random(13)
+    for k in range(1, 7):
+        for _ in range(30):
+            f, g = ([rng.choice((0, rng.randrange(-2**300, 2**300 + 1))) for _ in range(k)] for _ in range(2))
+            full = poly_mul(f[::-1], g[::-1])
+            full += [0] * (2 * k - 1 - len(full))  # poly_mul trims zero top coefficients
+            want = full[: -k - 1 : -1]
+            assert isogeny._mul_top(f, g) == want, (k, f, g)
+            assert isogeny._mul_top(f, g + [rng.randrange(-2**300, 2**300)]) == want, (k, f, g)
 
 
 def _kernel_pairs():

@@ -7,7 +7,9 @@ import pytest
 import sympy
 from conftest import poly_mul, poly_trim
 
-from shabound import polys
+from shabound import isogeny, polys
+from shabound.descent import classify_primes
+from shabound.search import fiber, tate_family
 
 Q = Fraction
 x = sympy.symbols("x")
@@ -62,14 +64,30 @@ def test_divmod_and_gcd_vs_sympy():
             assert _rem(h, gcd) == []
 
 
+def _dual_check_moduli():
+    """The h_k of p = 5 and p = 7 dual checks: the rings Z[y] / (h_k) the scan builds on E'."""
+    out = []
+    for p, b in ((5, 2), (5, -32), (7, 2), (7, 5)):
+        fib = fiber(tate_family(p), b)
+        iso = classify_primes(fib.curve, fib.point, p, fib.disc_factorization).isogeny
+        out.append(isogeny._integral_kernel(iso.codomain, *isogeny.scaled_dual_kernel(iso))[1])
+    return out
+
+
 def test_residue_ring_vs_sympy_rem():
-    # residues keep deg a coefficients, zeros included
+    # residues keep deg a coefficients, zeros included; degrees 2 and 3 take
+    # the written-out reduction and product, the others the loops, on small
+    # numbers, on numbers up to 2^256, and on the moduli of real dual checks
     rng = random.Random(11)
-    for n in (1, 2, 3, 4, 6):
-        a = _rand_monic(rng, n)
+    cases = [(n, 10**6) for n in (1, 2, 3, 4, 6, 5, 7)] + [(n, 2**256) for n in (2, 3, 4, 5, 7)]
+    cases += [(h_k, 2**256) for h_k in _dual_check_moduli()]
+    for a, scale in cases:
+        if isinstance(a, int):
+            a = _rand_monic(rng, a, scale)
+        n = len(a) - 1
         reduce, mul = polys.residue_ring(a)
         for _ in range(20):
-            f, g = _rand_int_poly(rng, rng.randrange(0, 12)), _rand_int_poly(rng, rng.randrange(0, 12))
+            f, g = _rand_int_poly(rng, rng.randrange(0, 12), scale), _rand_int_poly(rng, rng.randrange(0, 12), scale)
             want = _from_sympy(sympy.rem(_to_sympy(f) * _to_sympy(g), _to_sympy(a)))
             got = mul(reduce(f), reduce(g))
             assert len(got) == n and poly_trim(got) == want, (n, f, g)
