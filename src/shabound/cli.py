@@ -36,12 +36,17 @@ EXIT_INPUT = 2
 EXIT_INCOMPLETE = 3
 
 
+def _decimal(s) -> bool:
+    """s is a str that int() and Fraction() read as plain decimal: ASCII, with no _ separator."""
+    return isinstance(s, str) and s.isascii() and "_" not in s
+
+
 def _parse_int(s) -> int:
     if isinstance(s, bool):
         raise InputError(f"expected an integer, got {s!r}")
     if isinstance(s, int):
         return s
-    if isinstance(s, str):
+    if _decimal(s):
         try:
             return int(s, 10)
         except ValueError:
@@ -52,7 +57,7 @@ def _parse_int(s) -> int:
 def _parse_fraction(s) -> Fraction:
     if isinstance(s, int) and not isinstance(s, bool):
         return Fraction(s)
-    if isinstance(s, str):
+    if _decimal(s):
         try:
             return Fraction(s)
         except (ValueError, ZeroDivisionError):
@@ -89,9 +94,9 @@ def _parse_int_list(text: str) -> tuple[int, ...]:
     if not text:
         return ()
     try:
-        return tuple(int(t) for t in text.split(","))
-    except ValueError as exc:
-        raise InputError(f"expected a comma-separated integer list, got {text!r}") from exc
+        return tuple(map(_parse_int, text.split(",")))
+    except InputError:
+        raise InputError(f"expected a comma-separated integer list, got {text!r}") from None
 
 
 def _parse_prime_lists(args) -> list[tuple[int, ...]]:
@@ -249,18 +254,13 @@ def cmd_search(args) -> int:
     for key in ("force_s1", "force_s2"):
         if not isinstance(cfg.get(key, []), list):
             raise InputError(f"config: {key} must be a list of primes, got {cfg[key]!r}")
-    verify_dual = cfg.get("verify_dual", True)
-    if not isinstance(verify_dual, bool):
-        raise InputError(f"config: verify_dual must be true or false, got {verify_dual!r}")
-    constraints = SearchConstraints(
-        p=_parse_int(cfg["p"]),
-        force_s1=tuple(_parse_int(x) for x in cfg.get("force_s1", [])),
-        force_s2=tuple(_parse_int(x) for x in cfg.get("force_s2", [])),
-        omega_max=None if cfg.get("omega_max") is None else _parse_int(cfg["omega_max"]),
-        scan_budget=_parse_int(cfg.get("scan_budget", 1000)),
-        parameter_box=_parse_int(cfg.get("parameter_box", 1000)),
-        verify_dual=verify_dual,
-    )
+    if not isinstance(cfg.get("verify_dual", True), bool):
+        raise InputError(f"config: verify_dual must be true or false, got {cfg['verify_dual']!r}")
+    # only the keys given, in field order: the defaults live in SearchConstraints
+    convert = dict.fromkeys(("force_s1", "force_s2"), lambda xs: tuple(map(_parse_int, xs)))
+    convert.update(omega_max=lambda x: None if x is None else _parse_int(x), verify_dual=bool)
+    fields = {key: convert.get(key, _parse_int)(cfg[key]) for key in SearchConstraints._fields if key in cfg}
+    constraints = SearchConstraints(**fields)
 
     def progress(done, total):
         print(f"scan: {done}/{total} fibers", file=sys.stderr)

@@ -47,7 +47,6 @@ class FactorPoly(namedtuple("FactorPoly", [
 
 
 class FamilySpec(namedtuple("FamilySpec", [
-    "p",  # int
     "ainv_polys",  # five coefficient tuples in the parameter b
     "factor_polys",  # tuple[FactorPoly, ...]; the discriminant's content is 1 in both families
 ])):
@@ -67,11 +66,11 @@ class FamilySpec(namedtuple("FamilySpec", [
 # multiplicative prime dividing only that factor in.
 _FAMILIES = {
     5: FamilySpec(
-        5, ((1, -1), (0, -1), (0, -1), (0,), (0,)),
+        ((1, -1), (0, -1), (0, -1), (0,), (0,)),
         (FactorPoly((0, 1), 5, S1), FactorPoly((-1, -11, 1), 1, S2)),
     ),
     7: FamilySpec(
-        7, ((1, 1, -1), (0, 0, 1, -1), (0, 0, 1, -1), (0,), (0,)),
+        ((1, 1, -1), (0, 0, 1, -1), (0, 0, 1, -1), (0,), (0,)),
         (
             FactorPoly((-1, 1), 7, S1),
             FactorPoly((0, 1), 7, S1),
@@ -143,6 +142,8 @@ class SearchConstraints(namedtuple("SearchConstraints", [
             value = getattr(self, name)
             if value is not None and value < 0:
                 raise InputError(f"{name} must be nonnegative, got {value}")
+        if self.scan_budget > sys.maxsize:  # the scan's islice takes no larger stop
+            raise InputError(f"scan_budget must be at most {sys.maxsize}, got {self.scan_budget}")
         if self.p in self.force_s1 + self.force_s2:
             raise InputError(f"p = {self.p} is never in S1 or S2 and cannot be forced")
         if set(self.force_s1) & set(self.force_s2):
@@ -199,8 +200,9 @@ def _verify_dual_swap(cls: ClassifiedCurve) -> bool:
     return isomorphic_to_minimal(back, cls.curve)
 
 
-def evaluate_row(p: int, b: int, verify_dual: bool = True, omega_max: int | None = None) -> dict:
-    """Evaluate one fiber end to end; returns a JSON-able row dict.
+def evaluate_row(c: SearchConstraints, b: int) -> dict:
+    """Evaluate the fiber at b of tate_family(c.p) under the constraints
+    c, end to end; returns a JSON-able row dict.
 
     Per-row failures are recorded in the row rather than raised: a
     singular fiber, an incomplete factorization, a classifier
@@ -208,19 +210,52 @@ def evaluate_row(p: int, b: int, verify_dual: bool = True, omega_max: int | None
     other exception (a bug) as internal_error, its traceback on stderr.
     The row keeps the fields filled in before the failure.
 
-    With omega_max set, a fiber with more than omega_max distinct
+    With c.omega_max set, a fiber with more than omega_max distinct
     discriminant primes (the scan's filtered_omega) stops after
     classify_primes: its row holds curve, disc, omega_of_cofactor, s1
     and s2, and no character table, elimination or bound is built.  It
     still goes through every step that can end it another way: fiber(),
     classify_primes (Velu, the codomain's factoring, both classifiers)
-    and the dual check when verify_dual is on.  Without omega_max the
+    and the dual check when c.verify_dual is on.  Without omega_max the
     row is always the full one.
+
+    A row with no error then gets the forcing checks: forcing_failed lists
+    each forced [ell, set] that ell is not in, and a forced ell that does
+    not divide the discriminant makes it a forced_prime_missing error row.
     """
-    family = tate_family(p)
     row: dict = {"b": b}
     try:
-        _fill_row(row, family, b, verify_dual, omega_max)
+        fib = fiber(tate_family(c.p), b)
+        row["curve"] = list(fib.curve.ainvs())
+        row["disc"] = fib.curve.disc
+        row["omega_of_cofactor"] = len(fib.disc_factorization.factors)
+        cls = classify_primes(fib.curve, fib.point, c.p, fib.disc_factorization)
+        sets = cls.sets
+        row["s1"] = list(sets.s1)
+        row["s2"] = list(sets.s2)
+        if _over_omega(row, c.omega_max):
+            if c.verify_dual:
+                _verify_dual_swap(cls)
+        else:
+            an = analyze_classified(cls)
+            row["s3"] = list(sets.s3)
+            row["excluded"] = [list(x) for x in sets.excluded]
+            row["m_phi"] = an.m_phi
+            row["m_phihat"] = an.m_phihat
+            row["sandwich_phi"] = list(an.sandwich_phi)
+            row["sandwich_dual"] = list(an.sandwich_dual)
+            adv = an.bounds
+            row["advisory_bounds"] = {
+                "hypothesis_ok": adv.hypothesis_ok,
+                "selmer_lower": adv.selmer_lower,
+                "selmer_upper": adv.selmer_upper,
+                "rank_upper": adv.rank_upper,
+                "sum_lower": adv.sum_lower,
+                "sha_lower": adv.sha_lower,
+            }
+            row["selmer_sum_proxy"] = abs(len(sets.s1) - len(sets.s2))
+            if c.verify_dual:
+                row["dual_swap_verified"] = _verify_dual_swap(cls)
     except DegenerateFiber:
         row["error"] = "degenerate"
     except IncompleteFactorization:
@@ -237,6 +272,16 @@ def evaluate_row(p: int, b: int, verify_dual: bool = True, omega_max: int | None
         traceback.print_exc()
         row["error"] = "internal_error"
         row["detail"] = f"{type(exc).__name__}: {exc}"
+    else:
+        flags = [[ell, S1] for ell in c.force_s1 if ell not in row["s1"]]
+        flags += [[ell, S2] for ell in c.force_s2 if ell not in row["s2"]]
+        if flags:
+            row["forcing_failed"] = flags
+        for ell in c.force_s1 + c.force_s2:
+            if row["disc"] % ell:
+                row["error"] = "forced_prime_missing"
+                row["detail"] = f"forced prime {ell} does not divide the discriminant"
+                break
     return row
 
 
@@ -245,65 +290,11 @@ def _over_omega(row: dict, omega_max: int | None) -> bool:
     return omega_max is not None and row["omega_of_cofactor"] > omega_max
 
 
-def _fill_row(row: dict, family: FamilySpec, b: int, verify_dual: bool, omega_max: int | None) -> None:
-    p = family.p
-    fib = fiber(family, b)
-    row["curve"] = list(fib.curve.ainvs())
-    row["disc"] = fib.curve.disc
-    row["omega_of_cofactor"] = len(fib.disc_factorization.factors)
-    cls = classify_primes(fib.curve, fib.point, p, fib.disc_factorization)
-    sets = cls.sets
-    if _over_omega(row, omega_max):
-        row["s1"] = list(sets.s1)  # for _row_with_forcing's flags
-        row["s2"] = list(sets.s2)
-        if verify_dual:
-            _verify_dual_swap(cls)
-        return
-    an = analyze_classified(cls)
-    row["s1"] = list(sets.s1)
-    row["s2"] = list(sets.s2)
-    row["s3"] = list(sets.s3)
-    row["excluded"] = [list(x) for x in sets.excluded]
-    row["m_phi"] = an.m_phi
-    row["m_phihat"] = an.m_phihat
-    row["sandwich_phi"] = list(an.sandwich_phi)
-    row["sandwich_dual"] = list(an.sandwich_dual)
-    adv = an.bounds
-    row["advisory_bounds"] = {
-        "hypothesis_ok": adv.hypothesis_ok,
-        "selmer_lower": adv.selmer_lower,
-        "selmer_upper": adv.selmer_upper,
-        "rank_upper": adv.rank_upper,
-        "sum_lower": adv.sum_lower,
-        "sha_lower": adv.sha_lower,
-    }
-    row["selmer_sum_proxy"] = abs(len(sets.s1) - len(sets.s2))
-    if verify_dual:
-        row["dual_swap_verified"] = _verify_dual_swap(an.classified)
-
-
 def _row_with_forcing(args) -> dict:
-    """The row of the work item (c, b): evaluate_row under the constraints
-    c, with the forcing checks."""
-    c, b = args
-    row = evaluate_row(c.p, b, c.verify_dual, c.omega_max)
-    if "error" in row:
-        return row
-    flags = []
-    for ell in c.force_s1:
-        if ell not in row["s1"]:
-            flags.append([ell, S1])
-    for ell in c.force_s2:
-        if ell not in row["s2"]:
-            flags.append([ell, S2])
-    if flags:
-        row["forcing_failed"] = flags
-    for ell in c.force_s1 + c.force_s2:
-        if row["disc"] % ell:
-            row["error"] = "forced_prime_missing"
-            row["detail"] = f"forced prime {ell} does not divide the discriminant"
-            break
-    return row
+    """evaluate_row of the work item (c, b).  The one module global that
+    _rows maps per fiber, in this process and in forked workers, so a
+    wrapper set here sees every fiber (perfbench's calibration hook)."""
+    return evaluate_row(*args)
 
 
 _CHUNK = 16  # fibers per chunk; chunk i runs in process i mod workers
@@ -405,12 +396,13 @@ def scan(c: SearchConstraints, jobs: int = 1, progress=None) -> dict:
     ranked by (|#S1 - #S2|, m_phi) descending, ties broken by parameter
     height.
 
-    A fiber's outcome is the first of: skipped as degenerate, skipped as
-    incomplete_factorization, an error row, skipped as filtered_omega
-    (more than omega_max distinct discriminant primes), kept.  The omega
-    filter runs in evaluate_row right after classify_primes, and a fiber
-    it drops still runs every step that can give it one of the first
-    three outcomes.
+    Each fiber's row is evaluate_row(c, b), which the scan only sorts:
+    its outcome is the first of skipped as degenerate, skipped as
+    incomplete_factorization, an error row (forced_prime_missing
+    included), skipped as filtered_omega (more than omega_max distinct
+    discriminant primes), kept.  The omega filter runs in evaluate_row
+    right after classify_primes, and a fiber it drops still runs every
+    step that can give it one of the first three outcomes.
     """
     if jobs < 1:
         raise InputError(f"jobs must be at least 1, got {jobs}")
@@ -431,7 +423,7 @@ def scan(c: SearchConstraints, jobs: int = 1, progress=None) -> dict:
             if progress and done % 50 == 0:
                 progress(done, total)
             err = row.get("error")
-            if err in ("degenerate", "incomplete_factorization"):
+            if err in skipped:  # degenerate or incomplete_factorization
                 skipped[err] += 1
             elif err:
                 errored.append(row)

@@ -11,7 +11,7 @@ import pytest
 import shabound
 from shabound import report
 from shabound.cli import main
-from shabound.search import evaluate_row, fiber, tate_family
+from shabound.search import SearchConstraints, evaluate_row, fiber, tate_family
 
 
 def run(capsys, *argv):
@@ -223,6 +223,10 @@ def test_sandwich_command(capsys):
     assert code == 0
     data = json.loads(out)
     assert (data["lower_dim"], data["upper_dim"]) == ("0", "2")
+    # whitespace around a list's entries is allowed
+    assert run(capsys, "sandwich", "--p", "5", "--s1", " 11 , 2", "--s2", " 31 ", "--json") == (
+        run(capsys, "sandwich", "--p", "5", "--s1", "11,2", "--s2", "31", "--json")
+    )
 
 
 def test_search_command(tmp_path, capsys):
@@ -326,7 +330,7 @@ def test_analyze_agrees_with_scan_row(capsys):
         )
         assert code == 0
         data = json.loads(out)
-        row = json.loads(report.dumps(evaluate_row(p, b, verify_dual=False)))
+        row = json.loads(report.dumps(evaluate_row(SearchConstraints(p, verify_dual=False), b)))
         assert "error" not in row, (p, b)
         assert data["sets"]["s1"] == row["s1"] and data["sets"]["s2"] == row["s2"]
         assert (data["m_phi"], data["m_phihat"]) == (row["m_phi"], row["m_phihat"])
@@ -368,11 +372,26 @@ CURVE_11A3 = ["--curve", "[0,-1,1,0,0]", "--point", '["0/1","0/1"]']
     # p is checked against the families before a forced prime is reduced mod p
     (["search"], '{"p": 0, "force_s2": [11]}', "families are available for p in {5, 7}"),
     (["search"], '{"p": 1, "force_s2": [11]}', "families are available for p in {5, 7}"),
+    # int() and Fraction() also take _ separators and non-ASCII digits
+    (["analyze", "--curve", '["0","-1_0","1","0","0"]', "--point", '["0/1","0/1"]', "--p", "5"], None,
+     "expected an integer (decimal string), got '-1_0'"),
+    (["analyze", *CURVE_11A3[:2], "--point", '["0_0/1","0/1"]', "--p", "5"], None,
+     "expected a fraction like '3/4', got '0_0/1'"),
+    (["analyze", "--curve", '["\u0660","-\u0661","\u0661","\u0660","\u0660"]',
+      "--point", '["\u0660/\u0661","\u0660/\u0661"]', "--p", "5"], None,
+     "expected an integer (decimal string), got '\u0660'"),
+    (["sandwich", "--p", "5", "--s1", "1_1", "--s2", ""], None,
+     "expected a comma-separated integer list, got '1_1'"),
+    (["search"], '{"p": "\u0665"}', "expected an integer (decimal string), got '\u0665'"),
+    (["search"], '{"p": 5, "scan_budget": "100000000000000000000", "parameter_box": 3}',
+     f"scan_budget must be at most {sys.maxsize}, got 100000000000000000000"),
 ], ids=[
     "curve-json", "point-json", "second-kernel-json", "point-identity", "point-off-curve", "analyze-p-11",
     "second-kernel-not-list", "second-kernel-not-monic", "second-kernel-degree",
     "budget-three-parts", "bounds-no-input", "config-json", "config-not-object", "config-no-p",
     "config-repeated-forced-prime", "config-p-0-forced", "config-p-1-forced",
+    "int-underscore", "fraction-underscore", "int-arabic-indic", "list-underscore", "config-p-arabic-indic",
+    "config-scan-budget-above-maxsize",
 ])
 def test_input_errors_exit_2_with_their_message(tmp_path, capsys, argv, config, message):
     if config is not None:

@@ -49,7 +49,7 @@ def _probe_role(p: int, ainv_polys, fpoly_coeffs: tuple[int, ...]) -> str:
     vanishes mod ell and the reduction is split multiplicative, then asks
     the descent classifier which set ell landed in.
     """
-    spec_tmp = FamilySpec(p, ainv_polys, ())
+    spec_tmp = FamilySpec(ainv_polys, ())
     ell = 2
     attempts = 0
     while attempts < 400:
@@ -96,7 +96,7 @@ def derive_family(p: int) -> FamilySpec:
         role = _probe_role(p, ainv_polys, tuple(coeffs))
         fps.append(FactorPoly(tuple(coeffs), int(mult), role))
     fps.sort(key=lambda f: (f.role, f.coeffs))
-    return FamilySpec(p, ainv_polys, tuple(fps))
+    return FamilySpec(ainv_polys, tuple(fps))
 
 
 @pytest.mark.parametrize("p", [5, 7])

@@ -144,7 +144,7 @@ def test_dual_kernel_rejects_a_bad_kernel_poly(monkeypatch):
             with pytest.raises(InputError, match="does not divide"):
                 verify(_forged(cls, bad))
             monkeypatch.setattr(search, "_verify_dual_swap", lambda cls: verify(_forged(cls, bad)))
-            row = search.evaluate_row(p, b)
+            row = search.evaluate_row(search.SearchConstraints(p), b)
             assert row["error"] == "InputError" and "does not divide" in row["detail"], (p, b, bad)
             assert "dual_swap_verified" not in row and row["s1"]  # fields filled before the failure stay
 
@@ -176,7 +176,7 @@ def test_the_dual_check_makes_two_division_polynomial_calls(monkeypatch):
     for p, bs in ((5, (2, -3, -32, 41)), (7, (2, -3, 5, 30))):
         for b in bs:
             calls.clear()
-            assert search.evaluate_row(p, b)["dual_swap_verified"], (p, b)
+            assert search.evaluate_row(search.SearchConstraints(p), b)["dual_swap_verified"], (p, b)
             assert [c if isinstance(c, str) else c[0] for c in calls] == ["top", "mod", "closure", "isomorphic"], (p, b)
             assert calls[1][1] is calls[2][1]  # one residue ring
             assert calls[1][2] is calls[2][2]  # one set of recursion registers in it

@@ -114,7 +114,7 @@ def test_constraints_validation():
 
 def test_regression_fiber_large_sets():
     # pinned fixture: fiber with |S1| + |S2| >= 4
-    row = evaluate_row(5, -21)
+    row = evaluate_row(SearchConstraints(5), -21)
     assert row["s1"] == [3, 7]
     assert row["s2"] == [11, 61]
     assert row["m_phi"] == 1
@@ -122,7 +122,7 @@ def test_regression_fiber_large_sets():
 
 
 def test_evaluate_row_p7():
-    row = evaluate_row(7, 3)
+    row = evaluate_row(SearchConstraints(7), 3)
     assert row["s1"] == [2, 3] and row["s2"] == [29]
     assert row["dual_swap_verified"]
 
@@ -164,7 +164,7 @@ def test_other_shabound_error_becomes_error_row(monkeypatch):
         raise HypothesisViolated("injected")
 
     monkeypatch.setattr(search, "classify_primes", fail)  # the scan calls it, then analyze_classified
-    row = evaluate_row(5, 2)
+    row = evaluate_row(SearchConstraints(5), 2)
     assert row["error"] == "HypothesisViolated" and row["detail"] == "injected"
     assert row["curve"] and "s1" not in row  # fields filled before the failure stay
     r = scan(SearchConstraints(5, scan_budget=4, verify_dual=False), jobs=1)
@@ -178,7 +178,7 @@ def test_s2_prime_not_one_mod_p_becomes_error_row(monkeypatch):
     reduction = descent.reduction_at
     monkeypatch.setattr(descent, "reduction_at", lambda e, q: (reduction(e, q)[0], None))
     monkeypatch.setattr(descent, "valuation_ratio_set", lambda p, v, v_image: descent.S2)
-    row = evaluate_row(5, 2)
+    row = evaluate_row(SearchConstraints(5), 2)
     assert row["error"] == "classifier_disagreement"
     assert row["detail"] == "S2 prime 2 is not 1 mod 5"
 
@@ -486,13 +486,13 @@ _FILTERED = (-1066, 3444, -2870)
 
 def test_a_filtered_fiber_stops_after_classification():
     # without omega_max, or under a cap it meets, evaluate_row gives the
-    # full row; over the cap the row keeps what _row_with_forcing reads
+    # full row; over the cap the row keeps what the forcing checks read
     for b in _FILTERED:
-        full = evaluate_row(5, b, True)
+        full = evaluate_row(SearchConstraints(5), b)
         assert full["omega_of_cofactor"] > 6 and full["dual_swap_verified"] and "error" not in full, full
-        assert evaluate_row(5, b, True, omega_max=full["omega_of_cofactor"]) == full
+        assert evaluate_row(SearchConstraints(5, omega_max=full["omega_of_cofactor"]), b) == full
         keep = ("b", "curve", "disc", "omega_of_cofactor", "s1", "s2")
-        assert evaluate_row(5, b, True, omega_max=6) == {k: full[k] for k in keep}
+        assert evaluate_row(SearchConstraints(5, omega_max=6), b) == {k: full[k] for k in keep}
 
 
 def test_only_kept_rows_build_character_tables_and_bounds(monkeypatch):
@@ -549,6 +549,44 @@ def test_a_scan_factors_no_ell_minus_1(monkeypatch):
     assert arith.residue_character.cache_info().misses > 0
 
 
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_the_scan_adds_nothing_to_a_fibers_row(jobs):
+    # the forced (41, 11) omega 6 verify_dual config: each kept and error
+    # row is evaluate_row(c, b) as it stands, and the skip counts are the
+    # tally of evaluate_row's outcomes over b0 + k*M, k = 0, 1, -1, 2, ...
+    from collections import Counter
+
+    c = SearchConstraints(5, force_s1=(41,), force_s2=(11,), omega_max=6, scan_budget=300, verify_dual=True)
+    b0, modulus = construct_parameter(c)
+    ks = [0] + [s * k for k in range(1, c.scan_budget) for s in (1, -1)]
+    rows = {b: evaluate_row(c, b) for b in (b0 + k * modulus for k in ks[:c.scan_budget])}
+    r = scan(c, jobs=jobs)
+    for row in r["rows"] + r["errors"]:
+        assert row == rows[row["b"]], row["b"]
+    outcomes = Counter(
+        row.get("error") or ("filtered_omega" if row["omega_of_cofactor"] > c.omega_max else "kept")
+        for row in rows.values()
+    )
+    assert r["skipped"] == {k: outcomes[k] for k in ("degenerate", "incomplete_factorization", "filtered_omega")}
+    assert (outcomes["kept"], sum(outcomes.values())) == (len(r["rows"]), c.scan_budget)
+    assert len(r["errors"]) == c.scan_budget - sum(r["skipped"].values()) - len(r["rows"])
+    # off the CRT class the forcing checks, run by evaluate_row, flag the
+    # forced primes and make the row an error
+    row = evaluate_row(c, 2)  # disc -608 = -2^5 * 19
+    assert row["forcing_failed"] == [[41, "S1"], [11, "S2"]] and row["error"] == "forced_prime_missing"
+    assert row["detail"] == "forced prime 41 does not divide the discriminant"
+
+
+def test_scan_budget_stops_at_sys_maxsize():
+    # the scan's islice takes no larger stop
+    import sys
+
+    with pytest.raises(InputError, match=f"^scan_budget must be at most {sys.maxsize}, got {sys.maxsize + 1}$"):
+        SearchConstraints(5, scan_budget=sys.maxsize + 1)
+    r = scan(SearchConstraints(5, scan_budget=sys.maxsize, parameter_box=3))
+    assert sorted(row["b"] for row in r["rows"]) == [-3, -2, -1, 1, 2, 3]
+
+
 @pytest.mark.parametrize("fault", ["classifiers", "dual check"])
 def test_a_filtered_fiber_keeps_its_skip_or_error_reason(monkeypatch, fault):
     # each step that can end a fiber another way still runs on a fiber over
@@ -564,7 +602,7 @@ def test_a_filtered_fiber_keeps_its_skip_or_error_reason(monkeypatch, fault):
 
         monkeypatch.setattr(search, "_verify_dual_swap", fail)
     for b in _FILTERED:
-        full, short = evaluate_row(5, b, True), evaluate_row(5, b, True, omega_max=6)
+        full, short = (evaluate_row(SearchConstraints(5, omega_max=cap), b) for cap in (None, 6))
         assert "error" in full, (b, full)
         assert (short["error"], short.get("detail")) == (full["error"], full.get("detail")), b
     c = SearchConstraints(5, force_s1=(41,), force_s2=(11,), omega_max=6, scan_budget=40)
