@@ -2,10 +2,11 @@
 
 All operations are exact integer or rational arithmetic, parameterized by
 the field invariants (degree, p-class-group dimension, hypothesis flags).
-The formulas need a totally imaginary field containing the p-th roots of
-unity with p > 3; for Q-mode demonstrator runs the evaluations are still
-exact in their combinatorial inputs, so callers may mark the report
-advisory instead of refusing (see hypothesis_status).
+The formulas hold over a totally imaginary field containing the p-th
+roots of unity with p > 3. Each is a plain function of its inputs;
+bound_report is the one evaluator: it checks that the inputs are
+nonnegative and flags a hypothesis failure (see hypothesis_status), so a
+Q-mode report is advisory rather than refused.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from fractions import Fraction
 from math import ceil
 
 from .arith import is_prime
-from .errors import HypothesisViolated, InputError
+from .errors import InputError
 
 
 class FieldInvariants(namedtuple("FieldInvariants", [
@@ -44,36 +45,12 @@ def hypothesis_status(f: FieldInvariants) -> tuple[bool, list[str]]:
     return (not reasons, reasons)
 
 
-def _require_hypotheses(f: FieldInvariants) -> None:
-    ok, reasons = hypothesis_status(f)
-    if not ok:
-        raise HypothesisViolated("; ".join(reasons))
-
-
 def _require_nonnegative(*counts: int) -> None:
-    """The one input check of the formulas: set sizes, ranks and dimensions."""
+    """The one input check of bound_report and sha_from_sum: set sizes, ranks and dimensions."""
     if any(c < 0 for c in counts):
         raise InputError(f"set sizes, ranks and dimensions must be nonnegative, got {list(counts)}")
 
 
-def _formula(body):
-    """The public form of a formula body: hypotheses required, inputs nonnegative.
-
-    The body stays reachable as ``.body``; bound_report evaluates it
-    and only flags a hypothesis failure.
-    """
-
-    @functools.wraps(body)
-    def formula(f: FieldInvariants, *counts: int, **named: int):
-        _require_hypotheses(f)
-        _require_nonnegative(*counts, *named.values())
-        return body(f, *counts, **named)
-
-    formula.body = body
-    return formula
-
-
-@_formula
 def selmer_interval(f: FieldInvariants, s1: int, s2: int, m: int) -> tuple[int, int]:
     """Two-sided bound on dim of the isogeny Selmer group (raw signed integers)."""
     lower = s1 - s2 + f.cp - f.d // 2
@@ -81,13 +58,11 @@ def selmer_interval(f: FieldInvariants, s1: int, s2: int, m: int) -> tuple[int, 
     return lower, upper
 
 
-@_formula
 def rank_upper(f: FieldInvariants, s1: int, s2: int, m: int, m_hat: int) -> int:
     """Upper bound for the Mordell-Weil rank from both isogeny directions."""
     return s1 + s2 + 2 * f.cp + 3 * f.d - m - m_hat - 1
 
 
-@_formula
 def cassels_interval(f: FieldInvariants, s1: int, s2: int, dim_phi: int) -> tuple[int, int]:
     """Possible range of the dual Selmer dimension given the forward one.
 
@@ -99,7 +74,6 @@ def cassels_interval(f: FieldInvariants, s1: int, s2: int, dim_phi: int) -> tupl
     return center - radius, center + radius
 
 
-@_formula
 def sum_lower(f: FieldInvariants, s1: int, s2: int) -> int:
     """Lower bound on the sum of the two isogeny Selmer dimensions."""
     return abs(s1 - s2) + 2 * f.cp - 3 * f.d - 1
@@ -112,7 +86,6 @@ def sha_from_sum(selmer_sum: int, r: int) -> int:
     return max(0, ceil(Fraction(k - r, 2)))
 
 
-@_formula
 def sha_lower_matrix(
     f: FieldInvariants, s1: int, s2: int, m_psi: int, m_psi_hat: int
 ) -> tuple[Fraction, int]:
@@ -146,7 +119,7 @@ def theorem_budget(p: int, k: int, n: int, deg_h: int) -> TheoremBudget:
     d_max = 2 * (p - 1) * deg_h
     s2_max = n * d_max
     field = FieldInvariants(d_max, 0, totally_imaginary=True, contains_zeta_p=True)
-    sha_guarantee = sha_lower_matrix.body(field, s2_max, s2_max, m_threshold, 0)[1]
+    sha_guarantee = sha_lower_matrix(field, s2_max, s2_max, m_threshold, 0)[1]
     return TheoremBudget(p, k, n, deg_h, m_threshold, d_max, s2_max, sha_guarantee)
 
 
@@ -174,12 +147,12 @@ def bound_report(f: FieldInvariants, s1: int, s2: int, m: int, m_hat: int) -> Bo
     """
     _require_nonnegative(s1, s2, m, m_hat)
     ok, reasons = hypothesis_status(f)
-    lower, upper = selmer_interval.body(f, s1, s2, m)
-    raw, sha_lower = sha_lower_matrix.body(f, s1, s2, m, m_hat)
+    lower, upper = selmer_interval(f, s1, s2, m)
+    raw, sha_lower = sha_lower_matrix(f, s1, s2, m, m_hat)
     return BoundReport(
         ok, tuple(reasons), lower, upper,
-        rank_upper.body(f, s1, s2, m, m_hat),
-        cassels_interval.body(f, s1, s2, upper),
-        sum_lower.body(f, s1, s2),
+        rank_upper(f, s1, s2, m, m_hat),
+        cassels_interval(f, s1, s2, upper),
+        sum_lower(f, s1, s2),
         raw, sha_lower,
     )

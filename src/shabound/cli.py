@@ -54,6 +54,14 @@ def _parse_int(s) -> int:
     raise InputError(f"expected an integer (decimal string), got {s!r}")
 
 
+def _int_option(text: str) -> int:
+    """argparse's type for integer options: _parse_int, its error under the option's name (exit 2)."""
+    try:
+        return _parse_int(text)
+    except InputError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 def _parse_fraction(s) -> Fraction:
     if isinstance(s, int) and not isinstance(s, bool):
         return Fraction(s)
@@ -282,21 +290,21 @@ def build_parser() -> argparse.ArgumentParser:
     pa = sub.add_parser("analyze", help="full descent pipeline for one curve")
     pa.add_argument("--curve", required=True, help='JSON [a1,a2,a3,a4,a6], integers or decimal strings')
     pa.add_argument("--point", required=True, help='JSON ["x_num/x_den","y_num/y_den"]')
-    pa.add_argument("--p", type=int, required=True)
+    pa.add_argument("--p", type=_int_option, required=True)
     pa.add_argument("--second-kernel", default=None,
                     help="JSON coefficient list (low degree first) of a second kernel polynomial")
     pa.add_argument("--json", action="store_true")
     pa.set_defaults(func=cmd_analyze)
 
     pm = sub.add_parser("matrix", help="power-residue character matrix and its rank")
-    pm.add_argument("--p", type=int, required=True)
+    pm.add_argument("--p", type=_int_option, required=True)
     pm.add_argument("--s1", required=True, help="comma-separated primes (columns)")
     pm.add_argument("--s2", required=True, help="comma-separated primes (rows, each 1 mod p)")
     pm.add_argument("--json", action="store_true")
     pm.set_defaults(func=cmd_matrix)
 
     pw = sub.add_parser("sandwich", help="two-sided Selmer dimensions from prime sets")
-    pw.add_argument("--p", type=int, required=True)
+    pw.add_argument("--p", type=_int_option, required=True)
     pw.add_argument("--s1", required=True)
     pw.add_argument("--s2", required=True)
     pw.add_argument("--json", action="store_true")
@@ -304,14 +312,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     pb = sub.add_parser("bounds", help="bound-formula arithmetic")
     pb.add_argument("--budget", default=None, metavar="p,k,n,D")
-    pb.add_argument("--d", type=int, default=None)
-    pb.add_argument("--cp", type=int, default=0)
-    pb.add_argument("--s1", type=int, default=0)
-    pb.add_argument("--s2", type=int, default=0)
-    pb.add_argument("--m", type=int, default=0)
-    pb.add_argument("--mhat", type=int, default=0)
-    pb.add_argument("--sum", type=int, default=None, help="Selmer-sum input for the sum-based Sha bound")
-    pb.add_argument("--rank", type=int, default=0)
+    pb.add_argument("--d", type=_int_option, default=None)
+    pb.add_argument("--cp", type=_int_option, default=0)
+    pb.add_argument("--s1", type=_int_option, default=0)
+    pb.add_argument("--s2", type=_int_option, default=0)
+    pb.add_argument("--m", type=_int_option, default=0)
+    pb.add_argument("--mhat", type=_int_option, default=0)
+    pb.add_argument("--sum", type=_int_option, default=None, help="Selmer-sum input for the sum-based Sha bound")
+    pb.add_argument("--rank", type=_int_option, default=0)
     pb.add_argument("--real-embedding", action="store_true",
                     help="mark the field as having a real embedding (hypothesis failure)")
     pb.add_argument("--no-zeta-p", action="store_true",
@@ -321,7 +329,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     ps = sub.add_parser("search", help="constrained family scan from a JSON config")
     ps.add_argument("--config", required=True)
-    ps.add_argument("--jobs", type=int, default=1)
+    ps.add_argument("--jobs", type=_int_option, default=1)
     ps.add_argument("--json", action="store_true")
     ps.set_defaults(func=cmd_search)
     return ap

@@ -21,10 +21,6 @@ class IncompleteFactorization(ShaboundError):
         super().__init__(f"unresolved cofactor {partial.cofactor}")
 
 
-class HypothesisViolated(ShaboundError):
-    """A bound formula was evaluated outside the hypotheses it needs."""
-
-
 class ClassifierDisagreement(ShaboundError):
     """The two independent S1/S2 classifiers disagree; indicates a bug."""
 

@@ -1,5 +1,6 @@
 """CLI integration: commands, JSON contract, exit codes."""
 
+import argparse
 import json
 import os
 import pathlib
@@ -10,7 +11,7 @@ import pytest
 
 import shabound
 from shabound import report
-from shabound.cli import main
+from shabound.cli import build_parser, main
 from shabound.search import SearchConstraints, evaluate_row, fiber, tate_family
 
 
@@ -401,3 +402,39 @@ def test_input_errors_exit_2_with_their_message(tmp_path, capsys, argv, config, 
     code, out, err = run(capsys, *argv, "--json")
     assert (code, out) == (2, "")
     assert err == f"error: {message}\n"
+
+
+BOUNDS_ARGS = {
+    "--d": "4", "--cp": "1", "--s1": "5", "--s2": "4", "--m": "2", "--mhat": "3", "--sum": "11", "--rank": "0",
+}
+# each integer option within an invocation that exits 0 as written
+INT_OPTION_ARGV = {
+    "analyze --p": ["analyze", *CURVE_11A3, "--p", "5"],
+    "matrix --p": ["matrix", "--p", "5", "--s1", "2,3", "--s2", "11,31"],
+    "sandwich --p": ["sandwich", "--p", "5", "--s1", "11", "--s2", ""],
+    **dict.fromkeys((f"bounds {opt}" for opt in BOUNDS_ARGS), ["bounds", *sum(BOUNDS_ARGS.items(), ())]),
+    "search --jobs": ["search", "--config", "CONFIG", "--jobs", "1"],
+}
+
+
+@pytest.mark.parametrize("spelling", ["1_0", "\u0665"], ids=["underscore", "arabic-indic"])
+@pytest.mark.parametrize("case", INT_OPTION_ARGV)
+def test_integer_options_take_only_plain_decimal(tmp_path, capsys, case, spelling):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"p": 5, "scan_budget": 4, "verify_dual": false}')
+    option = case.split()[1]
+    argv = [str(cfg) if a == "CONFIG" else a for a in INT_OPTION_ARGV[case]]
+    assert run(capsys, *argv, "--json")[0] == 0
+    argv[argv.index(option) + 1] = spelling
+    with pytest.raises(SystemExit) as exc:  # argparse's own usage error
+        main([*argv, "--json"])
+    out = capsys.readouterr()
+    assert (exc.value.code, out.out) == (2, "")
+    assert f"argument {option}: expected an integer (decimal string), got '{spelling}'" in out.err
+
+
+def test_no_option_is_parsed_by_int():
+    # int() also takes _ separators and non-ASCII digits
+    commands = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)).choices
+    assert len(commands) == 5
+    assert all(action.type is not int for parser in commands.values() for action in parser._actions)

@@ -158,17 +158,20 @@ def test_scan_forced_contains_crt_solution():
 
 def test_other_shabound_error_becomes_error_row(monkeypatch):
     from shabound import search
-    from shabound.errors import HypothesisViolated
+    from shabound.errors import ShaboundError
+
+    class Injected(ShaboundError):
+        pass
 
     def fail(*args, **kwargs):
-        raise HypothesisViolated("injected")
+        raise Injected("injected")
 
     monkeypatch.setattr(search, "classify_primes", fail)  # the scan calls it, then analyze_classified
     row = evaluate_row(SearchConstraints(5), 2)
-    assert row["error"] == "HypothesisViolated" and row["detail"] == "injected"
+    assert row["error"] == "Injected" and row["detail"] == "injected"
     assert row["curve"] and "s1" not in row  # fields filled before the failure stay
     r = scan(SearchConstraints(5, scan_budget=4, verify_dual=False), jobs=1)
-    assert r["rows"] == [] and [e["error"] for e in r["errors"]] == ["HypothesisViolated"] * 4
+    assert r["rows"] == [] and [e["error"] for e in r["errors"]] == ["Injected"] * 4
 
 
 def test_s2_prime_not_one_mod_p_becomes_error_row(monkeypatch):
