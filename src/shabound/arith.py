@@ -474,11 +474,7 @@ def factor_with_hints(n: int, hints: tuple[int, ...]):
     m = abs(n)
     found: dict[int, int] = {}
     for q in sorted(set(hints)):
-        k = 0
-        while m % q == 0:
-            m, k = m // q, k + 1
-        if k:
-            found[q] = k
+        m = _divide_out(m, q, found)
     stubborn = _factor_into(m, found) if m > 1 else 1
     return _factorization(n, 1 if n > 0 else -1, found, stubborn)
 

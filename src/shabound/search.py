@@ -149,7 +149,7 @@ class SearchConstraints(namedtuple("SearchConstraints", [
         if set(self.force_s1) & set(self.force_s2):
             raise InputError("forced S1 and S2 prime lists must be disjoint")
         for ell in self.force_s1 + self.force_s2:
-            if not is_prime(ell):
+            if ell < 2 or not is_prime(ell):
                 raise InputError(f"forced value {ell} is not prime")
         for name in ("force_s1", "force_s2"):
             primes = getattr(self, name)
@@ -204,24 +204,29 @@ def evaluate_row(c: SearchConstraints, b: int) -> dict:
     """Evaluate the fiber at b of tate_family(c.p) under the constraints
     c, end to end; returns a JSON-able row dict.
 
-    Per-row failures are recorded in the row rather than raised: a
-    singular fiber, an incomplete factorization, a classifier
-    disagreement, any other ShaboundError under its class name, and any
-    other exception (a bug) as internal_error, its traceback on stderr.
-    The row keeps the fields filled in before the failure.
+    This is the one place that decides a fiber's outcome, and the row
+    carries it as row.get("error", "kept").  The outcome is the first of:
+    - degenerate: the fiber is singular;
+    - incomplete_factorization: the fiber's or Velu's codomain's
+      discriminant resists factoring;
+    - an error row: classifier_disagreement, any other ShaboundError
+      under its class name, any other exception (a bug) as
+      internal_error with its traceback on stderr, or
+      forced_prime_missing;
+    - filtered_omega: more than c.omega_max distinct discriminant primes;
+    - kept.
+    A failed row keeps the fields filled in before the failure.  A row
+    that raised nothing gets the forcing checks: forcing_failed lists
+    each forced [ell, set] that ell is not in, and a forced ell that
+    does not divide the discriminant makes it forced_prime_missing.
 
-    With c.omega_max set, a fiber with more than omega_max distinct
-    discriminant primes (the scan's filtered_omega) stops after
-    classify_primes: its row holds curve, disc, omega_of_cofactor, s1
-    and s2, and no character table, elimination or bound is built.  It
-    still goes through every step that can end it another way: fiber(),
-    classify_primes (Velu, the codomain's factoring, both classifiers)
-    and the dual check when c.verify_dual is on.  Without omega_max the
-    row is always the full one.
-
-    A row with no error then gets the forcing checks: forcing_failed lists
-    each forced [ell, set] that ell is not in, and a forced ell that does
-    not divide the discriminant makes it a forced_prime_missing error row.
+    A fiber over c.omega_max stops after classify_primes: its row holds
+    curve, disc, omega_of_cofactor, s1 and s2, and no character table,
+    elimination or bound is built.  It still goes through every step that
+    can give it an earlier outcome: fiber(), classify_primes (Velu, the
+    codomain's factoring, both classifiers), the dual check when
+    c.verify_dual is on (only a kept row stores dual_swap_verified) and
+    the forcing checks.
     """
     row: dict = {"b": b}
     try:
@@ -233,10 +238,8 @@ def evaluate_row(c: SearchConstraints, b: int) -> dict:
         sets = cls.sets
         row["s1"] = list(sets.s1)
         row["s2"] = list(sets.s2)
-        if _over_omega(row, c.omega_max):
-            if c.verify_dual:
-                _verify_dual_swap(cls)
-        else:
+        over = c.omega_max is not None and row["omega_of_cofactor"] > c.omega_max
+        if not over:
             an = analyze_classified(cls)
             row["s3"] = list(sets.s3)
             row["excluded"] = [list(x) for x in sets.excluded]
@@ -254,8 +257,10 @@ def evaluate_row(c: SearchConstraints, b: int) -> dict:
                 "sha_lower": adv.sha_lower,
             }
             row["selmer_sum_proxy"] = abs(len(sets.s1) - len(sets.s2))
-            if c.verify_dual:
-                row["dual_swap_verified"] = _verify_dual_swap(cls)
+        if c.verify_dual:
+            verified = _verify_dual_swap(cls)
+            if not over:
+                row["dual_swap_verified"] = verified
     except DegenerateFiber:
         row["error"] = "degenerate"
     except IncompleteFactorization:
@@ -282,12 +287,9 @@ def evaluate_row(c: SearchConstraints, b: int) -> dict:
                 row["error"] = "forced_prime_missing"
                 row["detail"] = f"forced prime {ell} does not divide the discriminant"
                 break
+        if over and "error" not in row:
+            row["error"] = "filtered_omega"
     return row
-
-
-def _over_omega(row: dict, omega_max: int | None) -> bool:
-    """The omega filter: the report drops a fiber with more than omega_max distinct discriminant primes."""
-    return omega_max is not None and row["omega_of_cofactor"] > omega_max
 
 
 def _row_with_forcing(args) -> dict:
@@ -396,13 +398,10 @@ def scan(c: SearchConstraints, jobs: int = 1, progress=None) -> dict:
     ranked by (|#S1 - #S2|, m_phi) descending, ties broken by parameter
     height.
 
-    Each fiber's row is evaluate_row(c, b), which the scan only sorts:
-    its outcome is the first of skipped as degenerate, skipped as
-    incomplete_factorization, an error row (forced_prime_missing
-    included), skipped as filtered_omega (more than omega_max distinct
-    discriminant primes), kept.  The omega filter runs in evaluate_row
-    right after classify_primes, and a fiber it drops still runs every
-    step that can give it one of the first three outcomes.
+    Each fiber's row is evaluate_row(c, b), and the scan only tallies
+    its outcome label (see evaluate_row): the three skip labels are
+    counted in skipped, any other error row is reported under errors, and
+    a row with no label is kept.
     """
     if jobs < 1:
         raise InputError(f"jobs must be at least 1, got {jobs}")
@@ -423,12 +422,10 @@ def scan(c: SearchConstraints, jobs: int = 1, progress=None) -> dict:
             if progress and done % 50 == 0:
                 progress(done, total)
             err = row.get("error")
-            if err in skipped:  # degenerate or incomplete_factorization
+            if err in skipped:
                 skipped[err] += 1
             elif err:
                 errored.append(row)
-            elif _over_omega(row, c.omega_max):
-                skipped["filtered_omega"] += 1
             else:
                 kept.append(row)
     kept.sort(key=lambda r: (-r["selmer_sum_proxy"], -r["m_phi"], abs(r["b"]), r["b"] < 0))

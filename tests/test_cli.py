@@ -370,6 +370,9 @@ CURVE_11A3 = ["--curve", "[0,-1,1,0,0]", "--point", '["0/1","0/1"]']
     (["search"], "[5]", "config: expected a JSON object"),
     (["search"], '{"scan_budget": 4}', "config: missing key 'p'"),
     (["search"], '{"p": 5, "force_s1": [41, 41]}', "force_s1: repeated prime 41 in [41, 41]"),
+    # a negative forced value is not prime, and is_prime is never asked about it
+    (["search"], '{"p": 5, "force_s1": [-41]}', "forced value -41 is not prime"),
+    (["search"], '{"p": 5, "force_s2": [-41]}', "forced value -41 is not prime"),
     # p is checked against the families before a forced prime is reduced mod p
     (["search"], '{"p": 0, "force_s2": [11]}', "families are available for p in {5, 7}"),
     (["search"], '{"p": 1, "force_s2": [11]}', "families are available for p in {5, 7}"),
@@ -390,7 +393,8 @@ CURVE_11A3 = ["--curve", "[0,-1,1,0,0]", "--point", '["0/1","0/1"]']
     "curve-json", "point-json", "second-kernel-json", "point-identity", "point-off-curve", "analyze-p-11",
     "second-kernel-not-list", "second-kernel-not-monic", "second-kernel-degree",
     "budget-three-parts", "bounds-no-input", "config-json", "config-not-object", "config-no-p",
-    "config-repeated-forced-prime", "config-p-0-forced", "config-p-1-forced",
+    "config-repeated-forced-prime", "config-negative-forced-s1", "config-negative-forced-s2",
+    "config-p-0-forced", "config-p-1-forced",
     "int-underscore", "fraction-underscore", "int-arabic-indic", "list-underscore", "config-p-arabic-indic",
     "config-scan-budget-above-maxsize",
 ])

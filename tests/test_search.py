@@ -490,12 +490,14 @@ _FILTERED = (-1066, 3444, -2870)
 def test_a_filtered_fiber_stops_after_classification():
     # without omega_max, or under a cap it meets, evaluate_row gives the
     # full row; over the cap the row keeps what the forcing checks read
+    # and is labelled filtered_omega
     for b in _FILTERED:
         full = evaluate_row(SearchConstraints(5), b)
         assert full["omega_of_cofactor"] > 6 and full["dual_swap_verified"] and "error" not in full, full
         assert evaluate_row(SearchConstraints(5, omega_max=full["omega_of_cofactor"]), b) == full
         keep = ("b", "curve", "disc", "omega_of_cofactor", "s1", "s2")
-        assert evaluate_row(SearchConstraints(5, omega_max=6), b) == {k: full[k] for k in keep}
+        short = evaluate_row(SearchConstraints(5, omega_max=6), b)
+        assert short == {**{k: full[k] for k in keep}, "error": "filtered_omega"}
 
 
 def test_only_kept_rows_build_character_tables_and_bounds(monkeypatch):
@@ -556,7 +558,7 @@ def test_a_scan_factors_no_ell_minus_1(monkeypatch):
 def test_the_scan_adds_nothing_to_a_fibers_row(jobs):
     # the forced (41, 11) omega 6 verify_dual config: each kept and error
     # row is evaluate_row(c, b) as it stands, and the skip counts are the
-    # tally of evaluate_row's outcomes over b0 + k*M, k = 0, 1, -1, 2, ...
+    # tally of evaluate_row's outcome labels over b0 + k*M, k = 0, 1, -1, 2, ...
     from collections import Counter
 
     c = SearchConstraints(5, force_s1=(41,), force_s2=(11,), omega_max=6, scan_budget=300, verify_dual=True)
@@ -566,10 +568,7 @@ def test_the_scan_adds_nothing_to_a_fibers_row(jobs):
     r = scan(c, jobs=jobs)
     for row in r["rows"] + r["errors"]:
         assert row == rows[row["b"]], row["b"]
-    outcomes = Counter(
-        row.get("error") or ("filtered_omega" if row["omega_of_cofactor"] > c.omega_max else "kept")
-        for row in rows.values()
-    )
+    outcomes = Counter(row.get("error", "kept") for row in rows.values())
     assert r["skipped"] == {k: outcomes[k] for k in ("degenerate", "incomplete_factorization", "filtered_omega")}
     assert (outcomes["kept"], sum(outcomes.values())) == (len(r["rows"]), c.scan_budget)
     assert len(r["errors"]) == c.scan_budget - sum(r["skipped"].values()) - len(r["rows"])
@@ -578,6 +577,9 @@ def test_the_scan_adds_nothing_to_a_fibers_row(jobs):
     row = evaluate_row(c, 2)  # disc -608 = -2^5 * 19
     assert row["forcing_failed"] == [[41, "S1"], [11, "S2"]] and row["error"] == "forced_prime_missing"
     assert row["detail"] == "forced prime 41 does not divide the discriminant"
+    # over omega_max too, the fiber stays an error row, not filtered_omega
+    short = evaluate_row(SearchConstraints(5, force_s1=(41,), force_s2=(11,), omega_max=0), 2)
+    assert (short["error"], short["detail"]) == (row["error"], row["detail"])
 
 
 def test_scan_budget_stops_at_sys_maxsize():
